@@ -60,7 +60,6 @@ func (c *Conv3D) cloneFor(pool *parallel.Pool) Layer {
 		// Share any packed weight caches already built: BlockedWeights are
 		// immutable once packed, and replicas never bump wVersion.
 		packed: c.packed, packedSeen: c.packedSeen,
-		packedT: c.packedT, packedTSeen: c.packedTSeen,
 		wVersion: c.wVersion,
 	}
 }

@@ -22,7 +22,7 @@ type Conv3D struct {
 	W          *Param // [OC IC K K K]
 	B          *Param // [OC]
 	pool       *parallel.Pool
-	forceNaive bool // test hook: disable the blocked kernel
+	forceNaive bool // disable the blocked forward kernel (see ForceDirect)
 
 	// cached between Forward and Backward
 	x *tensor.Tensor
@@ -30,10 +30,7 @@ type Conv3D struct {
 	// packed blocked weights, rebuilt lazily when the weight version bumps
 	packed     *tensor.BlockedWeights
 	packedSeen uint64
-	// transposed-flipped pack for the blocked backward-data kernel
-	packedT     *tensor.BlockedWeights
-	packedTSeen uint64
-	wVersion    uint64
+	wVersion   uint64
 }
 
 // NewConv3D builds a convolution layer. Weights use He initialization from
@@ -59,14 +56,14 @@ func (c *Conv3D) Name() string { return c.W.Name[:len(c.W.Name)-2] }
 // Params returns the weight and bias parameters.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// ForceDirect disables the blocked Algorithm-1 kernel so the generic direct
-// convolution runs instead; used by the kernel ablation benchmarks.
+// ForceDirect disables the blocked Algorithm-1 forward kernel so the generic
+// direct convolution runs instead; used by the kernel ablation benchmarks.
+// Backward has a single path and ignores it.
 func (c *Conv3D) ForceDirect(v bool) { c.forceNaive = v }
 
-// InvalidateWeights must be called after W.Value is mutated outside
-// Backward/optimizer flow (e.g. direct writes in tests) so the packed
-// blocked weights are refreshed. The optimizer path calls it via the
-// network's hook.
+// InvalidateWeights must be called after W.Value is mutated (the trainer
+// does so after every optimizer step) so the forward kernel's packed
+// blocked weights are refreshed. Backward reads W.Value directly.
 func (c *Conv3D) InvalidateWeights() { c.wVersion++ }
 
 // OutputShape implements Layer.
@@ -236,113 +233,4 @@ func (c *Conv3D) directChannelBatch(xds, yds [][]float32, in, out tensor.Shape, 
 			}
 		}
 	}
-}
-
-// Backward implements Layer, computing both the backward-data and
-// backward-weights operators (§III-C).
-func (c *Conv3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if c.x == nil {
-		panic("nn: Conv3D.Backward called before Forward")
-	}
-	x := c.x
-	in := x.Shape()
-	id, ih, iw := in[1], in[2], in[3]
-	out := dy.Shape()
-	od, oh, ow := out[1], out[2], out[3]
-	k, s, p := c.K, c.Stride, c.Pad
-	xd, dyd := x.Data(), dy.Data()
-	wd := c.W.Value.Data()
-	dwd, dbd := c.W.Grad.Data(), c.B.Grad.Data()
-
-	// Backward weights: each worker owns one output channel's dW slice and
-	// bias entry, so no reduction is needed — the paper's "sufficiently
-	// many channel blocks" strategy (§III-C).
-	c.pool.ForEach(c.OutC, 1, func(oc int) {
-		var db float64
-		for z := 0; z < od; z++ {
-			for yy := 0; yy < oh; yy++ {
-				for xx := 0; xx < ow; xx++ {
-					db += float64(dyd[((oc*od+z)*oh+yy)*ow+xx])
-				}
-			}
-		}
-		dbd[oc] += float32(db)
-		for ic := 0; ic < c.InC; ic++ {
-			for kd := 0; kd < k; kd++ {
-				for kh := 0; kh < k; kh++ {
-					for kw := 0; kw < k; kw++ {
-						var acc float64
-						for z := 0; z < od; z++ {
-							zi := z*s + kd - p
-							if zi < 0 || zi >= id {
-								continue
-							}
-							for yy := 0; yy < oh; yy++ {
-								yi := yy*s + kh - p
-								if yi < 0 || yi >= ih {
-									continue
-								}
-								dyRow := ((oc*od+z)*oh + yy) * ow
-								xRow := ((ic*id+zi)*ih + yi) * iw
-								for xx := 0; xx < ow; xx++ {
-									xi := xx*s + kw - p
-									if xi < 0 || xi >= iw {
-										continue
-									}
-									acc += float64(dyd[dyRow+xx]) * float64(xd[xRow+xi])
-								}
-							}
-						}
-						dwd[(((oc*c.InC+ic)*k+kd)*k+kh)*k+kw] += float32(acc)
-					}
-				}
-			}
-		}
-	})
-
-	// Backward data: blocked kernel when the layer geometry allows (§III-C),
-	// generic gather otherwise. Each generic worker owns one input channel.
-	if c.useBlockedBwdData(in, out) {
-		return c.backwardDataBlocked(dy, in)
-	}
-	dx := tensor.New(in...)
-	dxd := dx.Data()
-	c.pool.ForEach(c.InC, 1, func(ic int) {
-		for oc := 0; oc < c.OutC; oc++ {
-			wBase := (oc*c.InC + ic) * k * k * k
-			for z := 0; z < od; z++ {
-				for kd := 0; kd < k; kd++ {
-					zi := z*s + kd - p
-					if zi < 0 || zi >= id {
-						continue
-					}
-					for yy := 0; yy < oh; yy++ {
-						for kh := 0; kh < k; kh++ {
-							yi := yy*s + kh - p
-							if yi < 0 || yi >= ih {
-								continue
-							}
-							dyRow := ((oc*od+z)*oh + yy) * ow
-							dxRow := ((ic*id+zi)*ih + yi) * iw
-							wRow := wBase + (kd*k+kh)*k
-							for xx := 0; xx < ow; xx++ {
-								dyv := float64(dyd[dyRow+xx])
-								if dyv == 0 {
-									continue
-								}
-								for kw := 0; kw < k; kw++ {
-									xi := xx*s + kw - p
-									if xi < 0 || xi >= iw {
-										continue
-									}
-									dxd[dxRow+xi] += float32(float64(wd[wRow+kw]) * dyv)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-	return dx
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/parallel"
@@ -61,6 +62,24 @@ func TestConvBackwardBeforeForwardPanics(t *testing.T) {
 		}
 	}()
 	c.Backward(tensor.New(1, 4, 4, 4))
+}
+
+func TestConvBackwardRejectsWrongGradientShape(t *testing.T) {
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	c := NewConv3D("c", 2, 3, 3, 2, 1, pool, rand.New(rand.NewSource(4)))
+	c.Forward(tensor.New(2, 4, 4, 4)) // output is [3 2 2 2]
+	for _, bad := range []tensor.Shape{{3, 4, 4, 4}, {2, 2, 2, 2}, {3, 2, 2, 1}, {24}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "c backward expects [3 2 2 2]") {
+					t.Errorf("dy shape %v: panic %q does not name the layer and expected shape", bad, msg)
+				}
+			}()
+			c.Backward(tensor.New(bad...))
+		}()
+	}
 }
 
 func TestConvFLOPsHandComputed(t *testing.T) {

@@ -62,11 +62,19 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward runs the full backward pass from the loss gradient, accumulating
-// parameter gradients. The gradient w.r.t. the network input is discarded
-// (the first layer's backward-data pass is still executed, as in the
-// profiled runs of Table I).
+// parameter gradients. The gradient w.r.t. the network input is not
+// computed: nothing reads it, so the first layer runs only its
+// backward-weights operator.
 func (n *Network) Backward(dy *tensor.Tensor) {
 	n.BackwardWithHook(dy, nil)
+}
+
+// paramsOnlyBackward is implemented by layers that can accumulate their
+// parameter gradients without also producing the input gradient. The
+// network uses it for Layers[0] only; Layer.Backward still returns dx for
+// gradient checks and callers that chain layers by hand.
+type paramsOnlyBackward interface {
+	backwardParams(dy *tensor.Tensor)
 }
 
 // BackwardWithHook runs the backward pass, invoking hook after each layer's
@@ -76,9 +84,14 @@ func (n *Network) Backward(dy *tensor.Tensor) {
 // (§III-D).
 func (n *Network) BackwardWithHook(dy *tensor.Tensor, hook func(Layer)) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dy = n.Layers[i].Backward(dy)
+		l := n.Layers[i]
+		if po, ok := l.(paramsOnlyBackward); i == 0 && ok {
+			po.backwardParams(dy)
+		} else {
+			dy = l.Backward(dy)
+		}
 		if hook != nil {
-			hook(n.Layers[i])
+			hook(l)
 		}
 	}
 }

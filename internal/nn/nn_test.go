@@ -85,20 +85,77 @@ func TestConvKnownValue(t *testing.T) {
 }
 
 func TestConvThreadCountInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	x := tensor.New(3, 6, 6, 6)
-	x.RandNormal(rng, 0, 1)
-	var ref []float32
-	for _, workers := range []int{1, 2, 8} {
-		pool := parallel.NewPool(workers)
-		c := NewConv3D("c", 3, 5, 3, 1, 1, pool, rand.New(rand.NewSource(99)))
-		y := c.Forward(x)
-		if ref == nil {
-			ref = append([]float32(nil), y.Data()...)
-		} else if d := tensor.MaxAbsDiff(ref, y.Data()); d != 0 {
-			t.Errorf("workers=%d: output differs from single-thread by %g", workers, d)
+	for _, stride := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(24))
+		x := tensor.New(3, 6, 6, 6)
+		x.RandNormal(rng, 0, 1)
+		var dy *tensor.Tensor
+		var ref [][]float32 // y, dW, dB, dx from the single-worker run
+		for _, workers := range []int{1, 2, 8} {
+			pool := parallel.NewPool(workers)
+			c := NewConv3D("c", 3, 5, 3, stride, 1, pool, rand.New(rand.NewSource(99)))
+			y := c.Forward(x)
+			if dy == nil {
+				dy = tensor.New(y.Shape()...)
+				dy.RandNormal(rng, 0, 1)
+			}
+			dx := c.Backward(dy)
+			got := [][]float32{y.Data(), c.W.Grad.Data(), c.B.Grad.Data(), dx.Data()}
+			if ref == nil {
+				ref = got
+			}
+			for i, name := range []string{"y", "dW", "dB", "dx"} {
+				if d := tensor.MaxAbsDiff(ref[i], got[i]); d != 0 {
+					t.Errorf("stride=%d workers=%d: %s differs from single-thread by %g", stride, workers, name, d)
+				}
+			}
+			pool.Close()
 		}
-		pool.Close()
+	}
+}
+
+// BackwardWithHook skips the first layer's input gradient; everything the
+// trainer reads — every parameter gradient, and one hook call per layer in
+// reverse order, layer 0 included (OverlapComm ships conv1's gradients from
+// it) — must be exactly what chaining Layer.Backward by hand produces.
+func TestBackwardWithHookMatchesLayerChain(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	build := func() *Network {
+		net, err := BuildCosmoFlow(TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 5, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	x := randInput(build(), 6)
+	target := []float32{0.3, 0.8, 0.9}
+
+	byHand := build()
+	_, g := MSELoss(byHand.Forward(x), target)
+	for i := len(byHand.Layers) - 1; i >= 0; i-- {
+		g = byHand.Layers[i].Backward(g)
+	}
+
+	hooked := build()
+	_, g = MSELoss(hooked.Forward(x), target)
+	var fired []string
+	hooked.BackwardWithHook(g, func(l Layer) { fired = append(fired, l.Name()) })
+
+	names := hooked.LayerNames()
+	if len(fired) != len(names) {
+		t.Fatalf("hook fired %d times for %d layers", len(fired), len(names))
+	}
+	for i, name := range fired {
+		if want := names[len(names)-1-i]; name != want {
+			t.Errorf("hook call %d was for %s, want %s", i, name, want)
+		}
+	}
+	want := byHand.Params()
+	for i, p := range hooked.Params() {
+		if d := tensor.MaxAbsDiff(p.Grad.Data(), want[i].Grad.Data()); d != 0 {
+			t.Errorf("%s: gradient differs from the hand-chained backward by %g", p.Name, d)
+		}
 	}
 }
 
@@ -360,69 +417,5 @@ func TestTrainingStepReducesLossOnFixedSample(t *testing.T) {
 	}
 	if loss >= first*0.5 {
 		t.Errorf("loss %g -> %g after 150 SGD steps; not learning", first, loss)
-	}
-}
-
-func TestBlockedBackwardDataMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	for _, dims := range [][2]int{{16, 16}, {16, 32}, {32, 16}} {
-		x := tensor.New(dims[0], 5, 6, 7)
-		x.RandNormal(rng, 0, 1)
-		mk := func() *Conv3D {
-			return NewConv3D("c", dims[0], dims[1], 3, 1, 1, pool, rand.New(rand.NewSource(77)))
-		}
-		a := mk()
-		y := a.Forward(x)
-		dy := tensor.New(y.Shape()...)
-		dy.RandNormal(rng, 0, 1)
-		if !a.useBlockedBwdData(x.Shape(), y.Shape()) {
-			t.Fatalf("blocked bwd-data should apply for %v", dims)
-		}
-		dxBlocked := a.Backward(dy)
-
-		b := mk()
-		b.forceNaive = true
-		b.Forward(x)
-		dxGeneric := b.Backward(dy)
-		if d := tensor.MaxAbsDiff(dxBlocked.Data(), dxGeneric.Data()); d > 1e-3 {
-			t.Errorf("ic=%d oc=%d: blocked vs generic bwd-data max diff %g", dims[0], dims[1], d)
-		}
-		// Weight gradients come from the shared generic path and must agree too.
-		if d := tensor.MaxAbsDiff(a.W.Grad.Data(), b.W.Grad.Data()); d > 1e-3 {
-			t.Errorf("ic=%d oc=%d: dW diverged between paths: %g", dims[0], dims[1], d)
-		}
-	}
-}
-
-func TestBlockedBackwardDataRefreshesOnWeightChange(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	pool := parallel.NewPool(1)
-	defer pool.Close()
-	c := NewConv3D("c", 16, 16, 3, 1, 1, pool, rng)
-	x := tensor.New(16, 4, 4, 4)
-	x.RandNormal(rng, 0, 1)
-	y := c.Forward(x)
-	dy := tensor.New(y.Shape()...)
-	dy.Fill(1)
-	dx1 := c.Backward(dy).Clone()
-	for i := range c.W.Value.Data() {
-		c.W.Value.Data()[i] *= -1
-	}
-	c.InvalidateWeights()
-	c.Forward(x)
-	c.W.Grad.Zero()
-	c.B.Grad.Zero()
-	dx2 := c.Backward(dy)
-	same := true
-	for i := range dx1.Data() {
-		if dx1.Data()[i] != dx2.Data()[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("blocked bwd-data used stale transposed weights")
 	}
 }

@@ -74,31 +74,33 @@ func (p *Profile) String() string {
 	return b.String()
 }
 
+// layerCategory is the Figure-3 category a layer's compute time belongs to.
+func layerCategory(l nn.Layer) Category {
+	if _, ok := l.(*nn.Conv3D); ok {
+		return CatConv
+	}
+	return CatNonConv
+}
+
 // forwardProfiled runs the forward pass, splitting layer time between the
 // conv and non-conv categories.
 func forwardProfiled(net *nn.Network, x *tensor.Tensor, p *Profile) *tensor.Tensor {
 	for _, l := range net.Layers {
 		start := time.Now()
 		x = l.Forward(x)
-		cat := CatNonConv
-		if _, ok := l.(*nn.Conv3D); ok {
-			cat = CatConv
-		}
-		p.Add(cat, time.Since(start))
+		p.Add(layerCategory(l), time.Since(start))
 	}
 	return x
 }
 
-// backwardProfiled runs the backward pass with the same split.
+// backwardProfiled runs the backward pass with the same split. It times the
+// layers from Network.BackwardWithHook, so a profiled step runs exactly the
+// kernels an unprofiled one does.
 func backwardProfiled(net *nn.Network, dy *tensor.Tensor, p *Profile) {
-	for i := len(net.Layers) - 1; i >= 0; i-- {
-		l := net.Layers[i]
-		start := time.Now()
-		dy = l.Backward(dy)
-		cat := CatNonConv
-		if _, ok := l.(*nn.Conv3D); ok {
-			cat = CatConv
-		}
-		p.Add(cat, time.Since(start))
-	}
+	start := time.Now()
+	net.BackwardWithHook(dy, func(l nn.Layer) {
+		now := time.Now()
+		p.Add(layerCategory(l), now.Sub(start))
+		start = now
+	})
 }
