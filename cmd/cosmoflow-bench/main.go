@@ -13,7 +13,7 @@
 // (obsv.Report: git SHA, timestamp, metric→value map) to the given path;
 // -area selects what is measured: "kernel" (default) is the Table-I
 // per-layer sweep, "dist" times the comm collectives over in-process
-// worlds through the obsv recorder, "data" streams the sharded loader,
+// worlds through per-rank timelines, "data" streams the sharded loader,
 // "roofline" joins every layer's analytic FLOP count with traced
 // forward wall time into per-layer GFLOP/s attribution (the paper's §V-A
 // Gflop/s accounting, every layer not just convs), and "train" runs a
@@ -273,7 +273,7 @@ func benchTrain(iters int) *obsv.Report {
 		Helpers:        2,
 		WorkersPerRank: 1,
 		Seed:           5,
-		Timeline:       true,
+		Timeline:       obsv.NewTimeline(0, 0),
 	}
 	res, err := train.Run(cfg, set, nil)
 	if err != nil {
@@ -292,9 +292,9 @@ func benchTrain(iters int) *obsv.Report {
 }
 
 // benchDist times the comm collectives over in-process worlds (sizes 2 and
-// 4, ring algorithm) through the obsv recorder — the same per-collective
-// spans internal/dist attaches over TCP, here exercised deterministically
-// for the trajectory.
+// 4, ring algorithm) through per-rank timelines attached with
+// Comm.SetTimeline — the same collective events a traced TCP world
+// records, here exercised deterministically for the trajectory.
 func benchDist(iters int) *obsv.Report {
 	const elems = 1 << 18 // 1 MiB of float32 per rank, a gradient-sized chunk
 	rep := obsv.NewReport("dist")
@@ -305,13 +305,33 @@ func benchDist(iters int) *obsv.Report {
 	fmt.Printf("comm collectives (%d float32 elems, %d iters, ring)\n\n", elems, iters)
 	fmt.Printf("%-16s %6s %10s %10s %10s\n", "collective", "ranks", "calls", "avg(ms)", "max(ms)")
 	for _, n := range []int{2, 4} {
-		rec := obsv.NewRecorder()
-		world, err := comm.NewWorld(n, comm.WithRecorder(rec))
+		world, err := comm.NewWorld(n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runCollectives(world, elems, iters)
-		for _, st := range rec.Snapshot() {
+		comms := world.Comms()
+		tls := make([]*obsv.Timeline, n)
+		for r, c := range comms {
+			tls[r] = obsv.NewTimeline(r, 0)
+			c.SetTimeline(tls[r])
+		}
+		runCollectives(comms, elems, iters)
+		// Each ring counts its own rank's calls; summed across ranks they
+		// are the world's per-collective totals. Every ring lists its
+		// phases in the same enum order.
+		stats := tls[0].Phases().Snapshot()
+		for _, tl := range tls[1:] {
+			for i, st := range tl.Phases().Snapshot() {
+				stats[i].Count += st.Count
+				stats[i].TotalMs += st.TotalMs
+				stats[i].MaxMs = max(stats[i].MaxMs, st.MaxMs)
+			}
+		}
+		for _, st := range stats {
+			if st.Count == 0 {
+				continue
+			}
+			st.AvgMs = st.TotalMs / float64(st.Count)
 			fmt.Printf("%-16s %6d %10d %10.3f %10.3f\n", st.Name, n, st.Count, st.AvgMs, st.MaxMs)
 			rep.SetLower(fmt.Sprintf("%s_n%d_avg_ms", st.Name, n), st.AvgMs, "ms")
 		}
@@ -421,8 +441,7 @@ func streamEpoch(l *data.Loader, epoch int) int {
 
 // runCollectives drives every timed collective iters times across all
 // ranks of an in-process world.
-func runCollectives(w *comm.World, elems, iters int) {
-	comms := w.Comms()
+func runCollectives(comms []*comm.Comm, elems, iters int) {
 	for it := 0; it < iters; it++ {
 		var wg sync.WaitGroup
 		for _, c := range comms {

@@ -17,6 +17,13 @@
 // double-buffered data.Loader, with identical results to the in-memory
 // modes' determinism contract — same seed, same losses, bit for bit.
 //
+// The local rank's obsv.Timeline is the trainer's one clock. -profile,
+// -timeline-out and -debug-addr each attach it: -profile prints rank 0's
+// per-phase share of step time (the Figure-3 analogue), -timeline-out
+// writes every rank's events as a Chrome trace, and -debug-addr serves the
+// local rank's phase spans, step and epoch counts and throughput on
+// /metrics. Without any of them no clock is read inside a step.
+//
 // Usage:
 //
 //	cosmoflow-train -data data/ -ranks 4 -epochs 8 -profile
@@ -35,6 +42,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"strings"
 	"time"
 
 	"repro/internal/comm"
@@ -63,7 +71,7 @@ func main() {
 	algo := flag.String("algo", "ring", "allreduce algorithm: ring, rd, central")
 	helpers := flag.Int("helpers", 4, "allreduce helper teams (§III-D)")
 	workers := flag.Int("workers", 1, "compute threads per rank")
-	profile := flag.Bool("profile", false, "print the Figure-3 time breakdown")
+	profile := flag.Bool("profile", false, "print rank 0's per-phase share of step time from its timeline (the Figure-3 analogue)")
 	seed := flag.Int64("seed", 1, "random seed")
 	ckpt := flag.String("ckpt", "", "checkpoint file to write each epoch (and to read with -resume)")
 	resume := flag.String("resume", "", "checkpoint file to resume from")
@@ -75,7 +83,7 @@ func main() {
 	launch := flag.Int("launch", 0, "fork N local worker processes and supervise them")
 	maxRestarts := flag.Int("max-restarts", 2, "with -launch and -ckpt: relaunch a failed world up to N times")
 	abortAfter := flag.Int("abort-after", 0, "fault injection: rank 0 aborts after N epochs (dist mode; for tests)")
-	debugAddr := flag.String("debug-addr", "", "pprof + /metrics debug listen address, e.g. localhost:6063 (empty: disabled; /metrics carries the streaming loader's stage spans)")
+	debugAddr := flag.String("debug-addr", "", "pprof + /metrics debug listen address, e.g. localhost:6063 (empty: disabled; /metrics carries the local rank's step phases and progress, plus the streaming loader's stage spans)")
 	timelineOut := flag.String("timeline-out", "", "write the run's per-rank phase timeline as Chrome trace-event JSON to this file (rank 0 writes; view in Perfetto or with cosmoflow-tracecat)")
 	timelineCap := flag.Int("timeline-cap", obsv.DefaultTimelineCap, "per-rank timeline ring capacity in events; oldest events are overwritten beyond it")
 	slowRank := flag.Int("slow-rank", -1, "straggler injection: sleep -slow-ms inside this rank's forward phase (-1: off; for the timeline smoke test)")
@@ -136,40 +144,6 @@ func main() {
 		log.Fatal("provide -data DIR, -data-url URL, or -synthetic N")
 	}
 
-	// Live progress and phase timing feed the debug listener whether or not
-	// the timeline trace is on: the step counter and epoch gauge cost two
-	// atomics per step, and the phase recorder is only attached when there
-	// is a listener to scrape it.
-	prog := &train.Progress{}
-	var phaseRec *obsv.Recorder
-	if *debugAddr != "" {
-		// Training is not an HTTP daemon; the debug listener is its only
-		// scrape surface. Alongside pprof it serves GET /metrics with the
-		// streaming loader's stage spans (read/decode/wait_consumer/
-		// starved) when -stream or -data-url is on, plus the local rank's
-		// training progress and per-phase wall time.
-		phaseRec = obsv.NewRecorder()
-		reg := obsv.NewMetricsRegistry()
-		startedAt := time.Now()
-		reg.GaugeFunc("cosmoflow_train_uptime_seconds", "seconds since the trainer started", func() []obsv.Sample {
-			return []obsv.Sample{{Value: time.Since(startedAt).Seconds()}}
-		})
-		reg.CounterFunc("cosmoflow_train_steps_total", "optimizer steps completed by the local rank", func() []obsv.Sample {
-			return []obsv.Sample{{Value: float64(prog.Steps())}}
-		})
-		reg.GaugeFunc("cosmoflow_train_epoch", "training epochs completed", func() []obsv.Sample {
-			return []obsv.Sample{{Value: float64(prog.Epochs())}}
-		})
-		reg.GaugeFunc("cosmoflow_train_samples_per_second", "latest completed epoch's global throughput", func() []obsv.Sample {
-			return []obsv.Sample{{Value: prog.Rate()}}
-		})
-		obsv.RegisterRecorder(reg, "cosmoflow_train_phase", "step phase wall time", phaseRec)
-		if loaderRec != nil {
-			obsv.RegisterRecorder(reg, "cosmoflow_train_loader", "streaming loader stage spans", loaderRec)
-		}
-		obsv.StartDebugListener(*debugAddr, reg)
-	}
-
 	algorithm := comm.Ring
 	switch *algo {
 	case "ring":
@@ -187,6 +161,20 @@ func main() {
 			log.Fatal("-dist requires -world N")
 		}
 		nRanks = *world
+	}
+
+	// Any observability output attaches the local rank's timeline, built
+	// once the rank is known; -debug-addr scrapes it live. Training is not
+	// an HTTP daemon, so the debug listener is its only scrape surface.
+	localTimeline := func(rank int) *obsv.Timeline {
+		if !*profile && *timelineOut == "" && *debugAddr == "" {
+			return nil
+		}
+		tl := obsv.NewTimeline(rank, *timelineCap)
+		if *debugAddr != "" {
+			obsv.StartDebugListener(*debugAddr, trainMetrics(tl, nRanks, loaderRec))
+		}
+		return tl
 	}
 
 	inputDim := 0
@@ -210,16 +198,11 @@ func main() {
 		Algorithm:       algorithm,
 		Helpers:         *helpers,
 		WorkersPerRank:  *workers,
-		Profile:         *profile,
 		Seed:            *seed,
 		CheckpointPath:  *ckpt,
 		ResumeFrom:      *resume,
 		OverlapComm:     *overlap,
 		AbortAfterEpoch: *abortAfter,
-		Timeline:        *timelineOut != "",
-		TimelineCap:     *timelineCap,
-		PhaseRecorder:   phaseRec,
-		Progress:        prog,
 	}
 	if *slowRank >= 0 && *slowMs > 0 {
 		cfg.InjectDelay = time.Duration(*slowMs) * time.Millisecond
@@ -234,11 +217,12 @@ func main() {
 	if !*distMode {
 		fmt.Printf("CosmoFlow training: %d ranks × batch 1 (global batch %d), %s allreduce, %d helpers\n",
 			nRanks, nRanks, algorithm, *helpers)
+		cfg.Timeline = localTimeline(0)
 		res, err := train.Run(cfg, trainSet, valSet)
 		if err != nil {
 			log.Fatal(err)
 		}
-		report(res)
+		report(res, *profile)
 		writeTimeline(*timelineOut, res)
 		return
 	}
@@ -257,6 +241,7 @@ func main() {
 		fmt.Printf("CosmoFlow training: %d processes × batch 1 (global batch %d), %s allreduce over TCP, %d helpers\n",
 			*world, *world, algorithm, *helpers)
 	}
+	cfg.Timeline = localTimeline(w.Rank())
 	res, err := train.RunDistributed(cfg, w.Comm(), trainSet, valSet)
 	if err != nil {
 		// Close announces the departure so peers fail fast instead of
@@ -265,7 +250,7 @@ func main() {
 		log.Fatalf("rank %d: %v", w.Rank(), err)
 	}
 	if w.Rank() == 0 {
-		report(res)
+		report(res, *profile)
 		writeTimeline(*timelineOut, res)
 		fmt.Printf("rank 0 collective traffic: %.2f MB in %d messages\n",
 			float64(w.BytesSent())/1e6, w.MessagesSent())
@@ -276,8 +261,9 @@ func main() {
 }
 
 // report prints the per-epoch table and throughput summary (rank 0 only in
-// distributed mode; resumed runs skip the epochs the checkpoint covered).
-func report(res *train.Result) {
+// distributed mode; resumed runs skip the epochs the checkpoint covered),
+// and with -profile rank 0's phase shares.
+func report(res *train.Result, profile bool) {
 	fmt.Println(res.Net.Summary())
 	fmt.Printf("%6s %12s %12s %10s %12s\n", "epoch", "train loss", "val loss", "time", "samples/s")
 	for _, e := range res.Epochs {
@@ -292,10 +278,63 @@ func report(res *train.Result) {
 		float64(fwd)/1e6, float64(bwd)/1e6, float64(res.GradBytes)/1e6)
 	fmt.Printf("sustained %.2f Gflop/s across all ranks; total wall time %v\n",
 		train.SustainedFlops(res)/1e9, res.TotalTime.Round(time.Millisecond))
-	if res.Profile != nil {
+	if profile {
 		fmt.Println("\ntime breakdown (rank 0, Figure-3 analogue):")
-		fmt.Println(res.Profile)
+		fmt.Print(phaseShares(res.Timelines[0]))
 	}
+}
+
+// phaseShares renders one rank's recorded time per phase and its share of
+// the total. Collective phases are the comm layer's own events, so under
+// -overlap they run concurrently with backward: the shares divide recorded
+// phase time, not wall time.
+func phaseShares(rt obsv.RankTimeline) string {
+	var totals [obsv.NumPhases]time.Duration
+	var sum time.Duration
+	for _, ev := range rt.Events {
+		totals[ev.Phase] += time.Duration(ev.DurNs)
+		sum += time.Duration(ev.DurNs)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-16s %12s %7s\n", "phase", "time", "share")
+	for p, d := range totals {
+		if d > 0 {
+			fmt.Fprintf(&b, "%-16s %12v %6.1f%%\n", obsv.Phase(p), d.Round(time.Microsecond), 100*float64(d)/float64(sum))
+		}
+	}
+	fmt.Fprintf(&b, "%-16s %12v over %d events\n", "total", sum.Round(time.Microsecond), len(rt.Events))
+	if rt.Dropped > 0 {
+		fmt.Fprintf(&b, "(the ring overwrote %d older events; raise -timeline-cap to cover the whole run)\n", rt.Dropped)
+	}
+	return b.String()
+}
+
+// trainMetrics builds the -debug-addr registry. Every training family is
+// read at scrape time from the local rank's timeline spans, which keep
+// counting after the ring wraps; loaderRec, when non-nil, adds the
+// streaming loader's stage spans.
+func trainMetrics(tl *obsv.Timeline, ranks int, loaderRec *obsv.Recorder) *obsv.MetricsRegistry {
+	reg := obsv.NewMetricsRegistry()
+	startedAt := time.Now()
+	phases := tl.Phases()
+	steps := phases.Span(obsv.PhaseOptimizer.String())
+	epochs := phases.Span(obsv.PhaseEval.String())
+	value := func(v func() float64) func() []obsv.Sample {
+		return func() []obsv.Sample { return []obsv.Sample{{Value: v()}} }
+	}
+	reg.GaugeFunc("cosmoflow_train_uptime_seconds", "seconds since training started",
+		value(func() float64 { return time.Since(startedAt).Seconds() }))
+	reg.CounterFunc("cosmoflow_train_steps_total", "optimizer steps completed by the local rank (its optimizer phase events)",
+		value(func() float64 { return float64(steps.Stat().Count) }))
+	reg.GaugeFunc("cosmoflow_train_epoch", "training epochs completed by the local rank in this run (its eval phase events)",
+		value(func() float64 { return float64(epochs.Stat().Count) }))
+	reg.GaugeFunc("cosmoflow_train_samples_per_second", "global training samples per second since training started: ranks × local optimizer steps ÷ uptime",
+		value(func() float64 { return float64(ranks) * float64(steps.Stat().Count) / time.Since(startedAt).Seconds() }))
+	obsv.RegisterRecorder(reg, "cosmoflow_train_phase", "the local rank's step phases and collectives, from its timeline", phases)
+	if loaderRec != nil {
+		obsv.RegisterRecorder(reg, "cosmoflow_train_loader", "streaming loader stage spans", loaderRec)
+	}
+	return reg
 }
 
 // writeTimeline exports the gathered rank timelines (rank 0's Result only;

@@ -45,8 +45,10 @@
 // whole stack is threaded with the opt-in observability substrate
 // (internal/obsv): lock-free timing spans giving per-layer forward
 // breakdowns (GET /v1/trace and the /stats layers section on
-// cosmoflow-serve -trace), per-collective timings in comm/dist worlds
-// built WithRecorder, and per-request phase attribution on the gateway
+// cosmoflow-serve -trace), one per-rank training timeline that times every
+// step phase and collective (obsv.Timeline, attached with
+// train.Config.Timeline and Comm.SetTimeline, scraped through its
+// per-phase spans), and per-request phase attribution on the gateway
 // (queue wait vs upstream vs gather, keyed by X-Request-Id), plus the
 // machine-readable benchmark trajectory — BENCH_<area>.json reports
 // (schema cosmoflow-bench/v1, git-SHA-stamped) collected by `make

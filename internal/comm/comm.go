@@ -79,19 +79,6 @@ type World struct {
 	transports []Transport // per-rank; nil for ranks not local to this process
 	bytesSent  atomic.Int64
 	msgsSent   atomic.Int64
-
-	// Per-collective timing spans, pre-resolved from the recorder so the
-	// hot path never takes the recorder's lock; all nil when no recorder
-	// is attached (the default — collectives then pay one nil check each).
-	spAllReduce     *obsv.Span
-	spBroadcast     *obsv.Span
-	spBarrier       *obsv.Span
-	spAllGather     *obsv.Span
-	spReduceScatter *obsv.Span
-
-	// timeline, when non-nil, is inherited by every Comm the world hands
-	// out (see WithTimeline); per-rank overrides come from Comm.SetTimeline.
-	timeline *obsv.Timeline
 }
 
 // Option configures a World.
@@ -99,34 +86,6 @@ type Option func(*World)
 
 // WithAlgorithm selects the allreduce algorithm (default Ring).
 func WithAlgorithm(a Algorithm) Option { return func(w *World) { w.algorithm = a } }
-
-// WithRecorder attaches per-collective timing spans ("allreduce",
-// "broadcast", "barrier", "allgather", "reduce_scatter") to the world:
-// every rank-local collective call observes its wall time, whatever
-// transport carries it — the in-process channel mesh and the TCP world of
-// internal/dist alike. nil (the default) keeps the untimed path.
-func WithRecorder(rec *obsv.Recorder) Option {
-	return func(w *World) {
-		if rec == nil {
-			return
-		}
-		w.spAllReduce = rec.Span("allreduce")
-		w.spBroadcast = rec.Span("broadcast")
-		w.spBarrier = rec.Span("barrier")
-		w.spAllGather = rec.Span("allgather")
-		w.spReduceScatter = rec.Span("reduce_scatter")
-	}
-}
-
-// WithTimeline attaches a wall-clock event timeline to every communicator
-// the world hands out: each collective records one phase event (allreduce,
-// broadcast, barrier, reduce_scatter, allgather) spanning its wall time.
-// Only meaningful for worlds with a single local rank (internal/dist) —
-// in-process multi-rank worlds should attach per-rank timelines with
-// Comm.SetTimeline instead, or the ranks would interleave into one ring.
-func WithTimeline(tl *obsv.Timeline) Option {
-	return func(w *World) { w.timeline = tl }
-}
 
 // WithHelpers sets the helper-team count used to chunk large allreduces
 // (default 1; the paper uses 4 helper threads on Cori and 2 on Piz Daint,
@@ -209,7 +168,7 @@ func (w *World) Comm(r int) *Comm {
 	if w.transports[r] == nil {
 		panic(fmt.Sprintf("comm: rank %d is not local to this world", r))
 	}
-	return &Comm{world: w, rank: r, tr: w.transports[r], tl: w.timeline}
+	return &Comm{world: w, rank: r, tr: w.transports[r]}
 }
 
 // Comms returns communicators for all ranks in order. Only valid on an
@@ -236,9 +195,10 @@ func (c *Comm) Rank() int { return c.rank }
 
 // SetTimeline attaches (or with nil detaches) a per-rank event timeline to
 // this communicator handle: subsequent collectives record one phase event
-// each. The train loop uses this to give every in-process rank its own
-// ring, and detaches before the end-of-run timeline gather so the gather's
-// own traffic is not recorded.
+// each, whatever transport carries them. It is the only way collectives
+// are timed. The train loop attaches each rank's ring here and detaches
+// it before the end-of-run timeline gather so the gather's own traffic is
+// not recorded. Attach and detach while no collective is in flight.
 func (c *Comm) SetTimeline(tl *obsv.Timeline) { c.tl = tl }
 
 // Size returns the world size.
@@ -265,19 +225,8 @@ func (c *Comm) recv(src, tag int) []float32 {
 	return buf
 }
 
-// observe records d into sp when a recorder is attached; the disabled path
-// is a single nil check per collective.
-func observe(sp *obsv.Span, t0 time.Time) {
-	if sp != nil {
-		sp.Observe(time.Since(t0))
-	}
-}
-
 // Barrier blocks until every rank has entered it (dissemination barrier).
 func (c *Comm) Barrier() {
-	if sp := c.world.spBarrier; sp != nil {
-		defer observe(sp, time.Now())
-	}
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseBarrier, time.Now())
 	}
@@ -295,9 +244,6 @@ func (c *Comm) Barrier() {
 // Broadcast distributes root's buf to every rank in place using a binomial
 // tree, as the paper does for the initial model parameters (§V-A).
 func (c *Comm) Broadcast(buf []float32, root int) {
-	if sp := c.world.spBroadcast; sp != nil {
-		defer observe(sp, time.Now())
-	}
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseBroadcast, time.Now())
 	}
@@ -363,9 +309,6 @@ func (c *Comm) AllReduceSum(buf []float32) { c.allReduce(buf, opSum) }
 func (c *Comm) AllReduceMax(buf []float32) { c.allReduce(buf, opMax) }
 
 func (c *Comm) allReduce(buf []float32, op reduceOp) {
-	if sp := c.world.spAllReduce; sp != nil {
-		defer observe(sp, time.Now())
-	}
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseAllReduce, time.Now())
 	}
@@ -527,9 +470,6 @@ func (c *Comm) AllReduceScalar(v float64) float64 {
 // segment (whose bounds are returned) holds its portion of the global sum.
 // The rest of buf holds partial sums and must be treated as scratch.
 func (c *Comm) ReduceScatterSum(buf []float32) (lo, hi int) {
-	if sp := c.world.spReduceScatter; sp != nil {
-		defer observe(sp, time.Now())
-	}
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseReduceScatter, time.Now())
 	}
@@ -557,9 +497,6 @@ func (c *Comm) ReduceScatterSum(buf []float32) (lo, hi int) {
 // AllGather concatenates every rank's equal-length local block into out,
 // ordered by rank. len(out) must be Size()·len(local).
 func (c *Comm) AllGather(local, out []float32) {
-	if sp := c.world.spAllGather; sp != nil {
-		defer observe(sp, time.Now())
-	}
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseAllGather, time.Now())
 	}

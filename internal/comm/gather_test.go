@@ -120,19 +120,3 @@ func TestCollectivesRecordTimelineEvents(t *testing.T) {
 		}
 	}
 }
-
-// A world-level timeline (the dist single-local-rank path) must flow to
-// the communicator handle the world hands out.
-func TestWithTimelineFlowsToComm(t *testing.T) {
-	tl := obsv.NewTimeline(0, 8)
-	w, err := NewWorld(1, WithTimeline(tl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := w.Comm(0)
-	c.Broadcast([]float32{1}, 0) // size-1 world: records, no traffic
-	rt := tl.Snapshot()
-	if len(rt.Events) != 1 || rt.Events[0].Phase != obsv.PhaseBroadcast {
-		t.Fatalf("events = %+v, want one broadcast", rt.Events)
-	}
-}

@@ -7,21 +7,23 @@ import (
 	"repro/internal/obsv"
 )
 
-// TestWithRecorderCountsCollectives: every timed collective lands exactly
-// one observation per call in its named span, aggregated across ranks, and
-// the convenience reductions (mean, scalar) count once — in allreduce —
-// not twice.
-func TestWithRecorderCountsCollectives(t *testing.T) {
+// TestTimelinePhasesCountCollectives: every timed collective lands exactly
+// one observation per call in its rank timeline's phase span, and the
+// convenience reductions (mean, scalar) count once — in allreduce — not
+// twice. Summed across ranks, the counts are what a world-wide recorder
+// would have seen.
+func TestTimelinePhasesCountCollectives(t *testing.T) {
 	const n = 4
-	rec := obsv.NewRecorder()
-	w, err := NewWorld(n, WithRecorder(rec))
+	w, err := NewWorld(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	tls := make([]*obsv.Timeline, n)
 	const iters = 3
 	var wg sync.WaitGroup
 	for _, c := range w.Comms() {
+		tls[c.Rank()] = obsv.NewTimeline(c.Rank(), 0)
+		c.SetTimeline(tls[c.Rank()])
 		wg.Add(1)
 		go func(c *Comm) {
 			defer wg.Done()
@@ -42,9 +44,11 @@ func TestWithRecorderCountsCollectives(t *testing.T) {
 	}
 	wg.Wait()
 
-	byName := map[string]obsv.SpanStat{}
-	for _, st := range rec.Snapshot() {
-		byName[st.Name] = st
+	counts := map[string]int64{}
+	for _, tl := range tls {
+		for _, st := range tl.Phases().Snapshot() {
+			counts[st.Name] += st.Count
+		}
 	}
 	// Per rank and iteration: AllReduceSum + AllReduceMean + AllReduceScalar
 	// all funnel through the one timed allreduce.
@@ -55,34 +59,9 @@ func TestWithRecorderCountsCollectives(t *testing.T) {
 		"allgather":      n * iters,
 		"barrier":        n * iters,
 	}
-	for name, count := range want {
-		st, ok := byName[name]
-		if !ok {
-			t.Errorf("span %q missing from recorder snapshot", name)
-			continue
-		}
-		if st.Count != count {
-			t.Errorf("span %q count = %d, want %d", name, st.Count, count)
+	for name, c := range counts {
+		if c != want[name] {
+			t.Errorf("phase %q count = %d, want %d", name, c, want[name])
 		}
 	}
-}
-
-// TestWithoutRecorderNoSpans: the default world carries nil spans — the
-// disabled path — and collectives still work.
-func TestWithoutRecorderNoSpans(t *testing.T) {
-	w, err := NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for _, c := range w.Comms() {
-		wg.Add(1)
-		go func(c *Comm) {
-			defer wg.Done()
-			buf := []float32{1, 2}
-			c.AllReduceSum(buf)
-			c.Barrier()
-		}(c)
-	}
-	wg.Wait()
 }

@@ -64,13 +64,11 @@ type TrainConfig struct {
 	Helpers int
 	// Algorithm selects the gradient collective (default ring).
 	Algorithm comm.Algorithm
-	// Profile captures the Figure-3 time breakdown.
-	Profile bool
-	Seed    int64
+	Seed      int64
 }
 
 // TrainModel trains the CosmoFlow network on a dataset and returns the
-// trainer result (per-epoch losses, profile, trained replica).
+// trainer result (per-epoch losses, trained replica).
 func TrainModel(cfg TrainConfig, ds *cosmo.Dataset) (*train.Result, error) {
 	if len(ds.Train) == 0 {
 		return nil, fmt.Errorf("core: dataset has no training samples")
@@ -93,7 +91,6 @@ func TrainModel(cfg TrainConfig, ds *cosmo.Dataset) (*train.Result, error) {
 		Optim:     optim.Config{},
 		Algorithm: cfg.Algorithm,
 		Helpers:   cfg.Helpers,
-		Profile:   cfg.Profile,
 		Seed:      cfg.Seed,
 	}
 	return train.Run(tc, ds.Train, ds.Val)

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/obsv"
 )
 
 // Config describes one process's membership in a TCP world.
@@ -48,15 +47,6 @@ type Config struct {
 	// values.
 	Algorithm comm.Algorithm
 	Helpers   int
-	// Recorder, when non-nil, attaches per-collective timing spans to this
-	// process's world (comm.WithRecorder): every local collective call over
-	// the TCP mesh observes its wall time. Off by default — the untimed
-	// path is a nil check per collective.
-	Recorder *obsv.Recorder
-	// Timeline, when non-nil, attaches a wall-clock event timeline to this
-	// process's single local rank (comm.WithTimeline): each collective
-	// records one phase event. Off by default.
-	Timeline *obsv.Timeline
 	// HeartbeatEvery is the keepalive send interval (default 500ms).
 	HeartbeatEvery time.Duration
 	// PeerTimeout is how long a silent connection may stay silent before
@@ -148,8 +138,7 @@ func Join(cfg Config) (*World, error) {
 		return nil, err
 	}
 	cw, err := comm.NewWorldWithTransport(cfg.Size, rank, tr,
-		comm.WithAlgorithm(cfg.Algorithm), comm.WithHelpers(cfg.Helpers),
-		comm.WithRecorder(cfg.Recorder), comm.WithTimeline(cfg.Timeline))
+		comm.WithAlgorithm(cfg.Algorithm), comm.WithHelpers(cfg.Helpers))
 	if err != nil {
 		tr.abandon()
 		return nil, err

@@ -10,8 +10,8 @@ import (
 	"repro/internal/obsv"
 )
 
-// A per-process timeline wired through dist.Config must record the local
-// rank's collectives over the real TCP mesh, and the encoded timelines must
+// A per-process timeline attached to the joined rank's communicator must
+// record the local rank's collectives over the real TCP mesh, and the encoded timelines must
 // gather to rank 0 bit-exact through the CFT1 framing — packed binary event
 // data riding []float32 frames, NaN bit patterns and all.
 func TestTimelineOverTCPGathersToRankZero(t *testing.T) {
@@ -32,7 +32,6 @@ func TestTimelineOverTCPGathersToRankZero(t *testing.T) {
 			Size:        n,
 			Rendezvous:  ln.Addr().String(),
 			JoinTimeout: 10 * time.Second,
-			Timeline:    tls[i],
 			Rank:        i,
 		}
 		if i == 0 {
@@ -56,6 +55,7 @@ func TestTimelineOverTCPGathersToRankZero(t *testing.T) {
 	var gathered [][]float32
 	noErrors(t, runRanks(worlds, func(w *World) {
 		c := w.Comm()
+		c.SetTimeline(tls[w.Rank()])
 		tls[w.Rank()].SetStep(7)
 		buf := []float32{float32(w.Rank()), 1}
 		c.AllReduceSum(buf)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -217,6 +218,93 @@ func TestGradientAccumulationAcrossSteps(t *testing.T) {
 	for i, v := range d.W.Grad.Data() {
 		if math.Abs(float64(v-2*once[i])) > 1e-5*(1+math.Abs(float64(2*once[i]))) {
 			t.Fatalf("grad[%d] = %v after two passes, want %v", i, v, 2*once[i])
+		}
+	}
+}
+
+// A kernel wider than the padded input has no valid position at any
+// stride. At stride ≥ 2 the extent formula's truncating division used to
+// turn (in+2·pad−k)/stride = −1/stride into 0, i.e. an extent of 1.
+func TestConvOutDimRejectsKernelWiderThanPaddedInput(t *testing.T) {
+	for _, c := range []struct{ in, k, s, p int }{
+		{2, 3, 1, 0}, {2, 3, 2, 0}, {1, 3, 3, 0}, {1, 4, 2, 1}, {0, 1, 2, 0},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "exceeds padded input extent") {
+					t.Errorf("convOutDim(%d,%d,%d,%d): panic %q, want a named rejection", c.in, c.k, c.s, c.p, msg)
+				}
+			}()
+			convOutDim(c.in, c.k, c.s, c.p)
+		}()
+	}
+	// The layer surfaces the same rejection for a too-small volume.
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	c := NewConv3D("c", 1, 1, 3, 2, 0, pool, rand.New(rand.NewSource(9)))
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "exceeds padded input extent") {
+			t.Errorf("stride-2 conv on a 2³ input: panic %q", msg)
+		}
+	}()
+	c.OutputShape(tensor.Shape{1, 2, 2, 2})
+}
+
+// Every Flatten/Unflatten checks its buffer length before copying: a wrong
+// length panics with the op name and both lengths, and leaves the buffer
+// and the network untouched.
+func TestFlattenUnflattenRejectWrongLengthBeforeCopying(t *testing.T) {
+	net, err := BuildCosmoFlow(TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := net.ParamCount()
+	for _, p := range net.Params() {
+		p.Grad.Fill(1)
+	}
+	before := make([]float32, n)
+	net.FlattenParams(before)
+	ops := map[string]func([]float32){
+		"FlattenGrads":    net.FlattenGrads,
+		"UnflattenGrads":  net.UnflattenGrads,
+		"FlattenParams":   net.FlattenParams,
+		"UnflattenParams": net.UnflattenParams,
+	}
+	for name, op := range ops {
+		for _, size := range []int{0, 1, n - 1, n + 1} {
+			buf := make([]float32, size)
+			for i := range buf {
+				buf[i] = 7
+			}
+			func() {
+				defer func() {
+					want := fmt.Sprintf("nn: %s buffer length %d, want %d", name, size, n)
+					if msg, _ := recover().(string); msg != want {
+						t.Errorf("%s(len %d): panic %q, want %q", name, size, msg, want)
+					}
+				}()
+				op(buf)
+			}()
+			for i, v := range buf {
+				if v != 7 {
+					t.Fatalf("%s(len %d) wrote buf[%d] = %v before rejecting", name, size, i, v)
+				}
+			}
+		}
+	}
+	after := make([]float32, n)
+	net.FlattenParams(after)
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("a rejected call changed parameter %d: %v -> %v", i, before[i], after[i])
+		}
+	}
+	for _, p := range net.Params() {
+		for _, g := range p.Grad.Data() {
+			if g != 1 {
+				t.Fatalf("a rejected call changed a gradient of %s", p.Name)
+			}
 		}
 	}
 }

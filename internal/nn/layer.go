@@ -69,11 +69,13 @@ func heInit(w *tensor.Tensor, fanIn int, rng *rand.Rand) {
 }
 
 // convOutDim computes the output extent of a convolution along one axis.
+// A kernel wider than the padded input has no valid position at any
+// stride; it is rejected before the division, whose truncation toward zero
+// would otherwise turn (in+2·pad−k)/stride = −1/2 into an extent of 1.
 func convOutDim(in, k, stride, pad int) int {
-	out := (in+2*pad-k)/stride + 1
-	if out < 1 {
-		panic(fmt.Sprintf("nn: convolution output extent %d for in=%d k=%d stride=%d pad=%d",
-			out, in, k, stride, pad))
+	if in+2*pad < k {
+		panic(fmt.Sprintf("nn: convolution kernel %d exceeds padded input extent %d (in=%d pad=%d stride=%d)",
+			k, in+2*pad, in, pad, stride))
 	}
-	return out
+	return (in+2*pad-k)/stride + 1
 }

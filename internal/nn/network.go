@@ -133,52 +133,59 @@ func (n *Network) GradSize() int { return n.ParamCount() }
 // must have length GradSize. This is the buffer handed to the gradient
 // allreduce (Algorithm 2, step mc.gradients).
 func (n *Network) FlattenGrads(dst []float32) {
+	ps := n.Params()
+	checkFlatLen("FlattenGrads", ps, dst)
 	off := 0
-	for _, p := range n.Params() {
-		g := p.Grad.Data()
-		copy(dst[off:off+len(g)], g)
-		off += len(g)
-	}
-	if off != len(dst) {
-		panic(fmt.Sprintf("nn: FlattenGrads buffer length %d, want %d", len(dst), off))
+	for _, p := range ps {
+		off += copy(dst[off:], p.Grad.Data())
 	}
 }
 
 // UnflattenGrads scatters src back into the parameter gradients, inverse of
 // FlattenGrads.
 func (n *Network) UnflattenGrads(src []float32) {
+	ps := n.Params()
+	checkFlatLen("UnflattenGrads", ps, src)
 	off := 0
-	for _, p := range n.Params() {
-		g := p.Grad.Data()
-		copy(g, src[off:off+len(g)])
-		off += len(g)
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: UnflattenGrads buffer length %d, want %d", len(src), off))
+	for _, p := range ps {
+		off += copy(p.Grad.Data(), src[off:])
 	}
 }
 
 // FlattenParams copies all parameter values into dst in layer order (used
-// to broadcast rank-0 weights at startup, §V-A).
+// to broadcast rank-0 weights at startup, §V-A); dst must have length
+// ParamCount.
 func (n *Network) FlattenParams(dst []float32) {
+	ps := n.Params()
+	checkFlatLen("FlattenParams", ps, dst)
 	off := 0
-	for _, p := range n.Params() {
-		v := p.Value.Data()
-		copy(dst[off:off+len(v)], v)
-		off += len(v)
+	for _, p := range ps {
+		off += copy(dst[off:], p.Value.Data())
 	}
 }
 
 // UnflattenParams scatters src into the parameter values and invalidates
 // any packed weight caches.
 func (n *Network) UnflattenParams(src []float32) {
+	ps := n.Params()
+	checkFlatLen("UnflattenParams", ps, src)
 	off := 0
-	for _, p := range n.Params() {
-		v := p.Value.Data()
-		copy(v, src[off:off+len(v)])
-		off += len(v)
+	for _, p := range ps {
+		off += copy(p.Value.Data(), src[off:])
 	}
 	n.InvalidateWeights()
+}
+
+// checkFlatLen panics, before any copy, unless buf holds exactly one
+// element per scalar of ps — the flat layout every Flatten/Unflatten uses.
+func checkFlatLen(op string, ps []*Param, buf []float32) {
+	want := 0
+	for _, p := range ps {
+		want += p.NumElements()
+	}
+	if len(buf) != want {
+		panic(fmt.Sprintf("nn: %s buffer length %d, want %d", op, len(buf), want))
+	}
 }
 
 // InvalidateWeights notifies layers with packed weight caches that values

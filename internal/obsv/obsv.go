@@ -1,6 +1,7 @@
 // Package obsv is the observability substrate: low-overhead timing spans
 // threaded through the forward kernels (per-layer traces in nn.Infer /
-// nn.InferBatch), the collectives (per-op timings in comm), and the
+// nn.InferBatch), the training step and its collectives (per-rank phase
+// events on a Timeline, the only clock a training step has), and the
 // gateway's proxy path (per-backend request attribution) — the measurement
 // layer the paper grounds every scaling claim in (its Table-I per-layer
 // operator timings and §V studies), grown into a serving-time trace
@@ -86,8 +87,9 @@ type SpanStat struct {
 }
 
 // Recorder is a registry of named spans for callers whose span set is not
-// known up front (the gateway's per-backend spans). Hot paths should
-// resolve their *Span once and hold it; Span takes a lock.
+// known up front (the gateway's per-backend spans, a Timeline's per-phase
+// spans). Hot paths should resolve their *Span once and hold it; Span
+// takes a lock.
 type Recorder struct {
 	mu     sync.Mutex
 	byName map[string]*Span

@@ -89,13 +89,19 @@ const DefaultTimelineCap = 16384
 // goroutine records allreduce events while the main goroutine records
 // backward); when the ring wraps, the oldest events are overwritten and
 // counted in Dropped rather than silently lost.
+//
+// Every recorded event is also observed into its phase's Span in Phases(),
+// so per-phase counts and totals keep counting after the ring wraps and a
+// scrape can read them live while the ring is being written.
 type Timeline struct {
-	rank int
-	base time.Time
-	wall int64 // unix ns matching base
-	step atomic.Int64
-	next atomic.Int64
-	buf  []TimelineEvent
+	rank   int
+	base   time.Time
+	wall   int64 // unix ns matching base
+	step   atomic.Int64
+	next   atomic.Int64
+	buf    []TimelineEvent
+	phases *Recorder
+	spans  [NumPhases]*Span
 }
 
 // NewTimeline builds a timeline for the given rank retaining the most
@@ -105,31 +111,45 @@ func NewTimeline(rank, capacity int) *Timeline {
 		capacity = DefaultTimelineCap
 	}
 	now := time.Now()
-	return &Timeline{
-		rank: rank,
-		base: now,
-		wall: now.UnixNano(),
-		buf:  make([]TimelineEvent, capacity),
+	t := &Timeline{
+		rank:   rank,
+		base:   now,
+		wall:   now.UnixNano(),
+		buf:    make([]TimelineEvent, capacity),
+		phases: NewRecorder(),
 	}
+	for p := Phase(0); p < NumPhases; p++ {
+		t.spans[p] = t.phases.Span(p.String())
+	}
+	return t
 }
 
 // Rank returns the rank this timeline records.
 func (t *Timeline) Rank() int { return t.rank }
 
+// Cap returns the ring capacity in events.
+func (t *Timeline) Cap() int { return len(t.buf) }
+
+// Phases returns the per-phase spans every Record also observes into, one
+// per Phase in enum order and named by Phase.String.
+func (t *Timeline) Phases() *Recorder { return t.phases }
+
 // SetStep sets the step tag stamped on subsequently recorded events.
 func (t *Timeline) SetStep(step int) { t.step.Store(int64(step)) }
 
-// Record appends one event for phase p spanning [start, now). It is the
-// single hot-path entry point: one time.Now() call, one atomic add.
+// Record appends one event for phase p spanning [start, now) and observes
+// its duration into p's span. It is the single hot-path entry point: one
+// time.Now() call, one atomic index claim, the span's atomic adds.
 func (t *Timeline) Record(p Phase, start time.Time) {
-	now := time.Now()
+	dur := time.Since(start)
 	i := t.next.Add(1) - 1
 	t.buf[int(i)%len(t.buf)] = TimelineEvent{
 		Phase:   p,
 		Step:    int32(t.step.Load()),
 		StartNs: start.Sub(t.base).Nanoseconds(),
-		DurNs:   now.Sub(start).Nanoseconds(),
+		DurNs:   dur.Nanoseconds(),
 	}
+	t.spans[p].Observe(dur)
 }
 
 // RankTimeline is one rank's recorded events, detached from the ring:

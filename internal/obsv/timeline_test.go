@@ -95,6 +95,20 @@ func TestTimelineConcurrentRecord(t *testing.T) {
 	tl := NewTimeline(0, 4096)
 	var wg sync.WaitGroup
 	const perG, gs = 500, 4
+	// A scrape reads the phase spans while the recorders write them.
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tl.Phases().Snapshot()
+			}
+		}
+	}()
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -110,9 +124,18 @@ func TestTimelineConcurrentRecord(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	<-scraped
 	rt := tl.Snapshot()
 	if len(rt.Events)+int(rt.Dropped) != perG*gs {
 		t.Errorf("%d retained + %d dropped, want %d total", len(rt.Events), rt.Dropped, perG*gs)
+	}
+	var observed int64
+	for _, st := range tl.Phases().Snapshot() {
+		observed += st.Count
+	}
+	if observed != perG*gs {
+		t.Errorf("phase spans observed %d events, want %d", observed, perG*gs)
 	}
 }
 

@@ -29,7 +29,8 @@ var ErrAborted = errors.New("aborted by fault injection")
 // receive parameters, optimizer accumulators, and the resume epoch through
 // broadcasts. The returned Result carries per-epoch statistics only on
 // rank 0 (they are globally averaged by the collectives); other ranks get
-// the trained replica and timing only.
+// the trained replica and timing only. A Config.Timeline must record
+// c.Rank(); each process traces its own rank.
 //
 // A transport failure mid-collective (peer death) surfaces as an error
 // wrapping *comm.TransportError: the caller should exit nonzero and let
@@ -43,7 +44,9 @@ func RunDistributed(cfg Config, c *comm.Comm, trainSet, valSet []*cosmo.Sample) 
 		return nil, fmt.Errorf("train: config Ranks %d does not match world size %d", cfg.Ranks, c.Size())
 	}
 	rank := c.Rank()
-	cfg.progressRank = rank // the local rank feeds Progress, whatever its id
+	if err := checkTimelineRank(cfg.Timeline, rank); err != nil {
+		return nil, err
+	}
 
 	topo := cfg.Topology
 	topo.Seed += int64(rank) // same differing inits as Run; broadcast equalizes
@@ -57,18 +60,13 @@ func RunDistributed(cfg Config, c *comm.Comm, trainSet, valSet []*cosmo.Sample) 
 
 	res := &Result{GradBytes: 4 * net.GradSize()}
 	res.Epochs = make([]EpochStats, cfg.Epochs)
-	var profile *Profile
-	if cfg.Profile {
-		profile = NewProfile()
-	}
 
 	start := time.Now()
-	if err := runRankRecovering(cfg, rank, c, net, trainSet, valSet, stepsPerEpoch, profile, res); err != nil {
+	if err := runRankRecovering(cfg, rank, c, net, trainSet, valSet, stepsPerEpoch, res); err != nil {
 		return nil, err
 	}
 	res.TotalTime = time.Since(start)
 	res.Net = net
-	res.Profile = profile
 	return res, nil
 }
 
@@ -76,8 +74,7 @@ func RunDistributed(cfg Config, c *comm.Comm, trainSet, valSet []*cosmo.Sample) 
 // transport raises mid-collective into an ordinary error, so a peer death
 // unwinds this rank instead of crashing the process without cleanup.
 func runRankRecovering(cfg Config, rank int, c *comm.Comm, net *nn.Network,
-	trainSet, valSet []*cosmo.Sample, stepsPerEpoch int,
-	profile *Profile, res *Result) (err error) {
+	trainSet, valSet []*cosmo.Sample, stepsPerEpoch int, res *Result) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			te, ok := r.(*comm.TransportError)
@@ -87,5 +84,5 @@ func runRankRecovering(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 			err = fmt.Errorf("train: rank %d world failure: %w", rank, te)
 		}
 	}()
-	return runRank(cfg, rank, c, net, trainSet, valSet, stepsPerEpoch, profile, res)
+	return runRank(cfg, rank, c, net, trainSet, valSet, stepsPerEpoch, res)
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cosmo"
 	"repro/internal/dist"
+	"repro/internal/obsv"
 )
 
 // runTCPWorld trains one rank per goroutine, each with its own dist.Join
@@ -52,6 +53,10 @@ func runTCPWorld(t *testing.T, cfg Config, trainSet, valSet []*cosmo.Sample) ([]
 			rcfg := cfg
 			if rank != 0 {
 				rcfg.AbortAfterEpoch = 0 // fault injection is rank 0's job
+				if cfg.Timeline != nil {
+					// Each process traces its own rank, as Run does.
+					rcfg.Timeline = obsv.NewTimeline(rank, cfg.Timeline.Cap())
+				}
 			}
 			results[rank], errs[rank] = RunDistributed(rcfg, w.Comm(), trainSet, valSet)
 		}(i, dcfg)

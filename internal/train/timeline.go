@@ -1,114 +1,59 @@
 package train
 
-// timeline.go wires the obsv timeline/metrics surfaces into the step loop:
-// a nil-safe stepClock that stamps phase boundaries into a per-rank
-// obsv.Timeline and/or a phase Recorder, and a Progress block of atomics
-// the -debug-addr exposition reads at scrape time. Everything here follows
-// the ForwardTrace discipline — fully disabled, the step loop pays nil
-// checks, not clock reads, and recorded timing never feeds the math, so
-// enabling tracing cannot perturb the trained bits.
+// timeline.go is the step loop's one clock: phase boundaries stamped into
+// the rank's obsv.Timeline, which also feeds its per-phase spans. With no
+// timeline attached the loop reads no clock inside a step, and recorded
+// timing never feeds the math, so tracing cannot perturb the trained bits.
 
 import (
-	"math"
-	"sync/atomic"
+	"fmt"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/obsv"
 )
 
-// Progress is the live training progress the debug listener exports even
-// when timeline tracing is off: steps completed, epochs completed, and the
-// most recent epoch's global samples/s. All fields are atomics — the rank
-// goroutine writes, the scrape handler reads.
-type Progress struct {
-	steps atomic.Int64
-	epoch atomic.Int64
-	rate  atomic.Uint64 // float64 bits
-}
-
-// AddStep counts one completed optimizer step.
-func (p *Progress) AddStep() { p.steps.Add(1) }
-
-// Steps returns the completed step count.
-func (p *Progress) Steps() int64 { return p.steps.Load() }
-
-// SetEpochs records the number of completed epochs.
-func (p *Progress) SetEpochs(n int) { p.epoch.Store(int64(n)) }
-
-// Epochs returns the completed epoch count.
-func (p *Progress) Epochs() int64 { return p.epoch.Load() }
-
-// SetRate records the latest epoch's global samples/second.
-func (p *Progress) SetRate(v float64) { p.rate.Store(math.Float64bits(v)) }
-
-// Rate returns the latest recorded samples/second.
-func (p *Progress) Rate() float64 { return math.Float64frombits(p.rate.Load()) }
-
-// stepClock stamps step-phase boundaries. It multiplexes up to two sinks —
-// the per-rank event timeline and the named-span recorder behind the
-// Prometheus exposition — and is safe to use as a nil pointer, which is
-// the fully disabled mode: start returns the zero time and done returns
-// immediately, so the loop reads no clocks.
-type stepClock struct {
-	tl    *obsv.Timeline
-	spans [obsv.NumPhases]*obsv.Span
-}
-
-// newStepClock returns nil (the disabled clock) unless at least one sink
-// is attached. Recorder spans are pre-resolved so the hot path never takes
-// the recorder's lock.
-func newStepClock(tl *obsv.Timeline, rec *obsv.Recorder) *stepClock {
-	if tl == nil && rec == nil {
-		return nil
-	}
-	sc := &stepClock{tl: tl}
-	if rec != nil {
-		for p := obsv.Phase(0); p < obsv.NumPhases; p++ {
-			sc.spans[p] = rec.Span(p.String())
-		}
-	}
-	return sc
-}
-
-// setStep tags subsequent timeline events with the global step index.
-func (sc *stepClock) setStep(step int) {
-	if sc == nil || sc.tl == nil {
-		return
-	}
-	sc.tl.SetStep(step)
-}
-
-// start reads the clock once, or not at all when disabled.
-func (sc *stepClock) start() time.Time {
-	if sc == nil {
+// phaseStart reads the clock when a timeline is attached and returns the
+// zero time, without a clock read, when tl is nil.
+func phaseStart(tl *obsv.Timeline) time.Time {
+	if tl == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// done closes the phase begun at t0 into every attached sink.
-func (sc *stepClock) done(p obsv.Phase, t0 time.Time) {
-	if sc == nil {
-		return
-	}
-	if sc.tl != nil {
-		sc.tl.Record(p, t0)
-	}
-	if sp := sc.spans[p]; sp != nil {
-		sp.Observe(time.Since(t0))
+// phaseDone records the phase begun at t0 into tl, if attached.
+func phaseDone(tl *obsv.Timeline, p obsv.Phase, t0 time.Time) {
+	if tl != nil {
+		tl.Record(p, t0)
 	}
 }
 
-// doneSpan closes the phase into the recorder span only. The train loop
-// uses it for its allreduce wait: the timeline's allreduce events come
-// from the comm layer itself (where an overlapped collective is recorded
-// concurrent with backward), so a second train-level event would double
-// count the phase in the trace.
-func (sc *stepClock) doneSpan(p obsv.Phase, t0 time.Time) {
-	if sc == nil {
-		return
+// checkTimelineRank rejects a Config.Timeline that records a rank other
+// than the local one: its events would be gathered under the wrong rank.
+func checkTimelineRank(tl *obsv.Timeline, local int) error {
+	if tl != nil && tl.Rank() != local {
+		return fmt.Errorf("train: Config.Timeline records rank %d, but the local rank is %d", tl.Rank(), local)
 	}
-	if sp := sc.spans[p]; sp != nil {
-		sp.Observe(time.Since(t0))
+	return nil
+}
+
+// gatherTimelines ships every rank's ring to rank 0 over the same
+// transport the gradients used, after the final barrier. The ring is
+// detached first so the gather's own traffic is not recorded.
+func gatherTimelines(c *comm.Comm, tl *obsv.Timeline, res *Result) error {
+	c.SetTimeline(nil)
+	parts := c.Gather(obsv.EncodeTimeline(tl.Snapshot()), 0)
+	if c.Rank() != 0 {
+		return nil
 	}
+	res.Timelines = make([]obsv.RankTimeline, 0, len(parts))
+	for i, p := range parts {
+		rt, err := obsv.DecodeTimeline(p)
+		if err != nil {
+			return fmt.Errorf("train: gathered timeline from rank %d: %w", i, err)
+		}
+		res.Timelines = append(res.Timelines, rt)
+	}
+	return nil
 }

@@ -6,16 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/obsv"
 )
 
-// tracedConfig is smallConfig plus full tracing: timeline, phase recorder,
-// progress, and a straggler injected at slowRank (pass -1 for none).
+// tracedConfig is smallConfig plus rank 0's timeline and a straggler
+// injected at slowRank (pass -1 for none).
 func tracedConfig(ranks, epochs, slowRank int) Config {
 	cfg := smallConfig(ranks, epochs)
-	cfg.Timeline = true
-	cfg.PhaseRecorder = obsv.NewRecorder()
-	cfg.Progress = &Progress{}
+	cfg.Timeline = obsv.NewTimeline(0, 0)
 	if slowRank >= 0 {
 		cfg.InjectDelay = 3 * time.Millisecond
 		cfg.InjectDelayRank = slowRank
@@ -102,24 +101,25 @@ func TestRunTimelineBitIdentical(t *testing.T) {
 
 // The straggler report must attribute an injected forward-phase delay to
 // the injected rank, by name, in the greppable summary line the timeline
-// smoke test checks.
+// smoke test checks. Two ranks and a 50 ms delay keep the injected
+// imbalance far above scheduler noise on a box with fewer cores than ranks.
 func TestStragglerReportNamesInjectedSlowRank(t *testing.T) {
-	trainSet := syntheticSet(16, 8, 3)
-	cfg := tracedConfig(4, 2, 2)
-	cfg.InjectDelay = 5 * time.Millisecond
+	trainSet := syntheticSet(8, 8, 3)
+	cfg := tracedConfig(2, 2, 1)
+	cfg.InjectDelay = 50 * time.Millisecond
 	res, err := Run(cfg, trainSet, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := obsv.BuildStragglerReport(res.Timelines)
-	if rep.SlowestRank != 2 {
-		t.Errorf("SlowestRank = %d, want 2\n%s", rep.SlowestRank, rep.String())
+	if rep.SlowestRank != 1 {
+		t.Errorf("SlowestRank = %d, want 1\n%s", rep.SlowestRank, rep.String())
 	}
 	if rep.SlowestPhase != obsv.PhaseForward {
 		t.Errorf("SlowestPhase = %s, want forward", rep.SlowestPhaseName)
 	}
 	out := rep.String()
-	if !strings.Contains(out, "slowest rank: 2") {
+	if !strings.Contains(out, "slowest rank: 1") {
 		t.Errorf("report does not name the slowed rank:\n%s", out)
 	}
 	if rep.SamplesPerSec <= 0 {
@@ -162,53 +162,50 @@ func TestRunTimelineOverlapComm(t *testing.T) {
 	}
 }
 
-// The phase recorder and progress block feed the -debug-addr exposition;
-// both must see the run even though they are side sinks of the same clock.
-func TestPhaseRecorderAndProgress(t *testing.T) {
+// Every recorded event is also observed into its phase span: when the ring
+// keeps everything, the spans' counts and totals are exactly the sums over
+// the ring's events — the numbers -profile and -debug-addr report agree.
+func TestRunTimelinePhasesMatchRing(t *testing.T) {
 	trainSet := syntheticSet(8, 8, 5)
 	cfg := tracedConfig(2, 3, -1)
 	res, err := Run(cfg, trainSet, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
-	stepsPerEpoch := len(trainSet) / 2
-
-	// Progress is fed by rank 0 only in an in-process world.
-	if got, want := cfg.Progress.Steps(), int64(stepsPerEpoch*3); got != want {
-		t.Errorf("Progress.Steps() = %d, want %d", got, want)
+	rt := cfg.Timeline.Snapshot()
+	if rt.Dropped != 0 {
+		t.Fatalf("ring dropped %d events at the default cap", rt.Dropped)
 	}
-	if got := cfg.Progress.Epochs(); got != 3 {
-		t.Errorf("Progress.Epochs() = %d, want 3", got)
+	if gathered := res.Timelines[0]; len(gathered.Events) != len(rt.Events) {
+		t.Errorf("gathered rank 0 has %d events, the caller's ring %d", len(gathered.Events), len(rt.Events))
 	}
-	if rate := cfg.Progress.Rate(); rate <= 0 {
-		t.Errorf("Progress.Rate() = %g, want positive", rate)
+	var counts, totals [obsv.NumPhases]int64
+	for _, ev := range rt.Events {
+		counts[ev.Phase]++
+		totals[ev.Phase] += ev.DurNs
 	}
-
-	// Recorder spans aggregate across both ranks.
-	snaps := cfg.PhaseRecorder.Snapshot()
-	byName := map[string]obsv.SpanStat{}
-	for _, s := range snaps {
-		byName[s.Name] = s
-	}
-	for _, name := range []string{"forward", "backward", "allreduce", "optimizer"} {
-		s, ok := byName[name]
+	for _, st := range cfg.Timeline.Phases().Snapshot() {
+		p, ok := obsv.ParsePhase(st.Name)
 		if !ok {
-			t.Errorf("recorder has no %q span", name)
-			continue
+			t.Fatalf("span %q names no phase", st.Name)
 		}
-		if want := int64(stepsPerEpoch * 3 * 2); s.Count != want {
-			t.Errorf("span %s count = %d, want %d", name, s.Count, want)
+		if st.Count != counts[p] || st.TotalMs != float64(totals[p])/1e6 {
+			t.Errorf("span %s: count %d total %v ms, ring has %d events totalling %v ms",
+				st.Name, st.Count, st.TotalMs, counts[p], float64(totals[p])/1e6)
 		}
+	}
+	if steps := int64(len(trainSet) / 2 * 3); counts[obsv.PhaseOptimizer] != steps {
+		t.Errorf("%d optimizer events, want %d", counts[obsv.PhaseOptimizer], steps)
 	}
 }
 
 // A ring smaller than the run must wrap and report the overwritten events
-// as Dropped rather than failing the gather.
+// as Dropped rather than failing the gather; ranks 1…N−1 get rings of the
+// caller's capacity, and the phase spans keep counting past the wrap.
 func TestTimelineCapWrapsWithDropCount(t *testing.T) {
 	trainSet := syntheticSet(16, 8, 6)
 	cfg := tracedConfig(2, 2, -1)
-	cfg.TimelineCap = 8
+	cfg.Timeline = obsv.NewTimeline(0, 8)
 	res, err := Run(cfg, trainSet, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +218,39 @@ func TestTimelineCapWrapsWithDropCount(t *testing.T) {
 			t.Errorf("rank %d: Dropped = %d, want positive after wrap", r, rt.Dropped)
 		}
 	}
+	var recorded int64
+	for _, st := range cfg.Timeline.Phases().Snapshot() {
+		recorded += st.Count
+	}
+	if want := 8 + res.Timelines[0].Dropped; recorded != want {
+		t.Errorf("phase spans counted %d events, want retained 8 + dropped %d", recorded, res.Timelines[0].Dropped)
+	}
+	steps := cfg.Timeline.Phases().Span(obsv.PhaseOptimizer.String()).Stat().Count
+	if want := int64(len(trainSet) / 2 * 2); steps != want {
+		t.Errorf("optimizer span counted %d steps after the wrap, want %d", steps, want)
+	}
+}
+
+// A timeline is one rank's ring: handing Run or RunDistributed a ring that
+// records any other rank must fail up front, not mislabel the gather.
+func TestRunRejectsTimelineOfAnotherRank(t *testing.T) {
+	trainSet := syntheticSet(4, 8, 8)
+	cfg := smallConfig(2, 1)
+	cfg.Timeline = obsv.NewTimeline(1, 0)
+	if _, err := Run(cfg, trainSet, nil); err == nil || !strings.Contains(err.Error(), "records rank 1") {
+		t.Errorf("Run with a rank-1 timeline: err = %v, want a rank mismatch", err)
+	}
+
+	w, err := dist.Join(dist.Config{Size: 1, Rank: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	cfg = smallConfig(1, 1)
+	cfg.Timeline = obsv.NewTimeline(3, 0)
+	if _, err := RunDistributed(cfg, w.Comm(), trainSet, nil); err == nil || !strings.Contains(err.Error(), "records rank 3") {
+		t.Errorf("RunDistributed with a rank-3 timeline on rank 0: err = %v, want a rank mismatch", err)
+	}
 }
 
 // The distributed path gathers over the real TCP transport: rank 0's
@@ -228,7 +258,7 @@ func TestTimelineCapWrapsWithDropCount(t *testing.T) {
 func TestRunDistributedTimelineGather(t *testing.T) {
 	trainSet := syntheticSet(8, 8, 7)
 	cfg := smallConfig(2, 1)
-	cfg.Timeline = true
+	cfg.Timeline = obsv.NewTimeline(0, 0)
 	results, errs := runTCPWorld(t, cfg, trainSet, nil)
 	for r, err := range errs {
 		if err != nil {
@@ -271,11 +301,13 @@ func BenchmarkTrain_TimelineOverhead(b *testing.B) {
 	run := func(b *testing.B, timeline bool) {
 		cfg := smallConfig(4, 1)
 		cfg.Topology.InputDim = 16
-		cfg.Timeline = timeline
 		b.ResetTimer()
 		var samples float64
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
+			if timeline {
+				cfg.Timeline = obsv.NewTimeline(0, 0)
+			}
 			res, err := Run(cfg, trainSet, nil)
 			if err != nil {
 				b.Fatal(err)

@@ -41,8 +41,6 @@ type Config struct {
 	Helpers   int
 	// WorkersPerRank sizes each rank's intra-node compute pool.
 	WorkersPerRank int
-	// Profile enables the Figure-3 time breakdown on rank 0.
-	Profile bool
 	// Seed controls data sharding order.
 	Seed int64
 	// Data, when non-nil, streams the training set from a sharded TFRecord
@@ -78,35 +76,24 @@ type Config struct {
 	// remaining back-propagation — the non-blocking pipelining the CPE ML
 	// Plugin uses to hide straggler imbalance (§III-D).
 	OverlapComm bool
-	// Timeline enables per-rank wall-clock phase tracing: every rank
-	// records step-phase events (data_wait, forward, backward, optimizer,
-	// checkpoint, eval — plus the comm layer's collective events) into a
-	// ring of TimelineCap events, and after the final epoch rank 0 gathers
-	// every rank's ring over the transport into Result.Timelines. Disabled
-	// (the default), the step loop pays nil checks only and the trained
-	// bits are identical — recorded timing never feeds the math.
-	Timeline    bool
-	TimelineCap int
-	// PhaseRecorder, when non-nil, additionally accumulates each phase's
-	// wall time into named spans — the scrape surface cosmoflow-train
-	// exports as cosmoflow_train_phase_seconds_total on -debug-addr. In an
-	// in-process world all ranks share it (spans aggregate across ranks,
-	// like a replica pool's ForwardTrace).
-	PhaseRecorder *obsv.Recorder
-	// Progress, when non-nil, receives live step/epoch/throughput counts
-	// from rank 0 (or from the local rank under RunDistributed) for the
-	// debug listener's train_steps_total / train_epoch series.
-	Progress *Progress
+	// Timeline, when non-nil, is the local rank's phase-event ring and the
+	// step loop's only clock: rank 0's under Run, c.Rank()'s under
+	// RunDistributed (a ring recording any other rank is rejected). Every
+	// rank records data_wait, forward, backward, optimizer, checkpoint and
+	// eval events, and its communicator adds one event per collective; Run
+	// gives ranks 1…N−1 rings of the same Cap. After the final epoch rank 0
+	// gathers every rank's ring over the transport into Result.Timelines.
+	// The caller owns the ring, so its Phases() spans can be scraped while
+	// the run is live. nil (the default) reads no clock inside a step, and
+	// recorded timing never feeds the math, so the trained bits are
+	// identical either way.
+	Timeline *obsv.Timeline
 	// InjectDelay, when positive, makes rank InjectDelayRank sleep that
 	// long inside every forward phase — straggler fault injection for the
 	// timeline smoke and the attribution tests. Sleeping never touches the
 	// math, so the trained bits stay identical to an undelayed run.
 	InjectDelay     time.Duration
 	InjectDelayRank int
-
-	// progressRank is the rank that feeds Progress: 0 in-process;
-	// RunDistributed sets it to the local rank.
-	progressRank int
 }
 
 // Validate checks the configuration.
@@ -134,7 +121,6 @@ type EpochStats struct {
 type Result struct {
 	Epochs    []EpochStats
 	Net       *nn.Network // rank 0's trained replica
-	Profile   *Profile    // non-nil when Config.Profile is set
 	GradBytes int         // allreduce message size (28.15 MB in the paper)
 	TotalTime time.Duration
 	// Timelines holds every rank's gathered phase events, in rank order,
@@ -160,6 +146,16 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 	}
 	if cfg.AbortAfterEpoch > 0 {
 		return nil, fmt.Errorf("train: AbortAfterEpoch is distributed-only (an in-process world would deadlock)")
+	}
+	if err := checkTimelineRank(cfg.Timeline, 0); err != nil {
+		return nil, err
+	}
+	tls := make([]*obsv.Timeline, cfg.Ranks)
+	if tl := cfg.Timeline; tl != nil {
+		tls[0] = tl
+		for r := 1; r < cfg.Ranks; r++ {
+			tls[r] = obsv.NewTimeline(r, tl.Cap())
+		}
 	}
 	world, err := comm.NewWorld(cfg.Ranks, comm.WithAlgorithm(cfg.Algorithm), comm.WithHelpers(cfg.Helpers))
 	if err != nil {
@@ -189,10 +185,6 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 
 	res := &Result{GradBytes: 4 * nets[0].GradSize()}
 	res.Epochs = make([]EpochStats, cfg.Epochs)
-	var profile *Profile
-	if cfg.Profile {
-		profile = NewProfile()
-	}
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -201,8 +193,10 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = runRank(cfg, rank, world.Comm(rank), nets[rank], trainSet, valSet,
-				stepsPerEpoch, profile, res)
+			rc := cfg
+			rc.Timeline = tls[rank]
+			errs[rank] = runRank(rc, rank, world.Comm(rank), nets[rank], trainSet, valSet,
+				stepsPerEpoch, res)
 		}(r)
 	}
 	wg.Wait()
@@ -213,7 +207,6 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 	}
 	res.TotalTime = time.Since(start)
 	res.Net = nets[0]
-	res.Profile = profile
 	return res, nil
 }
 
@@ -258,24 +251,16 @@ func prepareRun(cfg Config, trainSet []*cosmo.Sample) (Config, int, error) {
 // runRank executes Algorithm 2 for one rank. Epoch statistics are written
 // by rank 0 only; the loss values it records are already globally averaged
 // through the collectives, so no extra synchronization is needed beyond the
-// collectives themselves.
+// collectives themselves. cfg.Timeline is this rank's ring (nil: untraced).
 func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
-	trainSet, valSet []*cosmo.Sample, stepsPerEpoch int,
-	profile *Profile, res *Result) error {
+	trainSet, valSet []*cosmo.Sample, stepsPerEpoch int, res *Result) error {
 
-	// Phase tracing: a per-rank event ring (gathered to rank 0 at run end)
-	// and/or the shared phase recorder. Attaching the timeline to the
-	// communicator makes the collectives record their own events, so an
-	// overlapped allreduce shows up concurrent with backward.
-	var tl *obsv.Timeline
-	if cfg.Timeline {
-		tl = obsv.NewTimeline(rank, cfg.TimelineCap)
+	// Attaching the ring to the communicator makes the collectives record
+	// their own events, so an overlapped allreduce shows up concurrent with
+	// backward.
+	tl := cfg.Timeline
+	if tl != nil {
 		c.SetTimeline(tl)
-	}
-	sc := newStepClock(tl, cfg.PhaseRecorder)
-	prog := cfg.Progress
-	if rank != cfg.progressRank {
-		prog = nil
 	}
 
 	// Broadcast rank-0 initial parameters so all replicas start identical
@@ -333,33 +318,26 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 		}
 		var lossSum float64
 		for step := 0; step < stepsPerEpoch; step++ {
-			sc.setStep(epoch*stepsPerEpoch + step)
-			ioStart := time.Now()
+			if tl != nil {
+				tl.SetStep(epoch*stepsPerEpoch + step)
+			}
+			t0 := phaseStart(tl)
 			sample, err := src.next()
 			if err != nil {
 				return fmt.Errorf("train: rank %d epoch %d step %d: %w", rank, epoch, step, err)
 			}
 			x := tensor.FromData(sample.Voxels, sample.NumChannels(), sample.Dim, sample.Dim, sample.Dim)
-			if profile != nil && rank == 0 {
-				profile.Add(CatIO, time.Since(ioStart))
-				profile.Steps++
-			}
-			sc.done(obsv.PhaseDataWait, ioStart)
+			phaseDone(tl, obsv.PhaseDataWait, t0)
 
-			fwdStart := sc.start()
+			t0 = phaseStart(tl)
 			if cfg.InjectDelay > 0 && rank == cfg.InjectDelayRank {
 				// Straggler injection: the sleep sits inside the forward
 				// phase so the report attributes the imbalance there.
 				time.Sleep(cfg.InjectDelay)
 			}
 			net.ZeroGrads()
-			var pred *tensor.Tensor
-			if profile != nil && rank == 0 {
-				pred = forwardProfiled(net, x, profile)
-			} else {
-				pred = net.Forward(x)
-			}
-			sc.done(obsv.PhaseForward, fwdStart)
+			pred := net.Forward(x)
+			phaseDone(tl, obsv.PhaseForward, t0)
 			loss, grad := nn.MSELoss(pred, sample.Target[:])
 			lossSum += loss
 
@@ -367,7 +345,9 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 				// Pipeline: a dedicated comm goroutine aggregates each
 				// layer's gradients the moment backward finishes with it.
 				// Buckets are issued in deterministic reverse-layer order
-				// on every rank, so the per-tag FIFO streams line up.
+				// on every rank, so the per-tag FIFO streams line up. Its
+				// allreduce events land on the ring concurrent with the
+				// backward event.
 				bucketCh := make(chan []*nn.Param, len(net.Layers))
 				commDone := make(chan struct{})
 				var commPanic any
@@ -384,55 +364,31 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 						}
 					}
 				}()
-				commStart := time.Now()
-				bwdStart := sc.start()
+				t0 = phaseStart(tl)
 				net.BackwardWithHook(grad, func(l nn.Layer) {
 					if ps := l.Params(); len(ps) > 0 {
 						bucketCh <- ps
 					}
 				})
-				sc.done(obsv.PhaseBackward, bwdStart)
-				arStart := sc.start()
+				phaseDone(tl, obsv.PhaseBackward, t0)
 				close(bucketCh)
 				<-commDone
 				if commPanic != nil {
 					panic(commPanic)
 				}
-				if profile != nil && rank == 0 {
-					profile.Add(CatComms, time.Since(commStart))
-				}
-				// Span only: the timeline's allreduce events come from the
-				// comm goroutine itself, overlapping the backward event
-				// above; this span is the post-backward drain wait.
-				sc.doneSpan(obsv.PhaseAllReduce, arStart)
 			} else {
-				bwdStart := sc.start()
-				if profile != nil && rank == 0 {
-					backwardProfiled(net, grad, profile)
-				} else {
-					net.Backward(grad)
-				}
-				sc.done(obsv.PhaseBackward, bwdStart)
-				commStart := time.Now()
+				t0 = phaseStart(tl)
+				net.Backward(grad)
+				phaseDone(tl, obsv.PhaseBackward, t0)
 				net.FlattenGrads(gradBuf)
 				c.AllReduceMean(gradBuf)
 				net.UnflattenGrads(gradBuf)
-				if profile != nil && rank == 0 {
-					profile.Add(CatComms, time.Since(commStart))
-				}
-				sc.doneSpan(obsv.PhaseAllReduce, commStart)
 			}
 
-			optStart := time.Now()
+			t0 = phaseStart(tl)
 			opt.Step()
 			net.InvalidateWeights()
-			if profile != nil && rank == 0 {
-				profile.Add(CatOptimizer, time.Since(optStart))
-			}
-			sc.done(obsv.PhaseOptimizer, optStart)
-			if prog != nil {
-				prog.AddStep()
-			}
+			phaseDone(tl, obsv.PhaseOptimizer, t0)
 		}
 
 		// Global training-loss average across ranks and steps.
@@ -440,9 +396,9 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 
 		// Validation: each rank scores its strided shard; the collective
 		// averages globally.
-		evStart := sc.start()
+		t0 := phaseStart(tl)
 		valLoss := validate(c, net, valSet, rank, cfg.Ranks)
-		sc.done(obsv.PhaseEval, evStart)
+		phaseDone(tl, obsv.PhaseEval, t0)
 
 		if rank == 0 && cfg.CheckpointPath != "" {
 			every := cfg.CheckpointEvery
@@ -450,11 +406,11 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 				every = 1
 			}
 			if (epoch+1)%every == 0 || epoch == cfg.Epochs-1 {
-				ckStart := sc.start()
+				t0 := phaseStart(tl)
 				if err := SaveTrainState(cfg.CheckpointPath, net, opt, epoch+1); err != nil {
 					return fmt.Errorf("train: checkpointing epoch %d: %w", epoch, err)
 				}
-				sc.done(obsv.PhaseCheckpoint, ckStart)
+				phaseDone(tl, obsv.PhaseCheckpoint, t0)
 			}
 		}
 		if rank == 0 && cfg.AbortAfterEpoch > 0 && epoch+1 >= cfg.AbortAfterEpoch {
@@ -471,46 +427,30 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 					time.Since(epochStart).Seconds(),
 			}
 		}
-		if prog != nil {
-			prog.SetEpochs(epoch + 1)
-			prog.SetRate(float64(cfg.Ranks*stepsPerEpoch) / time.Since(epochStart).Seconds())
-		}
 		c.Barrier()
 	}
 
-	// End-of-run timeline gather: detach the ring first so the gather's own
-	// traffic is not recorded, then ship every rank's encoded events to
-	// rank 0 over the same transport the gradients used.
 	if tl != nil {
-		c.SetTimeline(nil)
-		parts := c.Gather(obsv.EncodeTimeline(tl.Snapshot()), 0)
-		if rank == 0 {
-			res.Timelines = make([]obsv.RankTimeline, 0, len(parts))
-			for i, p := range parts {
-				rt, err := obsv.DecodeTimeline(p)
-				if err != nil {
-					return fmt.Errorf("train: gathered timeline from rank %d: %w", i, err)
-				}
-				res.Timelines = append(res.Timelines, rt)
-			}
-		}
+		return gatherTimelines(c, tl, res)
 	}
 	return nil
 }
 
-// validate computes the globally averaged validation loss.
+// validate computes the globally averaged validation loss: each rank scores
+// its strided shard through the inference path, which leaves mode-dependent
+// layers and activation caches alone, and the collectives average globally.
 func validate(c *comm.Comm, net *nn.Network, valSet []*cosmo.Sample, rank, ranks int) float64 {
-	var sum float64
-	var count float64
+	var shard []*cosmo.Sample
 	for i := rank; i < len(valSet); i += ranks {
-		s := valSet[i]
-		x := tensor.FromData(s.Voxels, s.NumChannels(), s.Dim, s.Dim, s.Dim)
-		loss, _ := nn.MSELoss(net.Forward(x), s.Target[:])
-		sum += loss
-		count++
+		shard = append(shard, valSet[i])
 	}
+	var sum float64
+	predictEach(net, shard, func(s *cosmo.Sample, pred [3]float32) {
+		loss, _ := nn.MSELoss(tensor.FromData(pred[:], len(pred)), s.Target[:])
+		sum += loss
+	})
 	totalSum := c.AllReduceScalar(sum)
-	totalCount := c.AllReduceScalar(count)
+	totalCount := c.AllReduceScalar(float64(len(shard)))
 	if totalCount == 0 {
 		return 0
 	}
