@@ -19,10 +19,12 @@
 //
 // The local rank's obsv.Timeline is the trainer's one clock. -profile,
 // -timeline-out and -debug-addr each attach it: -profile prints rank 0's
-// per-phase share of step time (the Figure-3 analogue), -timeline-out
-// writes every rank's events as a Chrome trace, and -debug-addr serves the
-// local rank's phase spans, step and epoch counts and throughput on
-// /metrics. Without any of them no clock is read inside a step.
+// whole-run per-phase share of step time (the Figure-3 analogue),
+// -timeline-out writes every rank's events as a Chrome trace, and
+// -debug-addr serves the local rank's phase spans, step and epoch counts
+// and throughput on /metrics. Without any of them no clock is read inside
+// a step. The processes of a -dist world may set these flags differently:
+// a rank without a timeline joins the end-of-run gather with no events.
 //
 // Usage:
 //
@@ -222,7 +224,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report(res, *profile)
+		report(res, *profile, cfg.Timeline)
 		writeTimeline(*timelineOut, res)
 		return
 	}
@@ -250,7 +252,7 @@ func main() {
 		log.Fatalf("rank %d: %v", w.Rank(), err)
 	}
 	if w.Rank() == 0 {
-		report(res, *profile)
+		report(res, *profile, cfg.Timeline)
 		writeTimeline(*timelineOut, res)
 		fmt.Printf("rank 0 collective traffic: %.2f MB in %d messages\n",
 			float64(w.BytesSent())/1e6, w.MessagesSent())
@@ -262,8 +264,8 @@ func main() {
 
 // report prints the per-epoch table and throughput summary (rank 0 only in
 // distributed mode; resumed runs skip the epochs the checkpoint covered),
-// and with -profile rank 0's phase shares.
-func report(res *train.Result, profile bool) {
+// and with -profile rank 0's phase shares from its timeline tl.
+func report(res *train.Result, profile bool, tl *obsv.Timeline) {
 	fmt.Println(res.Net.Summary())
 	fmt.Printf("%6s %12s %12s %10s %12s\n", "epoch", "train loss", "val loss", "time", "samples/s")
 	for _, e := range res.Epochs {
@@ -280,32 +282,29 @@ func report(res *train.Result, profile bool) {
 		train.SustainedFlops(res)/1e9, res.TotalTime.Round(time.Millisecond))
 	if profile {
 		fmt.Println("\ntime breakdown (rank 0, Figure-3 analogue):")
-		fmt.Print(phaseShares(res.Timelines[0]))
+		fmt.Print(phaseShares(tl.Phases().Snapshot()))
 	}
 }
 
-// phaseShares renders one rank's recorded time per phase and its share of
-// the total. Collective phases are the comm layer's own events, so under
-// -overlap they run concurrently with backward: the shares divide recorded
-// phase time, not wall time.
-func phaseShares(rt obsv.RankTimeline) string {
-	var totals [obsv.NumPhases]time.Duration
-	var sum time.Duration
-	for _, ev := range rt.Events {
-		totals[ev.Phase] += time.Duration(ev.DurNs)
-		sum += time.Duration(ev.DurNs)
+// phaseShares renders one rank's whole-run time per phase, from its
+// timeline's phase spans, and each phase's share of the total. Collective
+// phases are the comm layer's own events, so under -overlap they run
+// concurrently with backward: the shares divide recorded phase time, not
+// wall time.
+func phaseShares(phases []obsv.SpanStat) string {
+	var sum float64
+	for _, st := range phases {
+		sum += st.TotalMs
 	}
+	ms := func(v float64) time.Duration { return time.Duration(v * 1e6).Round(time.Microsecond) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %12s %7s\n", "phase", "time", "share")
-	for p, d := range totals {
-		if d > 0 {
-			fmt.Fprintf(&b, "%-16s %12v %6.1f%%\n", obsv.Phase(p), d.Round(time.Microsecond), 100*float64(d)/float64(sum))
+	fmt.Fprintf(&b, "%-16s %12s %8s %7s\n", "phase", "time", "events", "share")
+	for _, st := range phases {
+		if st.Count > 0 {
+			fmt.Fprintf(&b, "%-16s %12v %8d %6.1f%%\n", st.Name, ms(st.TotalMs), st.Count, 100*st.TotalMs/sum)
 		}
 	}
-	fmt.Fprintf(&b, "%-16s %12v over %d events\n", "total", sum.Round(time.Microsecond), len(rt.Events))
-	if rt.Dropped > 0 {
-		fmt.Fprintf(&b, "(the ring overwrote %d older events; raise -timeline-cap to cover the whole run)\n", rt.Dropped)
-	}
+	fmt.Fprintf(&b, "%-16s %12v\n", "total", ms(sum))
 	return b.String()
 }
 
@@ -326,9 +325,9 @@ func trainMetrics(tl *obsv.Timeline, ranks int, loaderRec *obsv.Recorder) *obsv.
 		value(func() float64 { return time.Since(startedAt).Seconds() }))
 	reg.CounterFunc("cosmoflow_train_steps_total", "optimizer steps completed by the local rank (its optimizer phase events)",
 		value(func() float64 { return float64(steps.Stat().Count) }))
-	reg.GaugeFunc("cosmoflow_train_epoch", "training epochs completed by the local rank in this run (its eval phase events)",
+	reg.GaugeFunc("cosmoflow_train_epoch", "training epochs completed by the local rank since this process started (its eval phase events); epochs a -resume checkpoint covered are not counted",
 		value(func() float64 { return float64(epochs.Stat().Count) }))
-	reg.GaugeFunc("cosmoflow_train_samples_per_second", "global training samples per second since training started: ranks × local optimizer steps ÷ uptime",
+	reg.GaugeFunc("cosmoflow_train_samples_per_second", "global training samples per second averaged over the whole uptime, setup included: ranks × local optimizer steps ÷ uptime (not the latest epoch's rate)",
 		value(func() float64 { return float64(ranks) * float64(steps.Stat().Count) / time.Since(startedAt).Seconds() }))
 	obsv.RegisterRecorder(reg, "cosmoflow_train_phase", "the local rank's step phases and collectives, from its timeline", phases)
 	if loaderRec != nil {

@@ -92,11 +92,12 @@ func TestTrainMetricsFromTimeline(t *testing.T) {
 	}
 }
 
-// -profile prints rank 0's phase shares from the gathered timeline: the
-// step phases appear and the shares add up to the whole.
+// -profile prints rank 0's phase shares from its own timeline's phase
+// spans, which cover the whole run even after the ring wraps: the step
+// phases appear and the shares add up to the whole.
 func TestPhaseSharesFromTimeline(t *testing.T) {
-	res, _, _ := tracedRun(t)
-	out := phaseShares(res.Timelines[0])
+	_, tl, _ := tracedRun(t)
+	out := phaseShares(tl.Phases().Snapshot())
 	var sum float64
 	seen := map[string]bool{}
 	for _, line := range strings.Split(out, "\n") {

@@ -134,13 +134,33 @@ func (t *Timeline) Cap() int { return len(t.buf) }
 // per Phase in enum order and named by Phase.String.
 func (t *Timeline) Phases() *Recorder { return t.phases }
 
+// Start, SetStep and Record are safe on a nil *Timeline, where they do
+// nothing and read no clock: an instrumented loop calls them unguarded and
+// an untraced run pays a nil check per call.
+
+// Start returns the start instant of a phase to pass to Record: the current
+// time, or the zero time when t is nil.
+func (t *Timeline) Start() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // SetStep sets the step tag stamped on subsequently recorded events.
-func (t *Timeline) SetStep(step int) { t.step.Store(int64(step)) }
+func (t *Timeline) SetStep(step int) {
+	if t != nil {
+		t.step.Store(int64(step))
+	}
+}
 
 // Record appends one event for phase p spanning [start, now) and observes
 // its duration into p's span. It is the single hot-path entry point: one
 // time.Now() call, one atomic index claim, the span's atomic adds.
 func (t *Timeline) Record(p Phase, start time.Time) {
+	if t == nil {
+		return
+	}
 	dur := time.Since(start)
 	i := t.next.Add(1) - 1
 	t.buf[int(i)%len(t.buf)] = TimelineEvent{

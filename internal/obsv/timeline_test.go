@@ -69,6 +69,21 @@ func TestTimelineRecordAndSnapshot(t *testing.T) {
 	}
 }
 
+// An untraced loop calls the instrumentation on a nil timeline: nothing is
+// recorded and Start hands back the zero time instead of reading the clock.
+func TestNilTimelineIsANoOp(t *testing.T) {
+	var tl *Timeline
+	t0 := tl.Start()
+	if !t0.IsZero() {
+		t.Errorf("nil Start() = %v, want the zero time", t0)
+	}
+	tl.SetStep(4)
+	tl.Record(PhaseForward, t0)
+	if t1 := NewTimeline(0, 1).Start(); t1.IsZero() {
+		t.Error("Start() on a timeline returned the zero time")
+	}
+}
+
 func TestTimelineRingWrapCountsDropped(t *testing.T) {
 	tl := NewTimeline(0, 4)
 	now := time.Now()

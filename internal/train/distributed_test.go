@@ -17,14 +17,33 @@ import (
 
 // runTCPWorld trains one rank per goroutine, each with its own dist.Join
 // over real localhost TCP — the same wire path separate processes take.
-// Results and errors are indexed by rank.
+// Rank 0 runs cfg; the others run it without the fault injection and, when
+// cfg traces, with a ring of their own, as Run does. Results and errors are
+// indexed by rank.
 func runTCPWorld(t *testing.T, cfg Config, trainSet, valSet []*cosmo.Sample) ([]*Result, []error) {
+	t.Helper()
+	cfgs := make([]Config, cfg.Ranks)
+	for r := range cfgs {
+		cfgs[r] = cfg
+		if r != 0 {
+			cfgs[r].AbortAfterEpoch = 0 // fault injection is rank 0's job
+			if cfg.Timeline != nil {
+				cfgs[r].Timeline = obsv.NewTimeline(r, cfg.Timeline.Cap())
+			}
+		}
+	}
+	return runTCPRanks(t, cfgs, trainSet, valSet)
+}
+
+// runTCPRanks is runTCPWorld with every rank's Config given explicitly, as
+// when each process of a world is started with its own flags.
+func runTCPRanks(t *testing.T, cfgs []Config, trainSet, valSet []*cosmo.Sample) ([]*Result, []error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := cfg.Ranks
+	n := len(cfgs)
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -33,8 +52,8 @@ func runTCPWorld(t *testing.T, cfg Config, trainSet, valSet []*cosmo.Sample) ([]
 			Size:        n,
 			Rank:        i, // explicit ranks, as the launcher assigns them
 			Rendezvous:  ln.Addr().String(),
-			Algorithm:   cfg.Algorithm,
-			Helpers:     cfg.Helpers,
+			Algorithm:   cfgs[i].Algorithm,
+			Helpers:     cfgs[i].Helpers,
 			JoinTimeout: 20 * time.Second,
 			PeerTimeout: 2 * time.Second,
 		}
@@ -50,15 +69,7 @@ func runTCPWorld(t *testing.T, cfg Config, trainSet, valSet []*cosmo.Sample) ([]
 				return
 			}
 			defer w.Close()
-			rcfg := cfg
-			if rank != 0 {
-				rcfg.AbortAfterEpoch = 0 // fault injection is rank 0's job
-				if cfg.Timeline != nil {
-					// Each process traces its own rank, as Run does.
-					rcfg.Timeline = obsv.NewTimeline(rank, cfg.Timeline.Cap())
-				}
-			}
-			results[rank], errs[rank] = RunDistributed(rcfg, w.Comm(), trainSet, valSet)
+			results[rank], errs[rank] = RunDistributed(cfgs[rank], w.Comm(), trainSet, valSet)
 		}(i, dcfg)
 	}
 	wg.Wait()

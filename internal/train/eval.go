@@ -141,27 +141,21 @@ const evalBatch = 8
 // Figure 6. Results are bit-identical to per-sample Predict.
 func Evaluate(net *nn.Network, testSet []*cosmo.Sample, priors cosmo.Priors) []Estimate {
 	out := make([]Estimate, 0, len(testSet))
-	predictEach(net, testSet, func(s *cosmo.Sample, pred [3]float32) {
-		out = append(out, Estimate{
-			True: priors.Denormalize(s.Target),
-			Pred: priors.Denormalize(pred),
-		})
-	})
-	return out
-}
-
-// predictEach runs samples through a BatchPredictor in micro-batches of
-// evalBatch and hands each sample's prediction to fn, in sample order: the
-// one scoring loop behind Evaluate and the trainer's validation pass.
-func predictEach(net *nn.Network, samples []*cosmo.Sample, fn func(s *cosmo.Sample, pred [3]float32)) {
 	p := NewBatchPredictor(net)
-	for lo := 0; lo < len(samples); lo += evalBatch {
-		hi := min(lo+evalBatch, len(samples))
-		preds := p.PredictSamples(samples[lo:hi])
-		for i, s := range samples[lo:hi] {
-			fn(s, preds[i])
+	for lo := 0; lo < len(testSet); lo += evalBatch {
+		hi := lo + evalBatch
+		if hi > len(testSet) {
+			hi = len(testSet)
+		}
+		preds := p.PredictSamples(testSet[lo:hi])
+		for i, s := range testSet[lo:hi] {
+			out = append(out, Estimate{
+				True: priors.Denormalize(s.Target),
+				Pred: priors.Denormalize(preds[i]),
+			})
 		}
 	}
+	return out
 }
 
 // RelativeErrors computes the paper's per-parameter average relative error

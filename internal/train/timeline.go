@@ -1,9 +1,10 @@
 package train
 
-// timeline.go is the step loop's one clock: phase boundaries stamped into
-// the rank's obsv.Timeline, which also feeds its per-phase spans. With no
-// timeline attached the loop reads no clock inside a step, and recorded
-// timing never feeds the math, so tracing cannot perturb the trained bits.
+// timeline.go holds the Config.Timeline plumbing around the step loop,
+// which stamps its phase boundaries through the nil-safe obsv.Timeline
+// methods: with no timeline attached the loop reads no clock inside a step,
+// and recorded timing never feeds the math, so tracing cannot perturb the
+// trained bits.
 
 import (
 	"fmt"
@@ -12,22 +13,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/obsv"
 )
-
-// phaseStart reads the clock when a timeline is attached and returns the
-// zero time, without a clock read, when tl is nil.
-func phaseStart(tl *obsv.Timeline) time.Time {
-	if tl == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// phaseDone records the phase begun at t0 into tl, if attached.
-func phaseDone(tl *obsv.Timeline, p obsv.Phase, t0 time.Time) {
-	if tl != nil {
-		tl.Record(p, t0)
-	}
-}
 
 // checkTimelineRank rejects a Config.Timeline that records a rank other
 // than the local one: its events would be gathered under the wrong rank.
@@ -39,11 +24,27 @@ func checkTimelineRank(tl *obsv.Timeline, local int) error {
 }
 
 // gatherTimelines ships every rank's ring to rank 0 over the same
-// transport the gradients used, after the final barrier. The ring is
-// detached first so the gather's own traffic is not recorded.
+// transport the gradients used, after the final barrier. Under
+// RunDistributed each process chooses for itself whether to trace, so the
+// ranks first agree, in one scalar allreduce, whether any of them did; if
+// so every rank joins the gather, an untraced one with an empty timeline.
+// The ring is detached first so this traffic is not recorded.
 func gatherTimelines(c *comm.Comm, tl *obsv.Timeline, res *Result) error {
 	c.SetTimeline(nil)
-	parts := c.Gather(obsv.EncodeTimeline(tl.Snapshot()), 0)
+	traced := 0.0
+	if tl != nil {
+		traced = 1
+	}
+	if c.AllReduceScalar(traced) == 0 {
+		return nil
+	}
+	// An untraced rank's empty timeline is based at the present, so it
+	// cannot pull the traced ranks' wall-clock alignment back to 1970.
+	rt := obsv.RankTimeline{Rank: c.Rank(), BaseUnixNs: time.Now().UnixNano()}
+	if tl != nil {
+		rt = tl.Snapshot()
+	}
+	parts := c.Gather(obsv.EncodeTimeline(rt), 0)
 	if c.Rank() != 0 {
 		return nil
 	}

@@ -293,6 +293,51 @@ func TestRunDistributedTimelineGather(t *testing.T) {
 	}
 }
 
+// Each process of a TCP world decides for itself whether to trace, so a
+// world where only one rank traces must still finish: every rank joins the
+// end-of-run gather, the untraced one with an empty timeline, and rank 0
+// gets a trace whose wall-clock alignment the empty rank does not skew.
+func TestRunDistributedGatherWithOneRankTracing(t *testing.T) {
+	trainSet := syntheticSet(8, 8, 7)
+	base, err := Run(smallConfig(2, 1), trainSet, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for traced := 0; traced < 2; traced++ {
+		cfgs := []Config{smallConfig(2, 1), smallConfig(2, 1)}
+		cfgs[traced].Timeline = obsv.NewTimeline(traced, 0)
+		results, errs := runTCPRanks(t, cfgs, trainSet, nil)
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d traced: rank %d: %v", traced, r, err)
+			}
+		}
+		lossesBitEqual(t, base, results[0], fmt.Sprintf("rank %d traced vs untraced", traced))
+		tls := results[0].Timelines
+		if len(tls) != 2 {
+			t.Fatalf("rank %d traced: rank 0 gathered %d timelines, want 2", traced, len(tls))
+		}
+		for r, rt := range tls {
+			if got, want := len(rt.Events) > 0, r == traced; rt.Rank != r || got != want {
+				t.Errorf("rank %d traced: timeline %d is rank %d with %d events", traced, r, rt.Rank, len(rt.Events))
+			}
+		}
+		var sb strings.Builder
+		if err := obsv.WriteChromeTrace(&sb, tls); err != nil {
+			t.Fatal(err)
+		}
+		back, err := obsv.ReadChromeTrace(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("rank %d traced: re-reading trace: %v", traced, err)
+		}
+		for _, rt := range back {
+			if rt.Rank == traced && rt.Events[0].StartNs > int64(time.Minute) {
+				t.Errorf("rank %d traced: its first event starts %v into the trace", traced, time.Duration(rt.Events[0].StartNs))
+			}
+		}
+	}
+}
+
 // BenchmarkTrain_TimelineOverhead measures the acceptance criterion: a
 // dim-16 4-rank traced run must stay within a few percent of the untraced
 // samples/s (compare the off/on sub-benchmarks' samples/s metric).

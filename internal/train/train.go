@@ -82,8 +82,9 @@ type Config struct {
 	// rank records data_wait, forward, backward, optimizer, checkpoint and
 	// eval events, and its communicator adds one event per collective; Run
 	// gives ranks 1…N−1 rings of the same Cap. After the final epoch rank 0
-	// gathers every rank's ring over the transport into Result.Timelines.
-	// The caller owns the ring, so its Phases() spans can be scraped while
+	// gathers every rank's ring over the transport into Result.Timelines;
+	// under RunDistributed the gather runs if any rank traced, an untraced
+	// rank contributing an empty timeline. The caller owns the ring, so its Phases() spans can be scraped while
 	// the run is live. nil (the default) reads no clock inside a step, and
 	// recorded timing never feeds the math, so the trained bits are
 	// identical either way.
@@ -259,9 +260,7 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 	// their own events, so an overlapped allreduce shows up concurrent with
 	// backward.
 	tl := cfg.Timeline
-	if tl != nil {
-		c.SetTimeline(tl)
-	}
+	c.SetTimeline(tl)
 
 	// Broadcast rank-0 initial parameters so all replicas start identical
 	// (§V-A). A resume checkpoint, if any, is loaded first and therefore
@@ -318,18 +317,16 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 		}
 		var lossSum float64
 		for step := 0; step < stepsPerEpoch; step++ {
-			if tl != nil {
-				tl.SetStep(epoch*stepsPerEpoch + step)
-			}
-			t0 := phaseStart(tl)
+			tl.SetStep(epoch*stepsPerEpoch + step)
+			t0 := tl.Start()
 			sample, err := src.next()
 			if err != nil {
 				return fmt.Errorf("train: rank %d epoch %d step %d: %w", rank, epoch, step, err)
 			}
 			x := tensor.FromData(sample.Voxels, sample.NumChannels(), sample.Dim, sample.Dim, sample.Dim)
-			phaseDone(tl, obsv.PhaseDataWait, t0)
+			tl.Record(obsv.PhaseDataWait, t0)
 
-			t0 = phaseStart(tl)
+			t0 = tl.Start()
 			if cfg.InjectDelay > 0 && rank == cfg.InjectDelayRank {
 				// Straggler injection: the sleep sits inside the forward
 				// phase so the report attributes the imbalance there.
@@ -337,7 +334,7 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 			}
 			net.ZeroGrads()
 			pred := net.Forward(x)
-			phaseDone(tl, obsv.PhaseForward, t0)
+			tl.Record(obsv.PhaseForward, t0)
 			loss, grad := nn.MSELoss(pred, sample.Target[:])
 			lossSum += loss
 
@@ -364,31 +361,31 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 						}
 					}
 				}()
-				t0 = phaseStart(tl)
+				t0 = tl.Start()
 				net.BackwardWithHook(grad, func(l nn.Layer) {
 					if ps := l.Params(); len(ps) > 0 {
 						bucketCh <- ps
 					}
 				})
-				phaseDone(tl, obsv.PhaseBackward, t0)
+				tl.Record(obsv.PhaseBackward, t0)
 				close(bucketCh)
 				<-commDone
 				if commPanic != nil {
 					panic(commPanic)
 				}
 			} else {
-				t0 = phaseStart(tl)
+				t0 = tl.Start()
 				net.Backward(grad)
-				phaseDone(tl, obsv.PhaseBackward, t0)
+				tl.Record(obsv.PhaseBackward, t0)
 				net.FlattenGrads(gradBuf)
 				c.AllReduceMean(gradBuf)
 				net.UnflattenGrads(gradBuf)
 			}
 
-			t0 = phaseStart(tl)
+			t0 = tl.Start()
 			opt.Step()
 			net.InvalidateWeights()
-			phaseDone(tl, obsv.PhaseOptimizer, t0)
+			tl.Record(obsv.PhaseOptimizer, t0)
 		}
 
 		// Global training-loss average across ranks and steps.
@@ -396,9 +393,9 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 
 		// Validation: each rank scores its strided shard; the collective
 		// averages globally.
-		t0 := phaseStart(tl)
+		t0 := tl.Start()
 		valLoss := validate(c, net, valSet, rank, cfg.Ranks)
-		phaseDone(tl, obsv.PhaseEval, t0)
+		tl.Record(obsv.PhaseEval, t0)
 
 		if rank == 0 && cfg.CheckpointPath != "" {
 			every := cfg.CheckpointEvery
@@ -406,11 +403,11 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 				every = 1
 			}
 			if (epoch+1)%every == 0 || epoch == cfg.Epochs-1 {
-				t0 := phaseStart(tl)
+				t0 := tl.Start()
 				if err := SaveTrainState(cfg.CheckpointPath, net, opt, epoch+1); err != nil {
 					return fmt.Errorf("train: checkpointing epoch %d: %w", epoch, err)
 				}
-				phaseDone(tl, obsv.PhaseCheckpoint, t0)
+				tl.Record(obsv.PhaseCheckpoint, t0)
 			}
 		}
 		if rank == 0 && cfg.AbortAfterEpoch > 0 && epoch+1 >= cfg.AbortAfterEpoch {
@@ -430,27 +427,26 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 		c.Barrier()
 	}
 
-	if tl != nil {
-		return gatherTimelines(c, tl, res)
-	}
-	return nil
+	return gatherTimelines(c, tl, res)
 }
 
 // validate computes the globally averaged validation loss: each rank scores
-// its strided shard through the inference path, which leaves mode-dependent
-// layers and activation caches alone, and the collectives average globally.
+// its strided shard one sample at a time through the inference path, which
+// leaves mode-dependent layers and activation caches alone and, unlike the
+// batched path, keeps no buffer pool on the training replica; the
+// collectives average globally.
 func validate(c *comm.Comm, net *nn.Network, valSet []*cosmo.Sample, rank, ranks int) float64 {
-	var shard []*cosmo.Sample
+	p := NewPredictor(net)
+	var sum, count float64
 	for i := rank; i < len(valSet); i += ranks {
-		shard = append(shard, valSet[i])
-	}
-	var sum float64
-	predictEach(net, shard, func(s *cosmo.Sample, pred [3]float32) {
+		s := valSet[i]
+		pred := p.Predict(s)
 		loss, _ := nn.MSELoss(tensor.FromData(pred[:], len(pred)), s.Target[:])
 		sum += loss
-	})
+		count++
+	}
 	totalSum := c.AllReduceScalar(sum)
-	totalCount := c.AllReduceScalar(float64(len(shard)))
+	totalCount := c.AllReduceScalar(count)
 	if totalCount == 0 {
 		return 0
 	}
