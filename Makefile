@@ -5,11 +5,11 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench bench-smoke serve-smoke api-smoke dist-smoke data-smoke fuzz-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke bench-json bench-compare bench-archive bench-trend
+.PHONY: check ci fmt vet build test race bench bench-smoke serve-smoke api-smoke dist-smoke data-smoke fuzz-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
 
 check: fmt vet build test
 
-ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke api-smoke dist-smoke data-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke bench-json bench-compare
+ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke api-smoke dist-smoke data-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -30,18 +30,23 @@ test:
 # recycled buffers), the communication layer (helper-team collectives,
 # TCP reader/heartbeat goroutines), the trainer (its overlap-comm
 # goroutine and step loop share a timeline's ring and span atomics), the
-# worker pool, and the observability package itself.
+# worker pool, the streaming data loader (shard producer and decode
+# goroutines), the typed serving client (pooled transport), and the
+# observability package itself.
 race:
-	$(GO) test -race ./internal/serve ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/obsv
+	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/data ./internal/obsv
 
-# Short fuzz of the byte decoders: the wire codec (header-bounded size
+# Short fuzz of the byte decoders — the wire codec (header-bounded size
 # checks, truncated frames, dims/dtype abuse) and the training-timeline
 # gather payload (bad magic/version, unknown phases, event counts the
-# payload cannot hold). Seconds, not minutes — the corpus seeds cover the
-# known-nasty shapes and CI just shakes for regressions.
+# payload cannot hold) — and of the conv kernels' geometry (forward,
+# batched inference and backward against float64 loop nests over random
+# shapes, strides and padding). Seconds, not minutes — the corpus seeds
+# cover the known-nasty shapes and CI just shakes for regressions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadTensor -fuzztime 10s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s ./internal/obsv
+	$(GO) test -run '^$$' -fuzz FuzzConvGeometry -fuzztime 10s ./internal/nn
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:
@@ -112,36 +117,6 @@ timeline-smoke:
 	$(GO) build -o /tmp/cosmoflow-train ./cmd/cosmoflow-train
 	$(GO) build -o /tmp/cosmoflow-tracecat ./cmd/cosmoflow-tracecat
 	sh scripts/timeline_smoke.sh
-
-# Benchmark trajectory: collect one BENCH_<area>.json per area (kernel,
-# dist, data, serve, gateway, roofline, train) under bench/out with the
-# cosmoflow-bench/v1 schema (scripts/bench_collect.sh), then gate against
-# the committed bench/baseline. BENCH_THRESHOLD is the regression
-# tolerance in percent — 5 locally; CI uses a higher value because the
-# committed baselines were collected on a different machine class.
-BENCH_THRESHOLD ?= 5
-
-bench-json:
-	$(GO) build -o /tmp/cosmoflow-bench ./cmd/cosmoflow-bench
-	$(GO) build -o /tmp/cosmoflow-serve ./cmd/cosmoflow-serve
-	$(GO) build -o /tmp/cosmoflow-gateway ./cmd/cosmoflow-gateway
-	$(GO) build -o /tmp/cosmoflow-loadgen ./cmd/cosmoflow-loadgen
-	sh scripts/bench_collect.sh
-
-bench-compare:
-	$(GO) build -o /tmp/cosmoflow-benchdiff ./cmd/cosmoflow-benchdiff
-	/tmp/cosmoflow-benchdiff -baseline bench/baseline -current bench/out -threshold $(BENCH_THRESHOLD)
-
-# Trend history: archive the freshly collected bench/out reports into the
-# per-SHA history (bench/history/<area>/<sha>.json; re-archiving a SHA
-# overwrites), and render the metric-over-commits tables from it.
-bench-archive:
-	$(GO) build -o /tmp/cosmoflow-benchdiff ./cmd/cosmoflow-benchdiff
-	/tmp/cosmoflow-benchdiff -archive bench/history -current bench/out
-
-bench-trend:
-	$(GO) build -o /tmp/cosmoflow-benchdiff ./cmd/cosmoflow-benchdiff
-	/tmp/cosmoflow-benchdiff -trend -history bench/history
 
 # Cluster serving smoke: 3 backends + gateway, predict over both
 # encodings (bit-identity against a direct backend), lifecycle fan-out,

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sync"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/cosmo"
+	"repro/internal/data"
 	"repro/internal/hpcsim"
 	"repro/internal/iopipe"
 	"repro/internal/nn"
@@ -290,6 +292,60 @@ func BenchmarkEq1_IOBandwidth(b *testing.B) {
 		}
 		if err := <-ec; err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDataLoader_Stream measures the streaming data pipeline's supply
+// side: one consumer drains single-rank epochs from a data.Loader over a
+// freshly written 8-shard × 16-sample dim-16 dataset, and the loader's
+// recorder attributes the time to its read and decode stages. The rate to
+// beat is the trainer's per-rank demand (EXPERIMENTS.md, data pipeline).
+func BenchmarkDataLoader_Stream(b *testing.B) {
+	dir := b.TempDir()
+	if _, err := tfrecord.WriteDataset(dir, "train", benchSamples(128, 16, 3), 16); err != nil {
+		b.Fatal(err)
+	}
+	m, err := data.Scan(dir, "train")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := data.WriteManifest(dir, m); err != nil {
+		b.Fatal(err)
+	}
+	rec := obsv.NewRecorder()
+	l, err := data.NewLoader(data.Config{Source: &data.DirSource{Dir: dir}, Seed: 3, Recorder: rec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+
+	drain := func(epoch int) int {
+		s, err := l.EpochStream(epoch, 0, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		n := 0
+		for {
+			if _, err := s.Next(); err == io.EOF {
+				return n
+			} else if err != nil {
+				b.Fatal(err)
+			}
+			n++
+		}
+	}
+	drain(0) // warm the page cache and the voxel pool
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		total += drain(i + 1)
+	}
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/s")
+	for _, st := range rec.Snapshot() {
+		if st.Name == "read" || st.Name == "decode" {
+			b.ReportMetric(st.AvgMs, st.Name+"-ms")
 		}
 	}
 }

@@ -33,8 +33,9 @@
 //	cosmoflow-loadgen -addr http://localhost:8090 \
 //	    -tenants "prem:PK:4:200,std:SK:16:400,be:BK:16:400"
 //
-// Exit status is non-zero if any request fails, so scripts can assert the
-// zero-error acceptance criterion.
+// The table is for looking at one deployment; performance claims go
+// through benchmark/'s predict.* workloads. Exit status is non-zero if any request fails, so
+// scripts can assert the zero-error acceptance criterion.
 package main
 
 import (
@@ -53,7 +54,6 @@ import (
 	"time"
 
 	"repro/internal/cosmo"
-	"repro/internal/obsv"
 	"repro/internal/serve/client"
 )
 
@@ -315,8 +315,6 @@ func main() {
 	apiKey := flag.String("api-key", "", "tenant API key sent with every request (gateway admission control)")
 	tenantsFlag := flag.String("tenants", "", "multi-tenant scenario: comma-separated label:apikey:workers:requests specs (overrides -n/-c/-sweep)")
 	dumpBody := flag.String("dump-body", "", "write one encoded request body to FILE and exit")
-	jsonPath := flag.String("json", "", "also write an obsv benchmark report to this path (empty: stdout only)")
-	benchArea := flag.String("bench-area", "serve", "report area recorded with -json: serve or gateway")
 	flag.Parse()
 	if *n < 1 || *c < 1 {
 		log.Fatal("-n and -c must be positive")
@@ -399,26 +397,6 @@ func main() {
 		client.WithTimeout(*timeout),
 		client.WithAPIKey(*apiKey))
 
-	var rep *obsv.Report
-	if *jsonPath != "" {
-		if *benchArea != "serve" && *benchArea != "gateway" {
-			log.Fatalf("unknown -bench-area %q (want serve or gateway)", *benchArea)
-		}
-		rep = obsv.NewReport(*benchArea)
-		rep.Config["n"] = strconv.Itoa(*n)
-		rep.Config["dim"] = strconv.Itoa(*dim)
-		rep.Config["wire"] = string(enc)
-	}
-	writeReport := func() {
-		if rep == nil {
-			return
-		}
-		if err := rep.WriteFile(*jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s (%d metrics, sha %s)", *jsonPath, len(rep.Metrics), rep.GitSHA)
-	}
-
 	if len(levels) > 0 {
 		// Concurrency sweep: one table row per level, a shared request
 		// pool, and the pooled transport warm across levels — the shape
@@ -439,11 +417,7 @@ func main() {
 				r.quantile(0.99).Round(time.Microsecond),
 				r.failures)
 			printSpread(r)
-			if rep != nil {
-				addRunMetrics(rep, fmt.Sprintf("_c%d", lvl), r)
-			}
 		}
-		writeReport()
 		if totalFails > 0 {
 			os.Exit(1)
 		}
@@ -463,23 +437,7 @@ func main() {
 			r.quantile(0.99).Round(time.Microsecond), r.ok[len(r.ok)-1].Round(time.Microsecond))
 	}
 	printSpread(r)
-	if rep != nil {
-		rep.Config["c"] = strconv.Itoa(*c)
-		addRunMetrics(rep, "", r)
-	}
-	writeReport()
 	if r.failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// addRunMetrics folds one closed-loop run into the trajectory report;
-// suffix distinguishes sweep levels ("_c8").
-func addRunMetrics(rep *obsv.Report, suffix string, r runResult) {
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	rep.SetHigher("qps"+suffix, r.qps(), "req/s")
-	rep.SetLower("mean_ms"+suffix, msOf(r.mean()), "ms")
-	rep.SetLower("p50_ms"+suffix, msOf(r.quantile(0.50)), "ms")
-	rep.SetLower("p99_ms"+suffix, msOf(r.quantile(0.99)), "ms")
-	rep.SetLower("errors"+suffix, float64(r.failures), "count")
 }

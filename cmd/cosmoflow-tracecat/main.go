@@ -8,12 +8,6 @@
 // Usage:
 //
 //	cosmoflow-tracecat run.trace.json
-//	cosmoflow-tracecat -json bench/out/BENCH_train.json run.trace.json
-//
-// -json additionally writes the report's gated metrics (samples/s, step
-// time, per-phase means) as a bench area "train" report, the same
-// derivation cosmoflow-bench -area train uses, so a real run's trace can
-// be dropped into the benchmark trajectory.
 package main
 
 import (
@@ -29,10 +23,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cosmoflow-tracecat: ")
 
-	jsonOut := flag.String("json", "", "also write the report's metrics as a BENCH_train.json bench report to this path")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cosmoflow-tracecat [-json out.json] run.trace.json")
+		fmt.Fprintln(os.Stderr, "usage: cosmoflow-tracecat run.trace.json")
 		os.Exit(2)
 	}
 
@@ -45,17 +38,5 @@ func main() {
 	if err != nil {
 		log.Fatalf("%s: %v", flag.Arg(0), err)
 	}
-
-	rep := obsv.BuildStragglerReport(tls)
-	fmt.Print(rep)
-
-	if *jsonOut != "" {
-		bench := obsv.NewReport("train")
-		rep.FillBenchReport(bench)
-		bench.Config["source"] = flag.Arg(0)
-		if err := bench.WriteFile(*jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote bench report to %s", *jsonOut)
-	}
+	fmt.Print(obsv.BuildStragglerReport(tls))
 }

@@ -49,18 +49,13 @@
 // step phase and collective (obsv.Timeline, attached with
 // train.Config.Timeline and Comm.SetTimeline, scraped through its
 // per-phase spans), and per-request phase attribution on the gateway
-// (queue wait vs upstream vs gather, keyed by X-Request-Id), plus the
-// machine-readable benchmark trajectory — BENCH_<area>.json reports
-// (schema cosmoflow-bench/v1, git-SHA-stamped) collected by `make
-// bench-json`, gated against the committed bench/baseline by
-// cosmoflow-benchdiff (`make bench-compare`), and accumulated per SHA
-// under bench/history (`make bench-archive` / `make bench-trend`). Every
+// (queue wait vs upstream vs gather, keyed by X-Request-Id). Every
 // daemon exports the same counters as Prometheus text exposition on
 // GET /metrics (obsv.MetricsRegistry; validated by cosmoflow-metrics in
 // `make metrics-smoke`), per-layer GFLOP/s roofline attribution joins
-// analytic FLOP counts with traced wall time (GET /v1/roofline,
-// cosmoflow-bench -area roofline), and net/http/pprof plus /metrics ride
-// on a separate -debug-addr listener on all four daemons.
+// analytic FLOP counts with traced wall time (GET /v1/roofline on
+// cosmoflow-serve -trace), and net/http/pprof plus /metrics ride on a
+// separate -debug-addr listener on all four daemons.
 //
 // See DESIGN.md for the system inventory, the "Serving API v1" contract
 // (routes, wire-format layout, versioning/deprecation policy), the
@@ -68,8 +63,9 @@
 // the scatter-gather bit-identity argument), and the CI pipeline
 // (.github/workflows/ci.yml, mirrored by `make ci`: fmt, vet, build,
 // test, race on the concurrency-bearing packages, the wire-codec fuzz
-// smoke, the serving/API/dist/data/gateway/metrics smokes, and the
-// bench-trajectory regression gate), EXPERIMENTS.md for the
-// paper-versus-measured record of every table and figure, and
-// bench_test.go for the benchmark harness that regenerates them.
+// smoke, and the serving/API/dist/data/gateway/metrics smokes),
+// EXPERIMENTS.md for the paper-versus-measured record of every table and
+// figure, bench_test.go for the per-operator `go test -bench` suite that
+// regenerates them, and benchmark/ for the end-to-end instrument that
+// performance claims are made through.
 package repro

@@ -10,6 +10,43 @@ import (
 	"repro/internal/tensor"
 )
 
+// refConvForward is the float64 brute-force loop nest the forward kernels
+// are checked against, written like refConvBackward: every output voxel's
+// full (ic, kd, kh, kw) window, bounds tested per element.
+func refConvForward(c *Conv3D, x *tensor.Tensor) []float64 {
+	in, out := x.Shape(), c.OutputShape(x.Shape())
+	id, ih, iw := in[1], in[2], in[3]
+	od, oh, ow := out[1], out[2], out[3]
+	k, s, p := c.K, c.Stride, c.Pad
+	xd, wd, bd := x.Data(), c.W.Value.Data(), c.B.Value.Data()
+	y := make([]float64, out.NumElements())
+	for oc := 0; oc < c.OutC; oc++ {
+		for z := 0; z < od; z++ {
+			for yy := 0; yy < oh; yy++ {
+				for xx := 0; xx < ow; xx++ {
+					acc := float64(bd[oc])
+					for ic := 0; ic < c.InC; ic++ {
+						for kd := 0; kd < k; kd++ {
+							for kh := 0; kh < k; kh++ {
+								for kw := 0; kw < k; kw++ {
+									zi, yi, xi := z*s+kd-p, yy*s+kh-p, xx*s+kw-p
+									if zi < 0 || zi >= id || yi < 0 || yi >= ih || xi < 0 || xi >= iw {
+										continue
+									}
+									acc += float64(wd[(((oc*c.InC+ic)*k+kd)*k+kh)*k+kw]) *
+										float64(xd[((ic*id+zi)*ih+yi)*iw+xi])
+								}
+							}
+						}
+					}
+					y[((oc*od+z)*oh+yy)*ow+xx] = acc
+				}
+			}
+		}
+	}
+	return y
+}
+
 // refConvBackward is the float64 brute-force loop nest the backward kernels
 // are checked against: every (oc, ic, z, y, x, kd, kh, kw) combination,
 // bounds tested per element, nothing hoisted or blocked.

@@ -1,0 +1,91 @@
+package nn
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+)
+
+// FuzzConvGeometry drives Conv3D over random small geometries: InC 1–3,
+// OutC 1–5, extents 1–9, kernel 1–4, stride 1–2, padding 0–2, batch 1–3.
+// A kernel wider than a padded extent must be refused with convOutDim's
+// named panic. Any other geometry must agree with the float64 loop nests
+// — Forward and Backward to 1e-4 of refConvForward and refConvBackward —
+// and every InferBatch sample must be bit-equal to Infer on that sample.
+// The seeds are the stride-2 short input whose (−1)/2 extent once
+// truncated to 1, a width-1 volume, k=4 without padding, a 1³ volume, an
+// odd OutC, and three random shapes.
+func FuzzConvGeometry(f *testing.F) {
+	pool := parallel.NewPool(2)
+	f.Cleanup(pool.Close)
+
+	// inC, outC, d, h, w, k, stride, pad, batch, seed
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(5), uint8(5), uint8(3), uint8(2), uint8(0), uint8(2), int64(1))
+	f.Add(uint8(2), uint8(3), uint8(4), uint8(3), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), int64(2))
+	f.Add(uint8(2), uint8(2), uint8(5), uint8(4), uint8(6), uint8(4), uint8(2), uint8(0), uint8(3), int64(3))
+	f.Add(uint8(3), uint8(4), uint8(1), uint8(1), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), int64(4))
+	f.Add(uint8(2), uint8(5), uint8(3), uint8(4), uint8(5), uint8(3), uint8(1), uint8(1), uint8(3), int64(5))
+	f.Add(uint8(1), uint8(1), uint8(9), uint8(2), uint8(7), uint8(2), uint8(2), uint8(2), uint8(1), int64(6))
+	f.Add(uint8(3), uint8(3), uint8(6), uint8(7), uint8(2), uint8(1), uint8(1), uint8(0), uint8(2), int64(7))
+	f.Add(uint8(2), uint8(4), uint8(8), uint8(5), uint8(3), uint8(3), uint8(2), uint8(1), uint8(3), int64(8))
+
+	f.Fuzz(func(t *testing.T, inC, outC, d, h, w, k, stride, pad, batch uint8, seed int64) {
+		// Map each byte into [lo, hi], leaving in-range values (the seeds) as
+		// they are.
+		in := func(v uint8, lo, hi int) int {
+			n := hi - lo + 1
+			return lo + ((int(v)-lo)%n+n)%n
+		}
+		ic, oc := in(inC, 1, 3), in(outC, 1, 5)
+		shape := tensor.Shape{ic, in(d, 1, 9), in(h, 1, 9), in(w, 1, 9)}
+		kk, s, p := in(k, 1, 4), in(stride, 1, 2), in(pad, 0, 2)
+
+		rng := rand.New(rand.NewSource(seed))
+		c := NewConv3D("c", ic, oc, kk, s, p, pool, rng)
+		xs := randBatch(shape, in(batch, 1, 3), seed)
+
+		if min(shape[1], shape[2], shape[3])+2*p < kk {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "exceeds padded input extent") {
+					t.Fatalf("%v k%d s%d p%d: want convOutDim's panic, got %q", shape, kk, s, p, msg)
+				}
+			}()
+			c.Forward(xs[0])
+			t.Fatalf("%v k%d s%d p%d: Forward accepted a kernel wider than the padded input", shape, kk, s, p)
+		}
+
+		const tol = 1e-4
+		y := c.Forward(xs[0])
+		if e := maxRelErr(y.Data(), refConvForward(c, xs[0])); e > tol {
+			t.Fatalf("%v k%d s%d p%d: Forward relative error %g", shape, kk, s, p, e)
+		}
+
+		ys := c.inferBatch(xs, &batchCtx{pool: pool, buf: tensor.NewBufPool()})
+		for i, x := range xs {
+			want := c.Infer(x).Data()
+			for j, v := range ys[i].Data() {
+				if v != want[j] {
+					t.Fatalf("%v k%d s%d p%d: InferBatch sample %d out[%d] = %v, Infer = %v", shape, kk, s, p, i, j, v, want[j])
+				}
+			}
+		}
+
+		dy := tensor.New(y.Shape()...)
+		dy.RandNormal(rng, 0, 1)
+		dx := c.Backward(dy)
+		dW, dB, dX := refConvBackward(c, xs[0], dy)
+		for _, r := range []struct {
+			name string
+			got  []float32
+			want []float64
+		}{{"dW", c.W.Grad.Data(), dW}, {"dB", c.B.Grad.Data(), dB}, {"dx", dx.Data(), dX}} {
+			if e := maxRelErr(r.got, r.want); e > tol {
+				t.Fatalf("%v k%d s%d p%d: Backward %s relative error %g", shape, kk, s, p, r.name, e)
+			}
+		}
+	})
+}

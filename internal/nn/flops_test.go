@@ -133,8 +133,8 @@ func TestElementwiseFwdFLOPs(t *testing.T) {
 }
 
 // TestPerLayerFLOPsMatchesLayers checks the network-level accounting used
-// by GET /v1/roofline and cosmoflow-bench -area roofline: PerLayerFLOPs
-// walks the layer stack threading output shapes, so every entry must equal
+// by GET /v1/roofline: PerLayerFLOPs walks the layer stack threading
+// output shapes, so every entry must equal
 // its layer's own count at the shape that actually reaches it, and the
 // entries must sum to TotalFLOPs' forward half.
 func TestPerLayerFLOPsMatchesLayers(t *testing.T) {

@@ -5,10 +5,7 @@
 // gateway's proxy path (per-backend request attribution) — the measurement
 // layer the paper grounds every scaling claim in (its Table-I per-layer
 // operator timings and §V studies), grown into a serving-time trace
-// surface (/stats "layers" section, GET /v1/trace) plus the
-// machine-readable benchmark trajectory (bench.go: BENCH_<area>.json
-// reports and the >threshold regression compare behind
-// cosmoflow-benchdiff).
+// surface (/stats "layers" section, GET /v1/trace, GET /v1/roofline).
 //
 // Tracing is opt-in and nil-guarded: every instrumented hot path keeps its
 // untimed loop when no trace is attached, so the disabled cost is one

@@ -16,7 +16,7 @@ type LayerRoofline struct {
 	// sample at the model's input shape.
 	FLOPsPerSample int64 `json:"flops_per_sample"`
 	// Observations is the number of span observations (micro-batch
-	// dispatches in serving, forward passes in cosmoflow-bench).
+	// dispatches in serving, forward passes for single-sample inference).
 	Observations int64 `json:"observations"`
 	// TotalMs is the cumulative wall time inside the layer.
 	TotalMs float64 `json:"total_ms"`

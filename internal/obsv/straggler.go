@@ -295,31 +295,3 @@ func (r *StragglerReport) String() string {
 	}
 	return b.String()
 }
-
-// FillBenchReport records the report's gated trajectory metrics into rep
-// (bench area "train"): throughput, step time, and the mean per-rank time
-// of the four phases the comm-overlap work will move.
-func (r *StragglerReport) FillBenchReport(rep *Report) {
-	rep.SetHigher("samples_per_s", r.SamplesPerSec, "1/s")
-	if r.Steps > 0 {
-		rep.SetLower("step_mean_ms", r.SpanMs/float64(r.Steps), "ms")
-	}
-	for _, ps := range r.Phases {
-		switch ps.Phase {
-		case PhaseForward, PhaseBackward, PhaseAllReduce, PhaseOptimizer:
-			var mean float64
-			var n int
-			for _, st := range ps.Ranks {
-				if st.Count > 0 {
-					mean += st.MeanMs
-					n++
-				}
-			}
-			if n > 0 {
-				rep.SetLower("phase_"+ps.Name+"_mean_ms", mean/float64(n), "ms")
-			}
-		}
-	}
-	rep.Config["ranks"] = fmt.Sprintf("%d", r.Ranks)
-	rep.Config["steps"] = fmt.Sprintf("%d", r.Steps)
-}

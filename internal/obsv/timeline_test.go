@@ -394,45 +394,3 @@ func TestBuildStragglerReportEdgeCases(t *testing.T) {
 		t.Errorf("Steps = %d, want 1 (single step 3)", rep.Steps)
 	}
 }
-
-func TestFillBenchReportMetrics(t *testing.T) {
-	tls := []RankTimeline{
-		synth(0, 0,
-			[4]int64{int64(PhaseForward), 0, 0, 10},
-			[4]int64{int64(PhaseBackward), 0, 10, 20},
-			[4]int64{int64(PhaseAllReduce), 0, 30, 5},
-			[4]int64{int64(PhaseOptimizer), 0, 35, 1},
-			[4]int64{int64(PhaseForward), 1, 40, 10},
-		),
-		synth(1, 0,
-			[4]int64{int64(PhaseForward), 0, 0, 20},
-			[4]int64{int64(PhaseAllReduce), 0, 30, 5},
-		),
-	}
-	rep := NewReport("train")
-	BuildStragglerReport(tls).FillBenchReport(rep)
-
-	m := rep.Metrics
-	sps, ok := m["samples_per_s"]
-	if !ok || sps.Better != "higher" || sps.Unit != "1/s" || sps.Value <= 0 {
-		t.Errorf("samples_per_s = %+v", sps)
-	}
-	for _, name := range []string{"step_mean_ms", "phase_forward_mean_ms", "phase_backward_mean_ms", "phase_allreduce_mean_ms", "phase_optimizer_mean_ms"} {
-		met, ok := m[name]
-		if !ok || met.Better != "lower" || met.Unit != "ms" {
-			t.Errorf("%s = %+v (present %v)", name, met, ok)
-			continue
-		}
-	}
-	// forward mean-of-means: rank 0 mean 10, rank 1 mean 20 -> 15.
-	if got := m["phase_forward_mean_ms"].Value; math.Abs(got-15) > 1e-9 {
-		t.Errorf("phase_forward_mean_ms = %g, want 15", got)
-	}
-	// backward occurs on rank 0 only; its cell mean is 20.
-	if got := m["phase_backward_mean_ms"].Value; math.Abs(got-20) > 1e-9 {
-		t.Errorf("phase_backward_mean_ms = %g, want 20", got)
-	}
-	if rep.Config["ranks"] != "2" || rep.Config["steps"] != "2" {
-		t.Errorf("config = %v", rep.Config)
-	}
-}
