@@ -31,10 +31,11 @@ test:
 # TCP reader/heartbeat goroutines), the trainer (its overlap-comm
 # goroutine and step loop share a timeline's ring and span atomics), the
 # worker pool, the streaming data loader (shard producer and decode
-# goroutines), the typed serving client (pooled transport), and the
-# observability package itself.
+# goroutines), the typed serving client (pooled transport), the
+# observability package itself, the tensor buffer pool (shared by the
+# loader's decode workers and InferBatch), and the wire codec.
 race:
-	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/data ./internal/obsv
+	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire
 
 # Short fuzz of the byte decoders — the wire codec (header-bounded size
 # checks, truncated frames, dims/dtype abuse) and the training-timeline

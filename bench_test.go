@@ -20,11 +20,9 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/cosmo"
 	"repro/internal/data"
 	"repro/internal/hpcsim"
-	"repro/internal/iopipe"
 	"repro/internal/nn"
 	"repro/internal/obsv"
 	"repro/internal/optim"
@@ -240,16 +238,20 @@ func BenchmarkFig5_ConvergenceVsScale(b *testing.B) {
 // simulate, train, estimate — and reports per-parameter relative errors
 // (§VII-A; paper: 0.0022/0.0094/0.0096 converged at full scale).
 func BenchmarkFig6_ParameterEstimation(b *testing.B) {
-	ds, err := core.GenerateDataset(core.DatasetConfig{
-		Sims: 12, ValSims: 1, TestSims: 1, NGrid: 32, Seed: 6,
-	})
+	sim := cosmo.SimConfig{NGrid: 32, BoxSize: 64, Priors: cosmo.DefaultPriors()}
+	ds, err := cosmo.BuildDataset(sim, 12, 1, 1, 6)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var re [3]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.TrainModel(core.TrainConfig{Ranks: 2, Epochs: 4, BaseChannels: 2, Seed: 7}, ds)
+		res, err := train.Run(train.Config{
+			Ranks: 2, Epochs: 4,
+			Topology: nn.TopologyConfig{InputDim: ds.Config.SubVolumeDim(), BaseChannels: 2, Seed: 8},
+			Helpers:  4,
+			Seed:     7,
+		}, ds.Train, ds.Val)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,37 +262,165 @@ func BenchmarkFig6_ParameterEstimation(b *testing.B) {
 	b.ReportMetric(re[2], "relerr-ns")
 }
 
-// BenchmarkEq1_IOBandwidth streams a TFRecord epoch through the throttled
-// pipeline and reports achieved read bandwidth — the §VI-A measurement
-// behind Equation 1.
+// BenchmarkEq1_IOBandwidth streams single-rank epochs of a 3-shard TFRecord
+// set through data.Loader over a bandwidth-throttled DirSource and reports
+// the achieved read bandwidth in KB/s — the §VI-A measurement behind
+// Equation 1. The cases are Cori's per-node Lustre and DataWarp
+// bandwidths at 1024 nodes, and no throttle. Samples are 16³ (16 KB
+// against the paper's 8 MB) and both bandwidths are scaled by the same
+// factor, so Equation 1's 62 MB/s requirement becomes 127 KB/s: Lustre
+// falls short of it, DataWarp clears it.
 func BenchmarkEq1_IOBandwidth(b *testing.B) {
+	const dim = 16
+	dir, m := writeShards(b, benchSamples(24, dim, 51), 8)
+	var shardBytes int64
+	for _, sh := range m.Split("train") {
+		shardBytes += sh.Bytes
+	}
+	scale := float64(4*dim*dim*dim) / hpcsim.Cori().SampleBytes
+	for _, c := range []struct {
+		name string
+		bw   float64 // paper-scale per-node bytes/s; 0 is unthrottled
+	}{
+		{"Lustre@1024", hpcsim.CoriLustre().BWPerNode(1024)},
+		{"DataWarp@1024", hpcsim.CoriDataWarp().BWPerNode(1024)},
+		{"unthrottled", 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var src data.Source = &data.DirSource{Dir: dir}
+			if c.bw > 0 {
+				src = &throttledSource{Source: src, t: newThrottle(c.bw * scale)}
+			}
+			l, err := data.NewLoader(data.Config{Source: src, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drainEpoch(b, l, i)
+			}
+			b.ReportMetric(float64(shardBytes*int64(b.N))/1e3/b.Elapsed().Seconds(), "KB/s")
+		})
+	}
+}
+
+// throttle is a token bucket modelling one node's filesystem read
+// bandwidth, shared by every reader on that node. It starts empty and
+// holds at most one second's worth of bytes (its burst).
+type throttle struct {
+	mu    sync.Mutex
+	rate  float64 // bytes per second, and the burst
+	avail float64
+	last  time.Time
+}
+
+func newThrottle(bytesPerSecond float64) *throttle {
+	return &throttle{rate: bytesPerSecond, last: time.Now()}
+}
+
+// wait blocks until n bytes of budget are available and takes them. n must
+// not exceed the burst: refill stops there, so a larger request would
+// never be met.
+func (t *throttle) wait(n int) {
+	for {
+		t.mu.Lock()
+		now := time.Now()
+		t.avail = min(t.rate, t.avail+now.Sub(t.last).Seconds()*t.rate)
+		t.last = now
+		if t.avail >= float64(n) {
+			t.avail -= float64(n)
+			t.mu.Unlock()
+			return
+		}
+		deficit := float64(n) - t.avail
+		t.mu.Unlock()
+		time.Sleep(time.Duration(deficit / t.rate * float64(time.Second)))
+	}
+}
+
+// throttledSource paces every shard read of a data.Source through one
+// throttle; the manifest fetch is not paced.
+type throttledSource struct {
+	data.Source
+	t *throttle
+}
+
+func (s *throttledSource) Open(file string) (io.ReadCloser, error) {
+	rc, err := s.Source.Open(file)
+	if err != nil {
+		return nil, err
+	}
+	return throttledReader{rc, s.t}, nil
+}
+
+type throttledReader struct {
+	io.ReadCloser
+	t *throttle
+}
+
+// Read paces p in pieces no larger than the throttle's burst.
+func (r throttledReader) Read(p []byte) (int, error) {
+	if burst := int(r.t.rate); len(p) > burst {
+		p = p[:burst]
+	}
+	r.t.wait(len(p))
+	return r.ReadCloser.Read(p)
+}
+
+// A read larger than the throttle's one-second burst is paced in pieces:
+// 256 KiB at 64 KiB/s takes its 4 s budget instead of never returning.
+func TestThrottlePacesReadsLargerThanBurst(t *testing.T) {
+	const rate, size = 64 << 10, 256 << 10
+	r := throttledReader{io.NopCloser(bytes.NewReader(make([]byte, size))), newThrottle(rate)}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(r, make([]byte, size))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(8 * time.Second):
+		t.Fatal("a 256 KiB read at 64 KiB/s did not return within 2× its 4 s budget")
+	}
+	if elapsed := time.Since(start); elapsed < 3*time.Second {
+		t.Errorf("a 256 KiB read at 64 KiB/s took %v; the throttle is not pacing", elapsed)
+	}
+}
+
+// writeShards writes samples as a "train" TFRecord split of perFile-sample
+// shards under a fresh directory, with its manifest.
+func writeShards(b *testing.B, samples []*cosmo.Sample, perFile int) (string, *data.Manifest) {
 	dir := b.TempDir()
-	samples := benchSamples(64, 16, 51)
-	paths, err := tfrecord.WriteDataset(dir, "bench", samples, 16)
+	if _, err := tfrecord.WriteDataset(dir, "train", samples, perFile); err != nil {
+		b.Fatal(err)
+	}
+	m, err := data.Scan(dir, "train")
 	if err != nil {
 		b.Fatal(err)
 	}
-	var fileBytes int64
-	for _, p := range paths {
-		if fi, err := os.Stat(p); err == nil {
-			fileBytes += fi.Size()
-		}
+	if err := data.WriteManifest(dir, m); err != nil {
+		b.Fatal(err)
 	}
-	pipe, err := iopipe.NewPipeline(paths, iopipe.Config{
-		Readers: 6, ShuffleBuffer: 16,
-		Throttle: iopipe.NewThrottle(64 << 20), // 64 MiB/s, ~BWmin scale
-		Seed:     1,
-	})
+	return dir, m
+}
+
+// drainEpoch streams one single-rank epoch from l and returns its sample
+// count.
+func drainEpoch(b *testing.B, l *data.Loader, epoch int) int {
+	s, err := l.EpochStream(epoch, 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(fileBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc, ec := pipe.Epoch(i)
-		for range sc {
-		}
-		if err := <-ec; err != nil {
+	defer s.Close()
+	for n := 0; ; n++ {
+		if _, err := s.Next(); err == io.EOF {
+			return n
+		} else if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,17 +432,7 @@ func BenchmarkEq1_IOBandwidth(b *testing.B) {
 // recorder attributes the time to its read and decode stages. The rate to
 // beat is the trainer's per-rank demand (EXPERIMENTS.md, data pipeline).
 func BenchmarkDataLoader_Stream(b *testing.B) {
-	dir := b.TempDir()
-	if _, err := tfrecord.WriteDataset(dir, "train", benchSamples(128, 16, 3), 16); err != nil {
-		b.Fatal(err)
-	}
-	m, err := data.Scan(dir, "train")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := data.WriteManifest(dir, m); err != nil {
-		b.Fatal(err)
-	}
+	dir, _ := writeShards(b, benchSamples(128, 16, 3), 16)
 	rec := obsv.NewRecorder()
 	l, err := data.NewLoader(data.Config{Source: &data.DirSource{Dir: dir}, Seed: 3, Recorder: rec})
 	if err != nil {
@@ -320,27 +440,11 @@ func BenchmarkDataLoader_Stream(b *testing.B) {
 	}
 	defer l.Close()
 
-	drain := func(epoch int) int {
-		s, err := l.EpochStream(epoch, 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		n := 0
-		for {
-			if _, err := s.Next(); err == io.EOF {
-				return n
-			} else if err != nil {
-				b.Fatal(err)
-			}
-			n++
-		}
-	}
-	drain(0) // warm the page cache and the voxel pool
+	drainEpoch(b, l, 0) // warm the page cache and the voxel pool
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		total += drain(i + 1)
+		total += drainEpoch(b, l, i+1)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/s")
 	for _, st := range rec.Snapshot() {
@@ -377,9 +481,8 @@ func BenchmarkSingleNodeThroughput(b *testing.B) {
 // BenchmarkBaseline_PowerSpectrumRegression fits and scores the traditional
 // statistics baseline (§II-A).
 func BenchmarkBaseline_PowerSpectrumRegression(b *testing.B) {
-	ds, err := core.GenerateDataset(core.DatasetConfig{
-		Sims: 10, ValSims: 1, TestSims: 1, NGrid: 32, Seed: 9,
-	})
+	sim := cosmo.SimConfig{NGrid: 32, BoxSize: 64, Priors: cosmo.DefaultPriors()}
+	ds, err := cosmo.BuildDataset(sim, 10, 1, 1, 9)
 	if err != nil {
 		b.Fatal(err)
 	}

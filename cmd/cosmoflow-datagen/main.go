@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cosmo"
 	"repro/internal/data"
 	"repro/internal/tfrecord"
@@ -36,10 +35,11 @@ func main() {
 	flag.Parse()
 
 	start := time.Now()
-	ds, err := core.GenerateDataset(core.DatasetConfig{
-		Sims: *sims, ValSims: *valSims, TestSims: *testSims,
-		NGrid: *ngrid, BoxMpc: *box, Seed: *seed,
-	})
+	if *box == 0 {
+		*box = 2 * float64(*ngrid) // 2 h⁻¹Mpc voxels, as in §IV-C
+	}
+	sim := cosmo.SimConfig{NGrid: *ngrid, BoxSize: *box, Priors: cosmo.DefaultPriors()}
+	ds, err := cosmo.BuildDataset(sim, *sims, *valSims, *testSims, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 // internal/dist (rank-0 rendezvous, CFT1-framed collectives, heartbeat
 // peer-death detection, and checkpoint-resume fault tolerance behind
 // cosmoflow-train's -dist/-launch modes, bit-identical to the in-process
-// world at the same seed), a TFRecord I/O pipeline with bandwidth throttling
-// (internal/tfrecord, internal/iopipe), a streaming dataset subsystem
+// world at the same seed), the TFRecord codec (internal/tfrecord), a
+// streaming dataset subsystem
 // (internal/data): checksummed shard manifests written by
 // cosmoflow-datagen, a double-buffered prefetch loader with parallel
 // decode feeding training shard-by-shard, rank-disjoint per-epoch shard

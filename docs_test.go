@@ -19,11 +19,15 @@ var (
 	// verb in prose.
 	makeToken   = regexp.MustCompile("(?m)(?:^[ \\t]*|`|&&[ \\t]*)make ([a-z][a-z0-9-]*)")
 	makefileTgt = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):([^=]|$)`)
+	// pathToken matches a repo path under internal/ or examples/, bare or
+	// ./-prefixed, but not the tail of a longer path such as an import.
+	pathToken = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:internal|examples)(?:/[\w.-]+)+)`)
 )
 
-// TestDocsNameOnlyExistingCommands keeps the docs from pointing at commands
-// or make targets that no longer exist: every cosmoflow-<name> must be a
-// directory under cmd/, and every `make <target>` a Makefile target.
+// TestDocsNameOnlyExistingCommands keeps the docs from pointing at commands,
+// make targets or paths that no longer exist: every cosmoflow-<name> must
+// be a directory under cmd/, every `make <target>` a Makefile target, and
+// every internal/<pkg> or examples/<dir> path must exist.
 // CHANGES.md and ROADMAP.md are history and are not scanned, nor
 // is benchmark/, whose files change only with the benchmark itself.
 func TestDocsNameOnlyExistingCommands(t *testing.T) {
@@ -69,6 +73,12 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 			for _, m := range makeToken.FindAllStringSubmatch(line, -1) {
 				if !targets[m[1]] {
 					t.Errorf("%s:%d: names `make %s`, which is not a Makefile target", path, i+1, m[1])
+				}
+			}
+			for _, m := range pathToken.FindAllStringSubmatch(line, -1) {
+				p := strings.TrimRight(m[1], ".")
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s:%d: names %s, which does not exist", path, i+1, p)
 				}
 			}
 		}

@@ -1,7 +1,8 @@
 // Hyperparameter search: the ensemble-training usage of HPC the paper
 // describes in §II-C and lists as newly practical in §VII-B. Random-samples
 // learning-rate and LARC-trust configurations around the paper's published
-// values and trains them concurrently, reporting the ranked outcomes.
+// values, trains each one in turn, and reports the outcomes ranked by
+// validation loss.
 //
 // Run with:
 //
@@ -11,14 +12,27 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
-	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/cosmo"
-	"repro/internal/hpo"
 	"repro/internal/nn"
+	"repro/internal/optim"
+	"repro/internal/train"
 )
+
+// trial is one sampled configuration and its outcome.
+type trial struct {
+	eta0, etaMin, trust float64
+	trainLoss, valLoss  float64
+}
+
+// logUniform samples from [lo, hi] uniformly in log space.
+func logUniform(rng *rand.Rand, lo, hi float64) float64 {
+	return lo * math.Pow(hi/lo, rng.Float64())
+}
 
 func main() {
 	log.SetFlags(0)
@@ -32,35 +46,41 @@ func main() {
 	}
 	trainSet, valSet := data[:16], data[16:]
 
-	cfg := hpo.Config{
-		Trials:      6,
-		Concurrency: runtime.GOMAXPROCS(0) / 2,
-		Ranks:       1,
-		Epochs:      4,
-		Topology:    nn.TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 1},
-		Seed:        2,
+	// The ranges bracket the paper's published values (η0 = 2e-3,
+	// ηmin = 1e-4, trust = 0.002); trials run one at a time.
+	const nTrials, seed = 6, 2
+	fmt.Printf("random search: %d trials, up to 1 concurrent (η0, ηmin, LARC trust)\n\n", nTrials)
+	draw := rand.New(rand.NewSource(seed))
+	trials := make([]trial, nTrials)
+	for i := range trials {
+		t := &trials[i]
+		t.eta0 = logUniform(draw, 5e-4, 1e-2)
+		t.etaMin = logUniform(draw, 1e-5, 5e-4)
+		t.trust = logUniform(draw, 5e-4, 1e-2)
+		res, err := train.Run(train.Config{
+			Ranks: 1, Epochs: 4,
+			Topology: nn.TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 1},
+			Optim: optim.Config{
+				TrustCoef: t.trust,
+				// DecaySteps is filled by the trainer to span the run.
+				Schedule: optim.PolySchedule{Eta0: t.eta0, EtaMin: t.etaMin},
+			},
+			Seed: seed + int64(i)*7919,
+		}, trainSet, valSet)
+		if err != nil {
+			log.Fatalf("trial %d: %v", i, err)
+		}
+		t.trainLoss, t.valLoss = res.FinalTrainLoss(), res.FinalValLoss()
 	}
-	fmt.Printf("random search: %d trials, up to %d concurrent (η0, ηmin, LARC trust)\n\n",
-		cfg.Trials, cfg.Concurrency)
+	sort.Slice(trials, func(i, j int) bool { return trials[i].valLoss < trials[j].valLoss })
 
-	trials, err := hpo.Search(cfg, hpo.DefaultSpace(), trainSet, valSet)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("%4s %10s %10s %10s %12s %12s\n", "rank", "η0", "ηmin", "trust", "train loss", "val loss")
 	for i, t := range trials {
-		if t.Err != nil {
-			fmt.Printf("%4d trial failed: %v\n", i+1, t.Err)
-			continue
-		}
 		fmt.Printf("%4d %10.2e %10.2e %10.2e %12.5f %12.5f\n",
-			i+1, t.Eta0, t.EtaMin, t.TrustCoef, t.TrainLoss, t.ValLoss)
+			i+1, t.eta0, t.etaMin, t.trust, t.trainLoss, t.valLoss)
 	}
-	best, err := hpo.Best(trials)
-	if err != nil {
-		log.Fatal(err)
-	}
+	best := trials[0]
 	fmt.Printf("\nwinner: η0=%.2e ηmin=%.2e trust=%.2e (paper's published values: 2e-3, 1e-4, 2e-3)\n",
-		best.Eta0, best.EtaMin, best.TrustCoef)
+		best.eta0, best.etaMin, best.trust)
 	fmt.Printf("total time %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -12,7 +12,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/cosmo"
+	"repro/internal/nn"
 	"repro/internal/train"
 )
 
@@ -23,10 +24,10 @@ func main() {
 	start := time.Now()
 
 	// 1. Simulate ten universes (8 sub-volumes each) at laptop scale:
-	//    32³-particle boxes → 8³-voxel sub-volumes.
-	ds, err := core.GenerateDataset(core.DatasetConfig{
-		Sims: 10, ValSims: 1, TestSims: 1, NGrid: 32, Seed: 42,
-	})
+	//    32³-particle boxes (2 h⁻¹Mpc voxels) → 8³-voxel sub-volumes; one
+	//    simulation each is held out for validation and test.
+	sim := cosmo.SimConfig{NGrid: 32, BoxSize: 64, Priors: cosmo.DefaultPriors()}
+	ds, err := cosmo.BuildDataset(sim, 10, 1, 1, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,9 +37,12 @@ func main() {
 
 	// 2. Fully synchronous data-parallel training: 2 ranks, batch 1 per
 	//    rank (global batch 2), ring allreduce with 2 helper teams.
-	res, err := core.TrainModel(core.TrainConfig{
-		Ranks: 2, Epochs: 6, BaseChannels: 2, Helpers: 2, Seed: 7,
-	}, ds)
+	res, err := train.Run(train.Config{
+		Ranks: 2, Epochs: 6,
+		Topology: nn.TopologyConfig{InputDim: ds.Config.SubVolumeDim(), BaseChannels: 2, Seed: 8},
+		Helpers:  2,
+		Seed:     7,
+	}, ds.Train, ds.Val)
 	if err != nil {
 		log.Fatal(err)
 	}

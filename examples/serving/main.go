@@ -22,7 +22,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/cosmo"
 	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/serve/api"
@@ -39,15 +39,18 @@ func main() {
 
 	// 1. Train a small model and save its checkpoint, as
 	//    cosmoflow-train -ckpt would.
-	ds, err := core.GenerateDataset(core.DatasetConfig{
-		Sims: 8, ValSims: 1, TestSims: 1, NGrid: 32, Seed: 42,
-	})
+	sim := cosmo.SimConfig{NGrid: 32, BoxSize: 64, Priors: cosmo.DefaultPriors()}
+	ds, err := cosmo.BuildDataset(sim, 8, 1, 1, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.TrainModel(core.TrainConfig{
-		Ranks: 2, Epochs: 3, BaseChannels: 2, Seed: 7,
-	}, ds)
+	dim := ds.Config.SubVolumeDim()
+	res, err := train.Run(train.Config{
+		Ranks: 2, Epochs: 3,
+		Topology: nn.TopologyConfig{InputDim: dim, BaseChannels: 2, Seed: 8},
+		Helpers:  4,
+		Seed:     7,
+	}, ds.Train, ds.Val)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +63,6 @@ func main() {
 	if err := res.Net.SaveCheckpointFile(ckpt); err != nil {
 		log.Fatal(err)
 	}
-	dim := ds.Train[0].Dim
 	fmt.Printf("trained %d epochs on %d samples, checkpoint saved (%.1fs)\n",
 		len(res.Epochs), len(ds.Train), time.Since(start).Seconds())
 

@@ -199,46 +199,49 @@ func TestLoaderStepsPerEpoch(t *testing.T) {
 	}
 }
 
-// A torn or bit-flipped shard fails the manifest checksum instead of
+// A bit-flipped shard fails the manifest checksum, and a half-length one
+// (a crashed writer or torn copy) fails the manifest length, instead of
 // feeding silently corrupted samples to the trainer.
 func TestLoaderDetectsCorruptShard(t *testing.T) {
-	dir := writeDataset(t, 8, 8, 0, 4, 6)
-	m, err := LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, m.Split("train")[0].File)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(Config{Source: &DirSource{Dir: dir}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	s, err := l.EpochStream(0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sawErr := false
-	for {
-		_, err := s.Next()
-		if err == io.EOF {
-			break
-		}
+	for _, damage := range []struct {
+		name string
+		do   func(raw []byte) []byte
+	}{
+		{"bit-flipped", func(raw []byte) []byte { raw[len(raw)/2] ^= 0xFF; return raw }},
+		{"half-length", func(raw []byte) []byte { return raw[:len(raw)/2] }},
+	} {
+		dir := writeDataset(t, 8, 8, 0, 4, 6)
+		m, err := LoadManifest(dir)
 		if err != nil {
-			sawErr = true
-			break
+			t.Fatal(err)
 		}
-	}
-	if !sawErr {
-		t.Fatal("stream over a corrupted shard completed without error")
+		path := filepath.Join(dir, m.Split("train")[0].File)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, damage.do(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := NewLoader(Config{Source: &DirSource{Dir: dir}, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := l.EpochStream(0, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, err = s.Next()
+			if err != nil {
+				break
+			}
+		}
+		s.Close()
+		l.Close()
+		if err == io.EOF {
+			t.Errorf("stream over a %s shard completed without error", damage.name)
+		}
 	}
 }
 
@@ -257,5 +260,12 @@ func TestReadAllSplit(t *testing.T) {
 	}
 	if missing != nil {
 		t.Fatal("absent split should read as nil, nil")
+	}
+	// A Loader, unlike ReadAll, refuses an absent split or manifest.
+	if _, err := NewLoader(Config{Source: &DirSource{Dir: dir}, Split: "test"}); err == nil {
+		t.Fatal("NewLoader accepted an absent split")
+	}
+	if _, err := NewLoader(Config{Source: &DirSource{Dir: t.TempDir()}}); err == nil {
+		t.Fatal("NewLoader accepted a directory with no manifest")
 	}
 }

@@ -24,10 +24,6 @@ type Config struct {
 	// Seed drives the per-epoch shard shuffle; give every rank the same
 	// seed (train.Config.Seed) so their assignments agree.
 	Seed int64
-	// PrefetchShards is how many decoded shards may queue ahead of the
-	// consumer (default 1: double buffering — the trainer consumes shard
-	// k while the loader fetches and decodes k+1).
-	PrefetchShards int
 	// DecodeWorkers sizes the parallel sample-decode pool shared by all
 	// of the loader's streams (default GOMAXPROCS).
 	DecodeWorkers int
@@ -41,11 +37,6 @@ type Config struct {
 	// (trainer waiting for the loader) — so starvation is attributable to
 	// a stage rather than inferred from throughput.
 	Recorder *obsv.Recorder
-	// SkipVerify disables the whole-shard checksum comparison against the
-	// manifest. Verification is on by default: it is how a torn local
-	// copy or a corrupted remote transfer is caught before its samples
-	// poison a training run.
-	SkipVerify bool
 }
 
 // Loader streams a manifest split's samples shard by shard. One Loader
@@ -70,9 +61,6 @@ func NewLoader(cfg Config) (*Loader, error) {
 	}
 	if cfg.Split == "" {
 		cfg.Split = "train"
-	}
-	if cfg.PrefetchShards < 1 {
-		cfg.PrefetchShards = 1
 	}
 	if cfg.DecodeWorkers < 1 {
 		cfg.DecodeWorkers = runtime.GOMAXPROCS(0)
@@ -163,8 +151,11 @@ func (l *Loader) EpochStream(epoch, rank, ranks int) (SampleStream, error) {
 		return nil, fmt.Errorf("data: rank %d outside world of %d", rank, ranks)
 	}
 	s := &stream{
-		l:    l,
-		ch:   make(chan decodedShard, l.cfg.PrefetchShards),
+		l: l,
+		// One decoded shard may queue ahead of the consumer: double
+		// buffering — the trainer consumes shard k while the loader
+		// fetches and decodes k+1.
+		ch:   make(chan decodedShard, 1),
 		stop: make(chan struct{}),
 	}
 	go s.produce(assign[rank])
@@ -265,10 +256,10 @@ func (l *Loader) fetchShard(sh Shard, buf []byte) ([]byte, error) {
 	if n, _ := rc.Read(extra[:]); n != 0 {
 		return buf, fmt.Errorf("longer than the %d bytes the manifest records", sh.Bytes)
 	}
-	if !l.cfg.SkipVerify {
-		if crc := crc32.Checksum(buf, castagnoli); crc != sh.CRC32C {
-			return buf, fmt.Errorf("checksum %08x does not match manifest %08x (torn or corrupted shard)", crc, sh.CRC32C)
-		}
+	// The checksum is how a torn local copy or a corrupted remote transfer
+	// is caught before its samples poison a training run.
+	if crc := crc32.Checksum(buf, castagnoli); crc != sh.CRC32C {
+		return buf, fmt.Errorf("checksum %08x does not match manifest %08x (torn or corrupted shard)", crc, sh.CRC32C)
 	}
 	if l.spanRead != nil {
 		l.spanRead.Observe(time.Since(start))
