@@ -210,38 +210,40 @@ func TestLoaderDetectsCorruptShard(t *testing.T) {
 		{"bit-flipped", func(raw []byte) []byte { raw[len(raw)/2] ^= 0xFF; return raw }},
 		{"half-length", func(raw []byte) []byte { return raw[:len(raw)/2] }},
 	} {
-		dir := writeDataset(t, 8, 8, 0, 4, 6)
-		m, err := LoadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, m.Split("train")[0].File)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, damage.do(raw), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		l, err := NewLoader(Config{Source: &DirSource{Dir: dir}, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := l.EpochStream(0, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			_, err = s.Next()
+		t.Run(damage.name, func(t *testing.T) {
+			dir := writeDataset(t, 8, 8, 0, 4, 6)
+			m, err := LoadManifest(dir)
 			if err != nil {
-				break
+				t.Fatal(err)
 			}
-		}
-		s.Close()
-		l.Close()
-		if err == io.EOF {
-			t.Errorf("stream over a %s shard completed without error", damage.name)
-		}
+			path := filepath.Join(dir, m.Split("train")[0].File)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage.do(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := NewLoader(Config{Source: &DirSource{Dir: dir}, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			s, err := l.EpochStream(0, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for {
+				_, err = s.Next()
+				if err != nil {
+					break
+				}
+			}
+			if err == io.EOF {
+				t.Errorf("stream over a %s shard completed without error", damage.name)
+			}
+		})
 	}
 }
 
