@@ -38,23 +38,32 @@ func fnv64Floats(vals ...[]float32) string {
 }
 
 // TestGoldenBits pins the exact bits a fixed-seed dim-8 base-2 run of two
-// epochs produces with one rank and with two in-process ranks. Every other
-// bit-identity test compares two paths of the same tree; this one compares
-// against testdata/golden.json, so a change to any kernel, reduction order
-// or optimizer step that moves a single bit fails here. An intended change
-// replaces the file with the JSON this test prints, and the diff to that
-// one file is the record of what moved. The bits are amd64's: the Go
-// compiler may fuse multiply-adds on other architectures, which rounds
-// differently.
+// epochs produces with one rank and with two in-process ranks, plus a
+// one-rank, one-epoch dim-8 base-16 run ("blocked") whose conv2, conv3 and
+// conv6 take the Algorithm-1 blocked kernel in Forward, Backward and
+// InferBatch. Every other bit-identity test compares two paths of the same
+// tree; this one compares against testdata/golden.json, so a change to any
+// kernel, reduction order or optimizer step that moves a single bit fails
+// here. An intended change replaces the file with the JSON this test
+// prints, and the diff to that one file is the record of what moved. The
+// bits are amd64's: the Go compiler may fuse multiply-adds on other
+// architectures, which rounds differently.
 func TestGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bits are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	trainSet := syntheticSet(8, 8, 11)
 	valSet := syntheticSet(4, 8, 12)
+	blocked := smallConfig(1, 1)
+	blocked.Topology.BaseChannels = 16
+	runs := map[string]Config{
+		"1rank":   smallConfig(1, 2),
+		"2rank":   smallConfig(2, 2),
+		"blocked": blocked,
+	}
 	got := map[string]goldenRun{}
-	for _, ranks := range []int{1, 2} {
-		res, err := Run(smallConfig(ranks, 2), trainSet, valSet)
+	for name, cfg := range runs {
+		res, err := Run(cfg, trainSet, valSet)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +78,7 @@ func TestGoldenBits(t *testing.T) {
 		for _, y := range res.Net.InferBatch(xs) {
 			outs = append(outs, y.Data())
 		}
-		got[fmt.Sprintf("%drank", ranks)] = goldenRun{
+		got[name] = goldenRun{
 			FinalLossBits:   fmt.Sprintf("%016x", math.Float64bits(res.FinalTrainLoss())),
 			ValLossBits:     fmt.Sprintf("%016x", math.Float64bits(res.FinalValLoss())),
 			ParamsFNV64:     fnv64Floats(params),
