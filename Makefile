@@ -33,9 +33,11 @@ test:
 # worker pool, the streaming data loader (shard producer and decode
 # goroutines), the typed serving client (pooled transport), the
 # observability package itself, the tensor buffer pool (shared by the
-# loader's decode workers and InferBatch), and the wire codec.
+# loader's decode workers and InferBatch), the wire codec, and the
+# benchmark driver (every workload's ranks, load generators and serving
+# stack in one process).
 race:
-	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire
+	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire ./benchmark
 
 # Short fuzz of the byte decoders — the wire codec (header-bounded size
 # checks, truncated frames, dims/dtype abuse) and the training-timeline

@@ -632,10 +632,10 @@ func BenchmarkServing_ReplicaPool(b *testing.B) {
 // BenchmarkInferBatch_Scaling measures the batched inference hot path: a
 // micro-batch of B volumes runs as one nn.InferBatch forward (one
 // (batch × task) parallel-for per layer, activations recycled through the
-// network's buffer pool). Samples/sec should rise with B: B=1 is the
-// sequential per-sample path, larger batches amortize per-layer overhead
-// and allocation, and on multi-core hosts also widen every parallel-for's
-// index space.
+// network's buffer pool at every B). Larger batches amortize per-layer
+// overhead and, on multi-core hosts, widen every parallel-for's index
+// space; the kernels do no cross-sample weight reuse, so per-sample cost
+// is otherwise flat in B.
 func BenchmarkInferBatch_Scaling(b *testing.B) {
 	pool := parallel.NewPool(0)
 	defer pool.Close()

@@ -27,8 +27,9 @@
 // (internal/stats), and a concurrent batched inference serving subsystem —
 // model registry with runtime load/hot-swap/unload lifecycle, replica
 // pools of weight-sharing network clones, dynamic micro-batching into true
-// batched forward passes (nn.InferBatch: batch-innermost conv kernels,
-// recycled activation buffers, bit-identical to per-sample inference), and
+// batched forward passes (nn.InferBatch: one forward kernel per layer over
+// a (sample × task) index space, recycled activation buffers,
+// bit-identical at every batch size), and
 // a versioned v1 HTTP API (internal/serve) with content-negotiated
 // encodings: JSON or the binary tensor wire format (internal/serve/wire,
 // ~50-90x faster than JSON per request), shared DTOs (internal/serve/api),

@@ -49,7 +49,7 @@ func main() {
 	// The ranges bracket the paper's published values (η0 = 2e-3,
 	// ηmin = 1e-4, trust = 0.002); trials run one at a time.
 	const nTrials, seed = 6, 2
-	fmt.Printf("random search: %d trials, up to 1 concurrent (η0, ηmin, LARC trust)\n\n", nTrials)
+	fmt.Printf("random search: %d trials, one at a time (η0, ηmin, LARC trust)\n\n", nTrials)
 	draw := rand.New(rand.NewSource(seed))
 	trials := make([]trial, nTrials)
 	for i := range trials {

@@ -42,20 +42,12 @@ func (l *LeakyReLU) BwdFLOPs(in tensor.Shape) int64 { return int64(in.NumElement
 // Forward implements Layer.
 func (l *LeakyReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
-	return l.apply(x)
-}
-
-// apply computes the activation without caching the input, shared by the
-// training Forward and the inference-only Infer paths.
-func (l *LeakyReLU) apply(x *tensor.Tensor) *tensor.Tensor {
-	y := tensor.New(x.Shape()...)
-	l.applyInto(x.Data(), y.Data())
-	return y
+	return forwardOne(l, x)
 }
 
 // applyInto writes f(xd) element-wise into yd (same length). The operation
-// is per-element, so the batched path can fan samples out to workers without
-// changing results.
+// is per-element, so samples can fan out to workers without changing
+// results.
 func (l *LeakyReLU) applyInto(xd, yd []float32) {
 	a := l.Alpha
 	for i, v := range xd {

@@ -113,6 +113,20 @@ func (bn *BatchNorm3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
+// inferChannel normalizes one channel by the running statistics, the unit of
+// thread decomposition of inference mode. Same grouping as Forward's
+// inference branch, so the results are bit-identical: h first, then g*h + b.
+func (bn *BatchNorm3D) inferChannel(xd, yd []float32, n, c int) {
+	gd, bd := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
+	mean := bn.runMean[c]
+	inv := float32(1 / math.Sqrt(float64(bn.runVar[c])+float64(bn.Eps)))
+	g, b := gd[c], bd[c]
+	for i := c * n; i < (c+1)*n; i++ {
+		h := (xd[i] - mean) * inv
+		yd[i] = g*h + b
+	}
+}
+
 // Backward implements Layer (training-mode gradient; inference mode treats
 // the running statistics as constants).
 func (bn *BatchNorm3D) Backward(dy *tensor.Tensor) *tensor.Tensor {

@@ -106,35 +106,19 @@ func (c *Conv3D) useBlocked() bool {
 		c.InC%tensor.BlockSize == 0 && c.OutC%tensor.BlockSize == 0
 }
 
-// Forward implements Layer.
+// Forward implements Layer: the batch kernel at B=1, caching x for
+// Backward.
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c.checkInput(x.Shape())
+	y := forwardOne(c, x)
 	c.x = x
-	if c.useBlocked() {
-		return c.forwardBlocked(x)
-	}
-	return c.forwardDirect(x)
-}
-
-// forwardDirect is the generic direct convolution, threaded over output
-// channels.
-func (c *Conv3D) forwardDirect(x *tensor.Tensor) *tensor.Tensor {
-	in := x.Shape()
-	out := c.OutputShape(in)
-	y := tensor.New(out...)
-	xd, yd := x.Data(), y.Data()
-	c.pool.ForEach(c.OutC, 1, func(oc int) {
-		c.directChannel(xd, yd, in, out, oc)
-	})
 	return y
 }
 
 // directChannel computes one output channel of the generic direct
 // convolution, writing every element of that channel's output slab. It is
-// the unit of thread decomposition for both the single-sample and batched
-// forward paths, so both produce bit-identical results: each output voxel's
-// accumulation runs in the same float64 order regardless of how (sample,
-// channel) tasks are scheduled.
+// the direct kernel's unit of thread decomposition: each output voxel's
+// accumulation runs in the same float64 order however (sample, channel)
+// tasks are scheduled, so results do not depend on batch size or workers.
 func (c *Conv3D) directChannel(xd, yd []float32, in, out tensor.Shape, oc int) {
 	id, ih, iw := in[1], in[2], in[3]
 	od, oh, ow := out[1], out[2], out[3]
@@ -180,57 +164,4 @@ func kernelRange(o, s, p, k, extent int) (lo, hi int) {
 		hi = k
 	}
 	return lo, hi
-}
-
-// directChannelBatch computes one output channel for a whole micro-batch,
-// with the batch as the innermost loop: every weight element is loaded and
-// converted once and applied to all B samples, and the kernel-range and
-// index arithmetic — a large share of the direct kernel's per-voxel cost —
-// amortizes over the batch. Each sample's accumulator still receives the
-// same additions in the same order as directChannel, so batched outputs are
-// bit-identical to the per-sample kernel. accs is caller-provided scratch of
-// length >= len(xds).
-func (c *Conv3D) directChannelBatch(xds, yds [][]float32, in, out tensor.Shape, oc int, accs []float64) {
-	id, ih, iw := in[1], in[2], in[3]
-	od, oh, ow := out[1], out[2], out[3]
-	wd, bd := c.W.Value.Data(), c.B.Value.Data()
-	k, s, p := c.K, c.Stride, c.Pad
-	B := len(xds)
-	accs = accs[:B]
-	bias := float64(bd[oc])
-	for z := 0; z < od; z++ {
-		kdLo, kdHi := kernelRange(z, s, p, k, id)
-		for yy := 0; yy < oh; yy++ {
-			khLo, khHi := kernelRange(yy, s, p, k, ih)
-			for xx := 0; xx < ow; xx++ {
-				kwLo, kwHi := kernelRange(xx, s, p, k, iw)
-				for b := range accs {
-					accs[b] = bias
-				}
-				for ic := 0; ic < c.InC; ic++ {
-					wBase := (((oc*c.InC + ic) * k) * k) * k
-					for kd := kdLo; kd < kdHi; kd++ {
-						zi := z*s + kd - p
-						for kh := khLo; kh < khHi; kh++ {
-							yi := yy*s + kh - p
-							xRow := ((ic*id+zi)*ih + yi) * iw
-							wRow := wBase + (kd*k+kh)*k
-							for kw := kwLo; kw < kwHi; kw++ {
-								xi := xx*s + kw - p
-								w := float64(wd[wRow+kw])
-								xoff := xRow + xi
-								for b := 0; b < B; b++ {
-									accs[b] += w * float64(xds[b][xoff])
-								}
-							}
-						}
-					}
-				}
-				yo := ((oc*od+z)*oh+yy)*ow + xx
-				for b := 0; b < B; b++ {
-					yds[b][yo] = float32(accs[b])
-				}
-			}
-		}
-	}
 }

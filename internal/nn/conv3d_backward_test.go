@@ -14,11 +14,25 @@ import (
 // are checked against, written like refConvBackward: every output voxel's
 // full (ic, kd, kh, kw) window, bounds tested per element.
 func refConvForward(c *Conv3D, x *tensor.Tensor) []float64 {
-	in, out := x.Shape(), c.OutputShape(x.Shape())
+	return refConv(c, x.Shape(), toFloat64(x.Data()))
+}
+
+// toFloat64 widens a float32 slice.
+func toFloat64(v []float32) []float64 {
+	out := make([]float64, len(v))
+	for i, f := range v {
+		out[i] = float64(f)
+	}
+	return out
+}
+
+// refConv is refConvForward over a float64 input of shape in.
+func refConv(c *Conv3D, in tensor.Shape, xd []float64) []float64 {
+	out := c.OutputShape(in)
 	id, ih, iw := in[1], in[2], in[3]
 	od, oh, ow := out[1], out[2], out[3]
 	k, s, p := c.K, c.Stride, c.Pad
-	xd, wd, bd := x.Data(), c.W.Value.Data(), c.B.Value.Data()
+	wd, bd := c.W.Value.Data(), c.B.Value.Data()
 	y := make([]float64, out.NumElements())
 	for oc := 0; oc < c.OutC; oc++ {
 		for z := 0; z < od; z++ {
@@ -34,7 +48,7 @@ func refConvForward(c *Conv3D, x *tensor.Tensor) []float64 {
 										continue
 									}
 									acc += float64(wd[(((oc*c.InC+ic)*k+kd)*k+kh)*k+kw]) *
-										float64(xd[((ic*id+zi)*ih+yi)*iw+xi])
+										xd[((ic*id+zi)*ih+yi)*iw+xi]
 								}
 							}
 						}

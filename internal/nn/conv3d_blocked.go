@@ -10,27 +10,48 @@ import (
 // handling so any output width works.
 const widthBlock = 28
 
-// forwardBlocked is the Go port of the paper's Algorithm 1: direct forward
+// algorithm1 is the Go port of the paper's Algorithm 1: direct forward
 // convolution over 16-channel-blocked input, output and weight arrays, with
 // the output width dimension blocked by 28 voxels and the three innermost
 // loops (ow, oc, ic) fully regular so the compiler can keep them in
-// registers. Threading is decomposed over the output voxel space with each
-// goroutine writing to a disjoint block, as in §III-C.
-func (c *Conv3D) forwardBlocked(x *tensor.Tensor) *tensor.Tensor {
-	in := x.Shape()
+// registers. Each sample is converted to the blocked layout, one
+// parallel-for runs every (sample, channel-block, depth) slab with each
+// task writing a disjoint block, as in §III-C, and the results are
+// converted back. Blocked scratch comes from ctx's buffer pool; useBlocked
+// guarantees the channel counts are multiples of BlockSize, so recycled
+// buffers have no padding lanes to clear.
+func (c *Conv3D) algorithm1(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
+	in := xs[0].Shape()
 	out := c.OutputShape(in)
-	od := out[1]
-
-	src := tensor.ToBlocked(x)
 	c.ensurePacked()
-	dst := tensor.NewBlocked(c.OutC, od, out[2], out[3])
 
-	// Thread decomposition over (ocb × od): each task owns a disjoint
-	// slab of the output.
-	c.pool.ForEach(dst.CB*od, 1, func(task int) {
-		c.blockedSlab(src, dst, task)
+	B := len(xs)
+	srcs := make([]*tensor.Blocked, B)
+	dsts := make([]*tensor.Blocked, B)
+	c.pool.ForEach(B, 1, func(b int) {
+		srcs[b] = tensor.WrapBlocked(ctx.buf.Get(in.NumElements()), c.InC, in[1], in[2], in[3])
+		tensor.ToBlockedInto(xs[b], srcs[b])
+		dsts[b] = tensor.WrapBlocked(ctx.buf.Get(out.NumElements()), c.OutC, out[1], out[2], out[3])
 	})
-	return tensor.FromBlocked(dst)
+
+	// One accumulator per worker chunk, reset from the bias at every width
+	// block, so no state carries between tasks.
+	slabs := (c.OutC / tensor.BlockSize) * out[1]
+	c.pool.For(B*slabs, 1, func(lo, hi int) {
+		acc := make([]float32, widthBlock*tensor.BlockSize)
+		for task := lo; task < hi; task++ {
+			c.blockedSlab(srcs[task/slabs], dsts[task/slabs], task%slabs, acc)
+		}
+	})
+
+	ys := make([]*tensor.Tensor, B)
+	c.pool.ForEach(B, 1, func(b int) {
+		ctx.buf.Put(srcs[b].Data)
+		ys[b] = ctx.alloc(out...)
+		tensor.FromBlockedInto(dsts[b], ys[b])
+		ctx.buf.Put(dsts[b].Data)
+	})
+	return ys
 }
 
 // ensurePacked rebuilds the blocked weight pack if the weight version moved.
@@ -42,12 +63,12 @@ func (c *Conv3D) ensurePacked() {
 }
 
 // blockedSlab computes one (output-channel-block, depth) slab of the
-// Algorithm-1 kernel, task = ob·od + z. It is the unit of thread
-// decomposition for both the single-sample and batched forward paths; the
-// slab's accumulators are task-local and every element of the slab is
-// written, so scheduling (sample, slab) tasks in any order over any worker
-// count produces bit-identical results.
-func (c *Conv3D) blockedSlab(src, dst *tensor.Blocked, task int) {
+// Algorithm-1 kernel, task = ob·od + z, using acc (widthBlock·BlockSize
+// values) as its accumulators. It is the blocked kernel's unit of thread
+// decomposition; every element of the slab is written, so scheduling
+// (sample, slab) tasks in any order over any worker count produces
+// bit-identical results.
+func (c *Conv3D) blockedSlab(src, dst *tensor.Blocked, task int, acc []float32) {
 	id, ih, iw := src.D, src.H, src.W
 	od, oh, ow := dst.D, dst.H, dst.W
 	k, p := c.K, c.Pad
@@ -58,7 +79,6 @@ func (c *Conv3D) blockedSlab(src, dst *tensor.Blocked, task int) {
 
 	ob := task / od
 	z := task % od
-	acc := make([]float32, widthBlock*bs)
 	for yy := 0; yy < oh; yy++ {
 		for x0 := 0; x0 < ow; x0 += widthBlock {
 			wb := widthBlock
@@ -114,97 +134,6 @@ func (c *Conv3D) blockedSlab(src, dst *tensor.Blocked, task int) {
 			dstRow := ((ob*od+z)*oh + yy) * ow * bs
 			for j := 0; j < wb; j++ {
 				copy(dst.Data[dstRow+(x0+j)*bs:dstRow+(x0+j)*bs+bs], acc[j*bs:j*bs+bs])
-			}
-		}
-	}
-}
-
-// blockedSlabBatch computes one (output-channel-block, depth) slab for a
-// whole micro-batch, with the batch looped inside the kernel-offset loops:
-// each 16×16 weight block is fetched once per (kd, kh, kw) and applied to
-// all B samples while it is cache-hot, amortizing the weight stream — the
-// batch dimension the paper's MKL-DNN kernels block over. For a fixed
-// sample the accumulator receives the same additions in the same
-// (ib, kd, kh, kw, j, ic, oc) order as blockedSlab, so batched outputs are
-// bit-identical to the per-sample kernel. acc is caller-provided scratch of
-// length >= B·widthBlock·BlockSize.
-func (c *Conv3D) blockedSlabBatch(srcs, dsts []*tensor.Blocked, task int, acc []float32) {
-	id, ih, iw := srcs[0].D, srcs[0].H, srcs[0].W
-	od, oh, ow := dsts[0].D, dsts[0].H, dsts[0].W
-	k, p := c.K, c.Pad
-	bs := tensor.BlockSize
-	wgt := c.packed
-	bd := c.B.Value.Data()
-	icb := srcs[0].CB
-	B := len(srcs)
-	stride := widthBlock * bs
-
-	ob := task / od
-	z := task % od
-	for yy := 0; yy < oh; yy++ {
-		for x0 := 0; x0 < ow; x0 += widthBlock {
-			wb := widthBlock
-			if x0+wb > ow {
-				wb = ow - x0
-			}
-			// Initialize every sample's accumulators with the bias.
-			for b := 0; b < B; b++ {
-				a := acc[b*stride : b*stride+wb*bs]
-				for j := 0; j < wb; j++ {
-					for oc := 0; oc < bs; oc++ {
-						a[j*bs+oc] = bd[ob*bs+oc]
-					}
-				}
-			}
-			for ib := 0; ib < icb; ib++ {
-				for kd := 0; kd < k; kd++ {
-					zi := z + kd - p
-					if zi < 0 || zi >= id {
-						continue
-					}
-					for kh := 0; kh < k; kh++ {
-						yi := yy + kh - p
-						if yi < 0 || yi >= ih {
-							continue
-						}
-						srcRow := ((ib*id+zi)*ih + yi) * iw * bs
-						for kw := 0; kw < k; kw++ {
-							wOff := ((((ob*icb+ib)*k+kd)*k+kh)*k + kw) * bs * bs
-							wBlk := wgt.Data[wOff : wOff+bs*bs]
-							for b := 0; b < B; b++ {
-								src := srcs[b].Data
-								a := acc[b*stride:]
-								for j := 0; j < wb; j++ {
-									xi := x0 + j + kw - p
-									if xi < 0 || xi >= iw {
-										continue
-									}
-									sRow := src[srcRow+xi*bs : srcRow+xi*bs+bs]
-									aRow := a[j*bs : j*bs+bs]
-									for ic := 0; ic < bs; ic++ {
-										sv := sRow[ic]
-										if sv == 0 {
-											continue
-										}
-										wRow := wBlk[ic*bs : ic*bs+bs]
-										for oc := 0; oc < bs; oc++ {
-											aRow[oc] += wRow[oc] * sv
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-			// Flush every sample's accumulators to its blocked destination.
-			dstRow := ((ob*od+z)*oh + yy) * ow * bs
-			for b := 0; b < B; b++ {
-				dst := dsts[b].Data
-				a := acc[b*stride:]
-				for j := 0; j < wb; j++ {
-					copy(dst[dstRow+(x0+j)*bs:dstRow+(x0+j)*bs+bs], a[j*bs:j*bs+bs])
-				}
 			}
 		}
 	}

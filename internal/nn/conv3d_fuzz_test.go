@@ -10,16 +10,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// FuzzConvGeometry drives Conv3D over random small geometries: InC 1–3,
-// OutC 1–5, extents 1–9, kernel 1–4, stride 1–2, padding 0–2, batch 1–3.
-// A kernel wider than a padded extent must be refused with convOutDim's
-// named panic. Any other geometry must agree with the float64 loop nests
-// — Forward to 1e-4 of refConvForward, and Backward to 1e-4 of the
-// magnitude of refConvBackward's summed terms —
-// and every InferBatch sample must be bit-equal to Infer on that sample.
-// The seeds are the stride-2 short input whose (−1)/2 extent once
-// truncated to 1, a width-1 volume, k=4 without padding, a 1³ volume, an
-// odd OutC, and three random shapes.
+// FuzzConvGeometry drives Conv3D over random small geometries: InC 1–3 or
+// 16, OutC 1–5 or 16 (16→16 at stride 1 takes the blocked kernel), depth
+// and height 1–9, width 1–30, kernel 1–4, stride 1–2, padding 0–2, batch
+// 1–3. A kernel wider than a padded extent must be refused with
+// convOutDim's named panic. Any other geometry must agree with the float64
+// loop nests — Forward to 1e-4 of refConvForward, and Backward to 1e-4 of
+// the magnitude of refConvBackward's summed terms — and every sample of a
+// batched forward must be bit-equal to Forward on that sample alone. The
+// seeds are the stride-2 short input whose (−1)/2 extent once truncated to
+// 1, a width-1 volume, k=4 without padding, a 1³ volume, an odd OutC, three
+// random shapes, and blocked 16→16 layers whose widths straddle the
+// widthBlock accumulator.
 func FuzzConvGeometry(f *testing.F) {
 	pool := parallel.NewPool(2)
 	f.Cleanup(pool.Close)
@@ -33,6 +35,8 @@ func FuzzConvGeometry(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(9), uint8(2), uint8(7), uint8(2), uint8(2), uint8(2), uint8(1), int64(6))
 	f.Add(uint8(3), uint8(3), uint8(6), uint8(7), uint8(2), uint8(1), uint8(1), uint8(0), uint8(2), int64(7))
 	f.Add(uint8(2), uint8(4), uint8(8), uint8(5), uint8(3), uint8(3), uint8(2), uint8(1), uint8(3), int64(8))
+	f.Add(uint8(16), uint8(16), uint8(2), uint8(2), uint8(widthBlock-1), uint8(3), uint8(1), uint8(1), uint8(2), int64(9))
+	f.Add(uint8(16), uint8(16), uint8(1), uint8(2), uint8(widthBlock+1), uint8(3), uint8(1), uint8(1), uint8(3), int64(10))
 
 	f.Fuzz(func(t *testing.T, inC, outC, d, h, w, k, stride, pad, batch uint8, seed int64) {
 		// Map each byte into [lo, hi], leaving in-range values (the seeds) as
@@ -41,8 +45,19 @@ func FuzzConvGeometry(f *testing.F) {
 			n := hi - lo + 1
 			return lo + ((int(v)-lo)%n+n)%n
 		}
-		ic, oc := in(inC, 1, 3), in(outC, 1, 5)
-		shape := tensor.Shape{ic, in(d, 1, 9), in(h, 1, 9), in(w, 1, 9)}
+		// A channel byte maps onto 1–hi or the SIMD block width, leaving
+		// those values as they are.
+		chans := func(v uint8, hi int) int {
+			if v == tensor.BlockSize {
+				return tensor.BlockSize
+			}
+			if n := in(v, 1, hi+1); n <= hi {
+				return n
+			}
+			return tensor.BlockSize
+		}
+		ic, oc := chans(inC, 3), chans(outC, 5)
+		shape := tensor.Shape{ic, in(d, 1, 9), in(h, 1, 9), in(w, 1, widthBlock+2)}
 		kk, s, p := in(k, 1, 4), in(stride, 1, 2), in(pad, 0, 2)
 
 		rng := rand.New(rand.NewSource(seed))
@@ -61,17 +76,16 @@ func FuzzConvGeometry(f *testing.F) {
 		}
 
 		const tol = 1e-4
-		y := c.Forward(xs[0])
-		if e := maxRelErr(y.Data(), refConvForward(c, xs[0])); e > tol {
-			t.Fatalf("%v k%d s%d p%d: Forward relative error %g", shape, kk, s, p, e)
-		}
-
 		ys := c.inferBatch(xs, &batchCtx{pool: pool, buf: tensor.NewBufPool()})
-		for i, x := range xs {
-			want := c.Infer(x).Data()
+		var y *tensor.Tensor
+		for i := len(xs) - 1; i >= 0; i-- { // xs[0] last: Backward reads its cached input
+			y = c.Forward(xs[i])
+			if e := maxRelErr(y.Data(), refConvForward(c, xs[i])); e > tol {
+				t.Fatalf("%v k%d s%d p%d: Forward sample %d relative error %g", shape, kk, s, p, i, e)
+			}
 			for j, v := range ys[i].Data() {
-				if v != want[j] {
-					t.Fatalf("%v k%d s%d p%d: InferBatch sample %d out[%d] = %v, Infer = %v", shape, kk, s, p, i, j, v, want[j])
+				if v != y.Data()[j] {
+					t.Fatalf("%v k%d s%d p%d: batched sample %d out[%d] = %v, Forward = %v", shape, kk, s, p, i, j, v, y.Data()[j])
 				}
 			}
 		}

@@ -32,7 +32,7 @@ func (f *Flatten) BwdFLOPs(tensor.Shape) int64 { return 0 }
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	f.inShape = x.Shape().Clone()
-	return x.Reshape(x.NumElements())
+	return forwardOne(f, x)
 }
 
 // Backward implements Layer.
@@ -89,23 +89,11 @@ func (d *Dense) BwdFLOPs(tensor.Shape) int64 {
 	return 4*int64(d.In)*int64(d.Out) + int64(d.Out)
 }
 
-// Forward implements Layer.
+// Forward implements Layer: the batch kernel at B=1, caching x for
+// Backward.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
+	y := forwardOne(d, x)
 	d.x = x
-	return d.apply(x)
-}
-
-// apply computes y = Wx + b without caching the input, shared by the
-// training Forward and the inference-only Infer paths.
-func (d *Dense) apply(x *tensor.Tensor) *tensor.Tensor {
-	if x.NumElements() != d.In {
-		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", d.Name(), d.In, x.NumElements()))
-	}
-	y := tensor.New(d.Out)
-	xd, yd := x.Data(), y.Data()
-	d.pool.For(d.Out, 16, func(lo, hi int) {
-		d.applyRange(xd, yd, lo, hi)
-	})
 	return y
 }
 

@@ -8,52 +8,74 @@ import (
 	"repro/internal/tensor"
 )
 
-// Batched inference: the serving counterpart of the paper's batched,
-// blocked MKL-DNN kernels (§III-C). Infer processes one sample per forward
-// pass (the paper's per-rank batch size); InferBatch gives the hot path a
-// real batch dimension, scheduling one (sample × task) index space per
-// layer through internal/parallel so a micro-batch of B volumes runs as a
-// single forward instead of B. Every kernel keeps the training path's
-// decomposition rule — each task owns a disjoint output range and each
-// output element's accumulation order is unchanged — so batched outputs are
-// bit-identical to the sequential per-sample path, preserving the serving
-// replica bit-identity contract.
+// One forward implementation per layer: inferBatch runs a batch of
+// same-shaped samples as one (sample × task) index space over the layer's
+// per-sample task function — directChannel or blockedSlab, poolChannel,
+// applyRange, applyInto, inferChannel — scheduled through internal/parallel.
+// Each task owns a disjoint output range and every output element's
+// accumulation order is fixed by the geometry alone, so sample i's output
+// is bit-identical at every batch size and worker count. Layer.Forward is
+// inferBatch at B=1 plus the caching Backward needs (BatchNorm3D and
+// Dropout keep their own mode-dependent Forward), and Network.Infer and
+// InferBatch drive one shared layer loop.
 
-// batchCtx carries the shared state of one batched forward pass: the worker
-// pool intra-batch tasks are scheduled on, and the buffer pool activation
-// and blocked-layout scratch recycle through across layers and calls.
+// batchCtx carries the shared state of one forward pass: the worker pool
+// poolless layers schedule their tasks on, and the buffer pool activations
+// and blocked-layout scratch recycle through. A nil buf allocates every
+// buffer fresh and retains none.
 type batchCtx struct {
 	pool *parallel.Pool
 	buf  *tensor.BufPool
 }
 
 // alloc returns a tensor over a recycled, UNINITIALIZED buffer. Every
-// batched kernel stores (never accumulates) into all elements of its
-// output, so no clearing is needed.
+// kernel stores (never accumulates) into all elements of its output, so no
+// clearing is needed.
 func (ctx *batchCtx) alloc(shape ...int) *tensor.Tensor {
 	return tensor.FromData(ctx.buf.Get(tensor.Shape(shape).NumElements()), shape...)
 }
 
-// batchInferrer is implemented by layers with a batch-aware inference
-// kernel: one call processes the whole micro-batch.
-type batchInferrer interface {
-	inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor
+// serial runs the tasks of layers without a worker pool of their own on
+// the calling goroutine when they are driven by Layer.Forward.
+var serial = parallel.NewPool(1)
+
+// forwardOne is the kernel behind Layer.Forward: l's batch forward at B=1
+// over freshly allocated buffers.
+func forwardOne(l Layer, x *tensor.Tensor) *tensor.Tensor {
+	return l.inferBatch([]*tensor.Tensor{x}, &batchCtx{pool: serial})[0]
+}
+
+// Infer runs one sample through the network without caching activations
+// for a subsequent Backward (mode-dependent layers behave as with
+// SetTraining(false)). It is InferBatch at B=1 except that every buffer is
+// allocated fresh and none is retained. A single network still serves one
+// Infer at a time; run concurrent inference on Clone replicas.
+func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor {
+	return n.forwardBatch([]*tensor.Tensor{x}, nil)[0]
 }
 
 // InferBatch runs a micro-batch of same-shaped inputs through the network
-// as one forward pass and returns one output per input. Outputs are
-// bit-identical to calling Infer on each input in order (mode-dependent
-// layers behave as with SetTraining(false)). Like Infer, a single network
-// serves one InferBatch at a time; run concurrent batches on Clone
-// replicas. Intermediate activations recycle through a per-network buffer
-// pool, so steady-state batched inference allocates almost nothing beyond
+// as one forward pass and returns one output per input, each bit-identical
+// to Infer on that input. Like Infer, a single network serves one
+// InferBatch at a time; run concurrent batches on Clone replicas.
+// Intermediate activations recycle through a per-network buffer pool, so
+// steady-state inference at any batch size allocates almost nothing beyond
 // its outputs.
 func (n *Network) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
-	switch len(xs) {
-	case 0:
+	if n.batchBuf == nil {
+		n.batchBuf = tensor.NewBufPool()
+	}
+	return n.forwardBatch(xs, n.batchBuf)
+}
+
+// forwardBatch is the layer loop behind Infer and InferBatch, drawing
+// activations from buf (nil: fresh allocations). With a trace attached,
+// each layer's kernel time lands in its span (one observation covers the
+// whole batch) and the pass in the forward span; untraced passes read no
+// clock.
+func (n *Network) forwardBatch(xs []*tensor.Tensor, buf *tensor.BufPool) []*tensor.Tensor {
+	if len(xs) == 0 {
 		return nil
-	case 1:
-		return []*tensor.Tensor{n.Infer(xs[0])}
 	}
 	shape := xs[0].Shape()
 	for _, x := range xs[1:] {
@@ -62,19 +84,13 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 				shape, x.Shape()))
 		}
 	}
-	if n.batchBuf == nil {
-		n.batchBuf = tensor.NewBufPool()
-	}
-	ctx := &batchCtx{pool: n.inferPool(), buf: n.batchBuf}
+	ctx := &batchCtx{pool: n.inferPool(), buf: buf}
 
 	// cur flows through the layers; owned tracks whether its buffers came
 	// from the recycler (caller inputs never do) and may return to it once
 	// the next layer has consumed them. Zero-copy layers (Flatten's
 	// reshape, Dropout's inference identity) alias their input, detected by
 	// backing-pointer identity, in which case ownership simply carries.
-	// With a trace attached, each layer's kernel time lands in its span
-	// (batch granularity: one observation covers the whole micro-batch);
-	// untraced passes skip every clock read.
 	tr := n.trace
 	var start, last time.Time
 	if tr != nil {
@@ -83,15 +99,7 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	}
 	cur, owned := xs, false
 	for li, l := range n.Layers {
-		var next []*tensor.Tensor
-		if bi, ok := l.(batchInferrer); ok {
-			next = bi.inferBatch(cur, ctx)
-		} else {
-			next = make([]*tensor.Tensor, len(cur))
-			for i, x := range cur {
-				next[i] = inferLayer(l, x)
-			}
-		}
+		next := l.inferBatch(cur, ctx)
 		if tr != nil {
 			now := time.Now()
 			tr.Layers[li].Observe(now.Sub(last))
@@ -113,9 +121,9 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	return cur
 }
 
-// inferPool returns the worker pool batched inference schedules poolless
-// layers on: the first compute layer's pool, so the whole forward shares
-// one intra-node thread set, or parallel.Default for networks without one.
+// inferPool returns the worker pool inference schedules poolless layers
+// on: the first compute layer's pool, so the whole forward shares one
+// intra-node thread set, or parallel.Default for networks without one.
 func (n *Network) inferPool() *parallel.Pool {
 	for _, l := range n.Layers {
 		switch v := l.(type) {
@@ -135,81 +143,28 @@ func sameBacking(a, b *tensor.Tensor) bool {
 	return len(ad) > 0 && len(bd) > 0 && &ad[0] == &bd[0]
 }
 
-// inferBatch implements batchInferrer: the same direct or Algorithm-1
-// blocked kernels as Infer, with thread decomposition widened from the
-// per-sample task space to (batch × task).
+// inferBatch implements Layer: the Algorithm-1 blocked kernel when
+// useBlocked allows it, otherwise the direct kernel over (sample × output
+// channel) tasks.
 func (c *Conv3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
 	in := xs[0].Shape()
 	c.checkInput(in)
 	if c.useBlocked() {
-		return c.inferBatchBlocked(xs, ctx)
+		return c.algorithm1(xs, ctx)
 	}
 	out := c.OutputShape(in)
 	ys := make([]*tensor.Tensor, len(xs))
-	xds := make([][]float32, len(xs))
-	yds := make([][]float32, len(xs))
 	for i := range ys {
 		ys[i] = ctx.alloc(out...)
-		xds[i] = xs[i].Data()
-		yds[i] = ys[i].Data()
 	}
-	// One task per output channel, batch innermost: weights and index
-	// arithmetic amortize over the B samples (directChannelBatch), and each
-	// worker still owns a disjoint output range.
-	c.pool.For(c.OutC, 1, func(lo, hi int) {
-		accs := make([]float64, len(xs))
-		for oc := lo; oc < hi; oc++ {
-			c.directChannelBatch(xds, yds, in, out, oc, accs)
-		}
+	c.pool.ForEach(len(xs)*c.OutC, 1, func(task int) {
+		b, oc := task/c.OutC, task%c.OutC
+		c.directChannel(xs[b].Data(), ys[b].Data(), in, out, oc)
 	})
 	return ys
 }
 
-// inferBatchBlocked runs Algorithm 1 over the whole micro-batch: one layout
-// conversion pass, then one parallel-for over every (sample, channel-block,
-// depth) slab, sharing a single packed weight set. Blocked scratch recycles
-// through the buffer pool; useBlocked guarantees the channel counts are
-// multiples of BlockSize, so recycled buffers have no padding lanes to
-// clear.
-func (c *Conv3D) inferBatchBlocked(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
-	in := xs[0].Shape()
-	out := c.OutputShape(in)
-	od := out[1]
-	c.ensurePacked()
-
-	B := len(xs)
-	srcs := make([]*tensor.Blocked, B)
-	dsts := make([]*tensor.Blocked, B)
-	srcLen := c.InC * in[1] * in[2] * in[3]
-	dstLen := c.OutC * od * out[2] * out[3]
-	c.pool.ForEach(B, 1, func(b int) {
-		srcs[b] = tensor.WrapBlocked(ctx.buf.Get(srcLen), c.InC, in[1], in[2], in[3])
-		tensor.ToBlockedInto(xs[b], srcs[b])
-		dsts[b] = tensor.WrapBlocked(ctx.buf.Get(dstLen), c.OutC, od, out[2], out[3])
-	})
-
-	// One task per slab, batch innermost: each 16×16 weight block streams
-	// once per kernel offset and serves all B samples (blockedSlabBatch),
-	// and each worker still owns disjoint output slabs across all samples.
-	slabs := (c.OutC / tensor.BlockSize) * od
-	c.pool.For(slabs, 1, func(lo, hi int) {
-		acc := make([]float32, B*widthBlock*tensor.BlockSize)
-		for task := lo; task < hi; task++ {
-			c.blockedSlabBatch(srcs, dsts, task, acc)
-		}
-	})
-
-	ys := make([]*tensor.Tensor, B)
-	c.pool.ForEach(B, 1, func(b int) {
-		ctx.buf.Put(srcs[b].Data)
-		ys[b] = ctx.alloc(out...)
-		tensor.FromBlockedInto(dsts[b], ys[b])
-		ctx.buf.Put(dsts[b].Data)
-	})
-	return ys
-}
-
-// inferBatch implements batchInferrer, decomposed over (sample × channel).
+// inferBatch implements Layer, decomposed over (sample × channel).
 func (p *AvgPool3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
 	in := xs[0].Shape()
 	out := p.OutputShape(in)
@@ -225,7 +180,7 @@ func (p *AvgPool3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Ten
 	return ys
 }
 
-// inferBatch implements batchInferrer, decomposed over samples (the
+// inferBatch implements Layer, decomposed over samples (the
 // element-wise stages are bandwidth-bound; one sample per task keeps them
 // cache-local).
 func (l *LeakyReLU) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
@@ -239,7 +194,7 @@ func (l *LeakyReLU) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Ten
 	return ys
 }
 
-// inferBatch implements batchInferrer: y = Wx + b over the whole batch,
+// inferBatch implements Layer: y = Wx + b over the whole batch,
 // decomposed over (sample × output-row) with contiguous per-sample row
 // ranges per worker.
 func (d *Dense) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
@@ -265,7 +220,7 @@ func (d *Dense) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor 
 	return ys
 }
 
-// inferBatch implements batchInferrer: normalization by the running
+// inferBatch implements Layer: normalization by the running
 // statistics (inference mode), decomposed over (sample × channel).
 func (bn *BatchNorm3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
 	s := xs[0].Shape()
@@ -284,7 +239,7 @@ func (bn *BatchNorm3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.
 	return ys
 }
 
-// inferBatch implements batchInferrer: zero-copy reshapes.
+// inferBatch implements Layer: zero-copy reshapes.
 func (f *Flatten) inferBatch(xs []*tensor.Tensor, _ *batchCtx) []*tensor.Tensor {
 	ys := make([]*tensor.Tensor, len(xs))
 	for i, x := range xs {
@@ -293,6 +248,6 @@ func (f *Flatten) inferBatch(xs []*tensor.Tensor, _ *batchCtx) []*tensor.Tensor 
 	return ys
 }
 
-// inferBatch implements batchInferrer: dropout is the identity at
+// inferBatch implements Layer: dropout is the identity at
 // inference.
 func (d *Dropout) inferBatch(xs []*tensor.Tensor, _ *batchCtx) []*tensor.Tensor { return xs }

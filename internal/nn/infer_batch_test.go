@@ -2,7 +2,9 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/parallel"
@@ -50,28 +52,99 @@ func randBatch(shape tensor.Shape, n int, seed int64) []*tensor.Tensor {
 	return xs
 }
 
-// TestInferBatchMatchesSequential is the batched-path contract: InferBatch
-// over every layer type must be bit-identical to per-sample Infer, for
-// every batch size.
-func TestInferBatchMatchesSequential(t *testing.T) {
-	pool := parallel.NewPool(1)
-	net := allLayerNet(t, pool, 3)
-	for _, B := range []int{1, 2, 3, 5, 8} {
-		xs := randBatch(net.InputShape(), B, int64(100+B))
-		want := make([][]float32, B)
-		for i, x := range xs {
-			want[i] = append([]float32(nil), net.Infer(x).Data()...)
+// requireBits fails t unless got and want hold the same float32 bits.
+func requireBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("%s: out[%d] = %v, want %v", what, j, got[j], want[j])
 		}
-		ys := net.InferBatch(xs)
-		if len(ys) != B {
-			t.Fatalf("B=%d: InferBatch returned %d outputs", B, len(ys))
-		}
-		for i, y := range ys {
-			for j, v := range y.Data() {
-				if v != want[i][j] {
-					t.Fatalf("B=%d sample %d out[%d]: batched %v != sequential %v",
-						B, i, j, v, want[i][j])
+	}
+}
+
+// refNetForward is the float64 loop-nest reference of the inference-mode
+// forward pass over every layer type, rounding nothing to float32.
+func refNetForward(net *Network, x *tensor.Tensor) []float64 {
+	shape, v := x.Shape(), toFloat64(x.Data())
+	for _, l := range net.Layers {
+		out := l.OutputShape(shape)
+		switch l := l.(type) {
+		case *Conv3D:
+			v = refConv(l, shape, v)
+		case *BatchNorm3D:
+			g, b := l.Gamma.Value.Data(), l.Beta.Value.Data()
+			n := shape[1] * shape[2] * shape[3]
+			for i := range v {
+				c := i / n
+				inv := 1 / math.Sqrt(float64(l.runVar[c])+float64(l.Eps))
+				v[i] = float64(g[c])*(v[i]-float64(l.runMean[c]))*inv + float64(b[c])
+			}
+		case *LeakyReLU:
+			for i, f := range v {
+				if f <= 0 {
+					v[i] = float64(l.Alpha) * f
 				}
+			}
+		case *AvgPool3D:
+			y := make([]float64, out.NumElements())
+			for i := range y {
+				xx, yy, z, c := i%out[3], i/out[3]%out[2], i/(out[3]*out[2])%out[1], i/(out[3]*out[2]*out[1])
+				for kd := 0; kd < l.K; kd++ {
+					for kh := 0; kh < l.K; kh++ {
+						for kw := 0; kw < l.K; kw++ {
+							y[i] += v[((c*shape[1]+z*l.Stride+kd)*shape[2]+yy*l.Stride+kh)*shape[3]+xx*l.Stride+kw]
+						}
+					}
+				}
+				y[i] /= float64(l.K * l.K * l.K)
+			}
+			v = y
+		case *Dense:
+			y := make([]float64, l.Out)
+			w, b := l.W.Value.Data(), l.B.Value.Data()
+			for o := range y {
+				y[o] = float64(b[o])
+				for i, f := range v {
+					y[o] += float64(w[o*l.In+i]) * f
+				}
+			}
+			v = y
+		case *Dropout, *Flatten:
+		default:
+			panic(fmt.Sprintf("refNetForward: no reference for %T", l))
+		}
+		shape = out
+	}
+	return v
+}
+
+// TestInferBatchMatchesSequential is the forward contract over every layer
+// type: each sample's output lies within 1e-4 of the float64 reference and
+// is bit-identical across batch sizes, worker counts and Infer.
+func TestInferBatchMatchesSequential(t *testing.T) {
+	pool3 := parallel.NewPool(3)
+	defer pool3.Close()
+	nets := []*Network{allLayerNet(t, parallel.NewPool(1), 3), allLayerNet(t, pool3, 3)}
+	xs := randBatch(nets[0].InputShape(), 8, 100)
+	want := make([][]float32, len(xs))
+	for i, x := range xs {
+		want[i] = append([]float32(nil), nets[0].Infer(x).Data()...)
+		if e := maxRelErr(want[i], refNetForward(nets[0], x)); e > 1e-4 {
+			t.Fatalf("sample %d: relative error %g against the float64 reference", i, e)
+		}
+	}
+	for _, net := range nets {
+		workers := net.inferPool().Workers()
+		for _, B := range []int{1, 2, 3, 5, 8} {
+			ys := net.InferBatch(xs[:B])
+			if len(ys) != B {
+				t.Fatalf("B=%d: InferBatch returned %d outputs", B, len(ys))
+			}
+			for i, y := range ys {
+				requireBits(t, fmt.Sprintf("workers=%d B=%d sample %d", workers, B, i), y.Data(), want[i])
 			}
 		}
 	}
@@ -145,31 +218,33 @@ func TestInferBatchBufferReuse(t *testing.T) {
 }
 
 // TestInferBatchBlockedEdgeShapes sweeps the blocked Conv3D kernel over
-// output widths below, at, and just past the widthBlock accumulator size,
-// checking batched outputs stay bit-identical to the per-sample kernel at
-// the remainder-handling boundaries.
+// output widths below, at, and just past the widthBlock accumulator size:
+// at these remainder-handling boundaries each sample must lie within 1e-4
+// of the float64 reference and be bit-identical across batch sizes and
+// worker counts.
 func TestInferBatchBlockedEdgeShapes(t *testing.T) {
-	pool := parallel.NewPool(2)
-	defer pool.Close()
+	pool3 := parallel.NewPool(3)
+	defer pool3.Close()
 	rng := rand.New(rand.NewSource(9))
 	for _, w := range []int{1, 7, widthBlock - 1, widthBlock, widthBlock + 1, 30} {
 		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
-			conv := NewConv3D("c", 16, 16, 3, 1, 1, pool, rng)
+			conv := NewConv3D("c", 16, 16, 3, 1, 1, parallel.NewPool(1), rng)
 			if !conv.useBlocked() {
 				t.Fatal("test layer should use the blocked kernel")
 			}
-			in := tensor.Shape{16, 2, 3, w}
-			xs := randBatch(in, 3, int64(w))
+			xs := randBatch(tensor.Shape{16, 2, 3, w}, 8, int64(w))
 			want := make([][]float32, len(xs))
 			for i, x := range xs {
-				want[i] = append([]float32(nil), conv.Infer(x).Data()...)
+				want[i] = append([]float32(nil), conv.Forward(x).Data()...)
+				if e := maxRelErr(want[i], refConvForward(conv, x)); e > 1e-4 {
+					t.Fatalf("sample %d: relative error %g against the float64 reference", i, e)
+				}
 			}
-			ctx := &batchCtx{pool: pool, buf: tensor.NewBufPool()}
-			ys := conv.inferBatch(xs, ctx)
-			for i, y := range ys {
-				for j, v := range y.Data() {
-					if v != want[i][j] {
-						t.Fatalf("sample %d out[%d]: batched %v != sequential %v", i, j, v, want[i][j])
+			for _, c := range []*Conv3D{conv, conv.cloneFor(pool3).(*Conv3D)} {
+				ctx := &batchCtx{pool: c.pool, buf: tensor.NewBufPool()}
+				for _, B := range []int{1, 2, 3, 5, 8} {
+					for i, y := range c.inferBatch(xs[:B], ctx) {
+						requireBits(t, fmt.Sprintf("workers=%d B=%d sample %d", c.pool.Workers(), B, i), y.Data(), want[i])
 					}
 				}
 			}
@@ -206,6 +281,33 @@ func TestInferBatchEdgeCases(t *testing.T) {
 		tensor.New(net.InputShape()...),
 		tensor.New(1, 4, 4, 4),
 	})
+}
+
+// TestInferBatchSteadyStateAllocations checks the activation recycler
+// serves every batch size, one included: after a warm-up call, a dim-16
+// base-16 InferBatch allocates less than 64 KB per sample, against the
+// ≈ 1 MB of activations a fresh-allocating forward needs.
+func TestInferBatchSteadyStateAllocations(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	net, err := BuildCosmoFlow(TopologyConfig{InputDim: 16, BaseChannels: 16, Seed: 1, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls, budget = 4, 64 << 10
+	for _, B := range []int{1, 3} {
+		xs := randBatch(net.InputShape(), B, int64(B))
+		net.InferBatch(xs) // warm the packed weights and the buffer pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			net.InferBatch(xs)
+		}
+		runtime.ReadMemStats(&after)
+		if perSample := (after.TotalAlloc - before.TotalAlloc) / uint64(calls*B); perSample >= budget {
+			t.Errorf("B=%d: %d bytes allocated per sample per call, want < %d", B, perSample, budget)
+		}
+	}
 }
 
 // TestInferBatchOnCosmoFlowTopology runs the real topology builder's

@@ -7,10 +7,11 @@
 // mini-batch size of one per rank (§III-B): convolutional tensors are rank-4
 // [C D H W], dense tensors rank-1 [N]. Backpropagation accumulates parameter
 // gradients into each Param's Grad tensor; the trainer zeroes them between
-// steps and aggregates them across ranks. For serving, Network.InferBatch
-// adds a true batch dimension on top of the same kernels: a micro-batch of
-// same-shaped volumes runs as one forward pass with batch-innermost
-// convolution loops, bit-identical to per-sample Infer.
+// steps and aggregates them across ranks. Each layer has one forward
+// kernel, written over a batch: Forward runs it at B=1, and for serving
+// Network.InferBatch runs a micro-batch of same-shaped volumes through it
+// as one (sample × task) index space, each sample's output bit-identical
+// at every batch size.
 package nn
 
 import (
@@ -54,6 +55,9 @@ type Layer interface {
 	// paper's Gflop/s accounting (§V-A).
 	FwdFLOPs(in tensor.Shape) int64
 	BwdFLOPs(in tensor.Shape) int64
+	// inferBatch is the layer's one forward kernel, run over a batch with
+	// mode-dependent layers in inference mode (see infer_batch.go).
+	inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor
 }
 
 // newParam allocates a named parameter with a zeroed gradient.

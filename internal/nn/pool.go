@@ -60,27 +60,15 @@ func (p *AvgPool3D) BwdFLOPs(in tensor.Shape) int64 { return p.FwdFLOPs(in) }
 
 // Forward implements Layer.
 func (p *AvgPool3D) Forward(x *tensor.Tensor) *tensor.Tensor {
+	y := forwardOne(p, x)
 	p.inShape = x.Shape().Clone()
-	return p.apply(x)
-}
-
-// apply computes the pooled output without caching the input shape, shared
-// by the training Forward and the inference-only Infer paths.
-func (p *AvgPool3D) apply(x *tensor.Tensor) *tensor.Tensor {
-	in := x.Shape()
-	out := p.OutputShape(in)
-	y := tensor.New(out...)
-	xd, yd := x.Data(), y.Data()
-	for c := 0; c < in[0]; c++ {
-		p.poolChannel(xd, yd, in, out, c)
-	}
 	return y
 }
 
 // poolChannel pools one channel, writing every element of that channel's
-// output. It is the unit of intra-batch thread decomposition: each (sample,
-// channel) task accumulates its windows in the same order as the sequential
-// path, so results are bit-identical under any scheduling.
+// output. It is the unit of thread decomposition: each (sample, channel)
+// task accumulates its windows in a fixed order, so results are
+// bit-identical under any scheduling.
 func (p *AvgPool3D) poolChannel(xd, yd []float32, in, out tensor.Shape, c int) {
 	id, ih, iw := in[1], in[2], in[3]
 	od, oh, ow := out[1], out[2], out[3]

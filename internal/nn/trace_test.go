@@ -9,8 +9,7 @@ import (
 )
 
 // TestTracedInferBitIdentical: attaching a trace must never change what the
-// network computes — the timed loop is a twin of the untimed one, not a
-// reimplementation.
+// network computes — it only adds clock reads around the one layer loop.
 func TestTracedInferBitIdentical(t *testing.T) {
 	pool := parallel.NewPool(1)
 	net := allLayerNet(t, pool, 17)

@@ -19,19 +19,6 @@ type Blocked struct {
 	Data    []float32
 }
 
-// NewBlocked allocates a zeroed blocked volume for c channels over a
-// d×h×w spatial grid.
-func NewBlocked(c, d, h, w int) *Blocked {
-	if c <= 0 || d <= 0 || h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("tensor: invalid blocked extents c=%d d=%d h=%d w=%d", c, d, h, w))
-	}
-	cb := (c + BlockSize - 1) / BlockSize
-	return &Blocked{
-		C: c, D: d, H: h, W: w, CB: cb,
-		Data: make([]float32, cb*d*h*w*BlockSize),
-	}
-}
-
 // Index returns the flat offset of channel c at voxel (d, h, w).
 func (b *Blocked) Index(c, d, h, w int) int {
 	cb, ci := c/BlockSize, c%BlockSize
@@ -48,11 +35,12 @@ func (b *Blocked) Set(v float32, c, d, h, w int) { b.Data[b.Index(c, d, h, w)] =
 func (b *Blocked) Zero() { ZeroSlice(b.Data) }
 
 // WrapBlocked builds a blocked volume over an existing slice without
-// copying, the Blocked analogue of FromData: the batched kernels recycle
-// their blocked scratch through a BufPool instead of allocating per call.
-// data must hold exactly ceil(c/BlockSize)·d·h·w·BlockSize values; when c is
-// not a multiple of BlockSize the channel-padding lanes must already be zero
-// (a recycled buffer from a same-shape conversion satisfies this).
+// copying, the Blocked analogue of FromData: the conv kernels recycle their
+// blocked scratch through a BufPool instead of allocating per call. data
+// must hold exactly ceil(c/BlockSize)·d·h·w·BlockSize values; when c is not
+// a multiple of BlockSize the channel-padding lanes must already be zero (a
+// fresh slice, or a recycled buffer from a same-shape conversion, satisfies
+// this).
 func WrapBlocked(data []float32, c, d, h, w int) *Blocked {
 	if c <= 0 || d <= 0 || h <= 0 || w <= 0 {
 		panic(fmt.Sprintf("tensor: invalid blocked extents c=%d d=%d h=%d w=%d", c, d, h, w))
@@ -65,22 +53,10 @@ func WrapBlocked(data []float32, c, d, h, w int) *Blocked {
 	return &Blocked{C: c, D: d, H: h, W: w, CB: cb, Data: data}
 }
 
-// ToBlocked converts a CDHW tensor (shape [C D H W]) into the blocked layout.
-func ToBlocked(t *Tensor) *Blocked {
-	s := t.Shape()
-	if len(s) != 4 {
-		panic(fmt.Sprintf("tensor: ToBlocked requires a rank-4 CDHW tensor, got %v", s))
-	}
-	c, d, h, w := s[0], s[1], s[2], s[3]
-	b := NewBlocked(c, d, h, w)
-	ToBlockedInto(t, b)
-	return b
-}
-
-// ToBlockedInto converts a CDHW tensor into dst, which must have matching
-// extents. Only the real channel lanes are written; dst's channel padding is
-// left untouched (NewBlocked zeroes it, and the converters never write it,
-// so recycled buffers stay valid).
+// ToBlockedInto converts a CDHW tensor (shape [C D H W]) into dst, which
+// must have matching extents. Only the real channel lanes are written; dst's
+// channel padding is left untouched (a fresh slice is zero there, and the
+// converters never write it, so recycled buffers stay valid).
 func ToBlockedInto(t *Tensor, b *Blocked) {
 	s := t.Shape()
 	if len(s) != 4 {
@@ -104,14 +80,6 @@ func ToBlockedInto(t *Tensor, b *Blocked) {
 			}
 		}
 	}
-}
-
-// FromBlocked converts a blocked volume back into a CDHW tensor, discarding
-// the channel padding.
-func FromBlocked(b *Blocked) *Tensor {
-	t := New(b.C, b.D, b.H, b.W)
-	FromBlockedInto(b, t)
-	return t
 }
 
 // FromBlockedInto converts a blocked volume into an existing CDHW tensor of

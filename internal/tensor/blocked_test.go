@@ -23,13 +23,35 @@ func smallFloatSlices(maxLen int) func([]reflect.Value, *rand.Rand) {
 	}
 }
 
+// newBlocked allocates a zeroed blocked volume for c channels over a
+// d×h×w grid.
+func newBlocked(c, d, h, w int) *Blocked {
+	cb := (c + BlockSize - 1) / BlockSize
+	return WrapBlocked(make([]float32, cb*d*h*w*BlockSize), c, d, h, w)
+}
+
+// toBlocked converts a CDHW tensor into a fresh blocked volume.
+func toBlocked(a *Tensor) *Blocked {
+	s := a.Shape()
+	b := newBlocked(s[0], s[1], s[2], s[3])
+	ToBlockedInto(a, b)
+	return b
+}
+
+// fromBlocked converts a blocked volume into a fresh CDHW tensor.
+func fromBlocked(b *Blocked) *Tensor {
+	t := New(b.C, b.D, b.H, b.W)
+	FromBlockedInto(b, t)
+	return t
+}
+
 func TestBlockedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, c := range []int{1, 3, 16, 17, 32, 48} {
 		a := New(c, 3, 4, 5)
 		a.RandNormal(rng, 0, 1)
-		b := ToBlocked(a)
-		back := FromBlocked(b)
+		b := toBlocked(a)
+		back := fromBlocked(b)
 		if !back.Shape().Equal(a.Shape()) {
 			t.Fatalf("c=%d: shape %v != %v", c, back.Shape(), a.Shape())
 		}
@@ -40,7 +62,7 @@ func TestBlockedRoundTrip(t *testing.T) {
 }
 
 func TestBlockedIndexConsistency(t *testing.T) {
-	b := NewBlocked(20, 2, 3, 4)
+	b := newBlocked(20, 2, 3, 4)
 	b.Set(5, 17, 1, 2, 3)
 	if b.At(17, 1, 2, 3) != 5 {
 		t.Error("At/Set inconsistent")
@@ -55,8 +77,9 @@ func TestBlockedIndexConsistency(t *testing.T) {
 func TestBlockedPaddingIsZero(t *testing.T) {
 	a := New(17, 2, 2, 2)
 	a.Fill(1)
-	b := ToBlocked(a)
-	// Channels 17..31 within block 1 must be zero padding.
+	b := toBlocked(a)
+	// Channels 17..31 within block 1 must stay zero padding: the converter
+	// writes only the real channel lanes.
 	for ch := 17; ch < 32; ch++ {
 		cb, ci := ch/BlockSize, ch%BlockSize
 		off := (((cb*2+0)*2+0)*2+0)*BlockSize + ci
@@ -109,7 +132,7 @@ func TestBlockedRoundTripProperty(t *testing.T) {
 		d, h, w := 1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4)
 		a := New(c, d, h, w)
 		a.RandNormal(rng, 0, 1)
-		back := FromBlocked(ToBlocked(a))
+		back := fromBlocked(toBlocked(a))
 		return MaxAbsDiff(back.Data(), a.Data()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

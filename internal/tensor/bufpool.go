@@ -12,7 +12,8 @@ import "sync"
 // Buckets are exact-size: network layer shapes are fixed, so every Get
 // after warm-up hits the bucket of a previously Put buffer of the same
 // length. All methods are safe for concurrent use, so intra-batch workers
-// may draw scratch from a shared pool.
+// may draw scratch from a shared pool. A nil *BufPool is valid and pools
+// nothing: Get allocates and Put discards.
 type BufPool struct {
 	mu     sync.Mutex
 	bySize map[int][][]float32
@@ -31,6 +32,9 @@ func (p *BufPool) Get(n int) []float32 {
 	if n <= 0 {
 		return nil
 	}
+	if p == nil {
+		return make([]float32, n)
+	}
 	p.mu.Lock()
 	if list := p.bySize[n]; len(list) > 0 {
 		b := list[len(list)-1]
@@ -48,7 +52,7 @@ func (p *BufPool) Get(n int) []float32 {
 // full-length slice is a valid bucket entry); nil and empty slices are
 // ignored.
 func (p *BufPool) Put(b []float32) {
-	if len(b) == 0 {
+	if p == nil || len(b) == 0 {
 		return
 	}
 	p.mu.Lock()

@@ -30,6 +30,12 @@ func TestBufPoolRecycles(t *testing.T) {
 		t.Error("Get(0) should be nil")
 	}
 	p.Put(nil) // must not panic
+
+	var none *BufPool // pools nothing
+	if e := none.Get(8); len(e) != 8 {
+		t.Fatalf("nil pool Get(8) returned len %d", len(e))
+	}
+	none.Put(make([]float32, 8)) // must not panic
 }
 
 // TestWrapBlockedValidates checks the no-copy constructor enforces the
@@ -53,14 +59,14 @@ func TestWrapBlockedValidates(t *testing.T) {
 }
 
 // TestBlockedIntoMatchesAllocating checks the Into converters produce the
-// same layouts as the allocating ones, including over recycled buffers.
+// same layouts over recycled (dirty) buffers as over freshly allocated ones.
 func TestBlockedIntoMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := New(32, 2, 3, 7)
 	x.RandNormal(rng, 0, 1)
 
-	want := ToBlocked(x)
-	got := NewBlocked(32, 2, 3, 7)
+	want := toBlocked(x)
+	got := newBlocked(32, 2, 3, 7)
 	// Dirty the destination: c=32 has no padding lanes, so the converter
 	// must overwrite every element (the recycled-buffer contract).
 	for i := range got.Data {
