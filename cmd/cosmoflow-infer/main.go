@@ -71,7 +71,6 @@ func main() {
 		if err := net.LoadCheckpointFile(*ckpt); err != nil {
 			log.Fatal(err)
 		}
-		net.SetTraining(false)
 		ests = train.Evaluate(net, samples, priors)
 	}
 

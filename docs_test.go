@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -22,12 +25,18 @@ var (
 	// pathToken matches a repo path under internal/ or examples/, bare or
 	// ./-prefixed, but not the tail of a longer path such as an import.
 	pathToken = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:internal|examples)(?:/[\w.-]+)+)`)
+	// codeSpan matches a backticked span; goRef a Go identifier inside one,
+	// written pkg.Name or pkg.Type.Member with exported names.
+	codeSpan = regexp.MustCompile("`[^`]+`")
+	goRef    = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 )
 
 // TestDocsNameOnlyExistingCommands keeps the docs from pointing at commands,
-// make targets or paths that no longer exist: every cosmoflow-<name> must
-// be a directory under cmd/, every `make <target>` a Makefile target, and
-// every internal/<pkg> or examples/<dir> path must exist.
+// make targets, paths or Go identifiers that no longer exist: every
+// cosmoflow-<name> must be a directory under cmd/, every `make <target>` a
+// Makefile target, every internal/<pkg> or examples/<dir> path must exist,
+// and every backticked pkg.Name or pkg.Type.Member naming a package under
+// internal/ must be a declaration, method or field of that package.
 // CHANGES.md and ROADMAP.md are history and are not scanned, nor
 // is benchmark/, whose files change only with the benchmark itself.
 func TestDocsNameOnlyExistingCommands(t *testing.T) {
@@ -56,6 +65,7 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 		targets[m[1]] = true
 	}
 
+	decls := map[string]map[string]map[string]bool{}
 	for _, path := range files {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -81,6 +91,116 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 					t.Errorf("%s:%d: names %s, which does not exist", path, i+1, p)
 				}
 			}
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range goRef.FindAllStringSubmatch(span, -1) {
+					pkg, scope, name, ref := m[1], "", m[2], m[1]+"."+m[2]
+					if m[3] != "" {
+						scope, name, ref = m[2], m[3], ref+"."+m[3]
+					}
+					if _, ok := decls[pkg]; !ok {
+						decls[pkg] = goDecls(t, pkgDir(pkg))
+					}
+					if decls[pkg] != nil && !decls[pkg][scope][name] {
+						t.Errorf("%s:%d: names %s, which is not a declaration, method or field in %s",
+							path, i+1, ref, pkgDir(pkg))
+					}
+				}
+			}
 		}
 	}
+}
+
+// pkgDir maps a package name to its directory; the serving API's wire,
+// api and client packages live under internal/serve.
+func pkgDir(pkg string) string {
+	switch pkg {
+	case "wire", "api", "client":
+		return filepath.Join("internal", "serve", pkg)
+	}
+	return filepath.Join("internal", pkg)
+}
+
+// goDecls parses dir's non-test Go files and returns what a doc may name
+// in it: under "" every package-level declaration and method, under each
+// type name its fields and methods. It returns nil when dir does not
+// exist, for names of packages outside the repo such as time.Now.
+func goDecls(t *testing.T, dir string) map[string]map[string]bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil
+	}
+	members := map[string]map[string]bool{}
+	add := func(scope, name string) {
+		if members[scope] == nil {
+			members[scope] = map[string]bool{}
+		}
+		members[scope][name] = true
+	}
+	addFields := func(scope string, fields *ast.FieldList) {
+		for _, f := range fields.List {
+			if len(f.Names) == 0 {
+				add(scope, typeName(f.Type)) // embedded
+			}
+			for _, n := range f.Names {
+				add(scope, n.Name)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				add("", d.Name.Name)
+				if d.Recv != nil {
+					add(typeName(d.Recv.List[0].Type), d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add("", spec.Name.Name)
+						switch ty := spec.Type.(type) {
+						case *ast.StructType:
+							addFields(spec.Name.Name, ty.Fields)
+						case *ast.InterfaceType:
+							addFields(spec.Name.Name, ty.Methods)
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							add("", n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return members
+}
+
+// typeName returns the bare name of a receiver or embedded type: T for T,
+// *T, T[P] and pkg.T.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
 }

@@ -802,8 +802,17 @@ func TestConsistentHashPinsModel(t *testing.T) {
 	b1 := startBackend(t, ckpt)
 	b2 := startBackend(t, ckpt)
 	b3 := startBackend(t, ckpt)
-	_, gws := testGateway(t, Config{Policy: PolicyConsistentHash}, b1.url, b2.url, b3.url)
-	waitReady(t, gws.URL)
+	gw, gws := testGateway(t, Config{Policy: PolicyConsistentHash}, b1.url, b2.url, b3.url)
+	// /healthz answers 200 once one backend is ready; wait for all three,
+	// or the model's hash owner may join mid-loop and take over its traffic.
+	waitFor(t, "every backend ready", func() bool {
+		for _, b := range gw.Pool().Backends() {
+			if b.State() != StateReady {
+				return false
+			}
+		}
+		return true
+	})
 
 	cl := client.New(gws.URL)
 	vox := testVoxels(t, 1, 29)[0]

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // Layers cache forward activations for the backward pass (Conv3D.x and
 // friends), so a single Network serves exactly one in-flight sample at a
@@ -17,19 +13,12 @@ import (
 // network + clones and switching pointers, never writing into weights that
 // live replicas still read.
 
-// cloneableLayer is implemented by every layer that supports replication.
-type cloneableLayer interface {
-	// cloneFor returns a replica of the layer sharing its parameters.
-	// A nil pool keeps the original's pool (for layers that have one).
-	cloneFor(pool *parallel.Pool) Layer
-}
-
 // Clone returns an inference replica of the network: identical topology,
 // shared parameter tensors, independent activation caches. pool supplies
 // the replica's intra-node threading; nil shares the original's pools.
 // Training a clone would race on the shared Param.Grad tensors — replicas
 // are for Forward/Infer only.
-func (n *Network) Clone(pool *parallel.Pool) (*Network, error) {
+func (n *Network) Clone(pool *parallel.Pool) *Network {
 	c := &Network{
 		Layers:        make([]Layer, len(n.Layers)),
 		InputDim:      n.InputDim,
@@ -39,13 +28,9 @@ func (n *Network) Clone(pool *parallel.Pool) (*Network, error) {
 		trace: n.trace,
 	}
 	for i, l := range n.Layers {
-		cl, ok := l.(cloneableLayer)
-		if !ok {
-			return nil, fmt.Errorf("nn: layer %s (%T) does not support Clone", l.Name(), l)
-		}
-		c.Layers[i] = cl.cloneFor(pool)
+		c.Layers[i] = l.cloneFor(pool)
 	}
-	return c, nil
+	return c
 }
 
 func (c *Conv3D) cloneFor(pool *parallel.Pool) Layer {
@@ -79,18 +64,4 @@ func (p *AvgPool3D) cloneFor(*parallel.Pool) Layer {
 
 func (l *LeakyReLU) cloneFor(*parallel.Pool) Layer {
 	return &LeakyReLU{Alpha: l.Alpha, name: l.name}
-}
-
-func (bn *BatchNorm3D) cloneFor(*parallel.Pool) Layer {
-	// Running statistics are shared read-only; a training-mode clone would
-	// race on them, so replicas are built for inference.
-	return &BatchNorm3D{
-		C: bn.C, Eps: bn.Eps, Momentum: bn.Momentum, Train: bn.Train,
-		Gamma: bn.Gamma, Beta: bn.Beta,
-		runMean: bn.runMean, runVar: bn.runVar,
-	}
-}
-
-func (d *Dropout) cloneFor(*parallel.Pool) Layer {
-	return &Dropout{Rate: d.Rate, Train: d.Train, name: d.name, seed: d.seed}
 }

@@ -102,8 +102,7 @@ func TestAvgPool3DFwdFLOPsBruteForce(t *testing.T) {
 }
 
 // TestElementwiseFwdFLOPs pins the per-element layers: LeakyReLU one
-// compare-select per element, BatchNorm3D four passes over the data,
-// Flatten free.
+// compare-select per element, Flatten free.
 func TestElementwiseFwdFLOPs(t *testing.T) {
 	in := tensor.Shape{2, 3, 4, 5}
 	elems := int64(in.NumElements())
@@ -114,17 +113,6 @@ func TestElementwiseFwdFLOPs(t *testing.T) {
 	}
 	if got := NewLeakyReLU("a", 0.3).FwdFLOPs(in); got != brute {
 		t.Errorf("LeakyReLU FwdFLOPs = %d, brute force = %d", got, brute)
-	}
-
-	// BatchNorm: mean pass, variance pass, normalize pass, scale-shift pass.
-	brute = 0
-	for pass := 0; pass < 4; pass++ {
-		for i := int64(0); i < elems; i++ {
-			brute++
-		}
-	}
-	if got := NewBatchNorm3D("bn", 2).FwdFLOPs(in); got != brute {
-		t.Errorf("BatchNorm3D FwdFLOPs = %d, brute force = %d", got, brute)
 	}
 
 	if got := NewFlatten("f").FwdFLOPs(in); got != 0 {

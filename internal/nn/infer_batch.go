@@ -11,12 +11,11 @@ import (
 // One forward implementation per layer: inferBatch runs a batch of
 // same-shaped samples as one (sample × task) index space over the layer's
 // per-sample task function — directChannel or blockedSlab, poolChannel,
-// applyRange, applyInto, inferChannel — scheduled through internal/parallel.
+// applyRange, applyInto — scheduled through internal/parallel.
 // Each task owns a disjoint output range and every output element's
 // accumulation order is fixed by the geometry alone, so sample i's output
 // is bit-identical at every batch size and worker count. Layer.Forward is
-// inferBatch at B=1 plus the caching Backward needs (BatchNorm3D and
-// Dropout keep their own mode-dependent Forward), and Network.Infer and
+// inferBatch at B=1 plus the caching Backward needs, and Network.Infer and
 // InferBatch drive one shared layer loop.
 
 // batchCtx carries the shared state of one forward pass: the worker pool
@@ -46,9 +45,8 @@ func forwardOne(l Layer, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Infer runs one sample through the network without caching activations
-// for a subsequent Backward (mode-dependent layers behave as with
-// SetTraining(false)). It is InferBatch at B=1 except that every buffer is
-// allocated fresh and none is retained. A single network still serves one
+// for a subsequent Backward. It is InferBatch at B=1 except that every
+// buffer is allocated fresh and none is retained. A single network still serves one
 // Infer at a time; run concurrent inference on Clone replicas.
 func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return n.forwardBatch([]*tensor.Tensor{x}, nil)[0]
@@ -88,9 +86,9 @@ func (n *Network) forwardBatch(xs []*tensor.Tensor, buf *tensor.BufPool) []*tens
 
 	// cur flows through the layers; owned tracks whether its buffers came
 	// from the recycler (caller inputs never do) and may return to it once
-	// the next layer has consumed them. Zero-copy layers (Flatten's
-	// reshape, Dropout's inference identity) alias their input, detected by
-	// backing-pointer identity, in which case ownership simply carries.
+	// the next layer has consumed them. A zero-copy layer (Flatten's
+	// reshape) aliases its input, detected by backing-pointer identity, in
+	// which case ownership simply carries.
 	tr := n.trace
 	var start, last time.Time
 	if tr != nil {
@@ -137,7 +135,7 @@ func (n *Network) inferPool() *parallel.Pool {
 }
 
 // sameBacking reports whether two tensors share the same backing array
-// start — true exactly for the zero-copy reshape/identity layers.
+// start — true exactly for Flatten's zero-copy reshape.
 func sameBacking(a, b *tensor.Tensor) bool {
 	ad, bd := a.Data(), b.Data()
 	return len(ad) > 0 && len(bd) > 0 && &ad[0] == &bd[0]
@@ -220,25 +218,6 @@ func (d *Dense) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor 
 	return ys
 }
 
-// inferBatch implements Layer: normalization by the running
-// statistics (inference mode), decomposed over (sample × channel).
-func (bn *BatchNorm3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
-	s := xs[0].Shape()
-	if len(s) != 4 || s[0] != bn.C {
-		panic("nn: BatchNorm3D input shape mismatch")
-	}
-	n := s[1] * s[2] * s[3]
-	ys := make([]*tensor.Tensor, len(xs))
-	for i := range ys {
-		ys[i] = ctx.alloc(s...)
-	}
-	ctx.pool.ForEach(len(xs)*bn.C, 1, func(task int) {
-		b, c := task/bn.C, task%bn.C
-		bn.inferChannel(xs[b].Data(), ys[b].Data(), n, c)
-	})
-	return ys
-}
-
 // inferBatch implements Layer: zero-copy reshapes.
 func (f *Flatten) inferBatch(xs []*tensor.Tensor, _ *batchCtx) []*tensor.Tensor {
 	ys := make([]*tensor.Tensor, len(xs))
@@ -247,7 +226,3 @@ func (f *Flatten) inferBatch(xs []*tensor.Tensor, _ *batchCtx) []*tensor.Tensor 
 	}
 	return ys
 }
-
-// inferBatch implements Layer: dropout is the identity at
-// inference.
-func (d *Dropout) inferBatch(xs []*tensor.Tensor, _ *batchCtx) []*tensor.Tensor { return xs }

@@ -12,33 +12,21 @@ import (
 )
 
 // allLayerNet builds a network exercising every layer type the batched
-// path dispatches on: a strided direct convolution, batch-norm, a blocked
-// (Algorithm-1) convolution, pooling, dropout, flatten, dense, and
-// activations. Batch-norm's running statistics are populated by training
-// forwards and the network is then switched to inference mode, so the
-// batched path is tested against non-trivial running averages.
+// path dispatches on: a strided direct convolution, a blocked
+// (Algorithm-1) convolution, pooling, flatten, dense, and activations.
 func allLayerNet(t testing.TB, pool *parallel.Pool, seed int64) *Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	net := &Network{InputDim: 12, InputChannels: 1}
 	add := func(l Layer) { net.Layers = append(net.Layers, l) }
 	add(NewConv3D("c1", 1, 16, 3, 2, 1, pool, rng)) // stride 2: direct kernel
-	add(NewBatchNorm3D("bn", 16))
 	add(NewLeakyReLU("c1.act", 0))
 	add(NewConv3D("c2", 16, 16, 3, 1, 1, pool, rng)) // stride 1, 16ch: blocked kernel
 	add(NewAvgPool3D("p1", 2, 2))
-	add(NewDropout("do", 0.3, 7))
 	add(NewFlatten("flat"))
 	add(NewDense("fc1", 16*3*3*3, 8, pool, rng))
 	add(NewLeakyReLU("fc1.act", 0))
 	add(NewDense("fc2", 8, 3, pool, rng))
-
-	for i := 0; i < 3; i++ {
-		x := tensor.New(net.InputShape()...)
-		x.RandNormal(rng, 0, 1)
-		net.Forward(x)
-	}
-	net.SetTraining(false)
 	return net
 }
 
@@ -65,8 +53,8 @@ func requireBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// refNetForward is the float64 loop-nest reference of the inference-mode
-// forward pass over every layer type, rounding nothing to float32.
+// refNetForward is the float64 loop-nest reference of the forward pass
+// over every layer type, rounding nothing to float32.
 func refNetForward(net *Network, x *tensor.Tensor) []float64 {
 	shape, v := x.Shape(), toFloat64(x.Data())
 	for _, l := range net.Layers {
@@ -74,14 +62,6 @@ func refNetForward(net *Network, x *tensor.Tensor) []float64 {
 		switch l := l.(type) {
 		case *Conv3D:
 			v = refConv(l, shape, v)
-		case *BatchNorm3D:
-			g, b := l.Gamma.Value.Data(), l.Beta.Value.Data()
-			n := shape[1] * shape[2] * shape[3]
-			for i := range v {
-				c := i / n
-				inv := 1 / math.Sqrt(float64(l.runVar[c])+float64(l.Eps))
-				v[i] = float64(g[c])*(v[i]-float64(l.runMean[c]))*inv + float64(b[c])
-			}
 		case *LeakyReLU:
 			for i, f := range v {
 				if f <= 0 {
@@ -112,7 +92,7 @@ func refNetForward(net *Network, x *tensor.Tensor) []float64 {
 				}
 			}
 			v = y
-		case *Dropout, *Flatten:
+		case *Flatten:
 		default:
 			panic(fmt.Sprintf("refNetForward: no reference for %T", l))
 		}

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -55,9 +56,13 @@ type Layer interface {
 	// paper's Gflop/s accounting (§V-A).
 	FwdFLOPs(in tensor.Shape) int64
 	BwdFLOPs(in tensor.Shape) int64
-	// inferBatch is the layer's one forward kernel, run over a batch with
-	// mode-dependent layers in inference mode (see infer_batch.go).
+	// inferBatch is the layer's one forward kernel, run over a batch (see
+	// infer_batch.go).
 	inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor
+	// cloneFor returns a replica of the layer sharing its parameters; a nil
+	// pool keeps the original's pool, for layers that have one (see
+	// clone.go).
+	cloneFor(pool *parallel.Pool) Layer
 }
 
 // newParam allocates a named parameter with a zeroed gradient.

@@ -80,10 +80,7 @@ func TestTraceSharedAcrossClones(t *testing.T) {
 	tr := obsv.NewForwardTrace(net.LayerNames())
 	net.SetTrace(tr)
 
-	clone, err := net.Clone(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := net.Clone(nil)
 	if clone.Trace() != tr {
 		t.Fatal("Clone did not inherit the trace pointer")
 	}

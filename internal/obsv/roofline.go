@@ -23,7 +23,7 @@ type LayerRoofline struct {
 	// AvgMs is the mean wall time per observation.
 	AvgMs float64 `json:"avg_ms"`
 	// GFLOPS is the achieved forward rate: FLOPsPerSample × samples over
-	// TotalMs. Zero-FLOP layers (Flatten, Dropout) report 0.
+	// TotalMs. Zero-FLOP layers (Flatten) report 0.
 	GFLOPS float64 `json:"gflops"`
 	// PctOfBest is GFLOPS as a percentage of the best GFLOPS observed
 	// across the layers in this snapshot — low values mark FLOP-starved

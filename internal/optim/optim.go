@@ -23,20 +23,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer is the update rule the training loop drives, plus the state
-// surface checkpointing needs: StateBuffers exposes the optimizer's
-// auxiliary per-parameter state (Adam moments, SGD momentum velocity) in a
-// stable order as raw float32 slices, so a checkpoint can round-trip it
-// and a resumed run continues bit-identically instead of cold-starting
-// the accumulators; SetStepCount restores the schedule position.
-type Optimizer interface {
-	Step()
-	StepCount() int
-	SetStepCount(int)
-	LR() float64
-	StateBuffers() [][]float32
-}
-
 // PolySchedule is the paper's polynomial (power = 1, i.e. linear) decay from
 // Eta0 to EtaMin over DecaySteps, constant at EtaMin afterwards.
 type PolySchedule struct {
@@ -172,28 +158,6 @@ func (o *AdamLARC) Step() {
 			v[j] -= float32(eta * mHat / (math.Sqrt(vHat) + o.cfg.Eps))
 		}
 	}
-}
-
-// LocalRates reports each parameter's LARC scale η† for the current
-// gradients without applying an update; used by tests and diagnostics.
-func (o *AdamLARC) LocalRates() []float64 {
-	out := make([]float64, len(o.params))
-	for i, p := range o.params {
-		if o.cfg.DisableLARC {
-			out[i] = 1
-			continue
-		}
-		vNorm := tensor.Norm2(p.Value.Data())
-		gNorm := tensor.Norm2(p.Grad.Data())
-		var local float64
-		if vNorm != 0 && gNorm != 0 {
-			local = o.cfg.TrustCoef * vNorm / gNorm
-		} else {
-			local = o.cfg.FallbackLR
-		}
-		out[i] = math.Min(local, 1)
-	}
-	return out
 }
 
 // String describes the optimizer configuration.

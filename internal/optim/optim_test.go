@@ -55,42 +55,62 @@ func TestZeroDecayStepsIsConstantMin(t *testing.T) {
 	}
 }
 
-func TestLARCLocalRateFormula(t *testing.T) {
-	// ‖v‖ = 5 (3-4-0), ‖g‖ = 1 → η* = 0.002·5 = 0.01, below the clip.
-	p := makeParam([]float32{3, 4, 0}, []float32{1, 0, 0})
-	o := New([]*nn.Param{p}, Config{Schedule: DefaultSchedule(100)})
-	rates := o.LocalRates()
-	if math.Abs(rates[0]-0.01) > 1e-9 {
-		t.Errorf("local rate = %g, want 0.01", rates[0])
+// stepScale applies one Step of a fresh optimizer to a single parameter
+// and reads back the LARC scale s that Step applied to the gradient, off
+// element j, whose value must start at 0. Adam's first update is
+// −η·s·g/(|s·g|+ε), so s shows only where |s·g| is near ε = 1e-8: there the
+// update ratio r = |Δ|/η gives s = ε·r/((1−r)·|g|).
+func stepScale(vals, grads []float32, j int, disableLARC bool) float64 {
+	const eta, eps = 1e-3, 1e-8
+	p := makeParam(vals, grads)
+	o := New([]*nn.Param{p}, Config{DisableLARC: disableLARC, Schedule: PolySchedule{Eta0: eta, EtaMin: eta, DecaySteps: 1}})
+	o.Step()
+	r := math.Abs(float64(p.Value.Data()[j])) / eta
+	return eps * r / ((1 - r) * math.Abs(float64(grads[j])))
+}
+
+// requireScale fails t unless got is within 0.1 % of want.
+func requireScale(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Abs(got-want) > 1e-3*want {
+		t.Errorf("%s: Step applied scale %g, want %g", what, got, want)
 	}
+}
+
+func TestLARCLocalRateFormula(t *testing.T) {
+	// ‖v‖ = 5e-6 (3-4-0), ‖g‖ = 1 → η* = 0.002·5e-6 = 1e-8, below the clip.
+	got := stepScale([]float32{3e-6, 4e-6, 0}, []float32{0, 0, 1}, 2, false)
+	requireScale(t, "η* = 0.002·‖v‖/‖g‖", got, 1e-8)
 }
 
 func TestLARCClipAtOne(t *testing.T) {
-	// Huge weight norm vs tiny gradient: unclipped rate would exceed 1.
-	p := makeParam([]float32{1000, 0}, []float32{1e-3, 0})
-	o := New([]*nn.Param{p}, Config{Schedule: DefaultSchedule(100)})
-	if rates := o.LocalRates(); rates[0] != 1 {
-		t.Errorf("clipped rate = %g, want 1 (η† = min(η*, 1))", rates[0])
-	}
+	// Weight norm far above the gradient's: η* = 0.002·1/1e-8 = 2e5, so
+	// η† = min(η*, 1) = 1.
+	got := stepScale([]float32{1, 0}, []float32{0, 1e-8}, 1, false)
+	requireScale(t, "η† = min(η*, 1)", got, 1)
 }
 
 func TestLARCZeroNormFallback(t *testing.T) {
-	pZeroW := makeParam([]float32{0, 0}, []float32{1, 1})
-	pZeroG := makeParam([]float32{1, 1}, []float32{0, 0})
-	o := New([]*nn.Param{pZeroW, pZeroG}, Config{Schedule: DefaultSchedule(100)})
-	for i, r := range o.LocalRates() {
-		if math.Abs(r-6.25e-5) > 1e-12 {
-			t.Errorf("param %d fallback rate = %g, want 6.25e-5", i, r)
+	// Zero weights take the 6.25e-5 fallback; 6.25e-5·1.6e-4 = ε.
+	got := stepScale([]float32{0, 0}, []float32{1.6e-4, 0}, 0, false)
+	requireScale(t, "zero-weight fallback", got, 6.25e-5)
+
+	// Zero weights and a zero gradient leave no update to scale, but the
+	// 0/0 rate must not poison the weights.
+	p := makeParam([]float32{0, 0}, []float32{0, 0})
+	New([]*nn.Param{p}, Config{Schedule: DefaultSchedule(100)}).Step()
+	for i, v := range p.Value.Data() {
+		if v != 0 {
+			t.Errorf("zero-gradient step moved weight %d from 0 to %v", i, v)
 		}
 	}
 }
 
 func TestDisableLARCGivesUnitScale(t *testing.T) {
-	p := makeParam([]float32{3, 4}, []float32{100, 0})
-	o := New([]*nn.Param{p}, Config{Schedule: DefaultSchedule(100), DisableLARC: true})
-	if rates := o.LocalRates(); rates[0] != 1 {
-		t.Errorf("disabled LARC rate = %g, want 1", rates[0])
-	}
+	// ‖v‖ = 5e-9, ‖g‖ = 1e-8: LARC would scale by η* = 1e-3.
+	vals, grads := []float32{3e-9, 4e-9, 0}, []float32{0, 0, 1e-8}
+	requireScale(t, "LARC enabled", stepScale(vals, grads, 2, false), 1e-3)
+	requireScale(t, "LARC disabled", stepScale(vals, grads, 2, true), 1)
 }
 
 func TestAdamFirstStepMatchesHandComputation(t *testing.T) {

@@ -42,7 +42,6 @@ func startServer(t *testing.T, seed int64) (string, *nn.Network, string) {
 	if err := ref.LoadCheckpointFile(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	ref.SetTraining(false)
 
 	reg := serve.NewRegistry()
 	if _, err := reg.Load(serve.ModelConfig{

@@ -69,10 +69,7 @@ func newModel(cfg ModelConfig) (*Model, error) {
 		trace = obsv.NewForwardTrace(net.LayerNames())
 		net.SetTrace(trace)
 	}
-	pool, err := newReplicaPool(net, cfg.Replicas, cfg.WorkersPerReplica)
-	if err != nil {
-		return nil, err
-	}
+	pool := newReplicaPool(net, cfg.Replicas, cfg.WorkersPerReplica)
 	if trace != nil {
 		// Drop the pool's warm-up forward: the trace should reflect served
 		// traffic only.

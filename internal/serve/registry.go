@@ -372,6 +372,5 @@ func buildNetwork(cfg ModelConfig) (*nn.Network, error) {
 			return nil, fmt.Errorf("serve: loading %s: %w", cfg.CheckpointPath, err)
 		}
 	}
-	net.SetTraining(false)
 	return net, nil
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -25,7 +23,8 @@ type replica struct {
 // acquire blocks until a replica frees up, bounding concurrent forward
 // passes to the replica count. Layers cache forward activations, so
 // nn.Network.Forward is not concurrency-safe; per-worker clones sharing
-// read-only weights are what make parallel serving sound (see nn.Clone).
+// read-only weights are what make parallel serving sound (see
+// nn.Network.Clone).
 type replicaPool struct {
 	replicas chan *replica
 	all      []*replica
@@ -37,7 +36,7 @@ type replicaPool struct {
 // count already covers the cores; larger values trade throughput for
 // per-request latency, the same knob as the paper's OpenMP threads per
 // rank.
-func newReplicaPool(base *nn.Network, n, workersPerReplica int) (*replicaPool, error) {
+func newReplicaPool(base *nn.Network, n, workersPerReplica int) *replicaPool {
 	if n < 1 {
 		n = 1
 	}
@@ -57,17 +56,11 @@ func newReplicaPool(base *nn.Network, n, workersPerReplica int) (*replicaPool, e
 	base.Infer(tensor.New(base.InputShape()...))
 	for i := 0; i < n; i++ {
 		pool := parallel.NewPool(workersPerReplica)
-		net, err := base.Clone(pool)
-		if err != nil {
-			p.close()
-			pool.Close()
-			return nil, fmt.Errorf("serve: cloning replica %d: %w", i, err)
-		}
-		r := &replica{pred: train.NewBatchPredictor(net), pool: pool}
+		r := &replica{pred: train.NewBatchPredictor(base.Clone(pool)), pool: pool}
 		p.all = append(p.all, r)
 		p.replicas <- r
 	}
-	return p, nil
+	return p
 }
 
 // acquire blocks until a replica is free.

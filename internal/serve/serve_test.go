@@ -45,7 +45,6 @@ func testCheckpoint(t testing.TB, seed int64) (string, *nn.Network) {
 	if err := ref.LoadCheckpointFile(path); err != nil {
 		t.Fatal(err)
 	}
-	ref.SetTraining(false)
 	return path, ref
 }
 

@@ -17,8 +17,8 @@ import (
 
 // Training-state checkpoints extend the nn parameter checkpoint with an
 // optimizer/progress section so a resumed run continues bit-identically —
-// same Adam moments (or SGD momentum velocity), same schedule step, same
-// next epoch — instead of cold-starting the accumulators.
+// same Adam moments, same schedule step, same next epoch — instead of
+// cold-starting the accumulators.
 //
 // Layout: the nn checkpoint (magic "CFCK", self-checksummed) followed by
 //
@@ -40,13 +40,13 @@ const (
 type TrainState struct {
 	EpochsDone int         // completed epochs; training resumes at this epoch index
 	StepCount  int         // completed optimizer updates
-	Bufs       [][]float32 // optimizer state in optim.Optimizer.StateBuffers order
+	Bufs       [][]float32 // optimizer state in optim.AdamLARC.StateBuffers order
 }
 
 // SaveTrainState atomically writes net's parameters plus opt's state to
 // path (tmp file + rename), so a crash mid-write never corrupts the
 // checkpoint a restarted world will resume from.
-func SaveTrainState(path string, net *nn.Network, opt optim.Optimizer, epochsDone int) (err error) {
+func SaveTrainState(path string, net *nn.Network, opt *optim.AdamLARC, epochsDone int) (err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
@@ -206,8 +206,8 @@ func readStateSection(r io.Reader, sectionLen int) (*TrainState, error) {
 }
 
 // Apply copies the decoded state into opt, whose StateBuffers layout must
-// match the saving optimizer (same type over the same network topology).
-func (st *TrainState) Apply(opt optim.Optimizer) error {
+// match the saving optimizer's (the same network topology).
+func (st *TrainState) Apply(opt *optim.AdamLARC) error {
 	bufs := opt.StateBuffers()
 	if len(bufs) != len(st.Bufs) {
 		return fmt.Errorf("train: checkpoint has %d optimizer state buffers, optimizer has %d",

@@ -46,78 +46,17 @@ func paramsEqual(t *testing.T, a, b *nn.Network, context string) {
 }
 
 // runSteps replays pseudo-gradient steps [from, to) through opt.
-func runSteps(net *nn.Network, opt optim.Optimizer, from, to int) {
+func runSteps(net *nn.Network, opt *optim.AdamLARC, from, to int) {
 	for k := from; k < to; k++ {
 		fillGrads(net, k)
 		opt.Step()
 	}
 }
 
-// TestResumeBitIdenticalSGDMomentum is the satellite acceptance: momentum
-// buffers round-trip through the checkpoint, so a resumed SGD run matches
-// an uninterrupted one bit for bit (a params-only resume would cold-start
-// velocity and diverge immediately).
-func TestResumeBitIdenticalSGDMomentum(t *testing.T) {
-	sched := optim.PolySchedule{Eta0: 1e-2, EtaMin: 1e-3, DecaySteps: 20}
-
-	straight := smallNet(t, 3)
-	optA := optim.NewSGDMomentum(straight.Params(), 0.9, sched, 0.002)
-	runSteps(straight, optA, 0, 10)
-
-	interrupted := smallNet(t, 3)
-	optB := optim.NewSGDMomentum(interrupted.Params(), 0.9, sched, 0.002)
-	runSteps(interrupted, optB, 0, 5)
-	path := filepath.Join(t.TempDir(), "sgd.ckpt")
-	if err := SaveTrainState(path, interrupted, optB, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed := smallNet(t, 99) // different init; checkpoint must overwrite it
-	optC := optim.NewSGDMomentum(resumed.Params(), 0.9, sched, 0.002)
-	st, err := LoadTrainState(path, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st == nil {
-		t.Fatal("training-state checkpoint loaded with no optimizer section")
-	}
-	if st.EpochsDone != 1 || st.StepCount != 5 {
-		t.Fatalf("state = %d epochs / %d steps, want 1/5", st.EpochsDone, st.StepCount)
-	}
-	if err := st.Apply(optC); err != nil {
-		t.Fatal(err)
-	}
-	runSteps(resumed, optC, 5, 10)
-	paramsEqual(t, straight, resumed, "SGD resume")
-
-	// Control: the cold-momentum resume really would diverge, proving the
-	// state section is load-bearing.
-	cold := smallNet(t, 99)
-	optD := optim.NewSGDMomentum(cold.Params(), 0.9, sched, 0.002)
-	if err := cold.LoadCheckpointFile(path); err != nil { // params only
-		t.Fatal(err)
-	}
-	optD.SetStepCount(5)
-	runSteps(cold, optD, 5, 10)
-	sp, cp := straight.Params(), cold.Params()
-	diverged := false
-outer:
-	for i := range sp {
-		a, b := sp[i].Value.Data(), cp[i].Value.Data()
-		for j := range a {
-			if a[j] != b[j] {
-				diverged = true
-				break outer
-			}
-		}
-	}
-	if !diverged {
-		t.Error("cold-momentum resume matched the uninterrupted run; the test is vacuous")
-	}
-}
-
-// TestResumeBitIdenticalAdamLARC covers the optimizer the training loop
-// actually uses: both Adam moments and the step counter round-trip.
+// TestResumeBitIdenticalAdamLARC: both Adam moments and the step counter
+// round-trip through the checkpoint, so a resumed run matches an
+// uninterrupted one bit for bit (a params-only resume would cold-start the
+// moments and diverge).
 func TestResumeBitIdenticalAdamLARC(t *testing.T) {
 	cfg := optim.Config{Schedule: optim.PolySchedule{Eta0: 2e-3, EtaMin: 1e-4, DecaySteps: 20}}
 
@@ -147,6 +86,31 @@ func TestResumeBitIdenticalAdamLARC(t *testing.T) {
 	}
 	runSteps(resumed, optC, 3, 8)
 	paramsEqual(t, straight, resumed, "Adam resume")
+
+	// Control: the cold-moment resume really would diverge, proving the
+	// state section is load-bearing.
+	cold := smallNet(t, 99)
+	optD := optim.New(cold.Params(), cfg)
+	if err := cold.LoadCheckpointFile(path); err != nil { // params only
+		t.Fatal(err)
+	}
+	optD.SetStepCount(3)
+	runSteps(cold, optD, 3, 8)
+	sp, cp := straight.Params(), cold.Params()
+	diverged := false
+outer:
+	for i := range sp {
+		a, b := sp[i].Value.Data(), cp[i].Value.Data()
+		for j := range a {
+			if a[j] != b[j] {
+				diverged = true
+				break outer
+			}
+		}
+	}
+	if !diverged {
+		t.Error("cold-moment resume matched the uninterrupted run; the test is vacuous")
+	}
 }
 
 // TestLoadTrainStateParamsOnly: a plain nn checkpoint (the pre-existing
@@ -186,7 +150,7 @@ func TestTrainStateFileIsAlsoAModelCheckpoint(t *testing.T) {
 }
 
 // TestTrainStateDetectsCorruption: a flipped byte in the optimizer section
-// fails the CRC instead of silently resuming garbage momentum.
+// fails the CRC instead of silently resuming garbage Adam moments.
 func TestTrainStateDetectsCorruption(t *testing.T) {
 	net := smallNet(t, 9)
 	opt := optim.New(net.Params(), optim.Config{Schedule: optim.PolySchedule{Eta0: 1e-3, EtaMin: 1e-4, DecaySteps: 10}})

@@ -285,7 +285,7 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 	// Resume control: [epochs done, optimizer steps done, optimizer state
 	// present]. Broadcast as float32 — exact for counters below 2²⁴ —
 	// followed by the optimizer accumulators themselves, so every replica
-	// resumes the schedule and momentum bit-identically, not just the
+	// resumes the schedule and Adam moments bit-identically, not just the
 	// weights.
 	ctl := make([]float32, 3)
 	if rank == 0 && resumed != nil {
@@ -432,9 +432,8 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 
 // validate computes the globally averaged validation loss: each rank scores
 // its strided shard one sample at a time through the inference path, which
-// leaves mode-dependent layers and activation caches alone and, unlike the
-// batched path, keeps no buffer pool on the training replica; the
-// collectives average globally.
+// leaves the activation caches alone and, unlike the batched path, keeps no
+// buffer pool on the training replica; the collectives average globally.
 func validate(c *comm.Comm, net *nn.Network, valSet []*cosmo.Sample, rank, ranks int) float64 {
 	p := NewPredictor(net)
 	var sum, count float64
