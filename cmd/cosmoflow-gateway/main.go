@@ -28,11 +28,11 @@
 //	GET    /v1/models[/{name}]        pool-wide aggregated model view
 //	PUT    /v1/models/{name}          load broadcast to every reachable backend
 //	DELETE /v1/models/{name}          unload broadcast
-//	GET    /v1/admin/tenants          admin plane: tenant CRUD (PUT upserts,
-//	PUT    /v1/admin/tenants          hot-reloaded; DELETE /tenants/{key})
+//	GET    /v1/admin/tenants          admin plane: tenant table
+//	PUT    /v1/admin/tenants          upsert one tenant (hot-reloaded)
+//	DELETE /v1/admin/tenants/{key}    remove a tenant
 //	GET    /v1/admin/supervisor       autoscaler status + recent decisions
 //	GET    /v1/admin/canary           canary rules + counters (PUT upserts)
-//	POST   /predict                   deprecated v0 alias, same admission path
 //	GET    /healthz                   503 until ≥1 backend is ready per model
 //	GET    /stats                     cosmoflow-stats/v2: routing counters,
 //	                                  per-backend + per-tenant + admission view

@@ -18,7 +18,6 @@
 //	GET    /metrics                   Prometheus text exposition of the same counters
 //	GET    /v1/trace                  per-layer forward timings (models loaded with -trace)
 //	GET    /v1/roofline               per-layer GFLOP/s attribution (models loaded with -trace)
-//	POST   /predict                   deprecated v0 alias (JSON only)
 //
 // The listener comes up immediately and the startup model loads
 // asynchronously, so /healthz genuinely reports readiness: orchestrators

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,18 +30,26 @@ var (
 	// written pkg.Name or pkg.Type.Member with exported names.
 	codeSpan = regexp.MustCompile("`[^`]+`")
 	goRef    = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	// routeToken matches an HTTP route written METHOD /path. The path
+	// stops at the first character a route cannot hold, so an optional
+	// "[/{name}]" tail falls away, and needs one character past the slash,
+	// so a method list such as "GET / PUT" is not read as the route "/".
+	routeToken = regexp.MustCompile(`\b(?:GET|POST|PUT|DELETE)[ \t]+(/[\w{}:./-]+)`)
 )
 
 // TestDocsNameOnlyExistingCommands keeps the docs from pointing at commands,
-// make targets, paths or Go identifiers that no longer exist: every
-// cosmoflow-<name> must be a directory under cmd/, every `make <target>` a
-// Makefile target, every internal/<pkg> or examples/<dir> path must exist,
-// and every backticked pkg.Name or pkg.Type.Member naming a package under
-// internal/ must be a declaration, method or field of that package.
+// make targets, paths, Go identifiers or HTTP routes that no longer exist:
+// every cosmoflow-<name> must be a directory under cmd/, every
+// `make <target>` a Makefile target, every internal/<pkg> or examples/<dir>
+// path must exist, every backticked pkg.Name or pkg.Type.Member naming a
+// package under internal/ must be a declaration, method or field of that
+// package, and every METHOD /path must be a route the serve or gateway mux
+// registers. The two daemons' route comments are scanned with the docs.
 // CHANGES.md and ROADMAP.md are history and are not scanned, nor
 // is benchmark/, whose files change only with the benchmark itself.
 func TestDocsNameOnlyExistingCommands(t *testing.T) {
-	files := []string{"DESIGN.md", "EXPERIMENTS.md", "doc.go", "Makefile", ".claude/skills/verify/SKILL.md"}
+	files := []string{"DESIGN.md", "EXPERIMENTS.md", "doc.go", "Makefile", ".claude/skills/verify/SKILL.md",
+		"cmd/cosmoflow-serve/main.go", "cmd/cosmoflow-gateway/main.go"}
 	scripts, err := filepath.Glob("scripts/*.sh")
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +74,7 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 		targets[m[1]] = true
 	}
 
+	routes := muxRoutes(t, "internal/serve/server.go", "internal/gateway/gateway.go")
 	decls := map[string]map[string]map[string]bool{}
 	for _, path := range files {
 		text, err := os.ReadFile(path)
@@ -91,6 +101,11 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 					t.Errorf("%s:%d: names %s, which does not exist", path, i+1, p)
 				}
 			}
+			for _, m := range routeToken.FindAllStringSubmatch(line, -1) {
+				if p := strings.TrimRight(m[1], ".:"); !routeRegistered(p, routes) {
+					t.Errorf("%s:%d: names route %s, which neither server registers", path, i+1, p)
+				}
+			}
 			for _, span := range codeSpan.FindAllString(line, -1) {
 				for _, m := range goRef.FindAllStringSubmatch(span, -1) {
 					pkg, scope, name, ref := m[1], "", m[2], m[1]+"."+m[2]
@@ -108,6 +123,54 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// muxRoutes parses the given files and returns every string literal passed
+// as the pattern of a HandleFunc or Handle call.
+func muxRoutes(t *testing.T, files ...string) []string {
+	t.Helper()
+	var routes []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if ok && isLit && lit.Kind == token.STRING && (sel.Sel.Name == "HandleFunc" || sel.Sel.Name == "Handle") {
+				if p, err := strconv.Unquote(lit.Value); err == nil {
+					routes = append(routes, p)
+				}
+			}
+			return true
+		})
+	}
+	if len(routes) == 0 {
+		t.Fatal("found no registered routes")
+	}
+	return routes
+}
+
+// routeRegistered reports whether a documented path is served by a
+// registered pattern: equal to it, or under a subtree pattern ending in
+// "/", which is how {name} segments and :predict suffixes resolve. The
+// catch-all "/" answers every path with 404 and so names no route.
+func routeRegistered(path string, routes []string) bool {
+	for _, r := range routes {
+		if r == "/" {
+			continue
+		}
+		if path == r || strings.HasSuffix(r, "/") && strings.HasPrefix(path, r) {
+			return true
+		}
+	}
+	return false
 }
 
 // pkgDir maps a package name to its directory; the serving API's wire,

@@ -23,14 +23,14 @@ func (g *Gateway) authorizeAdmin(w http.ResponseWriter, r *http.Request, rid str
 	if g.cfg.AdminKey == "" || r.Header.Get(api.HeaderAPIKey) == g.cfg.AdminKey {
 		return true
 	}
-	writeAPIError(w, rid, http.StatusUnauthorized, api.CodeUnauthenticated,
+	api.WriteAPIError(w, rid, http.StatusUnauthorized, api.CodeUnauthenticated,
 		"admin API requires the operator key in "+api.HeaderAPIKey)
 	return false
 }
 
 // handleAdmin dispatches /v1/admin/{tenants,supervisor,canary}.
 func (g *Gateway) handleAdmin(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if !g.authorizeAdmin(w, r, rid) {
 		return
 	}
@@ -45,7 +45,7 @@ func (g *Gateway) handleAdmin(w http.ResponseWriter, r *http.Request) {
 	case rest == "canary":
 		g.handleCanary(w, r, rid)
 	default:
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "no such route: "+r.URL.Path)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "no such route: "+r.URL.Path)
 	}
 }
 
@@ -54,48 +54,48 @@ func (g *Gateway) handleAdmin(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleTenants(w http.ResponseWriter, r *http.Request, rid string) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
+		api.WriteJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
 	case http.MethodPut:
 		var spec api.Tenant
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding tenant: "+err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding tenant: "+err.Error())
 			return
 		}
 		if err := g.tenants.upsert(spec); err != nil {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
+		api.WriteJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
 	default:
-		methodNotAllowed(w, rid, http.MethodGet, http.MethodPut)
+		api.MethodNotAllowed(w, rid, http.MethodGet, http.MethodPut)
 	}
 }
 
 // handleTenantItem answers DELETE /v1/admin/tenants/{key}.
 func (g *Gateway) handleTenantItem(w http.ResponseWriter, r *http.Request, rid, key string) {
 	if r.Method != http.MethodDelete {
-		methodNotAllowed(w, rid, http.MethodDelete)
+		api.MethodNotAllowed(w, rid, http.MethodDelete)
 		return
 	}
 	if !g.tenants.remove(key) {
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown tenant key")
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown tenant key")
 		return
 	}
-	writeJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
+	api.WriteJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
 }
 
 // handleSupervisor answers GET /v1/admin/supervisor: the autoscaler
 // status, or Enabled false when the gateway runs a static pool.
 func (g *Gateway) handleSupervisor(w http.ResponseWriter, r *http.Request, rid string) {
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	if g.sup == nil {
-		writeJSON(w, http.StatusOK, api.SupervisorStatus{Enabled: false})
+		api.WriteJSON(w, http.StatusOK, api.SupervisorStatus{Enabled: false})
 		return
 	}
-	writeJSON(w, http.StatusOK, g.sup.status())
+	api.WriteJSON(w, http.StatusOK, g.sup.status())
 }
 
 // handleCanary answers GET (rules + counters) and PUT (upsert one rule;
@@ -103,19 +103,19 @@ func (g *Gateway) handleSupervisor(w http.ResponseWriter, r *http.Request, rid s
 func (g *Gateway) handleCanary(w http.ResponseWriter, r *http.Request, rid string) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, g.canary.statuses())
+		api.WriteJSON(w, http.StatusOK, g.canary.statuses())
 	case http.MethodPut:
 		var rule api.CanaryRule
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&rule); err != nil {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding canary rule: "+err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding canary rule: "+err.Error())
 			return
 		}
 		if err := g.canary.set(rule); err != nil {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, g.canary.statuses())
+		api.WriteJSON(w, http.StatusOK, g.canary.statuses())
 	default:
-		methodNotAllowed(w, rid, http.MethodGet, http.MethodPut)
+		api.MethodNotAllowed(w, rid, http.MethodGet, http.MethodPut)
 	}
 }

@@ -33,8 +33,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -172,10 +170,6 @@ type Gateway struct {
 	canary  *canaryTable
 	sup     *Supervisor
 
-	// legacyHC carries deprecated /predict alias forwards (the typed
-	// clients only speak v1).
-	legacyHC *http.Client
-
 	// reqLog retains recent per-request phase breakdowns and upRec the
 	// per-backend upstream spans; both nil unless Config.Trace.
 	reqLog *obsv.RequestLog
@@ -214,16 +208,15 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	now := time.Now
 	g := &Gateway{
-		cfg:      cfg,
-		pool:     pool,
-		policy:   policy,
-		spread:   &leastOutstanding{},
-		lat:      newLatWindow(512),
-		start:    time.Now(),
-		tenants:  newTenantTable(now),
-		adm:      newAdmission(cfg.Admission, now),
-		canary:   newCanaryTable(),
-		legacyHC: &http.Client{Timeout: cfg.BackendTimeout},
+		cfg:     cfg,
+		pool:    pool,
+		policy:  policy,
+		spread:  &leastOutstanding{},
+		lat:     newLatWindow(512),
+		start:   time.Now(),
+		tenants: newTenantTable(now),
+		adm:     newAdmission(cfg.Admission, now),
+		canary:  newCanaryTable(),
 	}
 	for _, t := range cfg.Tenants {
 		if err := g.tenants.upsert(t); err != nil {
@@ -305,10 +298,10 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/v1/models/", g.handleModelItem)
 	mux.HandleFunc("/v1/admin/", g.handleAdmin)
 	mux.HandleFunc("/v1/trace", g.handleTrace)
-	mux.HandleFunc("/predict", g.handleLegacyPredict)
 	mux.HandleFunc("/healthz", g.handleHealthz)
 	mux.HandleFunc("/stats", g.handleStats)
 	mux.Handle("/metrics", g.MetricsRegistry().Handler())
+	mux.HandleFunc("/", api.NotFound)
 	return mux
 }
 
@@ -325,46 +318,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// ---- shared HTTP helpers (same envelope discipline as internal/serve) ----
-
-func requestID(w http.ResponseWriter, r *http.Request) string {
-	rid := r.Header.Get(api.HeaderRequestID)
-	if rid == "" || len(rid) > 128 {
-		var b [8]byte
-		_, _ = rand.Read(b[:])
-		rid = hex.EncodeToString(b[:])
-	}
-	w.Header().Set(api.HeaderRequestID, rid)
-	return rid
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", wire.ContentTypeJSON)
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeAPIError(w http.ResponseWriter, rid string, status int, code, msg string) {
-	writeJSON(w, status, api.ErrorResponse{Error: api.ErrorDetail{
-		Code: code, Message: msg, RequestID: rid,
-	}})
-}
-
-func methodNotAllowed(w http.ResponseWriter, rid string, allowed ...string) {
-	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	writeAPIError(w, rid, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		"method not allowed; allowed: "+strings.Join(allowed, ", "))
-}
-
 // ---- routes ----
 
 // handleModels answers GET /v1/models with the pool-wide aggregate: every
 // model any live backend reports, state "ready" when at least one member
 // serves it.
 func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	aggs := g.pool.knownModels()
@@ -372,7 +334,7 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 	for _, a := range aggs {
 		list.Models = append(list.Models, aggStatus(a))
 	}
-	writeJSON(w, http.StatusOK, list)
+	api.WriteJSON(w, http.StatusOK, list)
 }
 
 // aggStatus folds one model's pool-wide view into the v1 DTO: the
@@ -390,19 +352,19 @@ func aggStatus(a modelAgg) api.ModelStatus {
 }
 
 func (g *Gateway) handleModelItem(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/models/")
 	if rest == "" || strings.Contains(rest, "/") {
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "no such route: "+r.URL.Path)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "no such route: "+r.URL.Path)
 		return
 	}
 	if name, ok := strings.CutSuffix(rest, ":predict"); ok {
 		if name == "" {
-			writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "missing model name")
+			api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "missing model name")
 			return
 		}
 		if r.Method != http.MethodPost {
-			methodNotAllowed(w, rid, http.MethodPost)
+			api.MethodNotAllowed(w, rid, http.MethodPost)
 			return
 		}
 		g.predict(w, r, rid, name)
@@ -416,18 +378,18 @@ func (g *Gateway) handleModelItem(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		g.unloadFanout(w, r, rid, rest)
 	default:
-		methodNotAllowed(w, rid, http.MethodGet, http.MethodPut, http.MethodDelete)
+		api.MethodNotAllowed(w, rid, http.MethodGet, http.MethodPut, http.MethodDelete)
 	}
 }
 
 func (g *Gateway) getModel(w http.ResponseWriter, rid, name string) {
 	for _, a := range g.pool.knownModels() {
 		if a.name == name {
-			writeJSON(w, http.StatusOK, aggStatus(a))
+			api.WriteJSON(w, http.StatusOK, aggStatus(a))
 			return
 		}
 	}
-	writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
+	api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
 }
 
 // handleHealthz mirrors the backend readiness contract one level up: 200
@@ -436,9 +398,9 @@ func (g *Gateway) getModel(w http.ResponseWriter, rid, name string) {
 // has ≥1 ready backend. Smoke scripts reuse the same readiness poll they
 // use against a single backend.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	aggs := g.pool.knownModels()
@@ -461,15 +423,15 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "unavailable"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
+	api.WriteJSON(w, code, resp)
 }
 
 // handleStats answers GET /stats with the gateway's aggregated DTO:
 // routing counters plus every backend's state and last probe snapshot.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	adm := g.adm.stats()
@@ -496,7 +458,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.pool.Backends() {
 		resp.Backends = append(resp.Backends, b.status())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTrace answers GET /v1/trace: per-backend upstream-time spans plus
@@ -504,9 +466,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // by its X-Request-Id. Empty (Enabled false) unless the gateway was built
 // with Config.Trace.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	resp := api.GatewayTraceResponse{UptimeS: time.Since(g.start).Seconds()}
@@ -515,7 +477,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 		resp.Backends = g.upRec.Snapshot()
 		resp.Requests = g.reqLog.Snapshot(0)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ---- predict: admission, proxy, retry, hedge, scatter ----
@@ -529,7 +491,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, rid string) (release func(), wait time.Duration, ok bool) {
 	t, err := g.tenants.resolve(r.Header.Get(api.HeaderAPIKey))
 	if err != nil {
-		writeAPIError(w, rid, http.StatusUnauthorized, api.CodeUnauthenticated, err.Error())
+		api.WriteAPIError(w, rid, http.StatusUnauthorized, api.CodeUnauthenticated, err.Error())
 		return nil, 0, false
 	}
 	w.Header().Set(api.HeaderTenant, t.snapshot().Name)
@@ -538,10 +500,10 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, rid string) (rel
 		var shed *shedError
 		if errors.As(err, &shed) {
 			w.Header().Set("Retry-After", strconv.Itoa(shed.retryAfterSeconds()))
-			writeAPIError(w, rid, http.StatusTooManyRequests, shed.code, shed.msg)
+			api.WriteAPIError(w, rid, http.StatusTooManyRequests, shed.code, shed.msg)
 		} else {
 			// The client went away while queued; the answer is for the log.
-			writeAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, err.Error())
+			api.WriteAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, err.Error())
 		}
 		return nil, 0, false
 	}
@@ -581,9 +543,9 @@ func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name stri
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeAPIError(w, rid, http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge, err.Error())
+			api.WriteAPIError(w, rid, http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge, err.Error())
 		} else {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "reading request: "+err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "reading request: "+err.Error())
 		}
 		return
 	}
@@ -603,11 +565,11 @@ func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name stri
 			if errors.Is(err, wire.ErrTooLarge) {
 				status, code = http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge
 			}
-			writeAPIError(w, rid, status, code, err.Error())
+			api.WriteAPIError(w, rid, status, code, err.Error())
 			return
 		}
 		if dtype != wire.Float32 {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 				"voxel tensors must be float32, got "+dtype.String())
 			return
 		}
@@ -617,18 +579,18 @@ func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name stri
 		case 5:
 			g.scatterTensor(w, r, rid, name, body, dims, off, accept, pc)
 		default:
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 				fmt.Sprintf("voxel tensors must be [D H W], [C D H W], or batched [N C D H W], got %d dims", len(dims)))
 		}
 	case wire.ContentTypeJSON, "":
 		var req api.PredictRequest
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request: "+err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request: "+err.Error())
 			return
 		}
 		if len(req.Batch) > 0 {
 			if len(req.Voxels) > 0 {
-				writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+				api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 					"voxels and batch are mutually exclusive")
 				return
 			}
@@ -637,7 +599,7 @@ func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name stri
 		}
 		g.proxyPredict(w, r, rid, name, body, ct, accept, pc)
 	default:
-		writeAPIError(w, rid, http.StatusUnsupportedMediaType, api.CodeUnsupportedMedia,
+		api.WriteAPIError(w, rid, http.StatusUnsupportedMediaType, api.CodeUnsupportedMedia,
 			"unsupported Content-Type "+ct+"; use "+wire.ContentTypeJSON+" or "+wire.ContentTypeTensor)
 	}
 }
@@ -668,7 +630,7 @@ func (g *Gateway) proxyPredict(w http.ResponseWriter, r *http.Request, rid, name
 	if g.reqLog != nil {
 		t0 = time.Now()
 	}
-	resp, b, err := g.forwardWithRetry(r.Context(), rid, name, body, ct, accept)
+	resp, b, err := g.forwardWithRetry(r.Context(), g.policy, g.hedgeDelay(), rid, name, body, ct, accept)
 	if err != nil {
 		g.ctr.errors.Add(1)
 		g.writeRouteError(w, rid, name, err)
@@ -720,7 +682,7 @@ func (g *Gateway) shadowCompare(rule *canaryRule, rid, candidate string, body []
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.BackendTimeout)
 	defer cancel()
-	resp, _, err := g.forwardWithRetry(ctx, rid, candidate, body, ct, wire.ContentTypeTensor)
+	resp, _, err := g.forwardWithRetry(ctx, g.policy, g.hedgeDelay(), rid, candidate, body, ct, wire.ContentTypeTensor)
 	if err != nil {
 		rule.recordMismatch(rid)
 		return
@@ -737,20 +699,20 @@ func (g *Gateway) writeRouteError(w http.ResponseWriter, rid, name string, err e
 	if errors.Is(err, errNoBackend) {
 		for _, a := range g.pool.knownModels() {
 			if a.name == name {
-				writeAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable,
+				api.WriteAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable,
 					"no ready backend for model "+name)
 				return
 			}
 		}
 		if g.pool.routableCount() == 0 {
-			writeAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable,
+			api.WriteAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable,
 				"no routable backend in the pool")
 			return
 		}
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
 		return
 	}
-	writeAPIError(w, rid, http.StatusBadGateway, api.CodeUpstream, err.Error())
+	api.WriteAPIError(w, rid, http.StatusBadGateway, api.CodeUpstream, err.Error())
 }
 
 // retryableStatus marks backend answers worth a different backend: 404
@@ -765,13 +727,13 @@ func retryableStatus(code int) bool {
 	return false
 }
 
-// forwardWithRetry sends body to one backend after another until an
-// acceptable answer arrives: the first attempt may hedge, each further
-// attempt is a failover to a backend not yet tried. A retryable response
-// is passed through anyway when it is the last word (no candidates or
-// attempts left) so the client sees the backend's own error, not a
-// gateway-invented one.
-func (g *Gateway) forwardWithRetry(ctx context.Context, rid, name string, body []byte, ct, accept string) (*http.Response, *Backend, error) {
+// forwardWithRetry sends body to one backend after another, each picked
+// by policy, until an acceptable answer arrives: the first attempt hedges
+// after delay (0 never hedges), each further attempt is a failover to a
+// backend not yet tried. A retryable response is passed through anyway
+// when it is the last word (no candidates or attempts left) so the client
+// sees the backend's own error, not a gateway-invented one.
+func (g *Gateway) forwardWithRetry(ctx context.Context, policy Policy, delay time.Duration, rid, name string, body []byte, ct, accept string) (*http.Response, *Backend, error) {
 	tried := map[*Backend]bool{}
 	var lastErr error
 	attempts := g.cfg.Retries + 1
@@ -780,9 +742,9 @@ func (g *Gateway) forwardWithRetry(ctx context.Context, rid, name string, body [
 		var b *Backend
 		var err error
 		if i == 0 {
-			resp, b, err = g.sendHedged(ctx, rid, name, body, ct, accept, tried)
+			resp, b, err = g.sendHedged(ctx, policy, delay, rid, name, body, ct, accept, tried)
 		} else {
-			b = g.pick(name, tried)
+			b = policy.Pick(name, g.pool.candidates(name, tried))
 			if b == nil {
 				break
 			}
@@ -808,11 +770,6 @@ func (g *Gateway) forwardWithRetry(ctx context.Context, rid, name string, body [
 		lastErr = errNoBackend
 	}
 	return nil, nil, lastErr
-}
-
-// pick runs the routing policy over the not-yet-tried candidates.
-func (g *Gateway) pick(name string, tried map[*Backend]bool) *Backend {
-	return g.policy.Pick(name, g.pool.candidates(name, tried))
 }
 
 // send proxies one attempt to one backend, maintaining its outstanding
@@ -849,18 +806,17 @@ func (g *Gateway) send(ctx context.Context, b *Backend, rid, name string, body [
 }
 
 // sendHedged runs the first attempt with optional tail-latency hedging:
-// if the primary has not answered within the hedge delay, a duplicate
-// goes to a second backend and the first answer (either way) wins. The
+// if the primary has not answered within delay, a duplicate goes to a
+// second backend (both picked by policy) and the first answer wins. The
 // loser is drained in the background so its connection returns to the
 // pool; the hedge (and only the hedge) is cancelled when it loses —
 // predict is idempotent, so duplicated execution is waste, not harm.
-func (g *Gateway) sendHedged(ctx context.Context, rid, name string, body []byte, ct, accept string, tried map[*Backend]bool) (*http.Response, *Backend, error) {
-	primary := g.pick(name, tried)
+func (g *Gateway) sendHedged(ctx context.Context, policy Policy, delay time.Duration, rid, name string, body []byte, ct, accept string, tried map[*Backend]bool) (*http.Response, *Backend, error) {
+	primary := policy.Pick(name, g.pool.candidates(name, tried))
 	if primary == nil {
 		return nil, nil, errNoBackend
 	}
 	tried[primary] = true
-	delay := g.hedgeDelay()
 	if delay <= 0 {
 		resp, err := g.send(ctx, primary, rid, name, body, ct, accept)
 		return resp, primary, err
@@ -882,7 +838,7 @@ func (g *Gateway) sendHedged(ctx context.Context, rid, name string, body []byte,
 		return a.resp, a.b, a.err
 	case <-timer.C:
 	}
-	hedge := g.pick(name, tried)
+	hedge := policy.Pick(name, g.pool.candidates(name, tried))
 	if hedge == nil {
 		a := <-ch
 		return a.resp, a.b, a.err
@@ -949,13 +905,13 @@ func (g *Gateway) scatterTensor(w http.ResponseWriter, r *http.Request, rid, nam
 	n := dims[0]
 	per := 4 * elems
 	if len(body) != off+n*per {
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+		api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 			fmt.Sprintf("batch frame dims %v imply %d payload bytes, body has %d", dims, n*per, len(body)-off))
 		return
 	}
 	hdr, err := wire.EncodeHeader(nil, wire.Float32, sub)
 	if err != nil {
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+		api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 		return
 	}
 	bodies := make([][]byte, n)
@@ -976,7 +932,7 @@ func (g *Gateway) scatterJSON(w http.ResponseWriter, r *http.Request, rid, name 
 	for i, vox := range batch {
 		b, err := json.Marshal(api.PredictRequest{Voxels: vox})
 		if err != nil {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 			return
 		}
 		bodies[i] = b
@@ -1063,7 +1019,7 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, rid, name stri
 			if code == "" {
 				code = api.CodeUpstream
 			}
-			writeAPIError(w, rid, apiErr.StatusCode, code, apiErr.Message)
+			api.WriteAPIError(w, rid, apiErr.StatusCode, code, apiErr.Message)
 			return
 		}
 		g.writeRouteError(w, rid, name, err)
@@ -1082,47 +1038,24 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, rid, name stri
 	for i, p := range preds {
 		resp.Predictions[i] = *p
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// scatterOne routes one sub-volume with failover, decoding the backend's
-// answer through the typed client (the binary Accept path, so params and
-// normalized outputs arrive bit-exact however ct encoded the request).
+// scatterOne routes one sub-volume with failover but no hedge, decoding
+// the backend's answer through the typed client (the binary Accept path,
+// so params and normalized outputs arrive bit-exact however ct encoded
+// the request).
 func (g *Gateway) scatterOne(ctx context.Context, rid, name string, body []byte, ct string) (*api.PredictResponse, error) {
-	tried := map[*Backend]bool{}
-	var lastErr error
-	attempts := g.cfg.Retries + 1
-	for i := 0; i < attempts; i++ {
-		b := g.spread.Pick(name, g.pool.candidates(name, tried))
-		if b == nil {
-			break
-		}
-		tried[b] = true
-		if i > 0 {
-			g.ctr.retries.Add(1)
-		}
-		resp, err := g.send(ctx, b, rid, name, body, ct, wire.ContentTypeTensor)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if retryableStatus(resp.StatusCode) &&
-			i < attempts-1 && len(g.pool.candidates(name, tried)) > 0 {
-			lastErr = fmt.Errorf("backend %s answered %d", b.Addr(), resp.StatusCode)
-			discard(resp)
-			continue
-		}
-		pr, err := client.DecodePredict(resp)
-		if err != nil {
-			return nil, err
-		}
-		pr.Backend = b.Addr()
-		return pr, nil
+	resp, b, err := g.forwardWithRetry(ctx, g.spread, 0, rid, name, body, ct, wire.ContentTypeTensor)
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = errNoBackend
+	pr, err := client.DecodePredict(resp)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	pr.Backend = b.Addr()
+	return pr, nil
 }
 
 // writeTensorBatch renders the gathered answers as one [N 2 3] float64
@@ -1137,7 +1070,7 @@ func (g *Gateway) writeTensorBatch(w http.ResponseWriter, rid string, preds []*a
 	}
 	t, err := wire.FromFloat64([]int{len(preds), 2, 3}, data)
 	if err != nil {
-		writeAPIError(w, rid, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		api.WriteAPIError(w, rid, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
 	h := w.Header()
@@ -1149,106 +1082,6 @@ func (g *Gateway) writeTensorBatch(w http.ResponseWriter, rid string, preds []*a
 	_, _ = t.WriteTo(w)
 }
 
-// ---- legacy /predict alias ----
-
-// handleLegacyPredict is the deprecated pre-v1 route one tier up: the
-// gateway accepts POST /predict (JSON, model name in the body) and
-// forwards it verbatim to a backend's own legacy endpoint. The request
-// pays the same front door as v1 traffic — API key, rate limit,
-// admission queue — so the alias's 429 + Retry-After semantics are
-// identical to /v1/models/{name}:predict (the typed envelope; only
-// backend-originated errors keep the frozen v0 {"error":"msg"} shape).
-// Canary rules do not apply here: the alias is a compatibility shim, not
-// a rollout surface.
-func (g *Gateway) handleLegacyPredict(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/models>; rel="successor-version"`)
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, rid, http.MethodPost)
-		return
-	}
-	g.ctr.requests.Add(1)
-	release, _, ok := g.admit(w, r, rid)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeAPIError(w, rid, http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge, err.Error())
-		} else {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "reading request: "+err.Error())
-		}
-		return
-	}
-	// Decode only to learn the model for routing; the body forwards
-	// untouched (an empty model routes anywhere and the backend applies
-	// its own default, exactly as a direct v0 client saw).
-	var req api.PredictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request: "+err.Error())
-		return
-	}
-	tried := map[*Backend]bool{}
-	attempts := g.cfg.Retries + 1
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		b := g.pick(req.Model, tried)
-		if b == nil {
-			break
-		}
-		tried[b] = true
-		if i > 0 {
-			g.ctr.retries.Add(1)
-		}
-		resp, err := g.sendLegacy(r.Context(), b, rid, body)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if retryableStatus(resp.StatusCode) && i < attempts-1 && len(g.pool.candidates(req.Model, tried)) > 0 {
-			lastErr = fmt.Errorf("backend %s answered %d", b.Addr(), resp.StatusCode)
-			discard(resp)
-			continue
-		}
-		copyResponse(w, resp, b.Addr())
-		return
-	}
-	if lastErr == nil {
-		lastErr = errNoBackend
-	}
-	g.ctr.errors.Add(1)
-	g.writeRouteError(w, rid, req.Model, lastErr)
-}
-
-// sendLegacy proxies one alias attempt, maintaining the same per-backend
-// counters as the v1 send path.
-func (g *Gateway) sendLegacy(ctx context.Context, b *Backend, rid string, body []byte) (*http.Response, error) {
-	b.requests.Add(1)
-	b.outstanding.Add(1)
-	defer b.outstanding.Add(-1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.addr+"/predict", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeJSON)
-	req.Header.Set(api.HeaderRequestID, rid)
-	resp, err := g.legacyHC.Do(req)
-	if err != nil {
-		b.recordFailure(g.cfg.EjectAfter)
-		return nil, fmt.Errorf("backend %s: %w", b.addr, err)
-	}
-	if resp.StatusCode >= http.StatusInternalServerError {
-		b.errors.Add(1)
-	} else {
-		b.recordSuccess()
-	}
-	return resp, nil
-}
-
 // ---- lifecycle fan-out ----
 
 // loadFanout broadcasts PUT /v1/models/{name} to every reachable backend
@@ -1257,11 +1090,11 @@ func (g *Gateway) sendLegacy(ctx context.Context, b *Backend, rid string, body [
 func (g *Gateway) loadFanout(w http.ResponseWriter, r *http.Request, rid, name string) {
 	var spec api.LoadModelRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request: "+err.Error())
+		api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request: "+err.Error())
 		return
 	}
 	if spec.InputDim < 1 {
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+		api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 			"input_dim is required (the voxel edge length the checkpoint was trained with)")
 		return
 	}
@@ -1283,7 +1116,7 @@ func (g *Gateway) unloadFanout(w http.ResponseWriter, r *http.Request, rid, name
 		}
 	}
 	if !known {
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
 		return
 	}
 	g.fanout(w, r, rid, name, "unload", func(ctx context.Context, b *Backend) error {
@@ -1304,7 +1137,7 @@ func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, rid, name, op s
 		}
 	}
 	if len(targets) == 0 {
-		writeAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable,
+		api.WriteAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable,
 			"no reachable backend in the pool")
 		return
 	}
@@ -1344,7 +1177,7 @@ func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, rid, name, op s
 	if len(failed) > 0 {
 		// Re-probe soon regardless: a failed broadcast means pool state
 		// diverged and routing should follow reality, not intent.
-		writeJSON(w, http.StatusBadGateway, api.ErrorResponse{Error: api.ErrorDetail{
+		api.WriteJSON(w, http.StatusBadGateway, api.ErrorResponse{Error: api.ErrorDetail{
 			Code:      api.CodeUpstream,
 			Message:   fmt.Sprintf("%s %s failed on %s", op, name, strings.Join(failed, ", ")),
 			RequestID: rid,
@@ -1352,7 +1185,7 @@ func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, rid, name, op s
 		}})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ---- plumbing ----

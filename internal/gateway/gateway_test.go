@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +135,21 @@ func waitReady(t testing.TB, gwURL string) {
 	})
 }
 
+// waitAllReady waits until every pool member is ready. /healthz answers
+// 200 once one backend serves each model, which is too early for a test
+// that needs the whole pool routable.
+func waitAllReady(t testing.TB, gw *Gateway) {
+	t.Helper()
+	waitFor(t, "every backend ready", func() bool {
+		for _, b := range gw.Pool().Backends() {
+			if b.State() != StateReady {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func testVoxels(t testing.TB, n int, seed int64) [][]float32 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -148,6 +164,24 @@ func testVoxels(t testing.TB, n int, seed int64) [][]float32 {
 func binBody(t testing.TB, vox []float32) []byte {
 	t.Helper()
 	tt, err := wire.FromFloat32([]int{1, testDim, testDim, testDim}, vox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tt.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// batchBody encodes volumes as one [N 1 D H W] float32 frame.
+func batchBody(t testing.TB, volumes [][]float32) []byte {
+	t.Helper()
+	flat := make([]float32, 0, len(volumes)*len(volumes[0]))
+	for _, v := range volumes {
+		flat = append(flat, v...)
+	}
+	tt, err := wire.FromFloat32([]int{len(volumes), 1, testDim, testDim, testDim}, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,22 +294,8 @@ func TestScatterGatherBitIdentity(t *testing.T) {
 		want = append(want, tt.F64)
 	}
 
-	// Batch frame: [N 1 D H W].
-	flat := make([]float32, 0, n*len(volumes[0]))
-	for _, v := range volumes {
-		flat = append(flat, v...)
-	}
-	batch, err := wire.FromFloat32([]int{n, 1, testDim, testDim, testDim}, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := batch.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-
 	t.Run("binary", func(t *testing.T) {
-		resp := postPredict(t, gws.URL, buf.Bytes(), wire.ContentTypeTensor, wire.ContentTypeTensor)
+		resp := postPredict(t, gws.URL, batchBody(t, volumes), wire.ContentTypeTensor, wire.ContentTypeTensor)
 		body := readAll(t, resp, 200)
 		tt, err := wire.ReadTensor(bytes.NewReader(body), 1<<20)
 		if err != nil {
@@ -326,6 +346,87 @@ func TestScatterGatherBitIdentity(t *testing.T) {
 	})
 	if gw.ctr.scattered.Load() < 2 {
 		t.Fatalf("scattered counter = %d, want >= 2", gw.ctr.scattered.Load())
+	}
+}
+
+// TestScatterFailover: sub-volumes a backend refuses with 503 fail over to
+// the healthy member, so every batch still reassembles bit-identically to
+// direct calls; and a scatter never hedges, even with hedging configured
+// and a refusing member slow enough to trigger it.
+func TestScatterFailover(t *testing.T) {
+	ckpt := testCheckpoint(t)
+	good := startBackend(t, ckpt)
+	inner := startBackend(t, ckpt)
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			time.Sleep(50 * time.Millisecond)
+			api.WriteAPIError(w, "", http.StatusServiceUnavailable, api.CodeUnavailable, "refusing predicts")
+			return
+		}
+		proxyTo(w, r, inner.url)
+	}))
+	t.Cleanup(refusing.Close)
+	gw, gws := testGateway(t, Config{
+		HedgePercentile: 50,
+		HedgeMin:        5 * time.Millisecond,
+	}, good.url, refusing.URL)
+	waitAllReady(t, gw)
+
+	const n = 8
+	for round := 0; round < 3; round++ {
+		volumes := testVoxels(t, n, int64(40+round))
+		var want [][]float64
+		for _, vox := range volumes {
+			resp := postPredict(t, good.url, binBody(t, vox), wire.ContentTypeTensor, wire.ContentTypeTensor)
+			tt, err := wire.ReadTensor(bytes.NewReader(readAll(t, resp, 200)), 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, tt.F64)
+		}
+
+		resp := postPredict(t, gws.URL, batchBody(t, volumes), wire.ContentTypeTensor, wire.ContentTypeTensor)
+		tt, err := wire.ReadTensor(bytes.NewReader(readAll(t, resp, 200)), 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			for j, v := range tt.F64[6*i : 6*i+6] {
+				if v != want[i][j] {
+					t.Fatalf("round %d tensor volume %d element %d: gateway %v, direct %v", round, i, j, v, want[i][j])
+				}
+			}
+		}
+
+		jb, err := json.Marshal(api.PredictRequest{Batch: volumes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br api.BatchPredictResponse
+		if err := json.Unmarshal(readAll(t, postPredict(t, gws.URL, jb, wire.ContentTypeJSON, ""), 200), &br); err != nil {
+			t.Fatal(err)
+		}
+		if len(br.Predictions) != n {
+			t.Fatalf("round %d: %d predictions, want %d", round, len(br.Predictions), n)
+		}
+		for i, p := range br.Predictions {
+			got := []float64{p.Params.OmegaM, p.Params.Sigma8, p.Params.NS,
+				float64(p.Normalized[0]), float64(p.Normalized[1]), float64(p.Normalized[2])}
+			for j := range got {
+				if got[j] != want[i][j] {
+					t.Fatalf("round %d JSON volume %d element %d: gateway %v, direct %v", round, i, j, got[j], want[i][j])
+				}
+			}
+			if p.Backend != good.url {
+				t.Fatalf("round %d JSON volume %d served by %s, want the healthy %s", round, i, p.Backend, good.url)
+			}
+		}
+	}
+	if gw.ctr.retries.Load() == 0 {
+		t.Fatal("retries = 0; no sub-volume failed over from the refusing backend")
+	}
+	if h := gw.ctr.hedges.Load(); h != 0 {
+		t.Fatalf("hedges = %d; a scatter must never hedge", h)
 	}
 }
 
@@ -795,6 +896,43 @@ func TestUnknownModelAndBadInput(t *testing.T) {
 	readAll(t, resp4, 400)
 }
 
+// TestUnknownRouteEnvelope: paths no route claims — the retired v0
+// /predict among them — answer 404 with the JSON envelope, not the mux's
+// text/plain default.
+func TestUnknownRouteEnvelope(t *testing.T) {
+	ckpt := testCheckpoint(t)
+	b1 := startBackend(t, ckpt)
+	_, gws := testGateway(t, Config{}, b1.url)
+	waitReady(t, gws.URL)
+
+	for _, route := range []string{"predict", "nope", "v1/nope"} {
+		path := "/" + route
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(method, gws.URL+path, bytes.NewReader([]byte(`{"voxels":[1]}`)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", wire.ContentTypeJSON)
+			req.Header.Set(api.HeaderRequestID, "rid-404")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readAll(t, resp, http.StatusNotFound)
+			resp.Body.Close()
+			if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeJSON {
+				t.Errorf("%s %s: Content-Type %q, want %q", method, path, ct, wire.ContentTypeJSON)
+			}
+			var env api.ErrorResponse
+			if err := json.Unmarshal(body, &env); err != nil ||
+				env.Error.Code != api.CodeNotFound || env.Error.RequestID != "rid-404" ||
+				!strings.Contains(env.Error.Message, path) {
+				t.Errorf("%s %s: envelope = %s (err %v), want %s naming the path", method, path, body, err, api.CodeNotFound)
+			}
+		}
+	}
+}
+
 // TestConsistentHashPinsModel: under the hash policy every request for
 // one model lands on the same backend while it stays healthy.
 func TestConsistentHashPinsModel(t *testing.T) {
@@ -805,14 +943,7 @@ func TestConsistentHashPinsModel(t *testing.T) {
 	gw, gws := testGateway(t, Config{Policy: PolicyConsistentHash}, b1.url, b2.url, b3.url)
 	// /healthz answers 200 once one backend is ready; wait for all three,
 	// or the model's hash owner may join mid-loop and take over its traffic.
-	waitFor(t, "every backend ready", func() bool {
-		for _, b := range gw.Pool().Backends() {
-			if b.State() != StateReady {
-				return false
-			}
-		}
-		return true
-	})
+	waitAllReady(t, gw)
 
 	cl := client.New(gws.URL)
 	vox := testVoxels(t, 1, 29)[0]

@@ -1,9 +1,8 @@
 package gateway
 
-// End-to-end tests for the multi-tenant front door, the admin plane, and
-// the legacy alias: real backends, real gateway, requests through the
-// public HTTP surface or the typed client — the same paths production
-// traffic takes.
+// End-to-end tests for the multi-tenant front door and the admin plane:
+// real backends, real gateway, requests through the public HTTP surface
+// or the typed client — the same paths production traffic takes.
 
 import (
 	"bytes"
@@ -106,84 +105,6 @@ func TestTenantAuthAndRateLimit(t *testing.T) {
 	}
 	if apiErr.StatusCode != http.StatusTooManyRequests || apiErr.RetryAfter < time.Second {
 		t.Fatalf("APIError = status %d retryAfter %v, want 429 with >= 1s", apiErr.StatusCode, apiErr.RetryAfter)
-	}
-}
-
-// TestLegacyAliasAdmissionParity pins the alias contract: POST /predict
-// on the gateway answers like a v0 backend (Deprecation header, JSON
-// body) but pays the same admission front door as v1 — an over-limit
-// tenant's alias request sheds with the identical 429 + Retry-After +
-// typed envelope, and non-POST gets the v1 405 + Allow discipline.
-func TestLegacyAliasAdmissionParity(t *testing.T) {
-	ckpt := testCheckpoint(t)
-	b := startBackend(t, ckpt)
-	_, srv := testGateway(t, Config{
-		Tenants: []api.Tenant{
-			{Key: "k1", Name: "tenant-one", Class: api.ClassStandard, RatePerSec: 0.5, Burst: 1},
-		},
-	}, b.url)
-	waitReady(t, srv.URL)
-
-	vox := testVoxels(t, 1, 2)[0]
-	legacyBody, err := json.Marshal(api.PredictRequest{Voxels: vox})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func() *http.Response {
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/predict", bytes.NewReader(legacyBody))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", wire.ContentTypeJSON)
-		req.Header.Set(api.HeaderAPIKey, "k1")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	// In-limit: a working v0 answer with the deprecation headers, served
-	// by a backend through the gateway.
-	resp := post()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("alias response missing Deprecation header")
-	}
-	var pr api.PredictResponse
-	if err := json.Unmarshal(readAll(t, resp, http.StatusOK), &pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Model == "" {
-		t.Fatal("alias answer missing model")
-	}
-	if resp.Header.Get(api.HeaderBackend) == "" {
-		t.Fatal("alias answer missing backend attribution")
-	}
-
-	// Over-limit: the alias sheds exactly like v1 — 429, whole-second
-	// Retry-After, typed envelope with RATE_LIMITED. This is the parity
-	// contract; the v0 {"error": ...} shape is only for backend answers.
-	resp = post()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-limit alias = %d, want 429", resp.StatusCode)
-	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("alias Retry-After = %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
-	}
-	if env := decodeEnvelope(t, resp); env.Error.Code != api.CodeRateLimited {
-		t.Fatalf("alias 429 code = %q, want %s", env.Error.Code, api.CodeRateLimited)
-	}
-
-	// Method discipline matches the v1 routes.
-	getResp, err := http.Get(srv.URL + "/predict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed || getResp.Header.Get("Allow") != http.MethodPost {
-		t.Fatalf("GET /predict = %d Allow %q, want 405 with Allow: POST",
-			getResp.StatusCode, getResp.Header.Get("Allow"))
 	}
 }
 

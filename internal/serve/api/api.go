@@ -1,7 +1,8 @@
 // Package api defines the versioned v1 serving surface shared by the
-// server (internal/serve) and the typed client (internal/serve/client):
-// request/response DTOs, the error envelope, header names, and error
-// codes. It depends only on the wire codec and the standard library, so
+// servers (internal/serve, internal/gateway) and the typed client
+// (internal/serve/client): request/response DTOs, the error envelope and
+// the helpers that write it, header names, and error codes. It depends
+// only on the wire codec, obsv's span types and the standard library, so
 // clients link it without pulling in the network stack.
 //
 // Routes (see DESIGN.md "Serving API v1" for the full contract):
@@ -13,7 +14,6 @@
 //	DELETE /v1/models/{name}           drain and unload
 //	GET    /healthz                    readiness (503 until every model is ready)
 //	GET    /stats                      per-model serving counters
-//	POST   /predict                    deprecated v0 alias of :predict
 //
 // cosmoflow-gateway additionally serves the admin plane (operator
 // control surface, distinct from the tenant-facing data plane above; see
@@ -33,13 +33,14 @@
 // denormalized parameters, row 1 the normalized network outputs, exact in
 // float64) with the remaining PredictResponse fields carried in the
 // X-Cosmoflow-* headers. Errors are always the JSON ErrorResponse
-// envelope, whatever the negotiated encoding.
+// envelope, whatever the negotiated encoding — unknown paths included,
+// which answer 404 through NotFound.
 package api
 
 import "repro/internal/obsv"
 
-// DefaultModel is the model name the server uses when a request does not
-// name one (the legacy /predict route with an empty "model" field).
+// DefaultModel is the name a model takes when its config names none — the
+// model a single-checkpoint daemon serves at /v1/models/default:predict.
 const DefaultModel = "default"
 
 // Header names used by the v1 API.
@@ -111,13 +112,12 @@ type Params struct {
 	NS     float64 `json:"ns"`
 }
 
-// PredictRequest is the JSON predict body. Model is honored only by the
-// legacy /predict route; v1 takes the model from the URL. Batch is the
-// gateway's scatter-gather form: a list of equally-shaped volumes that
-// cosmoflow-gateway splits across ready backends and reassembles in
-// order; backends themselves take exactly one of Voxels or (never) Batch.
+// PredictRequest is the JSON predict body; the model is named in the URL.
+// Batch is the gateway's scatter-gather form: a list of equally-shaped
+// volumes that cosmoflow-gateway splits across ready backends and
+// reassembles in order; backends themselves take exactly one of Voxels or
+// (never) Batch.
 type PredictRequest struct {
-	Model  string      `json:"model,omitempty"`
 	Voxels []float32   `json:"voxels,omitempty"`
 	Batch  [][]float32 `json:"batch,omitempty"`
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,10 +70,10 @@ func tensorBody(t *testing.T, dim int, voxels []float32) []byte {
 }
 
 // TestV1PredictBitIdentity is the core wire-format acceptance test: the
-// same volume scored through v1 JSON, v1 binary (request and response),
-// and the legacy /predict alias yields bit-identical normalized outputs
-// and identical denormalized parameters, all matching the reference
-// sequential train.Predict.
+// same volume scored through v1 JSON, a v1 binary request, and v1 binary
+// both ways yields bit-identical normalized outputs and identical
+// denormalized parameters, all matching the reference sequential
+// train.Predict.
 func TestV1PredictBitIdentity(t *testing.T) {
 	ckpt, ref := testCheckpoint(t, 61)
 	reg := NewRegistry()
@@ -145,17 +146,9 @@ func TestV1PredictBitIdentity(t *testing.T) {
 		}
 		got = append(got, pr)
 	})
-	t.Run("legacy-alias", func(t *testing.T) {
-		resp := do(t, newReq(t, http.MethodPost, srv.URL+"/predict", jsonBody,
-			map[string]string{"Content-Type": wire.ContentTypeJSON}))
-		if resp.Header.Get("Deprecation") == "" {
-			t.Error("legacy /predict response missing Deprecation header")
-		}
-		got = append(got, decodeJSON(t, resp))
-	})
 
-	if len(got) != 4 {
-		t.Fatalf("collected %d answers, want 4", len(got))
+	if len(got) != 3 {
+		t.Fatalf("collected %d answers, want 3", len(got))
 	}
 	wantParams := got[0].Params
 	for i, pr := range got {
@@ -354,8 +347,6 @@ func TestMethodNotAllowed(t *testing.T) {
 		{http.MethodPost, "/v1/models/default", "GET, PUT, DELETE"},
 		{http.MethodGet, "/v1/models/default:predict", "POST"},
 		{http.MethodPut, "/v1/models/default:predict", "POST"},
-		{http.MethodGet, "/predict", "POST"},
-		{http.MethodDelete, "/predict", "POST"},
 		{http.MethodPost, "/healthz", "GET"},
 		{http.MethodPost, "/stats", "GET"},
 	}
@@ -368,17 +359,38 @@ func TestMethodNotAllowed(t *testing.T) {
 		if got := resp.Header.Get("Allow"); got != tc.allow {
 			t.Errorf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
 		}
-		if tc.path == "/predict" {
-			// The deprecated route keeps the frozen v0 error shape.
-			var v0 map[string]string
-			if err := json.NewDecoder(resp.Body).Decode(&v0); err != nil || v0["error"] == "" {
-				t.Errorf("%s %s: v0 error body = %v, err %v", tc.method, tc.path, v0, err)
-			}
-			continue
-		}
 		var env api.ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != api.CodeMethodNotAllowed {
 			t.Errorf("%s %s: envelope = %+v, err %v", tc.method, tc.path, env, err)
+		}
+	}
+}
+
+// TestUnknownRouteEnvelope checks that paths no route claims — the
+// retired v0 /predict among them — answer 404 with the JSON envelope, not
+// the mux's text/plain default.
+func TestUnknownRouteEnvelope(t *testing.T) {
+	_, srv, cleanup := v1TestServer(t, 73)
+	defer cleanup()
+
+	for _, route := range []string{"predict", "nope", "v1/nope"} {
+		path := "/" + route
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			resp := do(t, newReq(t, method, srv.URL+path, []byte(`{"voxels":[1]}`),
+				map[string]string{"Content-Type": wire.ContentTypeJSON, api.HeaderRequestID: "rid-404"}))
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", method, path, resp.StatusCode)
+				continue
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeJSON {
+				t.Errorf("%s %s: Content-Type %q, want %q", method, path, ct, wire.ContentTypeJSON)
+			}
+			var env api.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil ||
+				env.Error.Code != api.CodeNotFound || env.Error.RequestID != "rid-404" ||
+				!strings.Contains(env.Error.Message, path) {
+				t.Errorf("%s %s: envelope = %+v (err %v), want %s naming the path", method, path, env, err, api.CodeNotFound)
+			}
 		}
 	}
 }

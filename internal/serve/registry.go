@@ -37,7 +37,7 @@ type ModelConfig struct {
 	Trace bool
 }
 
-// DefaultModel is the model name used when a request does not specify one.
+// DefaultModel is the model name used when a ModelConfig names none.
 const DefaultModel = api.DefaultModel
 
 // ModelState is a registry entry's lifecycle phase, as reported by

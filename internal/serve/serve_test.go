@@ -144,7 +144,7 @@ func TestPredictHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/models/"+DefaultModel+":predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,35 +189,35 @@ func TestHTTPErrors(t *testing.T) {
 	srv := httptest.NewServer(NewServer(reg, "").Handler())
 	defer srv.Close()
 
-	post := func(body string) *http.Response {
-		resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewBufferString(body))
+	predictURL := func(model string) string { return srv.URL + "/v1/models/" + model + ":predict" }
+	post := func(model, body string) *http.Response {
+		resp, err := http.Post(predictURL(model), "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	if resp, err := http.Get(srv.URL + "/predict"); err != nil {
+	if resp, err := http.Get(predictURL(DefaultModel)); err != nil {
 		t.Fatal(err)
 	} else if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /predict status %d, want 405", resp.StatusCode)
+		t.Errorf("GET :predict status %d, want 405", resp.StatusCode)
 	} else {
 		resp.Body.Close()
 	}
-	if resp := post("{not json"); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(DefaultModel, "{not json"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON status %d, want 400", resp.StatusCode)
 	}
-	if resp := post(`{"model":"nope","voxels":[1]}`); resp.StatusCode != http.StatusNotFound {
+	if resp := post("nope", `{"voxels":[1]}`); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown model status %d, want 404", resp.StatusCode)
 	}
-	if resp := post(`{"voxels":[1,2,3]}`); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(DefaultModel, `{"voxels":[1,2,3]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("wrong voxel count status %d, want 400", resp.StatusCode)
 	} else {
-		// The deprecated route's error contract is frozen at the v0 shape:
-		// a bare string, not the v1 envelope object.
-		var v0 map[string]string
-		if err := json.NewDecoder(resp.Body).Decode(&v0); err != nil || v0["error"] == "" {
-			t.Errorf("legacy /predict error body not the v0 {\"error\":\"msg\"} shape: %v (err %v)", v0, err)
+		var env api.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil ||
+			env.Error.Code != api.CodeInvalidArgument || env.Error.Message == "" {
+			t.Errorf("wrong voxel count error body not the envelope: %+v (err %v)", env, err)
 		}
 	}
 }
@@ -398,7 +398,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		go func(i int, voxels []float32) {
 			defer wg.Done()
 			body, _ := json.Marshal(api.PredictRequest{Voxels: voxels})
-			resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(srv.URL+"/v1/models/"+DefaultModel+":predict", "application/json", bytes.NewReader(body))
 			if err != nil {
 				codes[i] = -1
 				return

@@ -9,8 +9,8 @@
 // encodings (JSON, or the internal/serve/wire binary tensor frame that
 // kills the multi-MB JSON encode/decode on the hot path), model lifecycle
 // via GET/PUT/DELETE on /v1/models, readiness via GET /healthz (503 until
-// every configured model is ready), counters via GET /stats, and the
-// deprecated v0 alias POST /predict.
+// every configured model is ready), and counters via GET /stats. Unknown
+// paths answer 404 with the same JSON error envelope as every other route.
 //
 // Request flow: a predict handler decodes a voxel volume, the model's
 // batcher coalesces it with its neighbours (up to MaxBatch requests or
@@ -23,8 +23,6 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,12 +60,12 @@ func NewServer(reg *Registry, addr string) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/v1/models/", s.handleModelItem)
-	mux.HandleFunc("/predict", s.handleLegacyPredict)
 	mux.HandleFunc("/v1/trace", s.handleTrace)
 	mux.HandleFunc("/v1/roofline", s.handleRoofline)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/metrics", s.metrics.Handler())
+	mux.HandleFunc("/", api.NotFound)
 	s.http = &http.Server{
 		Addr:    addr,
 		Handler: mux,
@@ -112,47 +110,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// requestID echoes the caller's X-Request-Id (or mints one) onto the
-// response, so every answer — success or error envelope — is traceable
-// across client, proxy, and server logs.
-func requestID(w http.ResponseWriter, r *http.Request) string {
-	rid := r.Header.Get(api.HeaderRequestID)
-	if rid == "" || len(rid) > 128 {
-		var b [8]byte
-		_, _ = rand.Read(b[:])
-		rid = hex.EncodeToString(b[:])
-	}
-	w.Header().Set(api.HeaderRequestID, rid)
-	return rid
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", wire.ContentTypeJSON)
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeAPIError emits the typed error envelope. Errors are always JSON,
-// whatever encoding the request negotiated for success responses.
-func writeAPIError(w http.ResponseWriter, rid string, status int, code, msg string) {
-	writeJSON(w, status, api.ErrorResponse{Error: api.ErrorDetail{
-		Code: code, Message: msg, RequestID: rid,
-	}})
-}
-
-// methodNotAllowed answers 405 with the route's Allow set, per RFC 9110.
-func methodNotAllowed(w http.ResponseWriter, rid string, allowed ...string) {
-	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	writeAPIError(w, rid, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		"method not allowed; allowed: "+strings.Join(allowed, ", "))
-}
-
 // handleModels is the /v1/models collection: GET lists every entry with
 // status, config, and metrics.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	infos := s.reg.Info()
@@ -160,25 +123,25 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for _, info := range infos {
 		list.Models = append(list.Models, modelStatus(info))
 	}
-	writeJSON(w, http.StatusOK, list)
+	api.WriteJSON(w, http.StatusOK, list)
 }
 
 // handleModelItem routes /v1/models/{name} (GET status, PUT load/swap,
 // DELETE unload) and /v1/models/{name}:predict (POST).
 func (s *Server) handleModelItem(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/models/")
 	if rest == "" || strings.Contains(rest, "/") {
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "no such route: "+r.URL.Path)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "no such route: "+r.URL.Path)
 		return
 	}
 	if name, ok := strings.CutSuffix(rest, ":predict"); ok {
 		if name == "" {
-			writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "missing model name")
+			api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "missing model name")
 			return
 		}
 		if r.Method != http.MethodPost {
-			methodNotAllowed(w, rid, http.MethodPost)
+			api.MethodNotAllowed(w, rid, http.MethodPost)
 			return
 		}
 		s.predict(w, r, rid, name)
@@ -192,7 +155,7 @@ func (s *Server) handleModelItem(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		s.unloadModel(w, rid, rest)
 	default:
-		methodNotAllowed(w, rid, http.MethodGet, http.MethodPut, http.MethodDelete)
+		api.MethodNotAllowed(w, rid, http.MethodGet, http.MethodPut, http.MethodDelete)
 	}
 }
 
@@ -225,7 +188,7 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request, rid, name strin
 		writeTensorPrediction(w, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // modelMiss distinguishes "never heard of it" (404) from "configured but
@@ -234,14 +197,14 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request, rid, name strin
 func (s *Server) modelMiss(w http.ResponseWriter, rid, name string) {
 	info, ok := s.reg.InfoFor(name)
 	if !ok {
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
 		return
 	}
 	msg := fmt.Sprintf("model %s is %s", name, info.State)
 	if info.Err != nil {
 		msg += ": " + info.Err.Error()
 	}
-	writeAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, msg)
+	api.WriteAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, msg)
 }
 
 // decodeVoxels reads the request body as either a binary tensor frame or
@@ -264,14 +227,14 @@ func (s *Server) decodeVoxels(w http.ResponseWriter, r *http.Request, rid string
 			return nil, false
 		}
 		if t.DType != wire.Float32 {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 				"voxel tensors must be float32, got "+t.DType.String())
 			return nil, false
 		}
 		// [C D H W] or [D H W] (implying one channel); the model's own
 		// shape check rejects mismatched element counts.
 		if len(t.Dims) != 3 && len(t.Dims) != 4 {
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 				fmt.Sprintf("voxel tensors must be [C D H W] or [D H W], got %d dims", len(t.Dims)))
 			return nil, false
 		}
@@ -284,7 +247,7 @@ func (s *Server) decodeVoxels(w http.ResponseWriter, r *http.Request, rid string
 		}
 		return req.Voxels, true
 	default:
-		writeAPIError(w, rid, http.StatusUnsupportedMediaType, api.CodeUnsupportedMedia,
+		api.WriteAPIError(w, rid, http.StatusUnsupportedMediaType, api.CodeUnsupportedMedia,
 			"unsupported Content-Type "+ct+"; use "+wire.ContentTypeJSON+" or "+wire.ContentTypeTensor)
 		return nil, false
 	}
@@ -307,7 +270,7 @@ func writeTensorPrediction(w http.ResponseWriter, resp api.PredictResponse) {
 		float64(resp.Normalized[0]), float64(resp.Normalized[1]), float64(resp.Normalized[2]),
 	})
 	if err != nil {
-		writeAPIError(w, resp.RequestID, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		api.WriteAPIError(w, resp.RequestID, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
 	h := w.Header()
@@ -326,9 +289,9 @@ func writeWireError(w http.ResponseWriter, rid string, err error) {
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig), errors.Is(err, wire.ErrTooLarge):
-		writeAPIError(w, rid, http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge, err.Error())
+		api.WriteAPIError(w, rid, http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge, err.Error())
 	default:
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+		api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 	}
 }
 
@@ -336,10 +299,10 @@ func writeWireError(w http.ResponseWriter, rid string, err error) {
 func writeBodyError(w http.ResponseWriter, rid string, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		writeAPIError(w, rid, http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge, err.Error())
+		api.WriteAPIError(w, rid, http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge, err.Error())
 		return
 	}
-	writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request: "+err.Error())
+	api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding request: "+err.Error())
 }
 
 // writePredictError maps Model.Predict failures onto the envelope.
@@ -348,11 +311,11 @@ func writePredictError(w http.ResponseWriter, rid string, err error) {
 	case errors.Is(err, ErrClosed):
 		// The model was hot-swapped, unloaded, or the server is draining;
 		// the client should retry (and will resolve the new state).
-		writeAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, err.Error())
+		api.WriteAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, err.Error())
 	case errors.Is(err, ErrBadRequest):
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+		api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 	default:
-		writeAPIError(w, rid, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		api.WriteAPIError(w, rid, http.StatusInternalServerError, api.CodeInternal, err.Error())
 	}
 }
 
@@ -360,10 +323,10 @@ func writePredictError(w http.ResponseWriter, rid string, err error) {
 func (s *Server) getModel(w http.ResponseWriter, rid, name string) {
 	info, ok := s.reg.InfoFor(name)
 	if !ok {
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
 		return
 	}
-	writeJSON(w, http.StatusOK, modelStatus(info))
+	api.WriteJSON(w, http.StatusOK, modelStatus(info))
 }
 
 // loadModel answers PUT /v1/models/{name}: build the requested topology,
@@ -379,7 +342,7 @@ func (s *Server) loadModel(w http.ResponseWriter, r *http.Request, rid, name str
 		return
 	}
 	if req.InputDim < 1 {
-		writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
+		api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 			"input_dim is required (the voxel edge length the checkpoint was trained with)")
 		return
 	}
@@ -405,21 +368,21 @@ func (s *Server) loadModel(w http.ResponseWriter, r *http.Request, rid, name str
 	if _, err := s.reg.Load(cfg); err != nil {
 		switch {
 		case errors.Is(err, ErrClosed):
-			writeAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, err.Error())
+			api.WriteAPIError(w, rid, http.StatusServiceUnavailable, api.CodeUnavailable, err.Error())
 		default:
 			// A bad topology or unreadable checkpoint is the caller's
 			// input; the previous instance (if any) is still serving.
-			writeAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
+			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
 		}
 		return
 	}
 	info, ok := s.reg.InfoFor(name)
 	if !ok {
 		// Unloaded between install and status read; report the race as gone.
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "model "+name+" unloaded concurrently")
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "model "+name+" unloaded concurrently")
 		return
 	}
-	writeJSON(w, http.StatusOK, modelStatus(info))
+	api.WriteJSON(w, http.StatusOK, modelStatus(info))
 }
 
 // unloadModel answers DELETE /v1/models/{name}: the entry disappears from
@@ -427,74 +390,11 @@ func (s *Server) loadModel(w http.ResponseWriter, r *http.Request, rid, name str
 // instance, and its replicas drain in the background.
 func (s *Server) unloadModel(w http.ResponseWriter, rid, name string) {
 	if !s.reg.Unload(name) {
-		writeAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
+		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "unknown model "+name)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.UnloadModelResponse{
+	api.WriteJSON(w, http.StatusOK, api.UnloadModelResponse{
 		Model: name, Status: "unloading", RequestID: rid,
-	})
-}
-
-// writeLegacyError keeps the v0 error shape — a bare {"error":"msg"}
-// string — on the deprecated route: the alias's contract is frozen, and
-// pre-v1 clients parse exactly this.
-func writeLegacyError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// handleLegacyPredict is the deprecated v0 route: JSON only, model name
-// in the body, v0 error bodies. It rides the same predict core as v1.
-func (s *Server) handleLegacyPredict(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/models>; rel="successor-version"`)
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeLegacyError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req api.PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeLegacyError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	name := req.Model
-	if name == "" {
-		name = DefaultModel
-	}
-	m, ok := s.reg.Get(name)
-	if !ok {
-		if info, exists := s.reg.InfoFor(name); exists {
-			msg := fmt.Sprintf("model %s is %s", name, info.State)
-			if info.Err != nil {
-				msg += ": " + info.Err.Error()
-			}
-			writeLegacyError(w, http.StatusServiceUnavailable, msg)
-			return
-		}
-		writeLegacyError(w, http.StatusNotFound, "unknown model "+name)
-		return
-	}
-	pred, err := m.Predict(req.Voxels)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrClosed):
-			writeLegacyError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, ErrBadRequest):
-			writeLegacyError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeLegacyError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, api.PredictResponse{
-		Model:      m.Name(),
-		Params:     toParams(pred.Params),
-		Normalized: pred.Normalized,
-		BatchSize:  pred.BatchSize,
-		LatencyMs:  float64(pred.Latency) / 1e6,
-		RequestID:  rid,
 	})
 }
 
@@ -503,9 +403,9 @@ func (s *Server) handleLegacyPredict(w http.ResponseWriter, r *http.Request) {
 // including an empty registry, so a daemon that loads asynchronously
 // reports unready from its very first poll.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	infos := s.reg.Info()
@@ -528,13 +428,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "unavailable"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
+	api.WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	resp := api.StatsResponse{
@@ -553,7 +453,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.Models[info.Name] = ms
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTrace answers GET /v1/trace: every traced model's per-layer
@@ -561,9 +461,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // the last counter reset). Models loaded without ModelConfig.Trace are
 // absent; Enabled is false when none trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	resp := api.TraceResponse{UptimeS: time.Since(s.start).Seconds()}
@@ -582,7 +482,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			Layers:  layers,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRoofline answers GET /v1/roofline: every traced model's per-layer
@@ -590,9 +490,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // spans (obsv.BuildRoofline). Models loaded without ModelConfig.Trace are
 // absent; Enabled is false when none trace.
 func (s *Server) handleRoofline(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(w, r)
+	rid := api.RequestID(w, r)
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, rid, http.MethodGet)
+		api.MethodNotAllowed(w, rid, http.MethodGet)
 		return
 	}
 	resp := api.RooflineResponse{UptimeS: time.Since(s.start).Seconds()}
@@ -611,7 +511,7 @@ func (s *Server) handleRoofline(w http.ResponseWriter, r *http.Request) {
 			Layers:  layers,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // MetricsRegistry returns the server's scrape registry, so a daemon can

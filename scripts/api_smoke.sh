@@ -2,8 +2,8 @@
 # End-to-end smoke of the v1 serving API with curl: start the daemon,
 # wait for readiness (the /healthz 503-until-ready contract), exercise
 # predict over both encodings, the model lifecycle (list/status/load/
-# unload), the error surface (404/405/400), and the deprecated alias,
-# asserting every status code. Invoked by `make api-smoke`, which builds
+# unload), and the error surface (404/405/400, the retired v0 /predict
+# path included), asserting every status code. Invoked by `make api-smoke`, which builds
 # the two binaries first.
 set -eu
 
@@ -69,15 +69,17 @@ expect 200 -X POST -H 'Content-Type: application/x-cosmoflow-tensor' \
     --data-binary @"$TMP/req.bin" "$BASE/v1/models/default:predict"
 head -c 4 "$TMP/body" | grep -q 'CFT1' || { echo "FAIL: binary response not a tensor frame"; exit 1; }
 
-# Error surface: bad volume, bad frame, deprecated alias still serving.
+# Error surface: bad volume, bad frame, bad media type, and the retired
+# v0 /predict path answering the 404 envelope.
 expect 400 -X POST -H 'Content-Type: application/json' \
     --data '{"voxels":[1,2,3]}' "$BASE/v1/models/default:predict"
 expect 400 -X POST -H 'Content-Type: application/x-cosmoflow-tensor' \
     --data 'garbage' "$BASE/v1/models/default:predict"
 expect 415 -X POST -H 'Content-Type: text/xml' \
     --data '<x/>' "$BASE/v1/models/default:predict"
-expect 200 -X POST -H 'Content-Type: application/json' \
+expect 404 -X POST -H 'Content-Type: application/json' \
     --data-binary @"$TMP/req.json" "$BASE/predict"
+grep -q '"NOT_FOUND"' "$TMP/body" || { echo "FAIL: /predict 404 body not the envelope"; exit 1; }
 
 # Lifecycle: hot-load a second model, predict on it, unload it.
 expect 200 -X PUT -H 'Content-Type: application/json' \
