@@ -55,10 +55,11 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# One-pass serving + batched-inference benchmarks: a smoke signal that the
-# hot path still runs, cheap enough for every CI run.
+# One-pass serving, batched-inference and per-layer conv-forward
+# benchmarks: a smoke signal that the hot path still runs, cheap enough
+# for every CI run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Serving|InferBatch' -benchtime 1x .
+	$(GO) test -run xxx -bench 'Serving|InferBatch|Conv3DForward' -benchtime 1x .
 
 # End-to-end serving smoke: daemon + >=64-request concurrent load, then a
 # graceful SIGTERM drain (the ISSUE acceptance run).

@@ -501,28 +501,44 @@ func BenchmarkBaseline_PowerSpectrumRegression(b *testing.B) {
 	b.ReportMetric(mse, "test-mse")
 }
 
-// BenchmarkAblation_BlockedVsDirectConv compares the Algorithm-1 blocked
-// kernel against the generic direct convolution at a paper-style layer
-// shape (the §III-C optimization).
-func BenchmarkAblation_BlockedVsDirectConv(b *testing.B) {
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(71))
-	x := tensor.New(32, 16, 16, 16)
-	x.RandNormal(rng, 0, 1)
-	for _, mode := range []string{"blocked", "direct"} {
-		b.Run(mode, func(b *testing.B) {
-			conv := nn.NewConv3D("c", 32, 32, 3, 1, 1, pool, rand.New(rand.NewSource(1)))
-			if mode == "direct" {
-				conv.ForceDirect(true)
+// BenchmarkConv3DForward times the forward kernel of every convolution
+// layer of the two benchmark networks — predict.large's (dim 16, base 16)
+// and train.1rank's (dim 32, base 8) — at 1 and 2 workers, reporting
+// Gflop/s and allocations per forward (§III-C, Table I's forward column).
+func BenchmarkConv3DForward(b *testing.B) {
+	for _, cfg := range []struct {
+		name      string
+		dim, base int
+	}{{"predict.large", 16, 16}, {"train.1rank", 32, 8}} {
+		for _, workers := range []int{1, 2} {
+			pool := parallel.NewPool(workers)
+			net, err := nn.BuildCosmoFlow(nn.TopologyConfig{
+				InputDim: cfg.dim, BaseChannels: cfg.base, Seed: 1, Pool: pool,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			inShape := x.Shape()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				conv.Forward(x)
+			rng := rand.New(rand.NewSource(71))
+			shape := net.InputShape()
+			for _, layer := range net.Layers {
+				inShape := shape
+				shape = layer.OutputShape(shape)
+				conv, ok := layer.(*nn.Conv3D)
+				if !ok {
+					continue
+				}
+				x := tensor.New(inShape...)
+				x.RandNormal(rng, 0, 1)
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", cfg.name, conv.Name(), workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						conv.Forward(x)
+					}
+					b.ReportMetric(float64(conv.FwdFLOPs(inShape))/1e9/b.Elapsed().Seconds()*float64(b.N), "Gflop/s")
+				})
 			}
-			b.ReportMetric(float64(conv.FwdFLOPs(inShape))/1e9/b.Elapsed().Seconds()*float64(b.N), "Gflop/s")
-		})
+			pool.Close()
+		}
 	}
 }
 
@@ -653,7 +669,7 @@ func BenchmarkInferBatch_Scaling(b *testing.B) {
 				xs[i] = tensor.New(net.InputShape()...)
 				xs[i].RandNormal(rng, 0, 1)
 			}
-			net.InferBatch(xs) // warm packed weights and the buffer pool
+			net.InferBatch(xs) // warm the buffer pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -687,7 +703,7 @@ func BenchmarkInferBatch_TraceOverhead(b *testing.B) {
 		xs[i] = tensor.New(net.InputShape()...)
 		xs[i].RandNormal(rng, 0, 1)
 	}
-	net.InferBatch(xs) // warm packed weights and the buffer pool
+	net.InferBatch(xs) // warm the buffer pool
 
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {

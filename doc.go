@@ -2,8 +2,8 @@
 // Learning to Learn the Universe at Scale" (Mathuriya et al., SC18).
 //
 // The library implements the paper's full stack with only the Go standard
-// library: a 3D convolutional neural network with the paper's
-// channel-blocked direct-convolution kernels (internal/nn, internal/tensor),
+// library: a 3D convolutional neural network with a direct-convolution
+// row kernel, four output channels per pass (internal/nn, internal/tensor),
 // the Adam+LARC optimizer with polynomial decay (internal/optim), fully
 // synchronous data-parallel training over an MPI-like world with
 // ring/recursive-doubling/parameter-server collectives (internal/comm,

@@ -180,7 +180,6 @@ func (n *Network) LoadCheckpoint(r io.Reader) error {
 	if stored != crc.Sum32() {
 		return fmt.Errorf("nn: checkpoint checksum mismatch")
 	}
-	n.InvalidateWeights()
 	return nil
 }
 

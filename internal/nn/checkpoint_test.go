@@ -18,7 +18,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for _, p := range a.Params() {
 		p.Value.RandNormal(rng, 0, 1)
 	}
-	a.InvalidateWeights()
 
 	var buf bytes.Buffer
 	if err := a.SaveCheckpoint(&buf); err != nil {

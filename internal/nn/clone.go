@@ -6,12 +6,11 @@ import "repro/internal/parallel"
 // friends), so a single Network serves exactly one in-flight sample at a
 // time and Forward is not safe to call from multiple goroutines. Concurrent
 // inference instead runs one *replica* per worker: Clone produces a network
-// that shares the original's read-only parameter tensors (and any packed
-// blocked-weight caches already built) while owning its own activation
-// caches, so replicas are safe to run in parallel as long as nobody mutates
-// the shared weights. Hot-swapping a model therefore means building a fresh
-// network + clones and switching pointers, never writing into weights that
-// live replicas still read.
+// that shares the original's read-only parameter tensors while owning its
+// own activation caches, so replicas are safe to run in parallel as long as
+// nobody mutates the shared weights. Hot-swapping a model therefore means
+// building a fresh network + clones and switching pointers, never writing
+// into weights that live replicas still read.
 
 // Clone returns an inference replica of the network: identical topology,
 // shared parameter tensors, independent activation caches. pool supplies
@@ -40,12 +39,7 @@ func (c *Conv3D) cloneFor(pool *parallel.Pool) Layer {
 	return &Conv3D{
 		InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad,
 		W: c.W, B: c.B,
-		pool:       pool,
-		forceNaive: c.forceNaive,
-		// Share any packed weight caches already built: BlockedWeights are
-		// immutable once packed, and replicas never bump wVersion.
-		packed: c.packed, packedSeen: c.packedSeen,
-		wVersion: c.wVersion,
+		pool: pool,
 	}
 }
 

@@ -80,17 +80,6 @@ func (c *Conv3D) backwardGeom(dy *tensor.Tensor) convGeom {
 	}
 }
 
-// padRows returns a copy of src, rows of width w, with pad zeros on either
-// side of every row.
-func padRows(src []float32, w, pad int) []float32 {
-	pitch := w + 2*pad
-	dst := make([]float32, len(src)/w*pitch)
-	for r := 0; r*w < len(src); r++ {
-		copy(dst[r*pitch+pad:], src[r*w:][:w])
-	}
-	return dst
-}
-
 // backwardWeights accumulates dW and dB. A task owns the dW slice of one
 // output-channel pair × input-channel chunk (and, for the first chunk, the
 // pair's bias entries), so no reduction across tasks is needed — the
@@ -100,7 +89,8 @@ func padRows(src []float32, w, pad int) []float32 {
 func (c *Conv3D) backwardWeights(g convGeom, dyd []float32) {
 	k, s, p, k3 := c.K, c.Stride, c.Pad, c.K*c.K*c.K
 	pitch := g.iw + 2*p
-	xp := padRows(c.x.Data(), g.iw, p)
+	xd := c.x.Data()
+	xp := padRows(make([]float32, len(xd)/g.iw*pitch), xd, g.iw, p)
 	dwd, dbd := c.W.Grad.Data(), c.B.Grad.Data()
 	icChunks := (c.InC + dwICChunk - 1) / dwICChunk
 	c.pool.ForEach((c.OutC+1)/2*icChunks, 1, func(task int) {

@@ -178,31 +178,25 @@ func TestConvBackwardMatchesBruteForce(t *testing.T) {
 }
 
 // The backward-data kernel reads W.Value directly, so a weight update is
-// visible to the next Backward with or without InvalidateWeights — there is
-// no second weight pack to go stale.
+// visible to the next Backward with nothing else called.
 func TestConvBackwardDataSeesWeightUpdate(t *testing.T) {
-	for _, invalidate := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(42))
-		pool := parallel.NewPool(1)
-		c := NewConv3D("c", 16, 16, 3, 1, 1, pool, rng)
-		x := tensor.New(16, 4, 4, 4)
-		x.RandNormal(rng, 0, 1)
-		dy := tensor.New(c.Forward(x).Shape()...)
-		dy.RandNormal(rng, 0, 1)
-		c.Backward(dy)
-		for i := range c.W.Value.Data() {
-			c.W.Value.Data()[i] *= -0.5
-		}
-		if invalidate {
-			c.InvalidateWeights()
-		}
-		c.Forward(x)
-		dx := c.Backward(dy)
-		_, _, want := refConvBackward(c, x, dy)
-		if e := maxRelErr(dx.Data(), want); e > 1e-4 {
-			t.Errorf("invalidate=%v: dx after weight update off by %g (stale weights?)", invalidate, e)
-		}
-		pool.Close()
+	rng := rand.New(rand.NewSource(42))
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	c := NewConv3D("c", 16, 16, 3, 1, 1, pool, rng)
+	x := tensor.New(16, 4, 4, 4)
+	x.RandNormal(rng, 0, 1)
+	dy := tensor.New(c.Forward(x).Shape()...)
+	dy.RandNormal(rng, 0, 1)
+	c.Backward(dy)
+	for i := range c.W.Value.Data() {
+		c.W.Value.Data()[i] *= -0.5
+	}
+	c.Forward(x)
+	dx := c.Backward(dy)
+	_, _, want := refConvBackward(c, x, dy)
+	if e := maxRelErr(dx.Data(), want); e > 1e-4 {
+		t.Errorf("dx after weight update off by %g (stale weights?)", e)
 	}
 }
 

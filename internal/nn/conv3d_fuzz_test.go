@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzConvGeometry drives Conv3D over random small geometries: InC 1–3 or
-// 16, OutC 1–5 or 16 (16→16 at stride 1 takes the blocked kernel), depth
+// 16, OutC 1–5 or 16 (every OutC%4 tail, and the paper's 16→16), depth
 // and height 1–9, width 1–30, kernel 1–4, stride 1–2, padding 0–2, batch
 // 1–3. A kernel wider than a padded extent must be refused with
 // convOutDim's named panic. Any other geometry must agree with the float64
@@ -20,8 +20,7 @@ import (
 // batched forward must be bit-equal to Forward on that sample alone. The
 // seeds are the stride-2 short input whose (−1)/2 extent once truncated to
 // 1, a width-1 volume, k=4 without padding, a 1³ volume, an odd OutC, three
-// random shapes, and blocked 16→16 layers whose widths straddle the
-// widthBlock accumulator.
+// random shapes, and 16→16 layers at widths 27 and 29.
 func FuzzConvGeometry(f *testing.F) {
 	pool := parallel.NewPool(2)
 	f.Cleanup(pool.Close)
@@ -35,8 +34,8 @@ func FuzzConvGeometry(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(9), uint8(2), uint8(7), uint8(2), uint8(2), uint8(2), uint8(1), int64(6))
 	f.Add(uint8(3), uint8(3), uint8(6), uint8(7), uint8(2), uint8(1), uint8(1), uint8(0), uint8(2), int64(7))
 	f.Add(uint8(2), uint8(4), uint8(8), uint8(5), uint8(3), uint8(3), uint8(2), uint8(1), uint8(3), int64(8))
-	f.Add(uint8(16), uint8(16), uint8(2), uint8(2), uint8(widthBlock-1), uint8(3), uint8(1), uint8(1), uint8(2), int64(9))
-	f.Add(uint8(16), uint8(16), uint8(1), uint8(2), uint8(widthBlock+1), uint8(3), uint8(1), uint8(1), uint8(3), int64(10))
+	f.Add(uint8(16), uint8(16), uint8(2), uint8(2), uint8(27), uint8(3), uint8(1), uint8(1), uint8(2), int64(9))
+	f.Add(uint8(16), uint8(16), uint8(1), uint8(2), uint8(29), uint8(3), uint8(1), uint8(1), uint8(3), int64(10))
 
 	f.Fuzz(func(t *testing.T, inC, outC, d, h, w, k, stride, pad, batch uint8, seed int64) {
 		// Map each byte into [lo, hi], leaving in-range values (the seeds) as
@@ -45,19 +44,19 @@ func FuzzConvGeometry(f *testing.F) {
 			n := hi - lo + 1
 			return lo + ((int(v)-lo)%n+n)%n
 		}
-		// A channel byte maps onto 1–hi or the SIMD block width, leaving
-		// those values as they are.
+		// A channel byte maps onto 1–hi or 16, leaving those values as
+		// they are.
 		chans := func(v uint8, hi int) int {
-			if v == tensor.BlockSize {
-				return tensor.BlockSize
+			if v == 16 {
+				return 16
 			}
 			if n := in(v, 1, hi+1); n <= hi {
 				return n
 			}
-			return tensor.BlockSize
+			return 16
 		}
 		ic, oc := chans(inC, 3), chans(outC, 5)
-		shape := tensor.Shape{ic, in(d, 1, 9), in(h, 1, 9), in(w, 1, widthBlock+2)}
+		shape := tensor.Shape{ic, in(d, 1, 9), in(h, 1, 9), in(w, 1, 30)}
 		kk, s, p := in(k, 1, 4), in(stride, 1, 2), in(pad, 0, 2)
 
 		rng := rand.New(rand.NewSource(seed))

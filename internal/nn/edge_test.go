@@ -18,7 +18,6 @@ func TestConv1x1KernelIsChannelMix(t *testing.T) {
 	defer pool.Close()
 	c := NewConv3D("c", 2, 1, 1, 1, 0, pool, rand.New(rand.NewSource(1)))
 	copy(c.W.Value.Data(), []float32{2, 3}) // y = 2·x0 + 3·x1
-	c.InvalidateWeights()
 	c.B.Value.Data()[0] = 1
 	x := tensor.New(2, 2, 2, 2)
 	x.Fill(1)
@@ -170,31 +169,28 @@ func TestTopologySpatialCollapseGuard(t *testing.T) {
 }
 
 func TestBlockedKernelAfterOptimizerStep(t *testing.T) {
-	// Regression: the packed-weight cache must refresh after weights
-	// change, or the blocked kernel would keep stale values.
-	pool := parallel.NewPool(1)
+	// A 16→16 stride-1 layer (the shape the paper's channel-blocked kernel
+	// takes) after a gradient step written straight into W and B: the next
+	// Forward must change and must match the reference on the new weights.
+	pool := parallel.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(7))
 	c := NewConv3D("c", 16, 16, 3, 1, 1, pool, rng)
 	x := tensor.New(16, 4, 4, 4)
 	x.RandNormal(rng, 0, 1)
 	y1 := c.Forward(x).Clone()
-	// Mutate weights as an optimizer would, then invalidate.
-	for i := range c.W.Value.Data() {
-		c.W.Value.Data()[i] *= 2
+	dy := tensor.New(y1.Shape()...)
+	dy.RandNormal(rng, 0, 1)
+	c.Backward(dy)
+	for _, p := range c.Params() {
+		tensor.Axpy(-0.1, p.Grad.Data(), p.Value.Data())
 	}
-	c.InvalidateWeights()
-	c.B.Value.Zero()
 	y2 := c.Forward(x)
-	same := true
-	for i := range y1.Data() {
-		if y1.Data()[i] != y2.Data()[i] {
-			same = false
-			break
-		}
+	if tensor.MaxAbsDiff(y1.Data(), y2.Data()) == 0 {
+		t.Fatal("forward unchanged after an optimizer step")
 	}
-	if same {
-		t.Error("blocked kernel used stale packed weights after update")
+	if e := maxRelErr(y2.Data(), refConvForward(c, x)); e > 1e-4 {
+		t.Errorf("forward after an optimizer step off by %g (stale weights?)", e)
 	}
 }
 

@@ -51,13 +51,12 @@ func sampleIndices(rng *rand.Rand, size, n int) []int {
 	return perm[:n]
 }
 
-func convGradCheck(t *testing.T, ic, oc, dim, stride int, forceNaive bool) {
+func convGradCheck(t *testing.T, ic, oc, dim, stride int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	pool := parallel.NewPool(1)
 	defer pool.Close()
 	c := NewConv3D("c", ic, oc, 3, stride, 1, pool, rng)
-	c.forceNaive = forceNaive
 	c.B.Value.RandNormal(rng, 0, 0.5)
 
 	x := tensor.New(ic, dim, dim, dim)
@@ -69,12 +68,10 @@ func convGradCheck(t *testing.T, ic, oc, dim, stride int, forceNaive bool) {
 	}
 
 	forward := func() float64 {
-		c.InvalidateWeights()
 		return lossOf(c.Forward(x), r)
 	}
 
 	// Analytic gradients.
-	c.InvalidateWeights()
 	y := c.Forward(x)
 	dy := tensor.FromData(append([]float32(nil), r...), outShape...)
 	c.W.Grad.Zero()
@@ -98,21 +95,21 @@ func convGradCheck(t *testing.T, ic, oc, dim, stride int, forceNaive bool) {
 }
 
 func TestConv3DGradientsDirect(t *testing.T) {
-	convGradCheck(t, 2, 3, 5, 1, true)
+	convGradCheck(t, 2, 3, 5, 1)
 }
 
 func TestConv3DGradientsStride2(t *testing.T) {
-	convGradCheck(t, 2, 3, 6, 2, true)
+	convGradCheck(t, 2, 3, 6, 2)
 }
 
 func TestConv3DGradientsSingleInputChannel(t *testing.T) {
-	convGradCheck(t, 1, 4, 4, 1, true)
+	convGradCheck(t, 1, 4, 4, 1)
 }
 
 func TestConv3DGradientsBlockedPath(t *testing.T) {
-	// 16→16 channels, stride 1: the blocked Algorithm-1 kernel is active
-	// in the forward pass used by the numeric differences.
-	convGradCheck(t, 16, 16, 4, 1, false)
+	// 16→16 channels, stride 1: the paper's channel-blocked layer shape,
+	// where the forward takes the k=3 stride-1 row kernel.
+	convGradCheck(t, 16, 16, 4, 1)
 }
 
 func TestDenseGradients(t *testing.T) {
@@ -209,13 +206,11 @@ func TestEndToEndNetworkGradient(t *testing.T) {
 	lastBias.Value.Fill(0.5)
 
 	forward := func() float64 {
-		net.InvalidateWeights()
 		loss, _ := MSELoss(net.Forward(x), target)
 		return loss
 	}
 
 	net.ZeroGrads()
-	net.InvalidateWeights()
 	loss, grad := MSELoss(net.Forward(x), target)
 	if loss <= 0 {
 		t.Fatalf("loss = %v, want positive", loss)

@@ -10,18 +10,18 @@ import (
 
 // One forward implementation per layer: inferBatch runs a batch of
 // same-shaped samples as one (sample × task) index space over the layer's
-// per-sample task function — directChannel or blockedSlab, poolChannel,
-// applyRange, applyInto — scheduled through internal/parallel.
-// Each task owns a disjoint output range and every output element's
-// accumulation order is fixed by the geometry alone, so sample i's output
-// is bit-identical at every batch size and worker count. Layer.Forward is
-// inferBatch at B=1 plus the caching Backward needs, and Network.Infer and
-// InferBatch drive one shared layer loop.
+// per-sample task function — convGroup (four output channels at one
+// depth), poolChannel, applyRange, applyInto — scheduled through
+// internal/parallel. Each task owns a disjoint output range and every
+// output element's accumulation order is fixed by the geometry alone, so
+// sample i's output is bit-identical at every batch size and worker count.
+// Layer.Forward is inferBatch at B=1 plus the caching Backward needs, and
+// Network.Infer and InferBatch drive one shared layer loop.
 
 // batchCtx carries the shared state of one forward pass: the worker pool
 // poolless layers schedule their tasks on, and the buffer pool activations
-// and blocked-layout scratch recycle through. A nil buf allocates every
-// buffer fresh and retains none.
+// and the convolutions' width-padded input copies recycle through. A nil
+// buf allocates every buffer fresh and retains none.
 type batchCtx struct {
 	pool *parallel.Pool
 	buf  *tensor.BufPool
@@ -141,24 +141,36 @@ func sameBacking(a, b *tensor.Tensor) bool {
 	return len(ad) > 0 && len(bd) > 0 && &ad[0] == &bd[0]
 }
 
-// inferBatch implements Layer: the Algorithm-1 blocked kernel when
-// useBlocked allows it, otherwise the direct kernel over (sample × output
-// channel) tasks.
+// inferBatch implements Layer: one width-padded copy of each sample, then
+// (sample × four-channel group × output depth) convGroup tasks.
 func (c *Conv3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
 	in := xs[0].Shape()
-	c.checkInput(in)
-	if c.useBlocked() {
-		return c.algorithm1(xs, ctx)
-	}
 	out := c.OutputShape(in)
-	ys := make([]*tensor.Tensor, len(xs))
-	for i := range ys {
-		ys[i] = ctx.alloc(out...)
-	}
-	c.pool.ForEach(len(xs)*c.OutC, 1, func(task int) {
-		b, oc := task/c.OutC, task%c.OutC
-		c.directChannel(xs[b].Data(), ys[b].Data(), in, out, oc)
+	B, pitch := len(xs), in[3]+2*c.Pad
+	xps := make([][]float32, B)
+	ys := make([]*tensor.Tensor, B)
+	c.pool.ForEach(B, 1, func(b int) {
+		xps[b] = padRows(ctx.buf.Get(in.NumElements()/in[3]*pitch), xs[b].Data(), in[3], c.Pad)
+		ys[b] = ctx.alloc(out...)
 	})
+	var zeroW []float32 // weights of the channels an OutC%4 tail lacks
+	if c.OutC%4 != 0 {
+		zeroW = make([]float32, c.InC*c.K*c.K*c.K)
+	}
+	per := (c.OutC + 3) / 4 * out[1]
+	c.pool.For(B*per, 1, func(lo, hi int) {
+		var scratch []float32
+		if zeroW != nil {
+			scratch = make([]float32, out[3])
+		}
+		for task := lo; task < hi; task++ {
+			b, g := task/per, task%per
+			c.convGroup(xps[b], ys[b].Data(), in, out, g/out[1]*4, g%out[1], zeroW, scratch)
+		}
+	})
+	for _, xp := range xps {
+		ctx.buf.Put(xp)
+	}
 	return ys
 }
 

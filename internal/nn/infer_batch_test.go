@@ -12,16 +12,17 @@ import (
 )
 
 // allLayerNet builds a network exercising every layer type the batched
-// path dispatches on: a strided direct convolution, a blocked
-// (Algorithm-1) convolution, pooling, flatten, dense, and activations.
+// path dispatches on: a strided convolution (the any-k row kernel), a
+// stride-1 16→16 convolution (the k=3 row kernel), pooling, flatten, dense,
+// and activations.
 func allLayerNet(t testing.TB, pool *parallel.Pool, seed int64) *Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	net := &Network{InputDim: 12, InputChannels: 1}
 	add := func(l Layer) { net.Layers = append(net.Layers, l) }
-	add(NewConv3D("c1", 1, 16, 3, 2, 1, pool, rng)) // stride 2: direct kernel
+	add(NewConv3D("c1", 1, 16, 3, 2, 1, pool, rng)) // stride 2: fwdRowTaps
 	add(NewLeakyReLU("c1.act", 0))
-	add(NewConv3D("c2", 16, 16, 3, 1, 1, pool, rng)) // stride 1, 16ch: blocked kernel
+	add(NewConv3D("c2", 16, 16, 3, 1, 1, pool, rng)) // k=3, stride 1: fwdRowK3
 	add(NewAvgPool3D("p1", 2, 2))
 	add(NewFlatten("flat"))
 	add(NewDense("fc1", 16*3*3*3, 8, pool, rng))
@@ -197,21 +198,17 @@ func TestInferBatchBufferReuse(t *testing.T) {
 	}
 }
 
-// TestInferBatchBlockedEdgeShapes sweeps the blocked Conv3D kernel over
-// output widths below, at, and just past the widthBlock accumulator size:
-// at these remainder-handling boundaries each sample must lie within 1e-4
-// of the float64 reference and be bit-identical across batch sizes and
-// worker counts.
+// TestInferBatchBlockedEdgeShapes sweeps a 16→16 Conv3D, the paper's
+// channel-blocked layer shape, over output widths 1, 7 and 27–30: each
+// sample must lie within 1e-4 of the float64 reference and be
+// bit-identical across batch sizes, worker counts and Clone.
 func TestInferBatchBlockedEdgeShapes(t *testing.T) {
 	pool3 := parallel.NewPool(3)
 	defer pool3.Close()
 	rng := rand.New(rand.NewSource(9))
-	for _, w := range []int{1, 7, widthBlock - 1, widthBlock, widthBlock + 1, 30} {
+	for _, w := range []int{1, 7, 27, 28, 29, 30} {
 		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
 			conv := NewConv3D("c", 16, 16, 3, 1, 1, parallel.NewPool(1), rng)
-			if !conv.useBlocked() {
-				t.Fatal("test layer should use the blocked kernel")
-			}
 			xs := randBatch(tensor.Shape{16, 2, 3, w}, 8, int64(w))
 			want := make([][]float32, len(xs))
 			for i, x := range xs {
@@ -277,7 +274,7 @@ func TestInferBatchSteadyStateAllocations(t *testing.T) {
 	const calls, budget = 4, 64 << 10
 	for _, B := range []int{1, 3} {
 		xs := randBatch(net.InputShape(), B, int64(B))
-		net.InferBatch(xs) // warm the packed weights and the buffer pool
+		net.InferBatch(xs) // warm the buffer pool
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < calls; i++ {
@@ -291,8 +288,8 @@ func TestInferBatchSteadyStateAllocations(t *testing.T) {
 }
 
 // TestInferBatchOnCosmoFlowTopology runs the real topology builder's
-// network (blocked layers engaged at BaseChannels 16) through the batched
-// path against sequential Infer.
+// network at BaseChannels 16 (every OutC a multiple of 4) through the
+// batched path against sequential Infer.
 func TestInferBatchOnCosmoFlowTopology(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()

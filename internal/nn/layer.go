@@ -1,7 +1,8 @@
 // Package nn implements the CosmoFlow 3D convolutional neural network:
-// direct 3D convolution (with the paper's Algorithm-1 channel-blocked
-// kernel), average pooling, fully-connected layers, leaky-ReLU activations,
-// and the network container with FLOP accounting.
+// direct 3D convolution (one forward row kernel over four output channels
+// at a time, and one backward kernel pair), average pooling,
+// fully-connected layers, leaky-ReLU activations, and the network container
+// with FLOP accounting.
 //
 // All layers operate on single-sample tensors, matching the paper's
 // mini-batch size of one per rank (§III-B): convolutional tensors are rank-4

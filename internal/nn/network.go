@@ -164,8 +164,7 @@ func (n *Network) FlattenParams(dst []float32) {
 	}
 }
 
-// UnflattenParams scatters src into the parameter values and invalidates
-// any packed weight caches.
+// UnflattenParams scatters src into the parameter values.
 func (n *Network) UnflattenParams(src []float32) {
 	ps := n.Params()
 	checkFlatLen("UnflattenParams", ps, src)
@@ -173,7 +172,6 @@ func (n *Network) UnflattenParams(src []float32) {
 	for _, p := range ps {
 		off += copy(p.Value.Data(), src[off:])
 	}
-	n.InvalidateWeights()
 }
 
 // checkFlatLen panics, before any copy, unless buf holds exactly one
@@ -188,15 +186,12 @@ func checkFlatLen(op string, ps []*Param, buf []float32) {
 	}
 }
 
-// InvalidateWeights notifies layers with packed weight caches that values
-// changed (called by the optimizer after each update).
-func (n *Network) InvalidateWeights() {
-	for _, l := range n.Layers {
-		if c, ok := l.(*Conv3D); ok {
-			c.InvalidateWeights()
-		}
-	}
-}
+// InvalidateWeights does nothing. Every kernel reads Param.Value
+// directly, so a weight write is visible to the next pass without it. It
+// stays only because the benchmark's shadow training step
+// (benchmark/train.go) still calls it; deleting that step and this method
+// is ROADMAP item 2.
+func (n *Network) InvalidateWeights() {}
 
 // InputShape returns the network's expected input shape.
 func (n *Network) InputShape() tensor.Shape {

@@ -25,43 +25,6 @@ func TestConvOutDim(t *testing.T) {
 	}
 }
 
-func TestBlockedMatchesDirectForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	pool := parallel.NewPool(2)
-	defer pool.Close()
-	for _, dims := range [][2]int{{16, 16}, {16, 32}, {32, 16}} {
-		c := NewConv3D("c", dims[0], dims[1], 3, 1, 1, pool, rng)
-		c.B.Value.RandNormal(rng, 0, 0.3)
-		x := tensor.New(dims[0], 6, 5, 7) // non-cubic, exercises remainders
-		x.RandNormal(rng, 0, 1)
-		if !c.useBlocked() {
-			t.Fatalf("blocked kernel should apply for %v", dims)
-		}
-		yBlocked := c.Forward(x)
-		c.forceNaive = true
-		yDirect := c.Forward(x)
-		if d := tensor.MaxAbsDiff(yBlocked.Data(), yDirect.Data()); d > 1e-3 {
-			t.Errorf("ic=%d oc=%d: blocked vs direct max diff %g", dims[0], dims[1], d)
-		}
-	}
-}
-
-func TestBlockedKernelWideWidth(t *testing.T) {
-	// Width > 28 exercises the width-block remainder logic of Algorithm 1.
-	rng := rand.New(rand.NewSource(22))
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	c := NewConv3D("c", 16, 16, 3, 1, 1, pool, rng)
-	x := tensor.New(16, 2, 2, 61)
-	x.RandNormal(rng, 0, 1)
-	yB := c.Forward(x)
-	c.forceNaive = true
-	yD := c.Forward(x)
-	if d := tensor.MaxAbsDiff(yB.Data(), yD.Data()); d > 1e-3 {
-		t.Errorf("wide width: blocked vs direct max diff %g", d)
-	}
-}
-
 func TestConvKnownValue(t *testing.T) {
 	// 1×1 channel, all-ones 3³ kernel, no bias: interior output voxel of a
 	// constant-1 input counts the 27 kernel taps.
@@ -70,7 +33,6 @@ func TestConvKnownValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := NewConv3D("c", 1, 1, 3, 1, 1, pool, rng)
 	c.W.Value.Fill(1)
-	c.InvalidateWeights()
 	c.B.Value.Zero()
 	x := tensor.New(1, 4, 4, 4)
 	x.Fill(1)
@@ -413,7 +375,6 @@ func TestTrainingStepReducesLossOnFixedSample(t *testing.T) {
 		for _, p := range net.Params() {
 			tensor.Axpy(-0.02, p.Grad.Data(), p.Value.Data())
 		}
-		net.InvalidateWeights()
 	}
 	if loss >= first*0.5 {
 		t.Errorf("loss %g -> %g after 150 SGD steps; not learning", first, loss)

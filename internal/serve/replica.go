@@ -3,7 +3,6 @@ package serve
 import (
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -47,13 +46,6 @@ func newReplicaPool(base *nn.Network, n, workersPerReplica int) *replicaPool {
 	if workersPerReplica < 1 {
 		workersPerReplica = 1
 	}
-	// Warm the base network once before cloning: the first Infer lazily
-	// packs the blocked conv weights, and Clone shares already-packed
-	// caches, so all n replicas reuse one packed set instead of each
-	// rebuilding its own (at paper scale that is ~28 MB and a full repack
-	// per replica). This also moves the one-time cost out of the first
-	// request's latency budget.
-	base.Infer(tensor.New(base.InputShape()...))
 	for i := 0; i < n; i++ {
 		pool := parallel.NewPool(workersPerReplica)
 		r := &replica{pred: train.NewBatchPredictor(base.Clone(pool)), pool: pool}

@@ -4,7 +4,7 @@ import "sync"
 
 // BufPool is a size-bucketed free list of float32 slices. The batched
 // inference path allocates one activation buffer per layer per sample and
-// one blocked-layout scratch volume per convolution; recycling them across
+// one width-padded input copy per convolution; recycling them across
 // layers and across micro-batches removes nearly all steady-state
 // allocation from the serving hot path (the GC analogue of MKL-DNN's
 // preallocated primitive workspaces).

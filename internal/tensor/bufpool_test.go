@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestBufPoolRecycles checks Get/Put round-trips reuse exact-size buffers
 // and never hand out a wrong length.
@@ -36,62 +33,4 @@ func TestBufPoolRecycles(t *testing.T) {
 		t.Fatalf("nil pool Get(8) returned len %d", len(e))
 	}
 	none.Put(make([]float32, 8)) // must not panic
-}
-
-// TestWrapBlockedValidates checks the no-copy constructor enforces the
-// blocked length and shares the backing slice.
-func TestWrapBlockedValidates(t *testing.T) {
-	data := make([]float32, 2*3*4*5*BlockSize) // c=32 -> 2 channel blocks
-	b := WrapBlocked(data, 32, 3, 4, 5)
-	if b.CB != 2 || b.C != 32 {
-		t.Fatalf("WrapBlocked dims: %+v", b)
-	}
-	b.Set(7, 17, 1, 2, 3)
-	if data[b.Index(17, 1, 2, 3)] != 7 {
-		t.Error("WrapBlocked does not share backing data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	WrapBlocked(data[:10], 32, 3, 4, 5)
-}
-
-// TestBlockedIntoMatchesAllocating checks the Into converters produce the
-// same layouts over recycled (dirty) buffers as over freshly allocated ones.
-func TestBlockedIntoMatchesAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := New(32, 2, 3, 7)
-	x.RandNormal(rng, 0, 1)
-
-	want := toBlocked(x)
-	got := newBlocked(32, 2, 3, 7)
-	// Dirty the destination: c=32 has no padding lanes, so the converter
-	// must overwrite every element (the recycled-buffer contract).
-	for i := range got.Data {
-		got.Data[i] = -1
-	}
-	ToBlockedInto(x, got)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("ToBlockedInto[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-
-	back := New(32, 2, 3, 7)
-	back.Fill(-1)
-	FromBlockedInto(got, back)
-	for i, v := range back.Data() {
-		if v != x.Data()[i] {
-			t.Fatalf("roundtrip[%d] = %v, want %v", i, v, x.Data()[i])
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch did not panic")
-		}
-	}()
-	FromBlockedInto(got, New(16, 2, 3, 7))
 }

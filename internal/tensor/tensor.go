@@ -1,10 +1,12 @@
-// Package tensor provides dense float32 tensors and the blocked memory
-// layouts used by the CosmoFlow 3D convolution kernels.
+// Package tensor provides dense float32 tensors for the CosmoFlow network.
 //
-// Tensors are row-major ("C order") over an explicit shape. The package is
-// deliberately small: it supplies exactly the containers and element-wise
-// helpers the neural-network, optimizer and statistics packages need, in the
-// spirit of the MKL-DNN memory descriptors the paper builds on.
+// Tensors are row-major ("C order") over an explicit shape: [C D H W]
+// volumes and flat vectors. It is the only layout: the convolution kernels
+// read it directly, with no channel-blocked copy (see nn.Conv3D). The
+// package is deliberately small: it supplies exactly the containers and
+// element-wise helpers the neural-network, optimizer and statistics
+// packages need, in the spirit of the MKL-DNN memory descriptors the paper
+// builds on.
 package tensor
 
 import (

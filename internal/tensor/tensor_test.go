@@ -3,9 +3,26 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// smallFloatSlices generates bounded random float32 slices for quick tests,
+// avoiding the huge magnitudes quick's default generator produces (which
+// overflow float32 accumulation and test nothing useful).
+func smallFloatSlices(maxLen int) func([]reflect.Value, *rand.Rand) {
+	return func(vals []reflect.Value, rng *rand.Rand) {
+		for i := range vals {
+			n := rng.Intn(maxLen + 1)
+			s := make([]float32, n)
+			for j := range s {
+				s[j] = float32(rng.NormFloat64())
+			}
+			vals[i] = reflect.ValueOf(s)
+		}
+	}
+}
 
 func TestShapeNumElements(t *testing.T) {
 	cases := []struct {

@@ -39,9 +39,9 @@ func fnv64Floats(vals ...[]float32) string {
 
 // TestGoldenBits pins the exact bits a fixed-seed dim-8 base-2 run of two
 // epochs produces with one rank and with two in-process ranks, plus a
-// one-rank, one-epoch dim-8 base-16 run ("blocked") whose conv2, conv3 and
-// conv6 take the Algorithm-1 blocked kernel in Forward, Backward and
-// InferBatch. Every other bit-identity test compares two paths of the same
+// one-rank, one-epoch dim-8 base-16 run ("base16") at the paper's channel
+// counts, where every conv layer's OutC is a multiple of the forward
+// kernel's four-channel group. Every other bit-identity test compares two paths of the same
 // tree; this one compares against testdata/golden.json, so a change to any
 // kernel, reduction order or optimizer step that moves a single bit fails
 // here. An intended change replaces the file with the JSON this test
@@ -54,12 +54,12 @@ func TestGoldenBits(t *testing.T) {
 	}
 	trainSet := syntheticSet(8, 8, 11)
 	valSet := syntheticSet(4, 8, 12)
-	blocked := smallConfig(1, 1)
-	blocked.Topology.BaseChannels = 16
+	base16 := smallConfig(1, 1)
+	base16.Topology.BaseChannels = 16
 	runs := map[string]Config{
-		"1rank":   smallConfig(1, 2),
-		"2rank":   smallConfig(2, 2),
-		"blocked": blocked,
+		"1rank":  smallConfig(1, 2),
+		"2rank":  smallConfig(2, 2),
+		"base16": base16,
 	}
 	got := map[string]goldenRun{}
 	for name, cfg := range runs {

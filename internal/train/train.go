@@ -384,7 +384,6 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 
 			t0 = tl.Start()
 			opt.Step()
-			net.InvalidateWeights()
 			tl.Record(obsv.PhaseOptimizer, t0)
 		}
 
