@@ -40,9 +40,10 @@ race:
 	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire ./benchmark
 
 # Short fuzz of the byte decoders — the wire codec (header-bounded size
-# checks, truncated frames, dims/dtype abuse) and the training-timeline
+# checks, truncated frames, dims/dtype abuse), the training-timeline
 # gather payload (bad magic/version, unknown phases, event counts the
-# payload cannot hold) — and of the conv kernels' geometry (forward,
+# payload cannot hold) and the data manifest (fields the loader relies
+# on, lossless re-encoding) — and of the conv kernels' geometry (forward,
 # batched inference and backward against float64 loop nests over random
 # shapes, strides and padding). Seconds, not minutes — the corpus seeds
 # cover the known-nasty shapes and CI just shakes for regressions.
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadTensor -fuzztime 10s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s ./internal/obsv
 	$(GO) test -run '^$$' -fuzz FuzzConvGeometry -fuzztime 10s ./internal/nn
+	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/data
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:

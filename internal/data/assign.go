@@ -8,16 +8,16 @@ import (
 // Per-epoch shard assignment: every rank recomputes the same seeded
 // permutation locally and deals itself a disjoint slice of it, so ranks
 // agree on who streams which shards with zero coordination traffic — the
-// shard-level analogue of train's sample sharder, and the paper's §IV-C
-// random TFRecord-to-node reassignment. Because the assignment is a pure
-// function of (nShards, ranks, seed, epoch), a run resumed from a
-// checkpoint at epoch E deals exactly the shards the uninterrupted run
-// would have dealt at E.
+// paper's §IV-C random TFRecord-to-node reassignment. It is the only deal
+// in the training path: a streamed Loader deals its manifest shards, and
+// InMemory deals an in-memory set as one-sample shards. Because the
+// assignment is a pure function of (nShards, ranks, seed, epoch), a run
+// resumed from a checkpoint at epoch E deals exactly the shards the
+// uninterrupted run would have dealt at E.
 
-// assignRNG builds the epoch's permutation source. The recipe matches
-// train.newShardRNG so the two sharders derive from the same seed the same
-// way; they permute different index spaces (shards here, samples there),
-// so sharing the recipe costs nothing and keeps determinism auditable.
+// assignRNG builds the epoch's permutation source: the one RNG recipe
+// every training deal derives from, so the same seed shuffles the same way
+// whether the shards are files or single samples.
 func assignRNG(seed int64, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ int64(epoch)*0x9E3779B9))
 }
@@ -46,4 +46,17 @@ func Assign(nShards, ranks int, seed int64, epoch int) ([][]int, error) {
 		out[r] = append(out[r], shard)
 	}
 	return out, nil
+}
+
+// rankAssignment returns rank's slice of the epoch's Assign deal — what
+// every Dataset's EpochStream streams.
+func rankAssignment(nShards, rank, ranks int, seed int64, epoch int) ([]int, error) {
+	assign, err := Assign(nShards, ranks, seed, epoch)
+	if err != nil {
+		return nil, err
+	}
+	if rank < 0 || rank >= ranks {
+		return nil, fmt.Errorf("data: rank %d outside world of %d", rank, ranks)
+	}
+	return assign[rank], nil
 }

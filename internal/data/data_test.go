@@ -1,11 +1,14 @@
 package data
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cosmo"
@@ -14,7 +17,7 @@ import (
 
 // writeDataset builds a small on-disk sharded dataset with a manifest:
 // nTrain train samples in shards of perFile, plus nVal validation samples.
-func writeDataset(t *testing.T, dim, nTrain, nVal, perFile int, seed int64) string {
+func writeDataset(t testing.TB, dim, nTrain, nVal, perFile int, seed int64) string {
 	t.Helper()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
@@ -78,6 +81,96 @@ func TestScanAndManifestRoundTrip(t *testing.T) {
 	if m.Split("test") != nil {
 		t.Fatal("absent test split should be omitted from the manifest")
 	}
+}
+
+// Validate refuses every manifest field the Loader would trip over. A
+// negative byte count once passed and then panicked slicing the shard
+// buffer inside the prefetch goroutine, killing the process.
+func TestParseManifestRejectsMalformed(t *testing.T) {
+	dir := writeDataset(t, 8, 4, 0, 4, 8)
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *Manifest, sh *Shard)
+	}{
+		{"schema", func(m *Manifest, _ *Shard) { m.Schema = "cosmoflow-manifest/v0" }},
+		{"dim 0", func(m *Manifest, _ *Shard) { m.Dim = 0 }},
+		{"empty file", func(_ *Manifest, sh *Shard) { sh.File = "" }},
+		{"path in file", func(_ *Manifest, sh *Shard) { sh.File = "../train-00000.tfrecord" }},
+		{"dot-dot file", func(_ *Manifest, sh *Shard) { sh.File = ".." }},
+		{"zero samples", func(_ *Manifest, sh *Shard) { sh.Samples = 0 }},
+		{"negative bytes", func(_ *Manifest, sh *Shard) { sh.Bytes = -1 }},
+	} {
+		m, err := ParseManifest(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(m, &m.Splits["train"][0])
+		bad, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseManifest(bad); err == nil {
+			t.Errorf("%s: ParseManifest accepted %s", tc.name, bad)
+		}
+		// The Loader reads the manifest through the same gate.
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := NewLoader(Config{Source: &DirSource{Dir: dir}}); err == nil {
+			l.Close()
+			t.Errorf("%s: NewLoader accepted the manifest", tc.name)
+		}
+	}
+}
+
+// FuzzParseManifest shakes the manifest decoder, whose input arrives over
+// HTTP from cosmoflow-shardd: it must never panic, every manifest it
+// accepts must hold what the Loader relies on (bare shard filenames,
+// samples ≥ 1, bytes ≥ 0, dim ≥ 1), and an accepted manifest must survive
+// re-encoding unchanged.
+func FuzzParseManifest(f *testing.F) {
+	scanned, err := os.ReadFile(filepath.Join(writeDataset(f, 8, 5, 2, 2, 9), ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(scanned)
+	f.Add([]byte(`{"schema":"cosmoflow-manifest/v1","dim":8,"splits":{"train":[{"file":"train-00000.tfrecord","samples":4,"bytes":-1,"crc32c":0}]}}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte("\x00{\"splits\":[garbage"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := ParseManifest(raw)
+		if err != nil {
+			return
+		}
+		if m.Dim < 1 {
+			t.Fatalf("accepted dim %d", m.Dim)
+		}
+		for split, shards := range m.Splits {
+			for _, sh := range shards {
+				if sh.File == "" || sh.File == "." || sh.File == ".." || strings.ContainsRune(sh.File, filepath.Separator) {
+					t.Fatalf("split %s: accepted shard file %q, not a bare filename", split, sh.File)
+				}
+				if sh.Samples < 1 || sh.Bytes < 0 {
+					t.Fatalf("split %s: accepted shard %+v", split, sh)
+				}
+			}
+		}
+		again, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := ParseManifest(again)
+		if err != nil {
+			t.Fatalf("re-encoded manifest rejected: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("manifest changed across re-encoding:\n%+v\n%+v", m, m2)
+		}
+	})
 }
 
 // streamAll drains a stream, cloning each sample (the stream recycles

@@ -143,12 +143,9 @@ func (l *Loader) StepsPerEpoch(ranks int) int {
 // prefetch goroutine; it is required when abandoning a stream mid-epoch
 // and harmless after exhaustion.
 func (l *Loader) EpochStream(epoch, rank, ranks int) (SampleStream, error) {
-	assign, err := Assign(len(l.shards), ranks, l.cfg.Seed, epoch)
+	shards, err := rankAssignment(len(l.shards), rank, ranks, l.cfg.Seed, epoch)
 	if err != nil {
 		return nil, err
-	}
-	if rank < 0 || rank >= ranks {
-		return nil, fmt.Errorf("data: rank %d outside world of %d", rank, ranks)
 	}
 	s := &stream{
 		l: l,
@@ -158,15 +155,16 @@ func (l *Loader) EpochStream(epoch, rank, ranks int) (SampleStream, error) {
 		ch:   make(chan decodedShard, 1),
 		stop: make(chan struct{}),
 	}
-	go s.produce(assign[rank])
+	go s.produce(shards)
 	return s, nil
 }
 
-// Dataset is the loader surface a training loop consumes — implemented by
-// *Loader and fakeable in tests. Dim is the voxel edge length of every
-// sample; StepsPerEpoch is the per-rank step count a world of that size
-// trains per epoch (zero: the dataset cannot feed that many ranks);
-// EpochStream opens one rank's deterministic per-epoch sample sequence.
+// Dataset is the surface a training loop consumes — implemented by
+// *Loader (streamed shards) and InMemory (a sample slice), and fakeable in
+// tests. Dim is the voxel edge length of every sample; StepsPerEpoch is
+// the per-rank step count a world of that size trains per epoch (zero: the
+// dataset cannot feed that many ranks); EpochStream opens one rank's
+// deterministic per-epoch sample sequence.
 type Dataset interface {
 	Dim() int
 	StepsPerEpoch(ranks int) int

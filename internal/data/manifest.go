@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/tfrecord"
 )
@@ -69,15 +70,24 @@ func (m *Manifest) Validate() error {
 	}
 	for split, shards := range m.Splits {
 		for _, s := range shards {
-			if s.File == "" || s.File != filepath.Base(s.File) {
+			if !bareFilename(s.File) {
 				return fmt.Errorf("data: split %s shard file %q must be a bare filename", split, s.File)
 			}
 			if s.Samples < 1 {
 				return fmt.Errorf("data: split %s shard %s claims %d samples", split, s.File, s.Samples)
 			}
+			if s.Bytes < 0 {
+				return fmt.Errorf("data: split %s shard %s claims %d bytes", split, s.File, s.Bytes)
+			}
 		}
 	}
 	return nil
+}
+
+// bareFilename reports whether name is a file directly inside a dataset
+// directory: non-empty, no separator, and not "." or "..".
+func bareFilename(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsRune(name, filepath.Separator)
 }
 
 // WriteManifest writes the manifest atomically (temp file + rename) into

@@ -110,7 +110,7 @@ func (h *Handler) serveShard(w http.ResponseWriter, r *http.Request, name string
 		http.Error(w, "manifest unavailable", http.StatusServiceUnavailable)
 		return
 	}
-	if name != filepath.Base(name) || !manifestLists(m, name) {
+	if !bareFilename(name) || !manifestLists(m, name) {
 		h.notFound.Add(1)
 		http.NotFound(w, r)
 		return

@@ -35,7 +35,7 @@ func (s *DirSource) Manifest() (*Manifest, error) { return LoadManifest(s.Dir) }
 
 // Open opens one shard file.
 func (s *DirSource) Open(file string) (io.ReadCloser, error) {
-	if file != filepath.Base(file) {
+	if !bareFilename(file) {
 		return nil, fmt.Errorf("data: shard name %q must be a bare filename", file)
 	}
 	return os.Open(filepath.Join(s.Dir, file))
@@ -120,7 +120,7 @@ func (s *HTTPSource) Manifest() (*Manifest, error) {
 
 // Open returns a resuming stream over one shard.
 func (s *HTTPSource) Open(file string) (io.ReadCloser, error) {
-	if file != filepath.Base(file) {
+	if !bareFilename(file) {
 		return nil, fmt.Errorf("data: shard name %q must be a bare filename", file)
 	}
 	return &httpShardReader{src: s, url: s.url("/shards/" + file)}, nil

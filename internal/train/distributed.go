@@ -21,8 +21,8 @@ var ErrAborted = errors.New("aborted by fault injection")
 // care of the rest, and the run is bit-identical to an in-process
 // Run with Ranks = c.Size() at the same seed: replicas are built with the
 // same per-rank topology seeds and equalized by the same rank-0 broadcast,
-// the shard iterator deals the same permutations, and the collectives
-// reduce in the same chunk order over either transport.
+// every rank streams the same data.Assign deal of the same Dataset, and
+// the collectives reduce in the same chunk order over either transport.
 //
 // Rank 0 writes training-state checkpoints (CheckpointPath) and drives
 // resume (ResumeFrom) exactly as the in-process loop does; non-zero ranks
@@ -62,7 +62,7 @@ func RunDistributed(cfg Config, c *comm.Comm, trainSet, valSet []*cosmo.Sample) 
 	res.Epochs = make([]EpochStats, cfg.Epochs)
 
 	start := time.Now()
-	if err := runRankRecovering(cfg, rank, c, net, trainSet, valSet, stepsPerEpoch, res); err != nil {
+	if err := runRankRecovering(cfg, rank, c, net, valSet, stepsPerEpoch, res); err != nil {
 		return nil, err
 	}
 	res.TotalTime = time.Since(start)
@@ -74,7 +74,7 @@ func RunDistributed(cfg Config, c *comm.Comm, trainSet, valSet []*cosmo.Sample) 
 // transport raises mid-collective into an ordinary error, so a peer death
 // unwinds this rank instead of crashing the process without cleanup.
 func runRankRecovering(cfg Config, rank int, c *comm.Comm, net *nn.Network,
-	trainSet, valSet []*cosmo.Sample, stepsPerEpoch int, res *Result) (err error) {
+	valSet []*cosmo.Sample, stepsPerEpoch int, res *Result) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			te, ok := r.(*comm.TransportError)
@@ -84,5 +84,5 @@ func runRankRecovering(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 			err = fmt.Errorf("train: rank %d world failure: %w", rank, te)
 		}
 	}()
-	return runRank(cfg, rank, c, net, trainSet, valSet, stepsPerEpoch, res)
+	return runRank(cfg, rank, c, net, valSet, stepsPerEpoch, res)
 }

@@ -3,18 +3,11 @@ package train
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/cosmo"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
-
-// newShardRNG builds the deterministic permutation source used by the data
-// sharder; factored out so tests can reproduce shard orders.
-func newShardRNG(seed int64, epoch int) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ int64(epoch)*0x9E3779B9))
-}
 
 // Predict runs the network on one sample and returns the normalized
 // three-parameter prediction. It delegates to a one-shot Predictor so both

@@ -2,9 +2,12 @@ package train
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cosmo"
@@ -12,9 +15,9 @@ import (
 	"repro/internal/tfrecord"
 )
 
-// streamDataset writes a sharded TFRecord dataset with a manifest and
+// shardedDataset writes a sharded TFRecord dataset with a manifest and
 // returns a Loader over it, closed with the test.
-func streamDataset(t *testing.T, dim, n, perFile int, seed int64) string {
+func shardedDataset(t *testing.T, dim, n, perFile int, seed int64) string {
 	t.Helper()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
@@ -49,7 +52,7 @@ func streamLoader(t *testing.T, dir string, seed int64) *data.Loader {
 // Two streamed runs at the same seed are bit-identical — the streaming
 // path preserves the determinism contract of the in-memory one.
 func TestRunStreamingBitIdentical(t *testing.T) {
-	dir := streamDataset(t, 8, 16, 4, 21)
+	dir := shardedDataset(t, 8, 16, 4, 21)
 	cfg := smallConfig(2, 3)
 	cfg.Data = streamLoader(t, dir, cfg.Seed)
 	a, err := Run(cfg, nil, nil)
@@ -77,7 +80,7 @@ func TestRunStreamingBitIdentical(t *testing.T) {
 // A TCP-distributed world streaming shards matches the in-process
 // streamed run bit-for-bit, rank count and seed equal.
 func TestRunStreamingDistributedMatchesInProcess(t *testing.T) {
-	dir := streamDataset(t, 8, 16, 4, 22)
+	dir := shardedDataset(t, 8, 16, 4, 22)
 	cfg := smallConfig(2, 2)
 	cfg.Data = streamLoader(t, dir, cfg.Seed)
 	want, err := Run(cfg, nil, nil)
@@ -106,7 +109,7 @@ func TestRunStreamingDistributedMatchesInProcess(t *testing.T) {
 // (seed, epoch), so the resumed epochs stream exactly the samples the
 // uninterrupted run would have.
 func TestRunStreamingResumesFromCheckpoint(t *testing.T) {
-	dir := streamDataset(t, 8, 16, 4, 23)
+	dir := shardedDataset(t, 8, 16, 4, 23)
 	cfg := smallConfig(2, 4)
 	cfg.Data = streamLoader(t, dir, cfg.Seed)
 
@@ -152,7 +155,7 @@ func TestRunStreamingResumesFromCheckpoint(t *testing.T) {
 }
 
 func TestRunStreamingValidation(t *testing.T) {
-	dir := streamDataset(t, 8, 8, 4, 24)
+	dir := shardedDataset(t, 8, 8, 4, 24)
 	cfg := smallConfig(2, 1)
 	cfg.Data = streamLoader(t, dir, cfg.Seed)
 
@@ -171,5 +174,90 @@ func TestRunStreamingValidation(t *testing.T) {
 	starved.Ranks = 3 // 2 shards cannot feed 3 ranks
 	if _, err := Run(starved, nil, nil); err == nil {
 		t.Fatal("2-shard dataset accepted for a 3-rank world")
+	}
+}
+
+// fakeDataset wraps an in-memory Dataset, counting the streams it opens
+// and closes, and makes every stream fail with err after failAfter samples
+// (failAfter 0: never).
+type fakeDataset struct {
+	data.Dataset
+	failAfter     int
+	err           error
+	opens, closes atomic.Int32
+}
+
+func (d *fakeDataset) EpochStream(epoch, rank, ranks int) (data.SampleStream, error) {
+	s, err := d.Dataset.EpochStream(epoch, rank, ranks)
+	if err != nil {
+		return nil, err
+	}
+	d.opens.Add(1)
+	return &fakeStream{SampleStream: s, d: d}, nil
+}
+
+type fakeStream struct {
+	data.SampleStream
+	d *fakeDataset
+	n int
+}
+
+func (s *fakeStream) Next() (*cosmo.Sample, error) {
+	if s.d.failAfter > 0 && s.n == s.d.failAfter {
+		return nil, s.d.err
+	}
+	s.n++
+	return s.SampleStream.Next()
+}
+
+func (s *fakeStream) Close() error {
+	s.d.closes.Add(1)
+	return s.SampleStream.Close()
+}
+
+// runFake trains 2 ranks × 2 epochs (4 steps each) on a fakeDataset and
+// checks that every stream Run opened was closed by the time it returned.
+func runFake(t *testing.T, failAfter int, failErr error) (*fakeDataset, error) {
+	t.Helper()
+	cfg := smallConfig(2, 2)
+	fake := &fakeDataset{Dataset: data.InMemory(syntheticSet(8, 8, 31), cfg.Seed), failAfter: failAfter, err: failErr}
+	cfg.Data = fake
+	_, err := Run(cfg, nil, nil)
+	if opens, closes := fake.opens.Load(), fake.closes.Load(); opens != closes {
+		t.Errorf("opened %d streams, closed %d", opens, closes)
+	}
+	return fake, err
+}
+
+// A stream that runs dry before StepsPerEpoch is a dataset that changed
+// under its manifest: Run names where it happened.
+func TestRunStreamExhaustedMidEpoch(t *testing.T) {
+	_, err := runFake(t, 3, io.EOF)
+	if err == nil {
+		t.Fatal("a stream one sample short of the epoch trained without error")
+	}
+	for _, want := range []string{"rank 0", "epoch 0", "step 3", "exhausted mid-epoch"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+}
+
+func TestRunStreamNextErrorWrapped(t *testing.T) {
+	injected := errors.New("injected read failure")
+	if _, err := runFake(t, 1, injected); !errors.Is(err, injected) {
+		t.Fatalf("err = %v, want it to wrap %v", err, injected)
+	}
+}
+
+// Every epoch's stream is closed: a Loader stream left open leaks its
+// prefetch goroutine.
+func TestRunClosesEveryEpochStream(t *testing.T) {
+	fake, err := runFake(t, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opens := fake.opens.Load(); opens != 2*2 {
+		t.Fatalf("opened %d streams, want ranks × epochs = 4", opens)
 	}
 }

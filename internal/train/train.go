@@ -6,6 +6,7 @@
 package train
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -43,13 +44,12 @@ type Config struct {
 	WorkersPerRank int
 	// Seed controls data sharding order.
 	Seed int64
-	// Data, when non-nil, streams the training set from a sharded TFRecord
-	// dataset (a *data.Loader) instead of the in-memory trainSet argument,
-	// which must then be empty. Each rank streams its rank-disjoint
-	// per-epoch shard assignment; step counts come from the manifest
-	// (Dataset.StepsPerEpoch), and the sample sequence is a pure function
-	// of (Seed, epoch, rank, Ranks), so streamed runs keep the bit-identity
-	// and resume guarantees of in-memory ones. Give the Loader this same
+	// Data, when non-nil, is the training set (typically a *data.Loader
+	// over sharded TFRecords), and the in-memory trainSet argument must be
+	// empty; when nil, trainSet trains as data.InMemory(trainSet, Seed).
+	// Each rank streams its per-epoch data.Assign deal, so the sample
+	// sequence is a pure function of (Seed, epoch, rank, Ranks) — what the
+	// bit-identity and resume guarantees rest on. Give a Loader this same
 	// Seed. Validation still uses the in-memory valSet argument (held-out
 	// splits are small — see data.ReadAll).
 	Data data.Dataset
@@ -196,8 +196,7 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 			defer wg.Done()
 			rc := cfg
 			rc.Timeline = tls[rank]
-			errs[rank] = runRank(rc, rank, world.Comm(rank), nets[rank], trainSet, valSet,
-				stepsPerEpoch, res)
+			errs[rank] = runRank(rc, rank, world.Comm(rank), nets[rank], valSet, stepsPerEpoch, res)
 		}(r)
 	}
 	wg.Wait()
@@ -211,31 +210,27 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 	return res, nil
 }
 
-// prepareRun validates the configuration and resolves the derived
-// schedule; shared by the in-process and distributed entry points so both
-// worlds train over identical hyperparameters (a bit-identity
-// precondition).
+// prepareRun validates the configuration, resolves the training input to
+// one data.Dataset in the returned cfg.Data — Config.Data, or the
+// in-memory trainSet — and derives the schedule; shared by the in-process
+// and distributed entry points so both worlds train over identical
+// hyperparameters (a bit-identity precondition).
 func prepareRun(cfg Config, trainSet []*cosmo.Sample) (Config, int, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, 0, err
 	}
-	var stepsPerEpoch int
-	if cfg.Data != nil {
-		if len(trainSet) > 0 {
-			return cfg, 0, fmt.Errorf("train: Config.Data and an in-memory training set are mutually exclusive")
-		}
-		if dim := cfg.Data.Dim(); dim != cfg.Topology.InputDim {
-			return cfg, 0, fmt.Errorf("train: dataset samples are dim %d but Topology.InputDim is %d", dim, cfg.Topology.InputDim)
-		}
-		stepsPerEpoch = cfg.Data.StepsPerEpoch(cfg.Ranks)
-		if stepsPerEpoch < 1 {
-			return cfg, 0, fmt.Errorf("train: dataset cannot feed %d ranks; SSGD requires at least one shard per rank", cfg.Ranks)
-		}
-	} else {
-		if len(trainSet) < cfg.Ranks {
-			return cfg, 0, fmt.Errorf("train: %d training samples for %d ranks; SSGD requires at least one sample per rank (§VII-B)", len(trainSet), cfg.Ranks)
-		}
-		stepsPerEpoch = len(trainSet) / cfg.Ranks
+	if cfg.Data == nil {
+		cfg.Data = data.InMemory(trainSet, cfg.Seed)
+	} else if len(trainSet) > 0 {
+		return cfg, 0, fmt.Errorf("train: Config.Data and an in-memory training set are mutually exclusive")
+	}
+	// Steps first: an empty set is a too-small set, not a dim-0 one.
+	stepsPerEpoch := cfg.Data.StepsPerEpoch(cfg.Ranks)
+	if stepsPerEpoch < 1 {
+		return cfg, 0, fmt.Errorf("train: training data cannot feed %d ranks; SSGD requires at least one sample per rank (§VII-B), and a streamed dataset one shard per rank", cfg.Ranks)
+	}
+	if dim := cfg.Data.Dim(); dim != cfg.Topology.InputDim {
+		return cfg, 0, fmt.Errorf("train: dataset samples are dim %d but Topology.InputDim is %d", dim, cfg.Topology.InputDim)
 	}
 	totalSteps := stepsPerEpoch * cfg.Epochs
 	if cfg.Optim.Schedule.DecaySteps == 0 {
@@ -252,9 +247,10 @@ func prepareRun(cfg Config, trainSet []*cosmo.Sample) (Config, int, error) {
 // runRank executes Algorithm 2 for one rank. Epoch statistics are written
 // by rank 0 only; the loss values it records are already globally averaged
 // through the collectives, so no extra synchronization is needed beyond the
-// collectives themselves. cfg.Timeline is this rank's ring (nil: untraced).
+// collectives themselves. cfg is prepareRun's, so cfg.Data is set;
+// cfg.Timeline is this rank's ring (nil: untraced).
 func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
-	trainSet, valSet []*cosmo.Sample, stepsPerEpoch int, res *Result) error {
+	valSet []*cosmo.Sample, stepsPerEpoch int, res *Result) error {
 
 	// Attaching the ring to the communicator makes the collectives record
 	// their own events, so an overlapped allreduce shows up concurrent with
@@ -307,19 +303,32 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 	}
 
 	gradBuf := make([]float32, net.GradSize())
-	src := newRankData(cfg, rank, trainSet)
-	defer src.close()
+
+	// One stream per epoch; the deferred Close covers an epoch abandoned by
+	// an error or a transport panic, so no prefetch goroutine outlives it.
+	var stream data.SampleStream
+	defer func() {
+		if stream != nil {
+			stream.Close()
+		}
+	}()
 
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
-		if err := src.startEpoch(epoch); err != nil {
+		var err error
+		if stream, err = cfg.Data.EpochStream(epoch, rank, cfg.Ranks); err != nil {
 			return fmt.Errorf("train: rank %d epoch %d: %w", rank, epoch, err)
 		}
 		var lossSum float64
 		for step := 0; step < stepsPerEpoch; step++ {
 			tl.SetStep(epoch*stepsPerEpoch + step)
 			t0 := tl.Start()
-			sample, err := src.next()
+			// Valid until the next Next (a Loader recycles voxels); the
+			// step consumes it fully first.
+			sample, err := stream.Next()
+			if err == io.EOF { // StepsPerEpoch promised more: the data changed
+				err = errors.New("sample stream exhausted mid-epoch")
+			}
 			if err != nil {
 				return fmt.Errorf("train: rank %d epoch %d step %d: %w", rank, epoch, step, err)
 			}
@@ -386,6 +395,8 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 			opt.Step()
 			tl.Record(obsv.PhaseOptimizer, t0)
 		}
+		stream.Close()
+		stream = nil
 
 		// Global training-loss average across ranks and steps.
 		globalLoss := c.AllReduceScalar(lossSum) / float64(cfg.Ranks*stepsPerEpoch)
@@ -449,98 +460,4 @@ func validate(c *comm.Comm, net *nn.Network, valSet []*cosmo.Sample, rank, ranks
 		return 0
 	}
 	return totalSum / totalCount
-}
-
-// rankData feeds one rank its per-epoch training samples. Two
-// implementations: memData deals from the in-memory training set,
-// streamData pulls rank-disjoint shards from Config.Data. The returned
-// sample may be invalidated by the following next call (streaming sources
-// recycle voxel buffers), which is safe here because each training step
-// fully consumes its sample before requesting another.
-type rankData interface {
-	startEpoch(epoch int) error
-	next() (*cosmo.Sample, error)
-	close()
-}
-
-// newRankData picks the source runRank trains from.
-func newRankData(cfg Config, rank int, trainSet []*cosmo.Sample) rankData {
-	if cfg.Data != nil {
-		return &streamData{src: cfg.Data, rank: rank, ranks: cfg.Ranks}
-	}
-	return &memData{it: shardIterator{samples: trainSet, ranks: cfg.Ranks, rank: rank, seed: cfg.Seed}}
-}
-
-// memData adapts shardIterator to the rankData surface.
-type memData struct{ it shardIterator }
-
-func (d *memData) startEpoch(epoch int) error   { d.it.startEpoch(epoch); return nil }
-func (d *memData) next() (*cosmo.Sample, error) { return d.it.next(), nil }
-func (d *memData) close()                       {}
-
-// streamData opens one data.SampleStream per epoch. The previous epoch's
-// stream is closed on the next startEpoch (or at close), releasing its
-// prefetch goroutine even when the epoch's step count truncated the stream
-// before exhaustion.
-type streamData struct {
-	src         data.Dataset
-	rank, ranks int
-	cur         data.SampleStream
-}
-
-func (d *streamData) startEpoch(epoch int) error {
-	d.close()
-	s, err := d.src.EpochStream(epoch, d.rank, d.ranks)
-	if err != nil {
-		return err
-	}
-	d.cur = s
-	return nil
-}
-
-func (d *streamData) next() (*cosmo.Sample, error) {
-	s, err := d.cur.Next()
-	if err == io.EOF {
-		// StepsPerEpoch truncation guarantees the stream outlasts the
-		// epoch; running dry mid-epoch means the dataset changed out from
-		// under the manifest.
-		return nil, fmt.Errorf("sample stream exhausted mid-epoch")
-	}
-	return s, err
-}
-
-func (d *streamData) close() {
-	if d.cur != nil {
-		d.cur.Close()
-		d.cur = nil
-	}
-}
-
-// shardIterator deals samples to ranks: a deterministic epoch-dependent
-// permutation of the training set, strided by rank, mirroring the random
-// TFRecord assignment of §IV-C.
-type shardIterator struct {
-	samples []*cosmo.Sample
-	ranks   int
-	rank    int
-	seed    int64
-	order   []int
-	pos     int
-}
-
-func (s *shardIterator) startEpoch(epoch int) {
-	rng := newShardRNG(s.seed, epoch)
-	s.order = rng.Perm(len(s.samples))
-	s.pos = s.rank
-}
-
-func (s *shardIterator) next() *cosmo.Sample {
-	if s.pos >= len(s.order) {
-		// Wrap: epochs truncate to equal per-rank step counts, so this is
-		// only reached if callers over-iterate.
-		s.pos = s.rank
-	}
-	sample := s.samples[s.order[s.pos]]
-	s.pos += s.ranks
-	return sample
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/cosmo"
+	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/obsv"
 	"repro/internal/optim"
@@ -57,8 +58,19 @@ func TestRunValidation(t *testing.T) {
 		t.Error("zero epochs accepted")
 	}
 	cfg = smallConfig(8, 1)
+	if _, err := Run(cfg, syntheticSet(4, 8, 1), nil); err == nil ||
+		!strings.Contains(err.Error(), "at least one sample per rank") {
+		t.Errorf("fewer samples than ranks: err = %v, want the §VII-B sample-per-rank error", err)
+	}
+	cfg = smallConfig(1, 1)
+	if _, err := Run(cfg, nil, nil); err == nil ||
+		!strings.Contains(err.Error(), "at least one sample per rank") {
+		t.Errorf("empty training set: err = %v, want the §VII-B sample-per-rank error", err)
+	}
+	cfg = smallConfig(1, 1)
+	cfg.Topology.InputDim = 16
 	if _, err := Run(cfg, syntheticSet(4, 8, 1), nil); err == nil {
-		t.Error("fewer samples than ranks accepted (violates §VII-B)")
+		t.Error("dim-8 training set accepted for InputDim 16")
 	}
 }
 
@@ -199,13 +211,21 @@ func TestSustainedFlops(t *testing.T) {
 
 func TestShardIteratorCoversAllSamplesAcrossRanks(t *testing.T) {
 	samples := syntheticSet(12, 8, 9)
+	ds := data.InMemory(samples, 3)
 	seen := make(map[*cosmo.Sample]int)
 	for rank := 0; rank < 4; rank++ {
-		it := &shardIterator{samples: samples, ranks: 4, rank: rank, seed: 3}
-		it.startEpoch(0)
-		for s := 0; s < 3; s++ {
-			seen[it.next()]++
+		stream, err := ds.EpochStream(0, rank, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for s := 0; s < 3; s++ {
+			smp, err := stream.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[smp]++
+		}
+		stream.Close()
 	}
 	if len(seen) != 12 {
 		t.Fatalf("shards covered %d distinct samples, want 12", len(seen))
