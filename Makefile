@@ -42,8 +42,9 @@ race:
 # Short fuzz of the byte decoders — the wire codec (header-bounded size
 # checks, truncated frames, dims/dtype abuse), the training-timeline
 # gather payload (bad magic/version, unknown phases, event counts the
-# payload cannot hold) and the data manifest (fields the loader relies
-# on, lossless re-encoding) — and of the conv kernels' geometry (forward,
+# payload cannot hold), the data manifest (fields the loader relies on,
+# lossless re-encoding) and the TFRecord sample payload (dim bound,
+# voxel count, canonical encoding) — and of the conv kernels' geometry (forward,
 # batched inference and backward against float64 loop nests over random
 # shapes, strides and padding). Seconds, not minutes — the corpus seeds
 # cover the known-nasty shapes and CI just shakes for regressions.
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s ./internal/obsv
 	$(GO) test -run '^$$' -fuzz FuzzConvGeometry -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/data
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSample -fuzztime 10s ./internal/tfrecord
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:
@@ -135,11 +137,9 @@ gateway-smoke:
 	$(GO) build -o /tmp/cosmoflow-gwctl ./cmd/cosmoflow-gwctl
 	sh scripts/gateway_smoke.sh
 
-# Multi-tenant + autoscaling smoke: a 3-class overload must keep premium
-# p99 flat while best-effort sheds with 429s and nothing 5xxes, and a
-# supervised gateway (no static backends) must scale 1 -> max under load
-# and retire back to min when idle, with zero client-visible failures
-# (scripts/tenancy_smoke.sh).
+# Multi-tenant smoke: a 3-class overload must keep premium p99 flat
+# while best-effort sheds with 429s and nothing 5xxes, and the admin
+# plane answers only through cosmoflow-gwctl (scripts/tenancy_smoke.sh).
 tenancy-smoke:
 	$(GO) build -o /tmp/cosmoflow-serve ./cmd/cosmoflow-serve
 	$(GO) build -o /tmp/cosmoflow-gateway ./cmd/cosmoflow-gateway

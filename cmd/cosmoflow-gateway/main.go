@@ -10,15 +10,15 @@
 //	    -backends http://h1:8080,http://h2:8080,http://h3:8080 \
 //	    -policy least-outstanding
 //
-// The gateway is also the multi-tenant front door: -tenants seeds
-// per-API-key rate limits and priority classes, bounded priority queues
-// shed overload with 429 + Retry-After before any backend sees it, and
-// -supervise turns on the autoscaling backend supervisor (the gateway
-// spawns and retires local cosmoflow-serve processes from observed queue
-// wait — -backends may then be empty):
+// The backend list is the whole pool: membership is fixed for the
+// gateway's lifetime, and health probes only move members between
+// routable and ejected.
 //
-//	cosmoflow-gateway -addr :8090 -supervise -serve-bin ./bin/cosmoflow-serve \
-//	    -serve-args "-preload demo" -scale-min 1 -scale-max 4 \
+// The gateway is also the multi-tenant front door: -tenants seeds
+// per-API-key rate limits and priority classes, and bounded priority
+// queues shed overload with 429 + Retry-After before any backend sees it:
+//
+//	cosmoflow-gateway -addr :8090 -backends http://h1:8080,http://h2:8080 \
 //	    -tenants tenants.json -admin-key s3cret
 //
 // Endpoints (DESIGN.md "Cluster serving" and "Serving API v1"):
@@ -31,7 +31,6 @@
 //	GET    /v1/admin/tenants          admin plane: tenant table
 //	PUT    /v1/admin/tenants          upsert one tenant (hot-reloaded)
 //	DELETE /v1/admin/tenants/{key}    remove a tenant
-//	GET    /v1/admin/supervisor       autoscaler status + recent decisions
 //	GET    /v1/admin/canary           canary rules + counters (PUT upserts)
 //	GET    /healthz                   503 until ≥1 backend is ready per model
 //	GET    /stats                     cosmoflow-stats/v2: routing counters,
@@ -84,20 +83,10 @@ func main() {
 	admCapacity := flag.Int("admission-capacity", 64, "concurrent requests admitted past the front door")
 	queueDepth := flag.Int("queue-depth", 64, "standard-class admission queue depth (premium 2x, best-effort half)")
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "max time a request may wait in the admission queue before 429")
-
-	supervise := flag.Bool("supervise", false, "autoscale local cosmoflow-serve processes from observed queue wait (-backends may be empty)")
-	serveBin := flag.String("serve-bin", "cosmoflow-serve", "cosmoflow-serve binary the supervisor spawns")
-	serveArgs := flag.String("serve-args", "", "space-separated flags passed to each spawned cosmoflow-serve (-addr is appended per process)")
-	scaleMin := flag.Int("scale-min", 1, "supervised fleet floor (launched at startup)")
-	scaleMax := flag.Int("scale-max", 4, "supervised fleet ceiling")
-	scaleUpWait := flag.Duration("scale-up-wait", 50*time.Millisecond, "smoothed queue wait that marks the gateway hot")
-	scaleSustain := flag.Duration("scale-sustain", 2*time.Second, "how long the hot signal must hold before a scale-up")
-	scaleIdle := flag.Duration("scale-idle", 15*time.Second, "how long the gateway must be idle before a scale-down")
-	scaleCooldown := flag.Duration("scale-cooldown", 5*time.Second, "minimum spacing between scale decisions")
 	flag.Parse()
 
-	if *backends == "" && !*supervise {
-		log.Fatal("-backends is required (comma-separated cosmoflow-serve base URLs), or enable -supervise")
+	if *backends == "" {
+		log.Fatal("-backends is required (comma-separated cosmoflow-serve base URLs)")
 	}
 	var tenants []api.Tenant
 	if *tenantsFile != "" {
@@ -111,28 +100,8 @@ func main() {
 		}
 		tenants = tl.Tenants
 	}
-	var supCfg *gateway.SupervisorConfig
-	if *supervise {
-		supCfg = &gateway.SupervisorConfig{
-			Launcher: &gateway.ProcessLauncher{
-				Bin:  *serveBin,
-				Args: strings.Fields(*serveArgs),
-			},
-			Min:          *scaleMin,
-			Max:          *scaleMax,
-			ScaleUpWait:  *scaleUpWait,
-			SustainFor:   *scaleSustain,
-			IdleFor:      *scaleIdle,
-			Cooldown:     *scaleCooldown,
-			DrainTimeout: *drainTimeout,
-		}
-	}
-	var backendList []string
-	if *backends != "" {
-		backendList = strings.Split(*backends, ",")
-	}
 	gw, err := gateway.New(gateway.Config{
-		Backends:        backendList,
+		Backends:        strings.Split(*backends, ","),
 		Policy:          *policy,
 		ProbeInterval:   *probeInterval,
 		ProbeTimeout:    *probeTimeout,
@@ -150,7 +119,6 @@ func main() {
 			QueueDepth:   *queueDepth,
 			QueueTimeout: *queueTimeout,
 		},
-		Supervisor: supCfg,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,9 +1,8 @@
 // Command cosmoflow-gwctl is the operator CLI for cosmoflow-gateway's
-// admin plane (/v1/admin/*): tenant CRUD, autoscaler status, canary
-// rules, and the v2 stats snapshot. Every call goes through the typed
-// client (internal/serve/client) — gwctl is how scripts and smoke tests
-// reach the admin surface without hand-rolled curl against internal
-// routes.
+// admin plane (/v1/admin/*): tenant CRUD, canary rules, and the v2
+// stats snapshot. Every call goes through the typed client
+// (internal/serve/client) — gwctl is how scripts and smoke tests reach
+// the admin surface without hand-rolled curl against internal routes.
 //
 // Usage:
 //
@@ -13,7 +12,6 @@
 //	tenants put KEY [flags]      upsert one tenant (hot reload)
 //	    -name N -class premium|standard|best-effort -rate R -burst B
 //	tenants rm KEY               delete a tenant
-//	supervisor                   autoscaler status + recent decisions
 //	canary                       list canary rules with live counters
 //	canary set MODEL CANDIDATE PCT [-shadow]
 //	canary rm MODEL              delete a model's rule
@@ -66,12 +64,6 @@ func main() {
 	switch args[0] {
 	case "tenants":
 		runTenants(ctx, cl, args[1:])
-	case "supervisor":
-		st, err := cl.ScaleStatus(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(st)
 	case "canary":
 		runCanary(ctx, cl, args[1:])
 	case "stats":
@@ -81,7 +73,7 @@ func main() {
 		}
 		emit(sr)
 	default:
-		log.Fatalf("unknown command %q (want tenants, supervisor, canary, or stats)", args[0])
+		log.Fatalf("unknown command %q (want tenants, canary, or stats)", args[0])
 	}
 }
 

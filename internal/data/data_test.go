@@ -98,6 +98,7 @@ func TestParseManifestRejectsMalformed(t *testing.T) {
 	}{
 		{"schema", func(m *Manifest, _ *Shard) { m.Schema = "cosmoflow-manifest/v0" }},
 		{"dim 0", func(m *Manifest, _ *Shard) { m.Dim = 0 }},
+		{"dim 1<<22", func(m *Manifest, _ *Shard) { m.Dim = 1 << 22 }},
 		{"empty file", func(_ *Manifest, sh *Shard) { sh.File = "" }},
 		{"path in file", func(_ *Manifest, sh *Shard) { sh.File = "../train-00000.tfrecord" }},
 		{"dot-dot file", func(_ *Manifest, sh *Shard) { sh.File = ".." }},
@@ -130,7 +131,7 @@ func TestParseManifestRejectsMalformed(t *testing.T) {
 // FuzzParseManifest shakes the manifest decoder, whose input arrives over
 // HTTP from cosmoflow-shardd: it must never panic, every manifest it
 // accepts must hold what the Loader relies on (bare shard filenames,
-// samples ≥ 1, bytes ≥ 0, dim ≥ 1), and an accepted manifest must survive
+// samples ≥ 1, bytes ≥ 0, 1 ≤ dim ≤ MaxSampleDim), and an accepted manifest must survive
 // re-encoding unchanged.
 func FuzzParseManifest(f *testing.F) {
 	scanned, err := os.ReadFile(filepath.Join(writeDataset(f, 8, 5, 2, 2, 9), ManifestName))
@@ -146,7 +147,7 @@ func FuzzParseManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if m.Dim < 1 {
+		if m.Dim < 1 || m.Dim > tfrecord.MaxSampleDim {
 			t.Fatalf("accepted dim %d", m.Dim)
 		}
 		for split, shards := range m.Splits {

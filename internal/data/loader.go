@@ -277,7 +277,7 @@ func (l *Loader) decodeShard(raw []byte) ([]*cosmo.Sample, error) {
 	}
 	samples := make([]*cosmo.Sample, len(records))
 	errs := make([]error, len(records))
-	dim := l.manifest.Dim
+	dim := l.manifest.Dim // Validate bounds it by tfrecord.MaxSampleDim
 	voxLen := dim * dim * dim
 	l.decode.ForEach(len(records), 1, func(i int) {
 		if err := records[i].Verify(); err != nil {

@@ -65,8 +65,8 @@ func (m *Manifest) Validate() error {
 	if m.Schema != ManifestSchema {
 		return fmt.Errorf("data: manifest schema %q, want %q", m.Schema, ManifestSchema)
 	}
-	if m.Dim < 1 {
-		return fmt.Errorf("data: manifest dim %d must be positive", m.Dim)
+	if m.Dim < 1 || m.Dim > tfrecord.MaxSampleDim {
+		return fmt.Errorf("data: manifest dim %d outside [1, %d]", m.Dim, tfrecord.MaxSampleDim)
 	}
 	for split, shards := range m.Splits {
 		for _, s := range shards {

@@ -1,12 +1,11 @@
 package gateway
 
-// Admin plane: the /v1/admin/* route group — tenants CRUD, supervisor
-// status, canary weights. It is an explicit control surface next to the
-// tenant-facing data plane (DESIGN.md "Serving API v1"): same typed
-// error envelope, same 405 + Allow discipline, same X-Request-Id
-// propagation, but guarded by the operator key instead of tenant keys,
-// and never subject to admission control (an overloaded gateway must
-// still be operable).
+// Admin plane: the /v1/admin/* route group — tenants CRUD and canary
+// weights. It is an explicit control surface next to the tenant-facing
+// data plane (DESIGN.md "Serving API v1"): same typed error envelope,
+// same 405 + Allow discipline, same X-Request-Id propagation, but
+// guarded by the operator key instead of tenant keys, and never subject
+// to admission control (an overloaded gateway must still be operable).
 
 import (
 	"encoding/json"
@@ -28,7 +27,7 @@ func (g *Gateway) authorizeAdmin(w http.ResponseWriter, r *http.Request, rid str
 	return false
 }
 
-// handleAdmin dispatches /v1/admin/{tenants,supervisor,canary}.
+// handleAdmin dispatches /v1/admin/{tenants,canary}.
 func (g *Gateway) handleAdmin(w http.ResponseWriter, r *http.Request) {
 	rid := api.RequestID(w, r)
 	if !g.authorizeAdmin(w, r, rid) {
@@ -40,8 +39,6 @@ func (g *Gateway) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		g.handleTenants(w, r, rid)
 	case strings.HasPrefix(rest, "tenants/"):
 		g.handleTenantItem(w, r, rid, strings.TrimPrefix(rest, "tenants/"))
-	case rest == "supervisor":
-		g.handleSupervisor(w, r, rid)
 	case rest == "canary":
 		g.handleCanary(w, r, rid)
 	default:
@@ -82,20 +79,6 @@ func (g *Gateway) handleTenantItem(w http.ResponseWriter, r *http.Request, rid, 
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
-}
-
-// handleSupervisor answers GET /v1/admin/supervisor: the autoscaler
-// status, or Enabled false when the gateway runs a static pool.
-func (g *Gateway) handleSupervisor(w http.ResponseWriter, r *http.Request, rid string) {
-	if r.Method != http.MethodGet {
-		api.MethodNotAllowed(w, rid, http.MethodGet)
-		return
-	}
-	if g.sup == nil {
-		api.WriteJSON(w, http.StatusOK, api.SupervisorStatus{Enabled: false})
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, g.sup.status())
 }
 
 // handleCanary answers GET (rules + counters) and PUT (upsert one rule;

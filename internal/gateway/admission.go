@@ -23,8 +23,8 @@ import (
 	"repro/internal/serve/api"
 )
 
-// clock is the time source admission and the supervisor run on,
-// injectable so refill and hysteresis tests are deterministic.
+// clock is the time source admission runs on, injectable so refill
+// tests are deterministic.
 type clock func() time.Time
 
 // Priority ranks, in service order. Strict priority: a lower rank is
@@ -316,11 +316,9 @@ type admission struct {
 	cfg AdmissionConfig
 	now clock
 
-	mu         sync.Mutex
-	inflight   int
-	queues     [numClasses][]*waiter
-	waitEwma   float64   // exponentially-weighted queue wait, ns (supervisor signal)
-	quietSince time.Time // first signal() that saw zero inflight and zero queued
+	mu       sync.Mutex
+	inflight int
+	queues   [numClasses][]*waiter
 
 	admitted atomic.Int64
 	shedN    atomic.Int64
@@ -370,11 +368,6 @@ func (a *admission) acquire(done <-chan struct{}, t *tenant) (wait time.Duration
 	a.mu.Lock()
 	if a.inflight < a.cfg.Capacity {
 		a.inflight++
-		// An instant admit is a zero-wait observation: without it the
-		// EWMA would stay pinned at a burst's peak long after the queue
-		// drained, and the supervisor would never see idle.
-		const alpha = 0.2
-		a.waitEwma *= 1 - alpha
 		a.mu.Unlock()
 		t.admitted.Add(1)
 		a.admitted.Add(1)
@@ -436,7 +429,6 @@ func (a *admission) acquire(done <-chan struct{}, t *tenant) (wait time.Duration
 			retryAfter: a.cfg.QueueTimeout,
 		}
 	}
-	a.observeWait(wait)
 	t.admitted.Add(1)
 	t.queueNs.Add(int64(wait))
 	a.admitted.Add(1)
@@ -461,65 +453,15 @@ func (a *admission) release() {
 	a.mu.Unlock()
 }
 
-// observeWait folds one admitted request's queue wait into the EWMA the
-// supervisor scales on. Called under no lock; takes a.mu briefly.
-func (a *admission) observeWait(wait time.Duration) {
-	a.mu.Lock()
-	const alpha = 0.2
-	a.waitEwma = (1-alpha)*a.waitEwma + alpha*float64(wait)
-	a.mu.Unlock()
-}
-
-// loadSignal is the supervisor's input: current saturation and the
-// smoothed queue wait.
-type loadSignal struct {
-	inflight int
-	capacity int
-	queued   int
-	avgWait  time.Duration
-}
-
-// quietDecayHalfLife is how fast the queue-wait EWMA forgets a burst
-// once the gateway goes completely quiet. The EWMA is updated only by
-// admits; with no traffic at all there are no zero-wait observations to
-// pull it down, and without this decay a gateway that went from hot to
-// dead-silent would read "hot" forever and never scale in.
-const quietDecayHalfLife = 500 * time.Millisecond
-
-func (a *admission) signal() loadSignal {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	queued := 0
-	for _, q := range a.queues {
-		queued += len(q)
-	}
-	if a.inflight == 0 && queued == 0 {
-		now := a.now()
-		if !a.quietSince.IsZero() {
-			if dt := now.Sub(a.quietSince); dt > 0 {
-				a.waitEwma *= math.Pow(0.5, float64(dt)/float64(quietDecayHalfLife))
-			}
-		}
-		a.quietSince = now
-	} else {
-		a.quietSince = time.Time{}
-	}
-	return loadSignal{
-		inflight: a.inflight,
-		capacity: a.cfg.Capacity,
-		queued:   queued,
-		avgWait:  time.Duration(a.waitEwma),
-	}
-}
-
 // stats snapshots the controller for GET /stats v2.
 func (a *admission) stats() api.AdmissionStats {
-	s := a.signal()
-	return api.AdmissionStats{
-		Capacity: s.capacity,
-		Inflight: s.inflight,
-		Queued:   s.queued,
-		Admitted: a.admitted.Load(),
-		Shed:     a.shedN.Load(),
+	a.mu.Lock()
+	st := api.AdmissionStats{Capacity: a.cfg.Capacity, Inflight: a.inflight}
+	for _, q := range a.queues {
+		st.Queued += len(q)
 	}
+	a.mu.Unlock()
+	st.Admitted = a.admitted.Load()
+	st.Shed = a.shedN.Load()
+	return st
 }

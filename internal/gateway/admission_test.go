@@ -136,7 +136,7 @@ func TestAdmissionPriorityFairness(t *testing.T) {
 			order <- label
 			rel()
 		}()
-		waitFor(t, label+" parked", func() bool { return a.signal().queued == wantQueued })
+		waitFor(t, label+" parked", func() bool { return a.stats().Queued == wantQueued })
 	}
 	park("best-effort", be, 1)
 	park("standard", std, 2)
@@ -183,7 +183,7 @@ func TestAdmissionShedsBestEffortFirst(t *testing.T) {
 	for i := 0; i < beDepth; i++ {
 		go func() { _, _, _ = a.acquire(nil, be) }()
 	}
-	waitFor(t, "best-effort queue full", func() bool { return a.signal().queued == beDepth })
+	waitFor(t, "best-effort queue full", func() bool { return a.stats().Queued == beDepth })
 	_, _, err := a.acquire(nil, be)
 	var shed *shedError
 	if !errors.As(err, &shed) || shed.code != api.CodeOverloaded {
@@ -203,38 +203,12 @@ func TestAdmissionShedsBestEffortFirst(t *testing.T) {
 		_, _, err := a.acquire(done, prem)
 		ok <- err
 	}()
-	waitFor(t, "premium parked", func() bool { return a.signal().queued == beDepth+1 })
+	waitFor(t, "premium parked", func() bool { return a.stats().Queued == beDepth+1 })
 	close(done) // give up cleanly; parking without a shed is the assertion
 	if err := <-ok; err == nil {
 		t.Fatal("premium waiter admitted with no release — capacity accounting broken")
 	} else if errors.As(err, &shed) && shed.code == api.CodeOverloaded && shed.msg == "premium admission queue full" {
 		t.Fatalf("premium shed on arrival: %v", err)
-	}
-}
-
-// TestSignalQuietDecay pins the dead-silence path: the queue-wait EWMA
-// is only updated by admits, so once the gateway is fully quiet (zero
-// inflight, zero queued) signal() must decay it itself — otherwise a
-// burst's peak would read "hot" forever and the supervisor would never
-// scale back in.
-func TestSignalQuietDecay(t *testing.T) {
-	clk := newFakeClock()
-	a := newAdmission(AdmissionConfig{Capacity: 1, QueueDepth: 4, QueueTimeout: time.Second}, clk.now)
-	a.mu.Lock()
-	a.waitEwma = float64(100 * time.Millisecond)
-	a.mu.Unlock()
-
-	// The first quiet observation arms the window without decaying.
-	if got := a.signal().avgWait; got != 100*time.Millisecond {
-		t.Fatalf("first quiet signal = %v, want the undecayed 100ms", got)
-	}
-	clk.advance(quietDecayHalfLife)
-	if got := a.signal().avgWait; got != 50*time.Millisecond {
-		t.Fatalf("after one half-life = %v, want 50ms", got)
-	}
-	clk.advance(10 * quietDecayHalfLife)
-	if got := a.signal().avgWait; got > time.Millisecond {
-		t.Fatalf("after ten more half-lives = %v, want ~0", got)
 	}
 }
 
@@ -260,7 +234,7 @@ func TestRateLimitBeforeQueue(t *testing.T) {
 	if ten.rateLimited.Load() != 1 {
 		t.Fatalf("rateLimited counter = %d, want 1", ten.rateLimited.Load())
 	}
-	if a.signal().queued != 0 {
+	if a.stats().Queued != 0 {
 		t.Fatal("rate-limited request consumed queue space")
 	}
 	clk.advance(time.Second)
@@ -321,158 +295,6 @@ func TestCanaryDeterministicSplit(t *testing.T) {
 	}
 }
 
-// fakeLauncher hands out fake addresses and records stops — the test
-// seam for supervisor decisions without real processes.
-type fakeLauncher struct {
-	mu      sync.Mutex
-	started int
-	stopped int
-}
-
-func (fl *fakeLauncher) Start() (string, func(), error) {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	fl.started++
-	n := fl.started
-	return "http://127.0.0.1:" + string(rune('a'+n)) + "fake", func() {
-		fl.mu.Lock()
-		fl.stopped++
-		fl.mu.Unlock()
-	}, nil
-}
-
-func (fl *fakeLauncher) counts() (int, int) {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	return fl.started, fl.stopped
-}
-
-// TestSupervisorScaleHysteresis drives step() with a fake clock and a
-// scripted load signal: a sustained hot signal scales up exactly once
-// per cooldown window, a sustained idle signal scales down to the floor,
-// and a noisy boundary (alternating hot/idle) never flaps.
-func TestSupervisorScaleHysteresis(t *testing.T) {
-	clk := newFakeClock()
-	fl := &fakeLauncher{}
-	pool := newPool(nil, Config{ProbeInterval: time.Hour, ProbeTimeout: time.Hour,
-		EjectAfter: 3, ReadmitAfter: time.Hour, BackendTimeout: time.Hour})
-	var sig loadSignal
-	var sigMu sync.Mutex
-	setSig := func(s loadSignal) { sigMu.Lock(); sig = s; sigMu.Unlock() }
-	getSig := func() loadSignal { sigMu.Lock(); defer sigMu.Unlock(); return sig }
-
-	cfg := SupervisorConfig{
-		Launcher:    fl,
-		Min:         1,
-		Max:         3,
-		ScaleUpWait: 50 * time.Millisecond,
-		SustainFor:  2 * time.Second,
-		IdleFor:     10 * time.Second,
-		Cooldown:    5 * time.Second,
-		// DrainTimeout small: fake members have no outstanding requests.
-		DrainTimeout: time.Millisecond,
-	}
-	s := newSupervisor(cfg, pool, getSig, clk.now)
-	if err := s.bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	if s.running() != 1 {
-		t.Fatalf("bootstrap running = %d, want Min 1", s.running())
-	}
-
-	hot := loadSignal{inflight: 1, capacity: 1, queued: 5, avgWait: 100 * time.Millisecond}
-	idle := loadSignal{inflight: 0, capacity: 1, queued: 0, avgWait: 0}
-
-	// Hot must sustain for SustainFor before a scale-up.
-	setSig(hot)
-	s.step()
-	clk.advance(time.Second)
-	s.step()
-	if s.running() != 1 {
-		t.Fatal("scaled up before the hot signal sustained")
-	}
-	clk.advance(time.Second + time.Millisecond)
-	s.step()
-	if s.running() != 2 {
-		t.Fatalf("running = %d after sustained hot, want 2", s.running())
-	}
-
-	// Still hot, but inside the cooldown: no second scale-up yet.
-	clk.advance(2*time.Second + time.Millisecond) // hot re-sustains, cooldown not over
-	s.step()
-	clk.advance(time.Second)
-	s.step()
-	if s.running() != 2 {
-		t.Fatalf("running = %d during cooldown, want 2 (flap!)", s.running())
-	}
-	clk.advance(2 * time.Second) // past cooldown, hot window long since sustained
-	s.step()
-	if s.running() != 3 {
-		t.Fatalf("running = %d after cooldown, want Max 3", s.running())
-	}
-
-	// At Max: further hot steps change nothing.
-	clk.advance(10 * time.Second)
-	s.step()
-	if s.running() != 3 {
-		t.Fatalf("running = %d, scaled past Max", s.running())
-	}
-
-	// A noisy boundary — idle signal that keeps getting interrupted —
-	// never reaches IdleFor, so the fleet holds.
-	for i := 0; i < 6; i++ {
-		setSig(idle)
-		clk.advance(4 * time.Second)
-		s.step()
-		setSig(hot)
-		clk.advance(time.Second)
-		s.step()
-		setSig(idle)
-	}
-	if s.running() != 3 {
-		t.Fatalf("running = %d after noisy boundary, want 3 (flapped down)", s.running())
-	}
-
-	// Sustained idle walks the fleet down to Min, one cooldown apart. The
-	// idle window opens at the first step that OBSERVES idle (sampled
-	// signal), so each wait is bracketed by an onset step.
-	setSig(idle)
-	s.step() // idle onset
-	clk.advance(10*time.Second + time.Millisecond)
-	s.step()
-	if s.running() != 2 {
-		t.Fatalf("running = %d after sustained idle, want 2", s.running())
-	}
-	s.step()                                       // the move reset the window; mark onset again
-	clk.advance(10*time.Second + time.Millisecond) // covers idle window + cooldown
-	s.step()
-	if s.running() != 1 {
-		t.Fatalf("running = %d, want Min 1", s.running())
-	}
-	clk.advance(time.Hour)
-	s.step()
-	if s.running() != 1 {
-		t.Fatal("scaled below Min")
-	}
-
-	started, stopped := fl.counts()
-	if started != 3 || stopped != 2 {
-		t.Fatalf("launcher started %d stopped %d, want 3/2", started, stopped)
-	}
-	st := s.status()
-	if !st.Enabled || st.Running != 1 || st.Min != 1 || st.Max != 3 {
-		t.Fatalf("status = %+v", st)
-	}
-	if len(st.Events) != 4 { // up, up, down, down (bootstrap's min-floor launch is an event too? no: bootstrap uses scaleUp)
-		// bootstrap's launch records an event as well: up(min floor), up, up, down, down = 5
-		t.Logf("events: %+v", st.Events)
-	}
-	// Newest first: the last two decisions are scale-downs.
-	if st.Events[0].Dir != "down" || st.Events[1].Dir != "down" {
-		t.Fatalf("newest events = %s, %s; want down, down", st.Events[0].Dir, st.Events[1].Dir)
-	}
-}
-
 // TestStatsV1PayloadDecodes is the byte-compatibility regression: a
 // recorded v1 /stats payload (no schema field, no tenancy blocks) still
 // decodes into GatewayStatsResponse with every v1 field intact, and a
@@ -504,7 +326,7 @@ func TestStatsV1PayloadDecodes(t *testing.T) {
 	if len(resp.Backends) != 1 || resp.Backends[0].Backend != "http://127.0.0.1:9001" {
 		t.Fatalf("v1 backends lost: %+v", resp.Backends)
 	}
-	if resp.Tenants != nil || resp.Admission != nil || resp.Supervisor != nil || resp.Canaries != nil {
+	if resp.Tenants != nil || resp.Admission != nil || resp.Canaries != nil {
 		t.Fatal("v1 payload grew v2 blocks out of nothing")
 	}
 

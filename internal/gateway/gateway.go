@@ -60,8 +60,8 @@ const maxBodyBytes = 256 << 20
 // Config parameterizes a Gateway. Zero values take the documented
 // defaults.
 type Config struct {
-	// Backends are the cosmoflow-serve base URLs to front. Required
-	// unless Supervisor is set (the supervisor launches the Min floor).
+	// Backends are the cosmoflow-serve base URLs to front: the fixed pool
+	// membership. At least one is required.
 	Backends []string
 	// Policy is the routing policy: PolicyLeastOutstanding (default) or
 	// PolicyConsistentHash.
@@ -106,11 +106,6 @@ type Config struct {
 	// Admission bounds concurrent work and the priority queues in front of
 	// it; zero values take AdmissionConfig's defaults.
 	Admission AdmissionConfig
-	// Supervisor, when non-nil, enables the autoscaling backend
-	// supervisor: the pool may start empty and grows/shrinks between
-	// Supervisor.Min and Max from the admission controller's queue-wait
-	// signal.
-	Supervisor *SupervisorConfig
 }
 
 func (cfg *Config) applyDefaults() {
@@ -163,12 +158,11 @@ type Gateway struct {
 	lat    *latWindow
 	start  time.Time
 
-	// Multi-tenant front door: API-key table, bounded admission gate,
-	// canary rules, and (optionally) the autoscaling supervisor.
+	// Multi-tenant front door: API-key table, bounded admission gate, and
+	// canary rules.
 	tenants *tenantTable
 	adm     *admission
 	canary  *canaryTable
-	sup     *Supervisor
 
 	// reqLog retains recent per-request phase breakdowns and upRec the
 	// per-backend upstream spans; both nil unless Config.Trace.
@@ -181,8 +175,8 @@ type Gateway struct {
 	metrics     *obsv.MetricsRegistry
 }
 
-// New builds a Gateway and starts its probe loops (and, when configured,
-// the backend supervisor). Callers must Close it.
+// New builds a Gateway over a fixed backend pool and starts its probe
+// loops. Callers must Close it.
 func New(cfg Config) (*Gateway, error) {
 	cfg.applyDefaults()
 	seen := map[string]bool{}
@@ -195,11 +189,8 @@ func New(cfg Config) (*Gateway, error) {
 		seen[a] = true
 		addrs = append(addrs, a)
 	}
-	if len(addrs) == 0 && cfg.Supervisor == nil {
-		return nil, errors.New("gateway: at least one backend is required (or enable the supervisor)")
-	}
-	if cfg.Supervisor != nil && cfg.Supervisor.Launcher == nil {
-		return nil, errors.New("gateway: supervisor config needs a launcher")
+	if len(addrs) == 0 {
+		return nil, errors.New("gateway: at least one backend is required")
 	}
 	pool := newPool(addrs, cfg)
 	policy, err := newPolicy(cfg.Policy, pool.Backends())
@@ -232,42 +223,13 @@ func New(cfg Config) (*Gateway, error) {
 			b.upSpan = g.upRec.Span(b.addr)
 		}
 	}
-	// Membership changes (supervisor scale-up/down) rebuild whatever the
-	// routing layer precomputes over the member set, and install the trace
-	// span before the new member can take traffic.
-	pool.onChange = func(backends []*Backend) {
-		if hr, ok := g.policy.(*hashRing); ok {
-			hr.rebuild(backends)
-		}
-		if g.upRec != nil {
-			for _, b := range backends {
-				if b.upSpan == nil {
-					b.upSpan = g.upRec.Span(b.addr)
-				}
-			}
-		}
-	}
-	if cfg.Supervisor != nil {
-		g.sup = newSupervisor(*cfg.Supervisor, pool, g.adm.signal, now)
-		if err := g.sup.bootstrap(); err != nil {
-			return nil, fmt.Errorf("gateway: supervisor bootstrap: %w", err)
-		}
-	}
 	pool.start()
-	if g.sup != nil {
-		g.sup.run()
-	}
 	return g, nil
 }
 
-// Close stops the supervisor (terminating its processes) and the probe
-// loops. In-flight proxied requests finish on their own contexts.
-func (g *Gateway) Close() {
-	if g.sup != nil {
-		g.sup.stop()
-	}
-	g.pool.close()
-}
+// Close stops the probe loops. In-flight proxied requests finish on
+// their own contexts.
+func (g *Gateway) Close() { g.pool.close() }
 
 // Pool exposes the backend pool (tests, stats).
 func (g *Gateway) Pool() *Pool { return g.pool }
@@ -450,10 +412,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		Tenants:   g.tenants.stats(),
 		Admission: &adm,
 		Canaries:  g.canary.statuses(),
-	}
-	if g.sup != nil {
-		st := g.sup.status()
-		resp.Supervisor = &st
 	}
 	for _, b := range g.pool.Backends() {
 		resp.Backends = append(resp.Backends, b.status())

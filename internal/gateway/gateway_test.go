@@ -577,6 +577,34 @@ func TestHealthzUnavailableWhenPoolEmpty(t *testing.T) {
 	}
 }
 
+// TestNewRequiresBackend pins the only way to configure a pool: the
+// backend list given to New. An empty or all-blank list is refused, and
+// spellings of one URL that differ only in whitespace or a trailing
+// slash collapse to one member.
+func TestNewRequiresBackend(t *testing.T) {
+	for _, backends := range [][]string{nil, {""}, {" ", "/"}} {
+		if gw, err := New(Config{Backends: backends}); err == nil || !strings.Contains(err.Error(), "at least one backend") {
+			if gw != nil {
+				gw.Close()
+			}
+			t.Fatalf("New(%q) err = %v, want the at-least-one-backend error", backends, err)
+		}
+	}
+	const addr = "http://127.0.0.1:1" // nothing listens there
+	gw, err := New(Config{Backends: []string{addr, addr + "/", " " + addr + " "}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	var members []string
+	for _, b := range gw.Pool().Backends() {
+		members = append(members, b.Addr())
+	}
+	if len(members) != 1 || members[0] != addr {
+		t.Fatalf("pool = %q, want the single member %q", members, addr)
+	}
+}
+
 // TestLifecycleFanout: PUT/DELETE through the gateway must converge every
 // reachable backend and aggregate the per-backend outcomes.
 func TestLifecycleFanout(t *testing.T) {

@@ -1,10 +1,10 @@
 package gateway
 
 // metrics.go maps the gateway's existing counters — its own routing
-// counters, the admission gate, the per-tenant accounting, the backend
-// pool, and the autoscaling supervisor — onto an obsv.MetricsRegistry as
-// callback families, giving cosmoflow-gateway the same GET /metrics
-// scrape surface as the backends it fronts. Everything reads the stats
+// counters, the admission gate, the per-tenant accounting, and the
+// backend pool — onto an obsv.MetricsRegistry as callback families,
+// giving cosmoflow-gateway the same GET /metrics scrape surface as the
+// backends it fronts. Everything reads the stats
 // the /stats handler already snapshots; nothing new on the hot path.
 
 import (
@@ -88,9 +88,8 @@ func (g *Gateway) newMetricsRegistry() *obsv.MetricsRegistry {
 	r.CounterFunc("cosmoflow_gateway_tenant_shed_total", "queue-pressure sheds per tenant",
 		tenantSamples(func(st api.TenantStats) float64 { return float64(st.Shed) }))
 
-	// Backend pool: health and per-backend routing counters, one series per
-	// pool member (members added or drained at runtime appear on the next
-	// scrape).
+	// Backend pool: health and per-backend routing counters, one series
+	// per pool member.
 	backendSamples := func(read func(st api.BackendStatus) float64) func() []obsv.Sample {
 		return func() []obsv.Sample {
 			backends := g.pool.Backends()
@@ -128,21 +127,6 @@ func (g *Gateway) newMetricsRegistry() *obsv.MetricsRegistry {
 		backendSamples(func(st api.BackendStatus) float64 { return float64(st.Requests) }))
 	r.CounterFunc("cosmoflow_gateway_backend_errors_total", "transport and 5xx failures per backend",
 		backendSamples(func(st api.BackendStatus) float64 { return float64(st.Errors) }))
-
-	// Supervisor occupancy, present only when autoscaling is configured.
-	if g.sup != nil {
-		r.GaugeFunc("cosmoflow_gateway_supervisor_running", "supervised backends currently in the pool", func() []obsv.Sample {
-			st := g.sup.status()
-			return []obsv.Sample{{Value: float64(st.Running)}}
-		})
-		r.GaugeFunc("cosmoflow_gateway_supervisor_bounds", "supervisor scaling bounds", func() []obsv.Sample {
-			st := g.sup.status()
-			return []obsv.Sample{
-				{Labels: []obsv.Label{obsv.L("bound", "min")}, Value: float64(st.Min)},
-				{Labels: []obsv.Label{obsv.L("bound", "max")}, Value: float64(st.Max)},
-			}
-		})
-	}
 
 	// Per-backend upstream spans when the gateway traces.
 	if g.upRec != nil {

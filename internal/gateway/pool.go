@@ -16,19 +16,16 @@ import (
 //
 //	joining --probe ok--> ready <--> degraded
 //	   any --consecutive failures--> ejected --cooldown + probe ok--> ready/degraded
-//	   any --retire (supervisor)--> draining --outstanding 0--> removed
 type BackendState int32
 
 // Pool member states. Ready and degraded backends are routable (a
-// degraded one only for the models it reports ready); joining, ejected,
-// and draining ones receive no new traffic (a draining member finishes
-// its in-flight requests, then leaves the pool).
+// degraded one only for the models it reports ready); joining and
+// ejected ones receive no new traffic.
 const (
 	StateJoining BackendState = iota
 	StateReady
 	StateDegraded
 	StateEjected
-	StateDraining
 )
 
 // String maps the state onto the api.Backend* wire names.
@@ -40,8 +37,6 @@ func (s BackendState) String() string {
 		return api.BackendDegraded
 	case StateEjected:
 		return api.BackendEjected
-	case StateDraining:
-		return api.BackendDraining
 	}
 	return api.BackendJoining
 }
@@ -71,12 +66,6 @@ type Backend struct {
 	lastProbe   time.Time
 	readyModels map[string]bool
 	models      []api.ModelStatus
-
-	// stopProbe ends this member's probe loop when it leaves the pool;
-	// supervised marks members the supervisor launched (only those are
-	// ever retired by scale-down).
-	stopProbe  chan struct{}
-	supervised bool
 }
 
 // Addr returns the backend's base URL (its pool identity).
@@ -110,24 +99,15 @@ func (b *Backend) routable(model string) bool {
 
 // reachable reports whether lifecycle broadcasts should include this
 // backend: every state except ejected (a broadcast to a dead process
-// would only mask the real failure behind a timeout) and draining (the
-// member is leaving; converging it would be wasted work). An ejected
-// member therefore misses the op and may re-advertise stale state after
+// would only mask the real failure behind a timeout). An ejected member
+// therefore misses the op and may re-advertise stale state after
 // re-admission — the gateway keeps no desired-state record, so operators
 // converge it by repeating the (idempotent) fan-out; see DESIGN.md
 // "Cluster serving".
 func (b *Backend) reachable() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state != StateEjected && b.state != StateDraining
-}
-
-// startDrain flips the member to draining: no new traffic, in-flight
-// requests finish on their own.
-func (b *Backend) startDrain() {
-	b.mu.Lock()
-	b.state = StateDraining
-	b.mu.Unlock()
+	return b.state != StateEjected
 }
 
 // recordFailure counts one transport-level failure (connect refused,
@@ -170,10 +150,6 @@ func (b *Backend) applyProbe(h *api.HealthResponse, models []api.ModelStatus) {
 	b.lastProbe = time.Now()
 	b.readyModels = ready
 	b.models = models
-	if b.state == StateDraining {
-		// A probe that raced a retirement must not resurrect the member.
-		return
-	}
 	if h.Status == "ok" {
 		b.state = StateReady
 	} else {
@@ -224,22 +200,16 @@ func (b *Backend) status() api.BackendStatus {
 }
 
 // Pool owns the backend set and the probe loops that drive each member's
-// state machine. Membership is dynamic: the supervisor adds members as
-// it launches processes and retires them through a drain, so the slice
-// is mutex-guarded and every accessor works on a snapshot. onChange (set
-// by the gateway) fires after every membership change so policies that
-// precompute over the member set (the consistent-hash ring) can rebuild.
+// state machine. Membership is fixed when the gateway is built, the way
+// a training allocation is: backends is written once in newPool and only
+// read afterwards, so the request path walks it without a lock or copy.
 type Pool struct {
 	probeInterval time.Duration
 	probeTimeout  time.Duration
 	ejectAfter    int
 	readmitAfter  time.Duration
-	backendTO     time.Duration
 
-	mu       sync.Mutex
 	backends []*Backend
-	started  bool
-	onChange func([]*Backend)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -251,104 +221,39 @@ func newPool(addrs []string, cfg Config) *Pool {
 		probeTimeout:  cfg.ProbeTimeout,
 		ejectAfter:    cfg.EjectAfter,
 		readmitAfter:  cfg.ReadmitAfter,
-		backendTO:     cfg.BackendTimeout,
 		stop:          make(chan struct{}),
 	}
 	for _, a := range addrs {
-		p.backends = append(p.backends, p.newBackend(a))
+		p.backends = append(p.backends, &Backend{
+			addr: a,
+			cl: client.New(a,
+				client.WithEncoding(client.Binary),
+				client.WithTimeout(cfg.BackendTimeout)),
+		})
 	}
 	return p
-}
-
-func (p *Pool) newBackend(addr string) *Backend {
-	return &Backend{
-		addr: addr,
-		cl: client.New(addr,
-			client.WithEncoding(client.Binary),
-			client.WithTimeout(p.backendTO)),
-		stopProbe: make(chan struct{}),
-	}
 }
 
 // start launches one probe loop per backend, each probing immediately so
 // the gateway converges on the pool's true state before the first
 // interval elapses.
 func (p *Pool) start() {
-	p.mu.Lock()
-	p.started = true
-	backends := append([]*Backend(nil), p.backends...)
-	p.mu.Unlock()
-	for _, b := range backends {
-		p.startProbeLoop(b)
-	}
-}
-
-func (p *Pool) startProbeLoop(b *Backend) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.probe(b)
-		t := time.NewTicker(p.probeInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-b.stopProbe:
-				return
-			case <-t.C:
-				p.probe(b)
+	for _, b := range p.backends {
+		p.wg.Add(1)
+		go func(b *Backend) {
+			defer p.wg.Done()
+			p.probe(b)
+			t := time.NewTicker(p.probeInterval)
+			defer t.Stop()
+			for {
+				select {
+				case <-p.stop:
+					return
+				case <-t.C:
+					p.probe(b)
+				}
 			}
-		}
-	}()
-}
-
-// add joins a new member: it enters in StateJoining and receives traffic
-// only after its first clean probe — so a supervisor scale-up is never
-// client-visible before the backend is actually ready.
-func (p *Pool) add(addr string, supervised bool) *Backend {
-	b := p.newBackend(addr)
-	b.supervised = supervised
-	p.mu.Lock()
-	p.backends = append(p.backends, b)
-	started := p.started
-	onChange := p.onChange
-	snapshot := append([]*Backend(nil), p.backends...)
-	p.mu.Unlock()
-	// onChange runs before the probe loop can make the member routable, so
-	// anything it installs on the Backend (the trace span) happens-before
-	// any request-path read.
-	if onChange != nil {
-		onChange(snapshot)
-	}
-	if started {
-		p.startProbeLoop(b)
-	}
-	return b
-}
-
-// remove retires a member: drain first (no new traffic, wait for
-// in-flight requests up to drainTimeout), then drop it from the set and
-// stop its probe loop. Returns once the member is out of the pool.
-func (p *Pool) remove(b *Backend, drainTimeout time.Duration) {
-	b.startDrain()
-	deadline := time.Now().Add(drainTimeout)
-	for b.outstanding.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(b.stopProbe)
-	p.mu.Lock()
-	for i, other := range p.backends {
-		if other == b {
-			p.backends = append(p.backends[:i], p.backends[i+1:]...)
-			break
-		}
-	}
-	onChange := p.onChange
-	snapshot := append([]*Backend(nil), p.backends...)
-	p.mu.Unlock()
-	if onChange != nil {
-		onChange(snapshot)
+		}(b)
 	}
 }
 
@@ -383,31 +288,15 @@ func (p *Pool) probe(b *Backend) {
 	b.applyProbe(h, models)
 }
 
-// Backends returns a snapshot of the current member set.
-func (p *Pool) Backends() []*Backend {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*Backend(nil), p.backends...)
-}
-
-// supervisedCount returns how many members the supervisor launched.
-func (p *Pool) supervisedCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, b := range p.backends {
-		if b.supervised {
-			n++
-		}
-	}
-	return n
-}
+// Backends returns the member set. The slice is shared and fixed for the
+// pool's lifetime; callers must not modify it.
+func (p *Pool) Backends() []*Backend { return p.backends }
 
 // candidates returns the members that may serve the model right now,
 // excluding any in tried (already failed for this request).
 func (p *Pool) candidates(model string, tried map[*Backend]bool) []*Backend {
 	var out []*Backend
-	for _, b := range p.Backends() {
+	for _, b := range p.backends {
 		if tried[b] {
 			continue
 		}
@@ -421,7 +310,7 @@ func (p *Pool) candidates(model string, tried map[*Backend]bool) []*Backend {
 // routableCount returns how many members accept any traffic.
 func (p *Pool) routableCount() int {
 	n := 0
-	for _, b := range p.Backends() {
+	for _, b := range p.backends {
 		if b.routable("") {
 			n++
 		}
@@ -446,9 +335,9 @@ type modelAgg struct {
 // read as gone, not loading.
 func (p *Pool) knownModels() []modelAgg {
 	agg := map[string]*modelAgg{}
-	for _, b := range p.Backends() {
+	for _, b := range p.backends {
 		b.mu.Lock()
-		if b.state == StateEjected || b.state == StateJoining || b.state == StateDraining {
+		if b.state == StateEjected || b.state == StateJoining {
 			b.mu.Unlock()
 			continue
 		}

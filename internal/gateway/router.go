@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -63,11 +62,9 @@ func (l *leastOutstanding) Pick(model string, cands []*Backend) *Backend {
 // on one member (maximizing its batcher's coalescing and keeping any
 // per-model working set hot), and a member's loss only remaps the models
 // that hashed onto it. Each backend contributes vnodes points so the
-// model → member map stays balanced at small pool sizes. The point set
-// rebuilds when pool membership changes (supervisor scale-up/down); the
-// ring property keeps those remaps minimal too.
+// model → member map stays balanced at small pool sizes. Pool membership
+// is fixed, so the point set is built once and read without a lock.
 type hashRing struct {
-	mu     sync.RWMutex
 	points []ringPoint
 }
 
@@ -79,13 +76,6 @@ type ringPoint struct {
 const vnodes = 64
 
 func newHashRing(backends []*Backend) *hashRing {
-	r := &hashRing{}
-	r.rebuild(backends)
-	return r
-}
-
-// rebuild recomputes the ring over a new member set.
-func (r *hashRing) rebuild(backends []*Backend) {
 	points := make([]ringPoint, 0, vnodes*len(backends))
 	for _, b := range backends {
 		for v := 0; v < vnodes; v++ {
@@ -96,9 +86,7 @@ func (r *hashRing) rebuild(backends []*Backend) {
 		}
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i].hash < points[j].hash })
-	r.mu.Lock()
-	r.points = points
-	r.mu.Unlock()
+	return &hashRing{points: points}
 }
 
 func (r *hashRing) Name() string { return PolicyConsistentHash }
@@ -107,9 +95,7 @@ func (r *hashRing) Name() string { return PolicyConsistentHash }
 // point whose backend is in the candidate set — so ejected or failed
 // members are skipped with the minimal remap consistent hashing promises.
 func (r *hashRing) Pick(model string, cands []*Backend) *Backend {
-	r.mu.RLock()
 	points := r.points
-	r.mu.RUnlock()
 	if len(cands) == 0 || len(points) == 0 {
 		return nil
 	}

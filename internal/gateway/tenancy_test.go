@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
@@ -110,8 +109,8 @@ func TestTenantAuthAndRateLimit(t *testing.T) {
 
 // TestAdminPlane exercises /v1/admin/* through the typed client — the
 // only sanctioned consumer: operator-key gating, tenant CRUD with hot
-// reload, supervisor status without a supervisor, canary rules, and the
-// v2 stats schema with per-tenant counters.
+// reload, canary rules, and the v2 stats schema with per-tenant
+// counters.
 func TestAdminPlane(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	b := startBackend(t, ckpt)
@@ -155,12 +154,6 @@ func TestAdminPlane(t *testing.T) {
 	dataCl := client.New(srv.URL, client.WithAPIKey("k1"), client.WithTimeout(5*time.Second))
 	if _, err := dataCl.PredictEncoded(ctx, api.DefaultModel, body, wire.ContentTypeTensor); err != nil {
 		t.Fatalf("configured tenant refused: %v", err)
-	}
-
-	// Supervisor status without a supervisor: enabled false, not an error.
-	st, err := cl.ScaleStatus(ctx)
-	if err != nil || st.Enabled {
-		t.Fatalf("ScaleStatus = %+v, %v; want Enabled false", st, err)
 	}
 
 	// Canary rules round-trip.
@@ -282,52 +275,4 @@ func TestCanaryWeightedAndShadowE2E(t *testing.T) {
 	if rules[0].Mismatches != 0 {
 		t.Fatalf("weight-identical shadow recorded %d mismatches", rules[0].Mismatches)
 	}
-}
-
-// TestSupervisorBootstrapServes stands up a gateway with no static
-// backends at all: the supervisor's launcher (real test backends) brings
-// up the Min floor and traffic flows — the scale-from-zero-config path
-// the -supervise flag exercises.
-func TestSupervisorBootstrapServes(t *testing.T) {
-	ckpt := testCheckpoint(t)
-	launcher := launcherFunc(func() (string, func(), error) {
-		tb := startBackend(t, ckpt)
-		return tb.url, tb.kill, nil
-	})
-	gw, err := New(Config{
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		Supervisor: &SupervisorConfig{
-			Launcher: launcher,
-			Min:      2,
-			Max:      2,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	if got := gw.Pool().supervisedCount(); got != 2 {
-		t.Fatalf("supervised members = %d, want Min 2", got)
-	}
-	srvURL := startGatewayServer(t, gw)
-	waitReady(t, srvURL)
-	body := binBody(t, testVoxels(t, 1, 5)[0])
-	resp := postPredict(t, srvURL, body, wire.ContentTypeTensor, "")
-	readAll(t, resp, http.StatusOK)
-}
-
-// launcherFunc adapts a function to the Launcher interface.
-type launcherFunc func() (string, func(), error)
-
-func (f launcherFunc) Start() (string, func(), error) { return f() }
-
-// startGatewayServer serves an existing gateway over httptest (the
-// testGateway helper builds its own gateway, which supervisor tests
-// cannot use).
-func startGatewayServer(t testing.TB, gw *Gateway) string {
-	t.Helper()
-	srv := httptest.NewServer(gw.Handler())
-	t.Cleanup(srv.Close)
-	return srv.URL
 }

@@ -12,7 +12,7 @@ package obsv
 //     updated with atomics, for code paths instrumented from scratch.
 //   - Callback families (CounterFunc, GaugeFunc, HistogramFunc): produce
 //     samples at scrape time from counters a subsystem already keeps
-//     (serve.Metrics, the gateway's admission/tenant/supervisor stats,
+//     (serve.Metrics, the gateway's admission/tenant/backend stats,
 //     data.Handler transfer counters, Recorder span snapshots) — no
 //     double instrumentation on hot paths, and label sets that are only
 //     known at runtime (per model, per tenant, per backend).

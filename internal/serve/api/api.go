@@ -22,7 +22,6 @@
 //	GET    /v1/admin/tenants           admission table (TenantList)
 //	PUT    /v1/admin/tenants           upsert one Tenant (hot reload)
 //	DELETE /v1/admin/tenants/{key}     remove a tenant
-//	GET    /v1/admin/supervisor        autoscaler status (SupervisorStatus)
 //	GET    /v1/admin/canary            canary rules + counters ([]CanaryStatus)
 //	PUT    /v1/admin/canary            upsert one CanaryRule (empty candidate deletes)
 //
@@ -331,7 +330,6 @@ const (
 	BackendReady    = "ready"    // probes healthy, every model ready
 	BackendDegraded = "degraded" // reachable but /healthz 503 (some models not ready)
 	BackendEjected  = "ejected"  // circuit open after consecutive failures
-	BackendDraining = "draining" // being retired: no new traffic, in-flight finishing
 )
 
 // BackendOpResult is one backend's outcome in a gateway lifecycle fan-out
@@ -386,8 +384,8 @@ const StatsSchemaV2 = "cosmoflow-stats/v2"
 // GatewayStatsResponse is GET /stats on cosmoflow-gateway: the routing
 // counters plus every backend's status — the aggregated stats DTO the
 // single-process StatsResponse cannot express. Schema, Tenants,
-// Admission, Supervisor, and Canaries are the v2 extension; all v1
-// fields are byte-compatible with PR 5 payloads.
+// Admission, and Canaries are the v2 extension; all v1 fields are
+// byte-compatible with PR 5 payloads.
 type GatewayStatsResponse struct {
 	Schema   string          `json:"schema,omitempty"` // StatsSchemaV2
 	UptimeS  float64         `json:"uptime_s"`
@@ -395,10 +393,9 @@ type GatewayStatsResponse struct {
 	Gateway  GatewayStats    `json:"gateway"`
 	Backends []BackendStatus `json:"backends"`
 
-	Tenants    []TenantStats     `json:"tenants,omitempty"`
-	Admission  *AdmissionStats   `json:"admission,omitempty"`
-	Supervisor *SupervisorStatus `json:"supervisor,omitempty"`
-	Canaries   []CanaryStatus    `json:"canaries,omitempty"`
+	Tenants   []TenantStats   `json:"tenants,omitempty"`
+	Admission *AdmissionStats `json:"admission,omitempty"`
+	Canaries  []CanaryStatus  `json:"canaries,omitempty"`
 }
 
 // ---- multi-tenant admission (gateway v2) ----
@@ -460,27 +457,6 @@ type AdmissionStats struct {
 	Queued   int   `json:"queued"`
 	Admitted int64 `json:"admitted"`
 	Shed     int64 `json:"shed"`
-}
-
-// ---- backend supervisor (gateway v2) ----
-
-// ScaleEvent is one supervisor decision, newest first in SupervisorStatus.
-type ScaleEvent struct {
-	Dir     string  `json:"dir"` // "up" or "down"
-	Backend string  `json:"backend"`
-	Reason  string  `json:"reason"`
-	AgoS    float64 `json:"ago_s"`
-}
-
-// SupervisorStatus is GET /v1/admin/supervisor: the autoscaler's bounds,
-// the supervised member set, and its recent scale decisions.
-type SupervisorStatus struct {
-	Enabled  bool         `json:"enabled"`
-	Running  int          `json:"running"` // supervised backends currently in the pool
-	Min      int          `json:"min"`
-	Max      int          `json:"max"`
-	Backends []string     `json:"backends,omitempty"` // supervised base URLs
-	Events   []ScaleEvent `json:"events,omitempty"`
 }
 
 // ---- weighted/canary routing (gateway v2) ----

@@ -478,15 +478,6 @@ func (c *Client) DeleteTenant(ctx context.Context, key string) error {
 	return c.doJSON(ctx, http.MethodDelete, "/v1/admin/tenants/"+url.PathEscape(key), nil, nil)
 }
 
-// ScaleStatus returns the backend supervisor's autoscaling state.
-func (c *Client) ScaleStatus(ctx context.Context) (*api.SupervisorStatus, error) {
-	var st api.SupervisorStatus
-	if err := c.getJSON(ctx, "/v1/admin/supervisor", &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // SetCanary upserts one canary rule (an empty Candidate deletes the
 // model's rule).
 func (c *Client) SetCanary(ctx context.Context, rule api.CanaryRule) error {

@@ -15,6 +15,12 @@ import (
 // sampleMagic identifies the CosmoFlow sample payload encoding, version 1.
 const sampleMagic = 0x43465331 // "CFS1"
 
+// MaxSampleDim bounds a sample's voxel edge length wherever it is read
+// from untrusted bytes (a record payload, a dataset manifest). It leaves
+// room above the paper's 512³ simulation boxes while keeping dim³ far
+// from int overflow, so a hostile dim cannot wrap the voxel count.
+const MaxSampleDim = 1024
+
 // EncodeSample serializes a sample into a record payload: magic, dim, dim³
 // float32 voxels, 3 float32 targets, all little-endian.
 func EncodeSample(s *cosmo.Sample) []byte {
@@ -51,6 +57,9 @@ func DecodeSampleInto(buf []byte, voxels []float32) (*cosmo.Sample, error) {
 		return nil, fmt.Errorf("tfrecord: bad sample magic %#x", binary.LittleEndian.Uint32(buf[0:4]))
 	}
 	dim := int(binary.LittleEndian.Uint32(buf[4:8]))
+	if dim < 1 || dim > MaxSampleDim {
+		return nil, fmt.Errorf("tfrecord: sample dim %d outside [1, %d]", dim, MaxSampleDim)
+	}
 	n := dim * dim * dim
 	want := 8 + 4*n + 12
 	if len(buf) != want {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -155,6 +156,29 @@ func TestDecodeSampleRejectsGarbage(t *testing.T) {
 	enc := EncodeSample(s)
 	if _, err := DecodeSample(enc[:len(enc)-4]); err == nil {
 		t.Error("truncated payload accepted")
+	}
+}
+
+// samplePayload builds a payload with the CFS1 magic, the given dim
+// header, and nvox voxels plus the three targets.
+func samplePayload(dim uint32, nvox int) []byte {
+	buf := make([]byte, 8+4*nvox+12)
+	binary.LittleEndian.PutUint32(buf[0:4], sampleMagic)
+	binary.LittleEndian.PutUint32(buf[4:8], dim)
+	return buf
+}
+
+// TestDecodeSampleRejectsBadDim pins the dim bound: dim 0, and a dim
+// whose cube wraps int to 0 voxels (1<<22), must not decode into a
+// sample whose Dim disagrees with its voxel count.
+func TestDecodeSampleRejectsBadDim(t *testing.T) {
+	for _, dim := range []uint32{0, MaxSampleDim + 1, 1 << 22, 1 << 21, math.MaxUint32} {
+		if s, err := DecodeSample(samplePayload(dim, 0)); err == nil {
+			t.Errorf("dim %d: decoded a sample with Dim %d and %d voxels", dim, s.Dim, len(s.Voxels))
+		}
+	}
+	if _, err := DecodeSample(samplePayload(2, 8)); err != nil {
+		t.Errorf("dim 2: %v", err)
 	}
 }
 

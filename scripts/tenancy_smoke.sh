@@ -1,8 +1,8 @@
 #!/bin/sh
-# End-to-end smoke of the multi-tenant front door and the autoscaling
-# supervisor (DESIGN.md "Admission control & autoscaling").
+# End-to-end smoke of the multi-tenant front door (DESIGN.md "Admission
+# control").
 #
-# Phase A — 3-class overload: 2 backends behind a gateway with a small
+# 3-class overload: 2 backends behind a gateway with a small
 # admission capacity and three configured tenants (premium, standard,
 # rate-limited best-effort). A premium-only run records the uncontended
 # p99 baseline; then all three classes drive load concurrently. Asserts:
@@ -12,11 +12,6 @@
 #   - zero 5xx / transport failures for every class,
 #   - the admin plane answers only through cosmoflow-gwctl (typed
 #     client): operator-key gating, tenant hot reload, stats v2 schema.
-#
-# Phase B — supervisor demo: a gateway with NO static backends and
-# -supervise spawns cosmoflow-serve processes itself. Under load it must
-# scale 1 -> max; idle, it must retire back down to min — with zero
-# client-visible failures throughout (the ISSUE acceptance criterion).
 # Invoked by `make tenancy-smoke`, which builds the four binaries first.
 set -eu
 
@@ -28,13 +23,11 @@ GW_ADDR=127.0.0.1:18190
 GW=http://$GW_ADDR
 B1=http://127.0.0.1:18191
 B2=http://127.0.0.1:18192
-SUP_ADDR=127.0.0.1:18195
-SUP=http://$SUP_ADDR
 OPKEY=smoke-operator-key
 TMP=$(mktemp -d)
 
 cleanup() {
-    kill -TERM ${GWPID:-} ${SUPPID:-} ${P1:-} ${P2:-} 2>/dev/null || true
+    kill -TERM ${GWPID:-} ${P1:-} ${P2:-} 2>/dev/null || true
     wait 2>/dev/null || true
     rm -rf "$TMP"
 }
@@ -63,7 +56,7 @@ tenant_field() {
         }' "$3"
 }
 
-# ---- Phase A: 3-class overload --------------------------------------
+# ---- 3-class overload ------------------------------------------------
 
 cat > "$TMP/tenants.json" <<'EOF'
 {"tenants": [
@@ -92,9 +85,6 @@ fi
 gwctl tenants > "$TMP/tenants.out"
 grep -q '"premium-a"' "$TMP/tenants.out" || {
     echo "FAIL: configured tenant missing from gwctl tenants"; exit 1; }
-gwctl supervisor > "$TMP/sup.out"
-grep -q '"enabled": false' "$TMP/sup.out" || {
-    echo "FAIL: supervisor status should be disabled here"; exit 1; }
 # Hot reload: a tenant added through the admin plane admits traffic on
 # the very next request, no restart.
 gwctl tenants put XK -name hotjoin -class standard >/dev/null
@@ -153,52 +143,5 @@ grep -q '"besteffort-a"' "$TMP/stats.out" || {
 
 kill -TERM "$GWPID" "$P1" "$P2" 2>/dev/null || true
 wait "$GWPID" "$P1" "$P2" 2>/dev/null || true
-
-# ---- Phase B: supervisor scales 1 -> max -> min under live load -----
-
-# No -backends at all: the supervisor owns the fleet. Aggressive timings
-# keep the demo inside CI budgets; the hysteresis bounds themselves are
-# pinned by TestSupervisorScaleHysteresis.
-"$GATEWAY_BIN" -addr "$SUP_ADDR" -supervise \
-    -serve-bin "$SERVE_BIN" -serve-args "-dim 16 -base 4 -replicas 1" \
-    -scale-min 1 -scale-max 3 -admission-capacity 2 \
-    -scale-up-wait 5ms -scale-sustain 400ms -scale-idle 1s -scale-cooldown 400ms \
-    -probe-interval 100ms -admin-key "$OPKEY" & SUPPID=$!
-wait_ready "$SUP"
-
-supctl() { "$GWCTL_BIN" -addr "$SUP" -key "$OPKEY" supervisor; }
-running() { supctl | awk -F'[:,]' '/"running"/ { gsub(/ /, "", $2); print $2 }'; }
-
-[ "$(running)" = 1 ] || { echo "FAIL: supervised fleet did not bootstrap at min=1"; exit 1; }
-
-# Load: 16 workers against a 2-slot front door keeps the queue-wait
-# signal hot; the supervisor must reach max while the load runs, and the
-# run must finish with zero failures (drains and joins are invisible).
-"$LOADGEN_BIN" -addr "$SUP" -n 1500 -c 16 -dim 16 -wire binary > "$TMP/sup-load.out" 2>&1 & LG=$!
-scaled_up=0
-for _ in $(seq 1 100); do
-    if [ "$(running)" = 3 ]; then scaled_up=1; break; fi
-    sleep 0.2
-done
-if ! wait "$LG"; then
-    cat "$TMP/sup-load.out"
-    echo "FAIL: loadgen reported failures during autoscaling"; exit 1
-fi
-cat "$TMP/sup-load.out"
-[ "$scaled_up" = 1 ] || {
-    supctl; echo "FAIL: supervisor never reached max=3 under load"; exit 1; }
-grep -q '(0 failed)' "$TMP/sup-load.out" || {
-    echo "FAIL: expected 0 failed requests during scale-up"; exit 1; }
-
-# Idle: the fleet must retire back to the floor.
-scaled_down=0
-for _ in $(seq 1 100); do
-    if [ "$(running)" = 1 ]; then scaled_down=1; break; fi
-    sleep 0.2
-done
-[ "$scaled_down" = 1 ] || {
-    supctl; echo "FAIL: supervisor never retired back to min=1"; exit 1; }
-supctl | grep -q '"dir": "down"' || {
-    echo "FAIL: no scale-down events recorded"; exit 1; }
 
 echo "tenancy-smoke OK"
