@@ -31,7 +31,6 @@
 //	GET    /v1/admin/tenants          admin plane: tenant table
 //	PUT    /v1/admin/tenants          upsert one tenant (hot-reloaded)
 //	DELETE /v1/admin/tenants/{key}    remove a tenant
-//	GET    /v1/admin/canary           canary rules + counters (PUT upserts)
 //	GET    /healthz                   503 until ≥1 backend is ready per model
 //	GET    /stats                     cosmoflow-stats/v2: routing counters,
 //	                                  per-backend + per-tenant + admission view

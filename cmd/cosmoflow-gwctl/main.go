@@ -1,8 +1,8 @@
 // Command cosmoflow-gwctl is the operator CLI for cosmoflow-gateway's
-// admin plane (/v1/admin/*): tenant CRUD, canary rules, and the v2
-// stats snapshot. Every call goes through the typed client
-// (internal/serve/client) — gwctl is how scripts and smoke tests reach
-// the admin surface without hand-rolled curl against internal routes.
+// admin plane (/v1/admin/*): tenant CRUD and the v2 stats snapshot.
+// Every call goes through the typed client (internal/serve/client) —
+// gwctl is how scripts and smoke tests reach the admin surface without
+// hand-rolled curl against internal routes.
 //
 // Usage:
 //
@@ -12,9 +12,6 @@
 //	tenants put KEY [flags]      upsert one tenant (hot reload)
 //	    -name N -class premium|standard|best-effort -rate R -burst B
 //	tenants rm KEY               delete a tenant
-//	canary                       list canary rules with live counters
-//	canary set MODEL CANDIDATE PCT [-shadow]
-//	canary rm MODEL              delete a model's rule
 //	stats                        GET /stats (cosmoflow-stats/v2)
 //
 // Output is indented JSON on stdout, so assertions in shell pipe through
@@ -28,7 +25,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/serve/api"
@@ -64,8 +60,6 @@ func main() {
 	switch args[0] {
 	case "tenants":
 		runTenants(ctx, cl, args[1:])
-	case "canary":
-		runCanary(ctx, cl, args[1:])
 	case "stats":
 		sr, err := cl.GatewayStats(ctx)
 		if err != nil {
@@ -73,7 +67,7 @@ func main() {
 		}
 		emit(sr)
 	default:
-		log.Fatalf("unknown command %q (want tenants, canary, or stats)", args[0])
+		log.Fatalf("unknown command %q (want tenants or stats)", args[0])
 	}
 }
 
@@ -117,49 +111,5 @@ func runTenants(ctx context.Context, cl *client.Client, args []string) {
 		fmt.Printf("{\"deleted\": %q}\n", args[1])
 	default:
 		log.Fatalf("unknown tenants subcommand %q (want put or rm)", args[0])
-	}
-}
-
-func runCanary(ctx context.Context, cl *client.Client, args []string) {
-	if len(args) == 0 {
-		rules, err := cl.Canary(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(rules)
-		return
-	}
-	switch args[0] {
-	case "set":
-		fs := flag.NewFlagSet("canary set", flag.ExitOnError)
-		shadow := fs.Bool("shadow", false, "shadow mode: incumbent answers, candidate gets background duplicates")
-		if len(args) < 4 {
-			log.Fatal("canary set needs MODEL CANDIDATE PERCENT")
-		}
-		pct, err := strconv.Atoi(args[3])
-		if err != nil {
-			log.Fatalf("canary set: bad percent %q", args[3])
-		}
-		_ = fs.Parse(args[4:])
-		if err := cl.SetCanary(ctx, api.CanaryRule{
-			Model: args[1], Candidate: args[2], Percent: pct, Shadow: *shadow,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		rules, err := cl.Canary(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(rules)
-	case "rm":
-		if len(args) < 2 {
-			log.Fatal("canary rm needs a MODEL")
-		}
-		if err := cl.SetCanary(ctx, api.CanaryRule{Model: args[1]}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("{\"deleted\": %q}\n", args[1])
-	default:
-		log.Fatalf("unknown canary subcommand %q (want set or rm)", args[0])
 	}
 }

@@ -44,12 +44,14 @@ var (
 // path must exist, every backticked pkg.Name or pkg.Type.Member naming a
 // package under internal/ must be a declaration, method or field of that
 // package, and every METHOD /path must be a route the serve or gateway mux
-// registers. The two daemons' route comments are scanned with the docs.
+// registers and, below a subtree pattern, a handler resolves (see
+// routeRegistered). The two daemons' route comments and the api package's
+// route list are scanned with the docs.
 // CHANGES.md and ROADMAP.md are history and are not scanned, nor
 // is benchmark/, whose files change only with the benchmark itself.
 func TestDocsNameOnlyExistingCommands(t *testing.T) {
 	files := []string{"DESIGN.md", "EXPERIMENTS.md", "doc.go", "Makefile", ".claude/skills/verify/SKILL.md",
-		"cmd/cosmoflow-serve/main.go", "cmd/cosmoflow-gateway/main.go"}
+		"cmd/cosmoflow-serve/main.go", "cmd/cosmoflow-gateway/main.go", "internal/serve/api/api.go"}
 	scripts, err := filepath.Glob("scripts/*.sh")
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +77,7 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 	}
 
 	routes := muxRoutes(t, "internal/serve/server.go", "internal/gateway/gateway.go")
+	literals := stringLiterals(t, "internal/serve", "internal/gateway")
 	decls := map[string]map[string]map[string]bool{}
 	for _, path := range files {
 		text, err := os.ReadFile(path)
@@ -102,8 +105,8 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 				}
 			}
 			for _, m := range routeToken.FindAllStringSubmatch(line, -1) {
-				if p := strings.TrimRight(m[1], ".:"); !routeRegistered(p, routes) {
-					t.Errorf("%s:%d: names route %s, which neither server registers", path, i+1, p)
+				if p := strings.TrimRight(m[1], ".:"); !routeRegistered(p, routes, literals) {
+					t.Errorf("%s:%d: names route %s, which neither server serves", path, i+1, p)
 				}
 			}
 			for _, span := range codeSpan.FindAllString(line, -1) {
@@ -159,18 +162,74 @@ func muxRoutes(t *testing.T, files ...string) []string {
 
 // routeRegistered reports whether a documented path is served by a
 // registered pattern: equal to it, or under a subtree pattern ending in
-// "/", which is how {name} segments and :predict suffixes resolve. The
+// "/" with every segment past the pattern resolved by a handler. A
+// segment resolves as a {placeholder}, whose :verb suffix (as in
+// {name}:predict) must be a string literal of the handlers, or as a
+// string literal itself, "seg" or "seg/" — so a route whose handler is
+// gone stops resolving even though its subtree pattern stays. The
 // catch-all "/" answers every path with 404 and so names no route.
-func routeRegistered(path string, routes []string) bool {
+func routeRegistered(path string, routes []string, literals map[string]bool) bool {
 	for _, r := range routes {
 		if r == "/" {
 			continue
 		}
-		if path == r || strings.HasSuffix(r, "/") && strings.HasPrefix(path, r) {
+		if path == r || strings.HasSuffix(r, "/") && strings.HasPrefix(path, r) &&
+			segmentsResolve(strings.TrimPrefix(path, r), literals) {
 			return true
 		}
 	}
 	return false
+}
+
+// segmentsResolve reports whether every segment of rest is a {placeholder}
+// with a literal :verb suffix or none, or a literal "seg" or "seg/".
+func segmentsResolve(rest string, literals map[string]bool) bool {
+	for _, seg := range strings.Split(rest, "/") {
+		if m := placeholder.FindStringSubmatch(seg); m != nil {
+			if m[1] != "" && !literals[m[1]] {
+				return false
+			}
+		} else if seg == "" || !literals[seg] && !literals[seg+"/"] {
+			return false
+		}
+	}
+	return true
+}
+
+// placeholder matches a {name} path segment and captures its :verb suffix.
+var placeholder = regexp.MustCompile(`^\{\w+\}(:\w+)?$`)
+
+// stringLiterals returns every string literal in the non-test Go files of
+// the given package directories: the segment and verb names their
+// handlers match on.
+func stringLiterals(t *testing.T, dirs ...string) map[string]bool {
+	t.Helper()
+	lits := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						lits[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return lits
 }
 
 // pkgDir maps a package name to its directory; the serving API's wire,

@@ -294,15 +294,22 @@ func TestLoaderStepsPerEpoch(t *testing.T) {
 }
 
 // A bit-flipped shard fails the manifest checksum, and a half-length one
-// (a crashed writer or torn copy) fails the manifest length, instead of
-// feeding silently corrupted samples to the trainer.
+// (a crashed writer or torn copy) or one with a trailing byte fails the
+// manifest length, instead of feeding silently corrupted samples to the
+// trainer. A manifest claiming
+// an absurd shard length (a remote shard server may serve one) fails the
+// same length check instead of sizing an allocation from the claim. Each
+// error names the shard.
 func TestLoaderDetectsCorruptShard(t *testing.T) {
 	for _, damage := range []struct {
-		name string
-		do   func(raw []byte) []byte
+		name     string
+		do       func(raw []byte) []byte
+		manifest func(sh *Shard)
 	}{
-		{"bit-flipped", func(raw []byte) []byte { raw[len(raw)/2] ^= 0xFF; return raw }},
-		{"half-length", func(raw []byte) []byte { return raw[:len(raw)/2] }},
+		{name: "bit-flipped", do: func(raw []byte) []byte { raw[len(raw)/2] ^= 0xFF; return raw }},
+		{name: "half-length", do: func(raw []byte) []byte { return raw[:len(raw)/2] }},
+		{name: "trailing byte", do: func(raw []byte) []byte { return append(raw, 0) }},
+		{name: "huge manifest bytes", manifest: func(sh *Shard) { sh.Bytes = 1 << 62 }},
 	} {
 		t.Run(damage.name, func(t *testing.T) {
 			dir := writeDataset(t, 8, 8, 0, 4, 6)
@@ -310,14 +317,24 @@ func TestLoaderDetectsCorruptShard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, m.Split("train")[0].File)
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+			sh := &m.Splits["train"][0]
+			if damage.do != nil {
+				path := filepath.Join(dir, sh.File)
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, damage.do(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := os.WriteFile(path, damage.do(raw), 0o644); err != nil {
-				t.Fatal(err)
+			if damage.manifest != nil {
+				damage.manifest(sh)
+				if err := WriteManifest(dir, m); err != nil {
+					t.Fatal(err)
+				}
 			}
+			// One rank over every shard: the damaged one is streamed.
 			l, err := NewLoader(Config{Source: &DirSource{Dir: dir}, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -335,7 +352,10 @@ func TestLoaderDetectsCorruptShard(t *testing.T) {
 				}
 			}
 			if err == io.EOF {
-				t.Errorf("stream over a %s shard completed without error", damage.name)
+				t.Fatalf("stream over a %s shard completed without error", damage.name)
+			}
+			if !strings.Contains(err.Error(), sh.File) {
+				t.Errorf("stream error %q does not name shard %s", err, sh.File)
 			}
 		})
 	}

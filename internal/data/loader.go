@@ -232,8 +232,8 @@ func (s *stream) produce(shardIdx []int) {
 	}
 }
 
-// fetchShard reads one shard's bytes into buf (grown as needed) and
-// verifies length and checksum against the manifest.
+// fetchShard reads one shard's bytes into buf and verifies length and
+// checksum against the manifest.
 func (l *Loader) fetchShard(sh Shard, buf []byte) ([]byte, error) {
 	start := time.Now()
 	rc, err := l.cfg.Source.Open(sh.File)
@@ -241,17 +241,16 @@ func (l *Loader) fetchShard(sh Shard, buf []byte) ([]byte, error) {
 		return buf, err
 	}
 	defer rc.Close()
-	if int64(cap(buf)) < sh.Bytes {
-		buf = make([]byte, sh.Bytes)
-	}
-	buf = buf[:sh.Bytes]
-	if _, err := io.ReadFull(rc, buf); err != nil {
+	// One byte past the manifest's length is enough to tell a longer copy.
+	buf, err = readAtMost(rc, buf[:0], sh.Bytes+1)
+	if err != nil {
 		return buf, fmt.Errorf("reading %d bytes: %w", sh.Bytes, err)
 	}
-	// The manifest said the shard ends here; trailing bytes mean the copy
-	// does not match the manifest that vouches for it.
-	var extra [1]byte
-	if n, _ := rc.Read(extra[:]); n != 0 {
+	if n := int64(len(buf)); n < sh.Bytes {
+		return buf, fmt.Errorf("reading %d bytes: %w after %d", sh.Bytes, io.ErrUnexpectedEOF, n)
+	} else if n > sh.Bytes {
+		// The manifest said the shard ends here; trailing bytes mean the
+		// copy does not match the manifest that vouches for it.
 		return buf, fmt.Errorf("longer than the %d bytes the manifest records", sh.Bytes)
 	}
 	// The checksum is how a torn local copy or a corrupted remote transfer
@@ -266,6 +265,32 @@ func (l *Loader) fetchShard(sh Shard, buf []byte) ([]byte, error) {
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// readAtMost appends r's bytes to buf until EOF or until buf holds limit
+// bytes, and returns the grown slice. Capacity follows the bytes that
+// actually arrive, doubling from 64 KiB and never past limit: a manifest
+// may come from a remote shard server, so its byte count bounds the buffer
+// but is not trusted to size it. A buffer reused across same-sized shards
+// never grows again.
+func readAtMost(r io.Reader, buf []byte, limit int64) ([]byte, error) {
+	for int64(len(buf)) < limit {
+		if len(buf) == cap(buf) {
+			grow := int(min(int64(max(len(buf), 64<<10)), limit-int64(len(buf))))
+			grown := make([]byte, len(buf), len(buf)+grow)
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
 
 // decodeShard splits the shard into records and decodes them in parallel,
 // preserving file order. Voxel scratch comes from the loader's pool.

@@ -1,8 +1,8 @@
 package gateway
 
-// Admin plane: the /v1/admin/* route group — tenants CRUD and canary
-// weights. It is an explicit control surface next to the tenant-facing
-// data plane (DESIGN.md "Serving API v1"): same typed error envelope,
+// Admin plane: the /v1/admin/* route group — tenants CRUD. It is an
+// explicit control surface next to the tenant-facing data plane
+// (DESIGN.md "Serving API v1"): same typed error envelope,
 // same 405 + Allow discipline, same X-Request-Id propagation, but
 // guarded by the operator key instead of tenant keys, and never subject
 // to admission control (an overloaded gateway must still be operable).
@@ -27,7 +27,7 @@ func (g *Gateway) authorizeAdmin(w http.ResponseWriter, r *http.Request, rid str
 	return false
 }
 
-// handleAdmin dispatches /v1/admin/{tenants,canary}.
+// handleAdmin dispatches /v1/admin/tenants and /v1/admin/tenants/{key}.
 func (g *Gateway) handleAdmin(w http.ResponseWriter, r *http.Request) {
 	rid := api.RequestID(w, r)
 	if !g.authorizeAdmin(w, r, rid) {
@@ -39,8 +39,6 @@ func (g *Gateway) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		g.handleTenants(w, r, rid)
 	case strings.HasPrefix(rest, "tenants/"):
 		g.handleTenantItem(w, r, rid, strings.TrimPrefix(rest, "tenants/"))
-	case rest == "canary":
-		g.handleCanary(w, r, rid)
 	default:
 		api.WriteAPIError(w, rid, http.StatusNotFound, api.CodeNotFound, "no such route: "+r.URL.Path)
 	}
@@ -79,26 +77,4 @@ func (g *Gateway) handleTenantItem(w http.ResponseWriter, r *http.Request, rid, 
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, api.TenantList{Tenants: g.tenants.list()})
-}
-
-// handleCanary answers GET (rules + counters) and PUT (upsert one rule;
-// an empty candidate deletes the model's rule).
-func (g *Gateway) handleCanary(w http.ResponseWriter, r *http.Request, rid string) {
-	switch r.Method {
-	case http.MethodGet:
-		api.WriteJSON(w, http.StatusOK, g.canary.statuses())
-	case http.MethodPut:
-		var rule api.CanaryRule
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&rule); err != nil {
-			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, "decoding canary rule: "+err.Error())
-			return
-		}
-		if err := g.canary.set(rule); err != nil {
-			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument, err.Error())
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, g.canary.statuses())
-	default:
-		api.MethodNotAllowed(w, rid, http.MethodGet, http.MethodPut)
-	}
 }

@@ -243,58 +243,6 @@ func TestRateLimitBeforeQueue(t *testing.T) {
 	}
 }
 
-// TestCanaryDeterministicSplit pins the modulo split: exactly Percent of
-// any 100-request window diverts, and shadow mode diverts nobody while
-// duplicating the sampled share.
-func TestCanaryDeterministicSplit(t *testing.T) {
-	ct := newCanaryTable()
-	if err := ct.set(api.CanaryRule{Model: "m", Candidate: "m-v2", Percent: 30}); err != nil {
-		t.Fatal(err)
-	}
-	diverted := 0
-	for i := 0; i < 100; i++ {
-		upstream, shadow, _ := ct.route("m")
-		if shadow != "" {
-			t.Fatal("weighted rule produced a shadow")
-		}
-		if upstream == "m-v2" {
-			diverted++
-		}
-	}
-	if diverted != 30 {
-		t.Fatalf("diverted %d/100, want exactly 30", diverted)
-	}
-
-	if err := ct.set(api.CanaryRule{Model: "m", Candidate: "m-v2", Percent: 10, Shadow: true}); err != nil {
-		t.Fatal(err)
-	}
-	shadowed := 0
-	for i := 0; i < 100; i++ {
-		upstream, shadow, _ := ct.route("m")
-		if upstream != "m" {
-			t.Fatal("shadow rule diverted the client-facing request")
-		}
-		if shadow == "m-v2" {
-			shadowed++
-		}
-	}
-	if shadowed != 10 {
-		t.Fatalf("shadowed %d/100, want exactly 10", shadowed)
-	}
-
-	// Counters persist across a spec update; an empty candidate deletes.
-	st := ct.statuses()
-	if len(st) != 1 || st[0].Requests != 200 {
-		t.Fatalf("statuses = %+v, want one rule with 200 requests", st)
-	}
-	if err := ct.set(api.CanaryRule{Model: "m"}); err != nil {
-		t.Fatal(err)
-	}
-	if up, _, rule := ct.route("m"); up != "m" || rule != nil {
-		t.Fatal("deleted rule still routing")
-	}
-}
-
 // TestStatsV1PayloadDecodes is the byte-compatibility regression: a
 // recorded v1 /stats payload (no schema field, no tenancy blocks) still
 // decodes into GatewayStatsResponse with every v1 field intact, and a
@@ -326,7 +274,7 @@ func TestStatsV1PayloadDecodes(t *testing.T) {
 	if len(resp.Backends) != 1 || resp.Backends[0].Backend != "http://127.0.0.1:9001" {
 		t.Fatalf("v1 backends lost: %+v", resp.Backends)
 	}
-	if resp.Tenants != nil || resp.Admission != nil || resp.Canaries != nil {
+	if resp.Tenants != nil || resp.Admission != nil {
 		t.Fatal("v1 payload grew v2 blocks out of nothing")
 	}
 

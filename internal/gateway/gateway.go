@@ -31,7 +31,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -158,11 +157,9 @@ type Gateway struct {
 	lat    *latWindow
 	start  time.Time
 
-	// Multi-tenant front door: API-key table, bounded admission gate, and
-	// canary rules.
+	// Multi-tenant front door: API-key table and bounded admission gate.
 	tenants *tenantTable
 	adm     *admission
-	canary  *canaryTable
 
 	// reqLog retains recent per-request phase breakdowns and upRec the
 	// per-backend upstream spans; both nil unless Config.Trace.
@@ -207,7 +204,6 @@ func New(cfg Config) (*Gateway, error) {
 		start:   time.Now(),
 		tenants: newTenantTable(now),
 		adm:     newAdmission(cfg.Admission, now),
-		canary:  newCanaryTable(),
 	}
 	for _, t := range cfg.Tenants {
 		if err := g.tenants.upsert(t); err != nil {
@@ -411,7 +407,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Tenants:   g.tenants.stats(),
 		Admission: &adm,
-		Canaries:  g.canary.statuses(),
 	}
 	for _, b := range g.pool.Backends() {
 		resp.Backends = append(resp.Backends, b.status())
@@ -468,15 +463,6 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, rid string) (rel
 	return release, wait, true
 }
 
-// predictCtx carries the front door's outcome into the dispatch paths:
-// the queue wait (traced as the "queue_wait" phase) and the canary
-// decision for this request.
-type predictCtx struct {
-	qwMs   float64     // admission queue wait, ms
-	shadow string      // model to duplicate to in the background ("" = none)
-	rule   *canaryRule // the rule behind shadow (nil when no rule fired)
-}
-
 // predict classifies the request — single volume (proxied raw) versus
 // batch (scatter-gather) — and dispatches. The body is buffered either
 // way: retries and hedges must be able to resend it verbatim. Every
@@ -490,13 +476,8 @@ func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name stri
 		return
 	}
 	defer release()
-	// The canary decision renames the upstream model for a diverted
-	// request; in shadow mode the incumbent still answers and the
-	// candidate sees a background duplicate (single-volume path only —
-	// a scatter would multiply the duplicate cost by the batch size).
-	upstream, shadow, rule := g.canary.route(name)
-	pc := &predictCtx{qwMs: float64(qwait) / float64(time.Millisecond), shadow: shadow, rule: rule}
-	name = upstream
+	// The admission queue wait is traced as the "queue_wait" phase.
+	qwMs := float64(qwait) / float64(time.Millisecond)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -533,9 +514,9 @@ func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name stri
 		}
 		switch len(dims) {
 		case 3, 4:
-			g.proxyPredict(w, r, rid, name, body, wire.ContentTypeTensor, accept, pc)
+			g.proxyPredict(w, r, rid, name, body, wire.ContentTypeTensor, accept, qwMs)
 		case 5:
-			g.scatterTensor(w, r, rid, name, body, dims, off, accept, pc)
+			g.scatterTensor(w, r, rid, name, body, dims, off, accept, qwMs)
 		default:
 			api.WriteAPIError(w, rid, http.StatusBadRequest, api.CodeInvalidArgument,
 				fmt.Sprintf("voxel tensors must be [D H W], [C D H W], or batched [N C D H W], got %d dims", len(dims)))
@@ -552,10 +533,10 @@ func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name stri
 					"voxels and batch are mutually exclusive")
 				return
 			}
-			g.scatterJSON(w, r, rid, name, req.Batch, accept, pc)
+			g.scatterJSON(w, r, rid, name, req.Batch, accept, qwMs)
 			return
 		}
-		g.proxyPredict(w, r, rid, name, body, ct, accept, pc)
+		g.proxyPredict(w, r, rid, name, body, ct, accept, qwMs)
 	default:
 		api.WriteAPIError(w, rid, http.StatusUnsupportedMediaType, api.CodeUnsupportedMedia,
 			"unsupported Content-Type "+ct+"; use "+wire.ContentTypeJSON+" or "+wire.ContentTypeTensor)
@@ -571,19 +552,11 @@ func msSince(t0 time.Time) float64 {
 	return float64(time.Since(t0)) / float64(time.Millisecond)
 }
 
-// shadowBufLimit bounds how much of an incumbent response the shadow
-// path will buffer for comparison; larger responses skip the shadow
-// (predict answers are tiny — this only guards pass-through of
-// something unexpected).
-const shadowBufLimit = 1 << 20
-
 // proxyPredict forwards a single-volume predict and streams the winning
 // backend's response through verbatim, tagged with X-Cosmoflow-Backend.
 // With tracing on, the request's queue/upstream/write split lands in the
-// recent-request ring under its X-Request-Id. A shadow canary buffers
-// the incumbent's answer and compares it against the candidate's in the
-// background — the client never waits on the duplicate.
-func (g *Gateway) proxyPredict(w http.ResponseWriter, r *http.Request, rid, name string, body []byte, ct, accept string, pc *predictCtx) {
+// recent-request ring under its X-Request-Id.
+func (g *Gateway) proxyPredict(w http.ResponseWriter, r *http.Request, rid, name string, body []byte, ct, accept string, qwMs float64) {
 	var t0 time.Time
 	if g.reqLog != nil {
 		t0 = time.Now()
@@ -598,56 +571,13 @@ func (g *Gateway) proxyPredict(w http.ResponseWriter, r *http.Request, rid, name
 	if g.reqLog != nil {
 		upMs = msSince(t0)
 	}
-	if pc != nil && pc.shadow != "" && resp.StatusCode == http.StatusOK {
-		buf, rerr := io.ReadAll(io.LimitReader(resp.Body, shadowBufLimit+1))
-		if rerr == nil && len(buf) <= shadowBufLimit {
-			_ = resp.Body.Close()
-			go g.shadowCompare(pc.rule, rid, pc.shadow, body, ct, resp.StatusCode, resp.Header.Clone(), buf)
-			resp.Body = io.NopCloser(bytes.NewReader(buf))
-		} else {
-			// Too big (or mid-stream error): skip the shadow, stream what we
-			// have plus the rest through untouched.
-			resp.Body = readCloser{io.MultiReader(bytes.NewReader(buf), resp.Body), resp.Body}
-		}
-	}
 	copyResponse(w, resp, b.Addr())
 	if g.reqLog != nil {
 		total := msSince(t0)
 		g.reqLog.Add(obsv.RequestTrace{
 			RequestID: rid, Model: name, Backend: b.Addr(), TotalMs: total,
-			PhasesMs: map[string]float64{"queue_wait": pc.qwMs, "upstream": upMs, "write": total - upMs},
+			PhasesMs: map[string]float64{"queue_wait": qwMs, "upstream": upMs, "write": total - upMs},
 		})
-	}
-}
-
-// readCloser pairs a composed reader with the original body's closer.
-type readCloser struct {
-	io.Reader
-	io.Closer
-}
-
-// shadowCompare replays one predict against the shadow candidate and
-// compares normalized outputs; divergence (including a candidate error)
-// counts as a mismatch on the rule, surfaced by GET /v1/admin/canary.
-// Runs detached from the client's request on its own timeout.
-func (g *Gateway) shadowCompare(rule *canaryRule, rid, candidate string, body []byte, ct string, status int, hdr http.Header, buf []byte) {
-	rule.shadowed.Add(1)
-	inc, err := client.DecodePredict(&http.Response{
-		StatusCode: status, Header: hdr, Body: io.NopCloser(bytes.NewReader(buf)),
-	})
-	if err != nil {
-		return // incumbent answer not comparable; nothing to judge
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.BackendTimeout)
-	defer cancel()
-	resp, _, err := g.forwardWithRetry(ctx, g.policy, g.hedgeDelay(), rid, candidate, body, ct, wire.ContentTypeTensor)
-	if err != nil {
-		rule.recordMismatch(rid)
-		return
-	}
-	cand, err := client.DecodePredict(resp)
-	if err != nil || cand.Normalized != inc.Normalized {
-		rule.recordMismatch(rid)
 	}
 }
 
@@ -854,7 +784,7 @@ func (g *Gateway) hedgeDelay() time.Duration {
 // frames by re-framing raw payload slices (no element conversion — the
 // bytes each backend sees are exactly the bytes the client sent), routes
 // them across the ready pool, and reassembles the answers in input order.
-func (g *Gateway) scatterTensor(w http.ResponseWriter, r *http.Request, rid, name string, body []byte, dims []int, off int, accept string, pc *predictCtx) {
+func (g *Gateway) scatterTensor(w http.ResponseWriter, r *http.Request, rid, name string, body []byte, dims []int, off int, accept string, qwMs float64) {
 	sub := dims[1:]
 	elems := 1
 	for _, d := range sub {
@@ -878,14 +808,14 @@ func (g *Gateway) scatterTensor(w http.ResponseWriter, r *http.Request, rid, nam
 		fb = append(fb, hdr...)
 		bodies[i] = append(fb, body[off+i*per:off+(i+1)*per]...)
 	}
-	g.scatter(w, r, rid, name, bodies, wire.ContentTypeTensor, accept, pc)
+	g.scatter(w, r, rid, name, bodies, wire.ContentTypeTensor, accept, qwMs)
 }
 
 // scatterJSON is the JSON batch form: each volume re-encodes as its own
 // JSON predict body. float32 ↔ JSON round-trips exactly (shortest
 // representation), so backends decode the same float32 values a direct
 // request would carry.
-func (g *Gateway) scatterJSON(w http.ResponseWriter, r *http.Request, rid, name string, batch [][]float32, accept string, pc *predictCtx) {
+func (g *Gateway) scatterJSON(w http.ResponseWriter, r *http.Request, rid, name string, batch [][]float32, accept string, qwMs float64) {
 	bodies := make([][]byte, len(batch))
 	for i, vox := range batch {
 		b, err := json.Marshal(api.PredictRequest{Voxels: vox})
@@ -895,7 +825,7 @@ func (g *Gateway) scatterJSON(w http.ResponseWriter, r *http.Request, rid, name 
 		}
 		bodies[i] = b
 	}
-	g.scatter(w, r, rid, name, bodies, wire.ContentTypeJSON, accept, pc)
+	g.scatter(w, r, rid, name, bodies, wire.ContentTypeJSON, accept, qwMs)
 }
 
 // scatter fans the sub-requests across the pool (least-outstanding, with
@@ -903,7 +833,7 @@ func (g *Gateway) scatterJSON(w http.ResponseWriter, r *http.Request, rid, name 
 // answers in order, and renders the batch response in the negotiated
 // encoding. Any sub-request failure fails the batch: a partial batch
 // would silently misalign the caller's index space.
-func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, rid, name string, bodies [][]byte, ct, accept string, pc *predictCtx) {
+func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, rid, name string, bodies [][]byte, ct, accept string, qwMs float64) {
 	g.ctr.scattered.Add(1)
 	width := 4 * len(g.pool.Backends())
 	if width > len(bodies) {
@@ -953,7 +883,7 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, rid, name stri
 		defer func() {
 			// The admission queue wait joins the scatter-slot waits: both are
 			// time this request spent parked before backend work.
-			qw, up := pc.qwMs, 0.0
+			qw, up := qwMs, 0.0
 			for i := range waits {
 				qw += waits[i]
 				up += ups[i]

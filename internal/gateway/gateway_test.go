@@ -717,8 +717,10 @@ func TestAggregatedModelsAndStats(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	b1 := startBackend(t, ckpt)
 	b2 := startBackend(t, ckpt)
-	_, gws := testGateway(t, Config{}, b1.url, b2.url)
-	waitReady(t, gws.URL)
+	gw, gws := testGateway(t, Config{}, b1.url, b2.url)
+	// /healthz answers 200 once one backend is ready; the stats check
+	// below wants both.
+	waitAllReady(t, gw)
 
 	gcl := client.New(gws.URL)
 	models, err := gcl.ListModels(context.Background())
@@ -925,15 +927,15 @@ func TestUnknownModelAndBadInput(t *testing.T) {
 }
 
 // TestUnknownRouteEnvelope: paths no route claims — the retired v0
-// /predict among them — answer 404 with the JSON envelope, not the mux's
-// text/plain default.
+// /predict and the retired admin routes among them — answer 404 with the
+// JSON envelope, not the mux's text/plain default.
 func TestUnknownRouteEnvelope(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	b1 := startBackend(t, ckpt)
 	_, gws := testGateway(t, Config{}, b1.url)
 	waitReady(t, gws.URL)
 
-	for _, route := range []string{"predict", "nope", "v1/nope"} {
+	for _, route := range []string{"predict", "nope", "v1/nope", "v1/admin/canary", "v1/admin/supervisor"} {
 		path := "/" + route
 		for _, method := range []string{http.MethodGet, http.MethodPost} {
 			req, err := http.NewRequest(method, gws.URL+path, bytes.NewReader([]byte(`{"voxels":[1]}`)))

@@ -109,8 +109,7 @@ func TestTenantAuthAndRateLimit(t *testing.T) {
 
 // TestAdminPlane exercises /v1/admin/* through the typed client — the
 // only sanctioned consumer: operator-key gating, tenant CRUD with hot
-// reload, canary rules, and the v2 stats schema with per-tenant
-// counters.
+// reload, and the v2 stats schema with per-tenant counters.
 func TestAdminPlane(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	b := startBackend(t, ckpt)
@@ -154,15 +153,6 @@ func TestAdminPlane(t *testing.T) {
 	dataCl := client.New(srv.URL, client.WithAPIKey("k1"), client.WithTimeout(5*time.Second))
 	if _, err := dataCl.PredictEncoded(ctx, api.DefaultModel, body, wire.ContentTypeTensor); err != nil {
 		t.Fatalf("configured tenant refused: %v", err)
-	}
-
-	// Canary rules round-trip.
-	if err := cl.SetCanary(ctx, api.CanaryRule{Model: api.DefaultModel, Candidate: "v2", Percent: 25}); err != nil {
-		t.Fatal(err)
-	}
-	rules, err := cl.Canary(ctx)
-	if err != nil || len(rules) != 1 || rules[0].Percent != 25 {
-		t.Fatalf("canary rules = %+v, %v", rules, err)
 	}
 
 	// Stats v2: schema tag, admission block, and the tenant's counters.
@@ -209,70 +199,5 @@ func TestAdminPlane(t *testing.T) {
 	if resp.Header.Get("Allow") == "" || resp.Header.Get(api.HeaderRequestID) == "" {
 		t.Fatalf("admin 405 missing Allow (%q) or request id (%q)",
 			resp.Header.Get("Allow"), resp.Header.Get(api.HeaderRequestID))
-	}
-}
-
-// TestCanaryWeightedAndShadowE2E routes real traffic through canary
-// rules over two weight-identical model versions: a 100% weighted rule
-// diverts every request to the candidate (observable via the response
-// model), and a shadow rule keeps the incumbent answering while the
-// candidate sees background duplicates whose matching outputs record
-// zero mismatches.
-func TestCanaryWeightedAndShadowE2E(t *testing.T) {
-	ckpt := testCheckpoint(t)
-	b := startBackend(t, ckpt)
-	// Load a second, weight-identical model version on the backend.
-	lcl := client.New(b.url, client.WithTimeout(10*time.Second))
-	ctx := context.Background()
-	if _, err := lcl.LoadModel(ctx, "cosmo-v2", api.LoadModelRequest{
-		InputDim: testDim, BaseChannels: testBase,
-		CheckpointPath: ckpt, Replicas: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	gw, srv := testGateway(t, Config{}, b.url)
-	waitReady(t, srv.URL)
-	cl := client.New(srv.URL, client.WithTimeout(10*time.Second))
-	body := binBody(t, testVoxels(t, 1, 4)[0])
-
-	// Weighted 100%: every predict for the incumbent answers from v2.
-	if err := cl.SetCanary(ctx, api.CanaryRule{Model: api.DefaultModel, Candidate: "cosmo-v2", Percent: 100}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.PredictRaw(ctx, api.DefaultModel, body, wire.ContentTypeTensor, wire.ContentTypeJSON, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := client.DecodePredict(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Model != "cosmo-v2" {
-		t.Fatalf("weighted canary answered from %q, want cosmo-v2", pr.Model)
-	}
-
-	// Shadow 100%: the client sees the incumbent; the candidate gets a
-	// background duplicate that matches (identical weights → 0 mismatches).
-	if err := cl.SetCanary(ctx, api.CanaryRule{Model: api.DefaultModel, Candidate: "cosmo-v2", Percent: 100, Shadow: true}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = cl.PredictRaw(ctx, api.DefaultModel, body, wire.ContentTypeTensor, wire.ContentTypeJSON, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err = client.DecodePredict(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Model != api.DefaultModel {
-		t.Fatalf("shadow canary diverted the client to %q", pr.Model)
-	}
-	waitFor(t, "shadow compared", func() bool {
-		rules := gw.canary.statuses()
-		return len(rules) == 1 && rules[0].Shadowed >= 1
-	})
-	rules := gw.canary.statuses()
-	if rules[0].Mismatches != 0 {
-		t.Fatalf("weight-identical shadow recorded %d mismatches", rules[0].Mismatches)
 	}
 }

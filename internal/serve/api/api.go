@@ -22,8 +22,6 @@
 //	GET    /v1/admin/tenants           admission table (TenantList)
 //	PUT    /v1/admin/tenants           upsert one Tenant (hot reload)
 //	DELETE /v1/admin/tenants/{key}     remove a tenant
-//	GET    /v1/admin/canary            canary rules + counters ([]CanaryStatus)
-//	PUT    /v1/admin/canary            upsert one CanaryRule (empty candidate deletes)
 //
 // Predict bodies are negotiated by Content-Type — wire.ContentTypeJSON
 // (PredictRequest) or wire.ContentTypeTensor (one [C D H W] or [D H W]
@@ -383,9 +381,9 @@ const StatsSchemaV2 = "cosmoflow-stats/v2"
 
 // GatewayStatsResponse is GET /stats on cosmoflow-gateway: the routing
 // counters plus every backend's status — the aggregated stats DTO the
-// single-process StatsResponse cannot express. Schema, Tenants,
-// Admission, and Canaries are the v2 extension; all v1 fields are
-// byte-compatible with PR 5 payloads.
+// single-process StatsResponse cannot express. Schema, Tenants, and
+// Admission are the v2 extension; all v1 fields are byte-compatible
+// with PR 5 payloads.
 type GatewayStatsResponse struct {
 	Schema   string          `json:"schema,omitempty"` // StatsSchemaV2
 	UptimeS  float64         `json:"uptime_s"`
@@ -395,7 +393,6 @@ type GatewayStatsResponse struct {
 
 	Tenants   []TenantStats   `json:"tenants,omitempty"`
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	Canaries  []CanaryStatus  `json:"canaries,omitempty"`
 }
 
 // ---- multi-tenant admission (gateway v2) ----
@@ -457,37 +454,4 @@ type AdmissionStats struct {
 	Queued   int   `json:"queued"`
 	Admitted int64 `json:"admitted"`
 	Shed     int64 `json:"shed"`
-}
-
-// ---- weighted/canary routing (gateway v2) ----
-
-// CanaryRule splits one model's predict traffic with a candidate model
-// version: Percent of requests route to Candidate (client-visible) —
-// or, with Shadow, the incumbent always answers the client while Percent
-// of requests are duplicated to Candidate in the background and their
-// outputs compared.
-type CanaryRule struct {
-	// Model is the incumbent model name requests address. Required.
-	Model string `json:"model"`
-	// Candidate is the model name taking the canary share; empty deletes
-	// the rule.
-	Candidate string `json:"candidate,omitempty"`
-	// Percent is the canary share, 0..100.
-	Percent int `json:"percent"`
-	// Shadow duplicates instead of diverting: the incumbent serves every
-	// client, sampled requests also hit Candidate for comparison only.
-	Shadow bool `json:"shadow,omitempty"`
-}
-
-// CanaryStatus is one rule plus its live counters (GET /v1/admin/canary
-// and GET /stats v2).
-type CanaryStatus struct {
-	CanaryRule
-	Requests int64 `json:"requests"` // predicts that consulted this rule
-	Canaried int64 `json:"canaried"` // requests the candidate served (weighted mode)
-	Shadowed int64 `json:"shadowed"` // background duplicates sent (shadow mode)
-	// Mismatches counts shadow comparisons whose normalized outputs
-	// differed; LastMismatch is the most recent differing request id.
-	Mismatches   int64  `json:"mismatches"`
-	LastMismatch string `json:"last_mismatch,omitempty"`
 }

@@ -478,21 +478,6 @@ func (c *Client) DeleteTenant(ctx context.Context, key string) error {
 	return c.doJSON(ctx, http.MethodDelete, "/v1/admin/tenants/"+url.PathEscape(key), nil, nil)
 }
 
-// SetCanary upserts one canary rule (an empty Candidate deletes the
-// model's rule).
-func (c *Client) SetCanary(ctx context.Context, rule api.CanaryRule) error {
-	return c.doJSON(ctx, http.MethodPut, "/v1/admin/canary", rule, nil)
-}
-
-// Canary returns every canary rule with its live counters.
-func (c *Client) Canary(ctx context.Context) ([]api.CanaryStatus, error) {
-	var out []api.CanaryStatus
-	if err := c.getJSON(ctx, "/v1/admin/canary", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // GatewayStats returns cosmoflow-gateway's aggregated GET /stats answer
 // (schema cosmoflow-stats/v2 with per-tenant admission counters).
 func (c *Client) GatewayStats(ctx context.Context) (*api.GatewayStatsResponse, error) {

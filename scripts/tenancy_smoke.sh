@@ -91,13 +91,6 @@ gwctl tenants put XK -name hotjoin -class standard >/dev/null
 "$LOADGEN_BIN" -addr "$GW" -api-key XK -n 8 -c 2 -dim 16 >/dev/null || {
     echo "FAIL: hot-reloaded tenant was refused"; exit 1; }
 gwctl tenants rm XK >/dev/null
-# Canary rules round-trip through the admin plane (counters live in
-# gwctl canary output; routing behavior is pinned by the Go tests).
-gwctl canary set default candidate-v2 10 -shadow >/dev/null
-gwctl canary > "$TMP/canary.out"
-grep -q '"candidate-v2"' "$TMP/canary.out" || {
-    echo "FAIL: canary rule missing after set"; exit 1; }
-gwctl canary rm default >/dev/null
 
 # Baseline: premium alone, uncontended.
 "$LOADGEN_BIN" -addr "$GW" -dim 16 -wire binary \
