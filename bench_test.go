@@ -723,8 +723,8 @@ func BenchmarkInferBatch_TraceOverhead(b *testing.B) {
 }
 
 // BenchmarkInferBatch_VsSequentialLoop pits one InferBatch forward of B=4
-// volumes against the pre-batching serving path (a tight loop of 4
-// single-sample Predictor calls), the ablation behind the batched runBatch.
+// volumes against the pre-batching serving path (a tight loop of 4 B=1
+// InferBatch calls), the ablation behind the batched runBatch.
 func BenchmarkInferBatch_VsSequentialLoop(b *testing.B) {
 	const batch = 4
 	const dim = 16
@@ -736,29 +736,27 @@ func BenchmarkInferBatch_VsSequentialLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	samples := benchSamples(batch, dim, 121)
-	voxels := make([][]float32, batch)
-	for i, s := range samples {
-		voxels[i] = s.Voxels
+	xs := make([]*tensor.Tensor, batch)
+	for i, s := range benchSamples(batch, dim, 121) {
+		xs[i] = tensor.FromData(s.Voxels, net.InputShape()...)
 	}
 	b.Run("sequential-loop", func(b *testing.B) {
-		p := train.NewPredictor(net)
+		net.InferBatch(xs[:1]) // warm the buffer pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, s := range samples {
-				p.Predict(s)
+			for k := range xs {
+				net.InferBatch(xs[k : k+1])
 			}
 		}
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	})
 	b.Run("infer-batch", func(b *testing.B) {
-		p := train.NewBatchPredictor(net)
-		p.PredictVoxels(voxels, samples[0].NumChannels(), dim) // warm buffers
+		net.InferBatch(xs) // warm the buffer pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.PredictVoxels(voxels, samples[0].NumChannels(), dim)
+			net.InferBatch(xs)
 		}
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	})
@@ -825,31 +823,6 @@ func BenchmarkWire_EncodeDecode(b *testing.B) {
 			if _, err := wire.ReadTensor(bytes.NewReader(binBody), 0); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkServing_PredictorAlloc measures the per-request allocation of
-// the serving hot path's reusable predictor against the one-shot
-// train.Predict.
-func BenchmarkServing_PredictorAlloc(b *testing.B) {
-	net, err := nn.BuildCosmoFlow(nn.TopologyConfig{InputDim: 16, BaseChannels: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := benchSamples(1, 16, 111)[0]
-	b.Run("one-shot", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			train.Predict(net, s)
-		}
-	})
-	b.Run("predictor", func(b *testing.B) {
-		p := train.NewPredictor(net)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Predict(s)
 		}
 	})
 }

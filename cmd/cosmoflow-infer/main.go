@@ -71,6 +71,13 @@ func main() {
 		if err := net.LoadCheckpointFile(*ckpt); err != nil {
 			log.Fatal(err)
 		}
+		want := net.InputShape()
+		for i, s := range samples {
+			if s.NumChannels() != want[0] || s.Dim != want[1] {
+				log.Fatalf("%s sample %d has %d channel(s) at dim %d; the network expects %d at dim %d",
+					*split, i, s.NumChannels(), s.Dim, want[0], want[1])
+			}
+		}
 		ests = train.Evaluate(net, samples, priors)
 	}
 

@@ -22,7 +22,7 @@
 // The listener comes up immediately and the startup model loads
 // asynchronously, so /healthz genuinely reports readiness: orchestrators
 // (and `make serve-smoke`) poll it until the checkpoint is loaded and the
-// replicas are warmed.
+// replicas are built.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener closes,
 // admitted requests drain through their micro-batches, then the replicas
@@ -70,8 +70,8 @@ func main() {
 	}
 	reg := serve.NewRegistry()
 	// Load asynchronously: the API (and its 503-until-ready /healthz) is
-	// up while the checkpoint loads and the replicas warm, and more models
-	// can arrive later via PUT /v1/models/{name}.
+	// up while the checkpoint loads and the replicas are built, and more
+	// models can arrive later via PUT /v1/models/{name}.
 	loadDone := reg.LoadAsync(serve.ModelConfig{
 		Name: *name,
 		Topology: nn.TopologyConfig{

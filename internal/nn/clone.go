@@ -16,7 +16,7 @@ import "repro/internal/parallel"
 // shared parameter tensors, independent activation caches. pool supplies
 // the replica's intra-node threading; nil shares the original's pools.
 // Training a clone would race on the shared Param.Grad tensors — replicas
-// are for Forward/Infer only.
+// are for Forward/InferBatch only.
 func (n *Network) Clone(pool *parallel.Pool) *Network {
 	c := &Network{
 		Layers:        make([]Layer, len(n.Layers)),

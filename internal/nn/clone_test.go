@@ -23,16 +23,16 @@ func randInput(net *Network, seed int64) *tensor.Tensor {
 	return x
 }
 
-// TestInferMatchesForward checks the inference-only pass is bit-identical
-// to Forward on the CosmoFlow topology.
+// TestInferMatchesForward checks the inference-only pass at B=1 is
+// bit-identical to Forward on the CosmoFlow topology.
 func TestInferMatchesForward(t *testing.T) {
 	net := testNet(t)
 	x := randInput(net, 2)
 	want := net.Forward(x.Clone()).Data()
-	got := net.Infer(x).Data()
+	got := net.InferBatch([]*tensor.Tensor{x})[0].Data()
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Infer[%d] = %v, Forward = %v", i, got[i], want[i])
+			t.Fatalf("InferBatch[%d] = %v, Forward = %v", i, got[i], want[i])
 		}
 	}
 }
@@ -83,7 +83,7 @@ func TestCloneInferConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := randInput(rep, int64(100*w+i))
-				got := rep.Infer(x).Data()
+				got := rep.InferBatch([]*tensor.Tensor{x})[0].Data()
 				for j := range got {
 					if got[j] != want[w][i][j] {
 						errs <- "replica output diverged from sequential Forward"
@@ -108,7 +108,7 @@ func TestCloneLeavesOriginalTrainable(t *testing.T) {
 	y := net.Forward(x)
 
 	rep := net.Clone(nil)
-	rep.Infer(randInput(net, 4))
+	rep.InferBatch([]*tensor.Tensor{randInput(net, 4)})
 
 	// Backward on the original must still see its cached activations.
 	dy := tensor.New(y.Shape()...)

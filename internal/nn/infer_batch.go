@@ -16,12 +16,12 @@ import (
 // output element's accumulation order is fixed by the geometry alone, so
 // sample i's output is bit-identical at every batch size and worker count.
 // Layer.Forward is inferBatch at B=1 plus the caching Backward needs, and
-// Network.Infer and InferBatch drive one shared layer loop.
+// Network.InferBatch drives the layer loop.
 
 // batchCtx carries the shared state of one forward pass: the worker pool
 // poolless layers schedule their tasks on, and the buffer pool activations
 // and the convolutions' width-padded input copies recycle through. A nil
-// buf allocates every buffer fresh and retains none.
+// buf (Layer.Forward) allocates every buffer fresh and retains none.
 type batchCtx struct {
 	pool *parallel.Pool
 	buf  *tensor.BufPool
@@ -44,45 +44,39 @@ func forwardOne(l Layer, x *tensor.Tensor) *tensor.Tensor {
 	return l.inferBatch([]*tensor.Tensor{x}, &batchCtx{pool: serial})[0]
 }
 
-// Infer runs one sample through the network without caching activations
-// for a subsequent Backward. It is InferBatch at B=1 except that every
-// buffer is allocated fresh and none is retained. A single network still serves one
-// Infer at a time; run concurrent inference on Clone replicas.
-func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return n.forwardBatch([]*tensor.Tensor{x}, nil)[0]
-}
-
-// InferBatch runs a micro-batch of same-shaped inputs through the network
-// as one forward pass and returns one output per input, each bit-identical
-// to Infer on that input. Like Infer, a single network serves one
-// InferBatch at a time; run concurrent batches on Clone replicas.
+// InferBatch is the network's one inference entry point. It runs a
+// micro-batch of inputs, each of shape InputShape(), through the network as
+// one forward pass that caches nothing for Backward, and returns one output
+// per input, bit-identical to Forward on that input at every batch size and
+// worker count. An input of any other shape panics: the stride-2
+// convolutions would otherwise score a wrong-size volume. A single network
+// serves one InferBatch at a time; run concurrent batches on Clone
+// replicas.
+//
 // Intermediate activations recycle through a per-network buffer pool, so
-// steady-state inference at any batch size allocates almost nothing beyond
-// its outputs.
+// steady-state inference allocates almost nothing beyond its outputs. A
+// caller that must keep nothing on n runs InferBatch on a throwaway
+// n.Clone(nil): the clone shares n's weights, worker pools and trace, and
+// its buffer pool is dropped with it.
+//
+// With a trace attached, each layer's kernel time lands in its span (one
+// observation covers the whole batch) and the pass in the forward span;
+// untraced passes read no clock.
 func (n *Network) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
-	if n.batchBuf == nil {
-		n.batchBuf = tensor.NewBufPool()
-	}
-	return n.forwardBatch(xs, n.batchBuf)
-}
-
-// forwardBatch is the layer loop behind Infer and InferBatch, drawing
-// activations from buf (nil: fresh allocations). With a trace attached,
-// each layer's kernel time lands in its span (one observation covers the
-// whole batch) and the pass in the forward span; untraced passes read no
-// clock.
-func (n *Network) forwardBatch(xs []*tensor.Tensor, buf *tensor.BufPool) []*tensor.Tensor {
 	if len(xs) == 0 {
 		return nil
 	}
-	shape := xs[0].Shape()
-	for _, x := range xs[1:] {
-		if !x.Shape().Equal(shape) {
-			panic(fmt.Sprintf("nn: InferBatch inputs must share one shape; got %v and %v",
-				shape, x.Shape()))
+	want := n.InputShape()
+	for i, x := range xs {
+		if !x.Shape().Equal(want) {
+			panic(fmt.Sprintf("nn: InferBatch input %d has shape %v, network expects %v",
+				i, x.Shape(), want))
 		}
 	}
-	ctx := &batchCtx{pool: n.inferPool(), buf: buf}
+	if n.batchBuf == nil {
+		n.batchBuf = tensor.NewBufPool()
+	}
+	ctx := &batchCtx{pool: n.inferPool(), buf: n.batchBuf}
 
 	// cur flows through the layers; owned tracks whether its buffers came
 	// from the recycler (caller inputs never do) and may return to it once

@@ -104,7 +104,8 @@ func refNetForward(net *Network, x *tensor.Tensor) []float64 {
 
 // TestInferBatchMatchesSequential is the forward contract over every layer
 // type: each sample's output lies within 1e-4 of the float64 reference and
-// is bit-identical across batch sizes, worker counts and Infer.
+// is bit-identical across batch sizes, worker counts and the training
+// path's per-sample Forward.
 func TestInferBatchMatchesSequential(t *testing.T) {
 	pool3 := parallel.NewPool(3)
 	defer pool3.Close()
@@ -112,7 +113,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 	xs := randBatch(nets[0].InputShape(), 8, 100)
 	want := make([][]float32, len(xs))
 	for i, x := range xs {
-		want[i] = append([]float32(nil), nets[0].Infer(x).Data()...)
+		want[i] = append([]float32(nil), nets[0].Forward(x).Data()...)
 		if e := maxRelErr(want[i], refNetForward(nets[0], x)); e > 1e-4 {
 			t.Fatalf("sample %d: relative error %g against the float64 reference", i, e)
 		}
@@ -155,8 +156,8 @@ func TestInferBatchDeterministicAcrossWorkers(t *testing.T) {
 
 // TestInferBatchBufferReuse checks recycled activation buffers never leak
 // one batch's values into the next: interleaved calls with different
-// batches keep reproducing their first answers, and Infer stays consistent
-// after batched calls.
+// batches keep reproducing their first answers, and a batch of one stays
+// consistent after larger batches.
 func TestInferBatchBufferReuse(t *testing.T) {
 	pool := parallel.NewPool(1)
 	net := allLayerNet(t, pool, 5)
@@ -190,47 +191,13 @@ func TestInferBatchBufferReuse(t *testing.T) {
 			}
 		}
 	}
-	seq := net.Infer(a[0])
-	for j, v := range seq.Data() {
-		if v != wantA[0][j] {
-			t.Fatalf("sequential Infer diverged after batched calls at out[%d]", j)
-		}
-	}
+	requireBits(t, "B=1 after larger batches", net.InferBatch(a[:1])[0].Data(), wantA[0])
 }
 
-// TestInferBatchBlockedEdgeShapes sweeps a 16→16 Conv3D, the paper's
-// channel-blocked layer shape, over output widths 1, 7 and 27–30: each
-// sample must lie within 1e-4 of the float64 reference and be
-// bit-identical across batch sizes, worker counts and Clone.
-func TestInferBatchBlockedEdgeShapes(t *testing.T) {
-	pool3 := parallel.NewPool(3)
-	defer pool3.Close()
-	rng := rand.New(rand.NewSource(9))
-	for _, w := range []int{1, 7, 27, 28, 29, 30} {
-		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
-			conv := NewConv3D("c", 16, 16, 3, 1, 1, parallel.NewPool(1), rng)
-			xs := randBatch(tensor.Shape{16, 2, 3, w}, 8, int64(w))
-			want := make([][]float32, len(xs))
-			for i, x := range xs {
-				want[i] = append([]float32(nil), conv.Forward(x).Data()...)
-				if e := maxRelErr(want[i], refConvForward(conv, x)); e > 1e-4 {
-					t.Fatalf("sample %d: relative error %g against the float64 reference", i, e)
-				}
-			}
-			for _, c := range []*Conv3D{conv, conv.cloneFor(pool3).(*Conv3D)} {
-				ctx := &batchCtx{pool: c.pool, buf: tensor.NewBufPool()}
-				for _, B := range []int{1, 2, 3, 5, 8} {
-					for i, y := range c.inferBatch(xs[:B], ctx) {
-						requireBits(t, fmt.Sprintf("workers=%d B=%d sample %d", c.pool.Workers(), B, i), y.Data(), want[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestInferBatchEdgeCases covers the degenerate batch sizes and the
-// mixed-shape guard.
+// TestInferBatchEdgeCases covers the degenerate batch sizes and the input
+// shape guard: a batch mixing shapes, and a well-formed batch of the wrong
+// size, which the CosmoFlow topology's stride-2 convolutions would
+// otherwise collapse to the same 1³ and score.
 func TestInferBatchEdgeCases(t *testing.T) {
 	pool := parallel.NewPool(1)
 	net := allLayerNet(t, pool, 13)
@@ -238,26 +205,35 @@ func TestInferBatchEdgeCases(t *testing.T) {
 		t.Fatalf("InferBatch(nil) = %v, want nil", ys)
 	}
 	x := randBatch(net.InputShape(), 1, 31)[0]
-	want := net.Infer(x).Data()
+	want := append([]float32(nil), net.Forward(x).Data()...)
 	got := net.InferBatch([]*tensor.Tensor{x})
 	if len(got) != 1 {
 		t.Fatalf("B=1 returned %d outputs", len(got))
 	}
-	for j, v := range got[0].Data() {
-		if v != want[j] {
-			t.Fatalf("B=1 out[%d]: %v != %v", j, v, want[j])
-		}
-	}
+	requireBits(t, "B=1", got[0].Data(), want)
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mixed-shape batch did not panic")
-		}
-	}()
-	net.InferBatch([]*tensor.Tensor{
-		tensor.New(net.InputShape()...),
-		tensor.New(1, 4, 4, 4),
-	})
+	cosmo8, err := BuildCosmoFlow(TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 1, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		net  *Network
+		xs   []*tensor.Tensor
+	}{
+		{"mixed shapes", net, []*tensor.Tensor{tensor.New(net.InputShape()...), tensor.New(1, 4, 4, 4)}},
+		{"dim 16 on a dim-8 CosmoFlow", cosmo8, randBatch(tensor.Shape{1, 16, 16, 16}, 2, 37)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: InferBatch did not panic", c.name)
+				}
+			}()
+			ys := c.net.InferBatch(c.xs)
+			t.Logf("%s: returned %d outputs of shape %v", c.name, len(ys), ys[0].Shape())
+		}()
+	}
 }
 
 // TestInferBatchSteadyStateAllocations checks the activation recycler
@@ -289,7 +265,7 @@ func TestInferBatchSteadyStateAllocations(t *testing.T) {
 
 // TestInferBatchOnCosmoFlowTopology runs the real topology builder's
 // network at BaseChannels 16 (every OutC a multiple of 4) through the
-// batched path against sequential Infer.
+// batched path against per-sample Forward.
 func TestInferBatchOnCosmoFlowTopology(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
@@ -300,17 +276,11 @@ func TestInferBatchOnCosmoFlowTopology(t *testing.T) {
 	xs := randBatch(net.InputShape(), 4, 41)
 	want := make([][]float32, len(xs))
 	for i, x := range xs {
-		want[i] = append([]float32(nil), net.Infer(x).Data()...)
+		want[i] = append([]float32(nil), net.Forward(x).Data()...)
 	}
-	for _, y := range net.InferBatch(xs) {
-		_ = y
-	}
+	net.InferBatch(xs)
 	ys := net.InferBatch(xs) // second call exercises recycled buffers
 	for i, y := range ys {
-		for j, v := range y.Data() {
-			if v != want[i][j] {
-				t.Fatalf("sample %d out[%d]: batched %v != sequential %v", i, j, v, want[i][j])
-			}
-		}
+		requireBits(t, fmt.Sprintf("sample %d", i), y.Data(), want[i])
 	}
 }

@@ -20,16 +20,16 @@ type Network struct {
 	// time, and Clone replicas each get their own.
 	batchBuf *tensor.BufPool
 
-	// trace, when set, receives per-layer forward timings from Infer and
-	// InferBatch (see SetTrace). nil (the default) keeps the untimed hot
-	// path: the disabled cost is one pointer check per forward pass.
+	// trace, when set, receives per-layer forward timings from InferBatch
+	// (see SetTrace). nil (the default) keeps the untimed hot path: the
+	// disabled cost is one pointer check per forward pass.
 	trace *obsv.ForwardTrace
 }
 
-// SetTrace attaches a per-layer forward trace to the network: Infer and
-// InferBatch record each layer's wall time into t.Layers (index-aligned
-// with n.Layers) and the whole pass into t.Forward. Clone replicas inherit
-// the pointer, so one trace aggregates a whole replica pool; pass nil to
+// SetTrace attaches a per-layer forward trace to the network: InferBatch
+// records each layer's wall time into t.Layers (index-aligned with
+// n.Layers) and the whole pass into t.Forward. Clone replicas inherit the
+// pointer, so one trace aggregates a whole replica pool; pass nil to
 // disable. t.Layers must have exactly len(n.Layers) spans — use
 // NewForwardTrace(n.LayerNames()).
 func (n *Network) SetTrace(t *obsv.ForwardTrace) {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,29 +18,22 @@ func TestTracedInferBitIdentical(t *testing.T) {
 
 	want := make([][]float32, len(xs))
 	for i, x := range xs {
-		want[i] = append([]float32(nil), net.Infer(x).Data()...)
+		want[i] = append([]float32(nil), net.Forward(x).Data()...)
 	}
 
 	net.SetTrace(obsv.NewForwardTrace(net.LayerNames()))
-	for i, x := range xs {
-		for j, v := range net.Infer(x).Data() {
-			if v != want[i][j] {
-				t.Fatalf("traced Infer sample %d out[%d]: %v != %v", i, j, v, want[i][j])
-			}
-		}
+	for i := range xs {
+		requireBits(t, fmt.Sprintf("traced B=1 sample %d", i), net.InferBatch(xs[i : i+1])[0].Data(), want[i])
 	}
 	for i, y := range net.InferBatch(xs) {
-		for j, v := range y.Data() {
-			if v != want[i][j] {
-				t.Fatalf("traced InferBatch sample %d out[%d]: %v != %v", i, j, v, want[i][j])
-			}
-		}
+		requireBits(t, fmt.Sprintf("traced B=%d sample %d", len(xs), i), y.Data(), want[i])
 	}
 }
 
 // TestTraceLayerSumsMatchForward is the per-layer timing acceptance
-// criterion: across Infer and InferBatch, the layer spans must account for
-// the whole forward — their totals sum to within 10% of the forward span.
+// criterion: across batches of one and six, the layer spans must account
+// for the whole forward — their totals sum to within 10% of the forward
+// span.
 func TestTraceLayerSumsMatchForward(t *testing.T) {
 	pool := parallel.NewPool(1)
 	net := allLayerNet(t, pool, 19)
@@ -48,12 +42,12 @@ func TestTraceLayerSumsMatchForward(t *testing.T) {
 
 	xs := randBatch(net.InputShape(), 6, 73)
 	for i := 0; i < 4; i++ {
-		net.Infer(xs[0])
+		net.InferBatch(xs[:1])
 		net.InferBatch(xs)
 	}
 
 	fwd, layers := tr.Snapshot()
-	if fwd.Count != 4+4 { // 4 Infer + 4 InferBatch passes
+	if fwd.Count != 4+4 { // 4 passes at B=1 + 4 at B=6
 		t.Fatalf("forward count = %d, want 8", fwd.Count)
 	}
 	var layerSum float64
@@ -84,9 +78,9 @@ func TestTraceSharedAcrossClones(t *testing.T) {
 	if clone.Trace() != tr {
 		t.Fatal("Clone did not inherit the trace pointer")
 	}
-	x := randBatch(net.InputShape(), 1, 79)[0]
-	net.Infer(x)
-	clone.Infer(x)
+	xs := randBatch(net.InputShape(), 1, 79)
+	net.InferBatch(xs)
+	clone.InferBatch(xs)
 	if fwd, _ := tr.Snapshot(); fwd.Count != 2 {
 		t.Errorf("forward count = %d, want 2 (base + clone aggregate)", fwd.Count)
 	}

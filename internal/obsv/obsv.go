@@ -1,5 +1,5 @@
 // Package obsv is the observability substrate: low-overhead timing spans
-// threaded through the forward kernels (per-layer traces in nn.Infer /
+// threaded through the forward kernels (per-layer traces in
 // nn.InferBatch), the training step and its collectives (per-rank phase
 // events on a Timeline, the only clock a training step has), and the
 // gateway's proxy path (per-backend request attribution) — the measurement
@@ -146,7 +146,7 @@ func NewForwardTrace(layerNames []string) *ForwardTrace {
 	return t
 }
 
-// Reset zeroes every span (used to drop replica warm-up passes).
+// Reset zeroes every span.
 func (t *ForwardTrace) Reset() {
 	t.Forward.Reset()
 	for _, s := range t.Layers {

@@ -83,7 +83,7 @@ const (
 // Model lifecycle states reported by /v1/models and /healthz.
 const (
 	StateLoading = "loading" // build/checkpoint-load in progress, no instance serving yet
-	StateReady   = "ready"   // checkpoint loaded, replicas warmed, accepting requests
+	StateReady   = "ready"   // checkpoint loaded, replicas built, accepting requests
 	StateFailed  = "failed"  // last load failed and no instance is serving
 )
 
@@ -184,7 +184,7 @@ type SpanStat = obsv.SpanStat
 type RequestTrace = obsv.RequestTrace
 
 // ModelTrace is one model's per-layer forward timing in GET /v1/trace:
-// Forward covers whole forward passes (one observation per Infer/InferBatch
+// Forward covers whole forward passes (one observation per InferBatch
 // dispatch across the replica pool), Layers one span per network layer in
 // stack order. Per-layer totals sum to Forward's total up to clock-read
 // skew (the contract is within 10%; in practice well under 1%).

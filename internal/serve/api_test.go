@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/serve/api"
 	"repro/internal/serve/wire"
-	"repro/internal/train"
 )
 
 // v1TestServer stands up a registry with the default test model behind
@@ -72,8 +71,8 @@ func tensorBody(t *testing.T, dim int, voxels []float32) []byte {
 // TestV1PredictBitIdentity is the core wire-format acceptance test: the
 // same volume scored through v1 JSON, a v1 binary request, and v1 binary
 // both ways yields bit-identical normalized outputs and identical
-// denormalized parameters, all matching the reference sequential
-// train.Predict.
+// denormalized parameters, all matching the reference per-sample
+// Network.Forward.
 func TestV1PredictBitIdentity(t *testing.T) {
 	ckpt, ref := testCheckpoint(t, 61)
 	reg := NewRegistry()
@@ -85,7 +84,7 @@ func TestV1PredictBitIdentity(t *testing.T) {
 	defer srv.Close()
 
 	s := testSamples(1, 62)[0]
-	want := train.Predict(ref, s)
+	want := forwardRef(ref, s)
 	predictURL := srv.URL + "/v1/models/" + DefaultModel + ":predict"
 	jsonBody, err := json.Marshal(api.PredictRequest{Voxels: s.Voxels})
 	if err != nil {
@@ -213,7 +212,7 @@ func TestV1ModelLifecycle(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		t.Fatal(err)
 	}
-	if want := train.Predict(refB, s); pr.Normalized != want {
+	if want := forwardRef(refB, s); pr.Normalized != want {
 		t.Fatalf("hot-loaded model predicted %v, want %v", pr.Normalized, want)
 	}
 
@@ -641,7 +640,7 @@ func TestOrphanedLoadDoesNotDisplace(t *testing.T) {
 		t.Fatal("model B vanished")
 	}
 	pred, err := m.Predict(s.Voxels)
-	if err != nil || pred.Normalized != train.Predict(refB, s) {
+	if err != nil || pred.Normalized != forwardRef(refB, s) {
 		t.Fatalf("serving model is not B after orphaned A completed: %v, %v", pred, err)
 	}
 	info, ok := reg.InfoFor(cfgA.Name)

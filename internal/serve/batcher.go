@@ -17,8 +17,6 @@ var ErrBadRequest = errors.New("serve: bad request")
 // request is one prediction waiting in the micro-batcher.
 type request struct {
 	voxels   []float32
-	channels int
-	dim      int
 	enqueued time.Time
 	done     chan result // buffered(1); exactly one result is delivered
 }

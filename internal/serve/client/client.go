@@ -326,7 +326,7 @@ func (c *Client) GetModel(ctx context.Context, name string) (*api.ModelStatus, e
 }
 
 // LoadModel loads or hot-swaps a model; on return the new instance is
-// ready (the server loads synchronously and warms the replicas first).
+// ready (the server loads synchronously and builds the replicas first).
 func (c *Client) LoadModel(ctx context.Context, name string, spec api.LoadModelRequest) (*api.ModelStatus, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/serve/api"
 	"repro/internal/serve/client"
-	"repro/internal/train"
+	"repro/internal/tensor"
 )
 
 const (
@@ -69,7 +69,7 @@ func sample(seed int64) *cosmo.Sample {
 func TestPredictBothEncodings(t *testing.T) {
 	base, ref, _ := startServer(t, 81)
 	s := sample(82)
-	want := train.Predict(ref, s)
+	want := [3]float32(ref.Forward(tensor.FromData(s.Voxels, ref.InputShape()...)).Data())
 	dims := []int{1, testDim, testDim, testDim}
 	ctx := context.Background()
 

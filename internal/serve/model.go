@@ -70,11 +70,6 @@ func newModel(cfg ModelConfig) (*Model, error) {
 		net.SetTrace(trace)
 	}
 	pool := newReplicaPool(net, cfg.Replicas, cfg.WorkersPerReplica)
-	if trace != nil {
-		// Drop the pool's warm-up forward: the trace should reflect served
-		// traffic only.
-		trace.Reset()
-	}
 	perLayer := net.PerLayerFLOPs()
 	layerFLOPs := make([]int64, len(perLayer))
 	for i, lf := range perLayer {
@@ -117,8 +112,8 @@ func (m *Model) runBatch(batch []*request) {
 		// Un-pin the request buffers on every exit path — a panicking
 		// batch must not leave an idle replica referencing its voxel
 		// volumes until the next dispatch.
-		for i := range rep.voxels {
-			rep.voxels[i] = nil
+		for i := range rep.xs {
+			rep.xs[i].Release()
 		}
 		if p := recover(); p != nil {
 			err := fmt.Errorf("serve: model %s: prediction panic: %v", m.name, p)
@@ -133,20 +128,22 @@ func (m *Model) runBatch(batch []*request) {
 			}
 		}
 	}()
-	if cap(rep.voxels) < len(batch) {
-		rep.voxels = make([][]float32, len(batch))
+	n := len(batch)
+	if cap(rep.xs) < n {
+		rep.xs = make([]tensor.Tensor, n)
+		rep.ptrs = make([]*tensor.Tensor, n)
 	}
-	rep.voxels = rep.voxels[:len(batch)]
+	rep.xs, rep.ptrs = rep.xs[:n], rep.ptrs[:n]
 	for i, r := range batch {
-		rep.voxels[i] = r.voxels
+		// Predict checked the voxel count against the model's shape.
+		rep.xs[i].Wrap(r.voxels, m.inputShape...)
+		rep.ptrs[i] = &rep.xs[i]
 	}
-	// Every request passed Predict's shape validation against the same
-	// model, so the batch shares one [channels, dim] shape.
-	preds := rep.pred.PredictVoxels(rep.voxels, batch[0].channels, batch[0].dim)
+	ys := rep.net.InferBatch(rep.ptrs)
 	m.metrics.observeKernel(time.Since(start))
 	served = true
 	for i, r := range batch {
-		r.done <- result{pred: preds[i], batchSize: len(batch)}
+		r.done <- result{pred: [3]float32(ys[i].Data()), batchSize: n}
 	}
 }
 
@@ -162,8 +159,6 @@ func (m *Model) Predict(voxels []float32) (*Prediction, error) {
 	m.metrics.inflight.Add(1)
 	r := &request{
 		voxels:   voxels,
-		channels: m.inputShape[0],
-		dim:      m.inputShape[1],
 		enqueued: time.Now(),
 		done:     make(chan result, 1),
 	}

@@ -325,7 +325,7 @@ func (r *Registry) InfoFor(name string) (ModelInfo, bool) {
 // configured and every configured model has a serving instance. This is
 // the /healthz readiness contract — a daemon that loads its models
 // asynchronously answers 503 here until the last checkpoint is loaded and
-// its replicas warmed.
+// its replicas built.
 func (r *Registry) Ready() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -3,19 +3,21 @@ package serve
 import (
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/train"
+	"repro/internal/tensor"
 )
 
-// replica is one inference worker: a reusable batch predictor around a
-// weight-sharing clone of the model's network, owned by one goroutine at a
-// time. A whole micro-batch runs as one nn.InferBatch forward on the
-// replica, so batching amortizes the kernels, not just the queueing.
+// replica is one inference worker: a weight-sharing clone of the model's
+// network, owned by one goroutine at a time. A whole micro-batch runs as
+// one nn.InferBatch forward on the replica, so batching amortizes the
+// kernels, not just the queueing.
 type replica struct {
-	pred *train.BatchPredictor
+	net  *nn.Network
 	pool *parallel.Pool
 
-	// voxels is the reusable batch-assembly buffer for runBatch.
-	voxels [][]float32
+	// xs and ptrs are runBatch's reusable input headers, each wrapping one
+	// request's voxels uncopied.
+	xs   []tensor.Tensor
+	ptrs []*tensor.Tensor
 }
 
 // replicaPool is a fixed set of replicas handed out over a channel:
@@ -48,7 +50,7 @@ func newReplicaPool(base *nn.Network, n, workersPerReplica int) *replicaPool {
 	}
 	for i := 0; i < n; i++ {
 		pool := parallel.NewPool(workersPerReplica)
-		r := &replica{pred: train.NewBatchPredictor(base.Clone(pool)), pool: pool}
+		r := &replica{net: base.Clone(pool), pool: pool}
 		p.all = append(p.all, r)
 		p.replicas <- r
 	}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/cosmo"
 	"repro/internal/nn"
 	"repro/internal/serve/api"
-	"repro/internal/train"
+	"repro/internal/tensor"
 )
 
 const (
@@ -68,10 +68,17 @@ func testSamples(n int, seed int64) []*cosmo.Sample {
 	return out
 }
 
+// forwardRef is the per-sample reference prediction: the training path's
+// Forward on the reference network, which shares neither the batch loop
+// nor the buffer pool with the served InferBatch.
+func forwardRef(ref *nn.Network, s *cosmo.Sample) [3]float32 {
+	return [3]float32(ref.Forward(tensor.FromData(s.Voxels, ref.InputShape()...)).Data())
+}
+
 // TestConcurrentPredictionsMatchSequential is the core concurrency-safety
 // contract: N goroutines hammering the replica pool must produce
-// bit-identical predictions to sequential train.Predict on the same
-// checkpoint.
+// bit-identical predictions to the sequential per-sample Forward on the
+// same checkpoint.
 func TestConcurrentPredictionsMatchSequential(t *testing.T) {
 	ckpt, ref := testCheckpoint(t, 42)
 	reg := NewRegistry()
@@ -84,7 +91,7 @@ func TestConcurrentPredictionsMatchSequential(t *testing.T) {
 	samples := testSamples(64, 7)
 	want := make([][3]float32, len(samples))
 	for i, s := range samples {
-		want[i] = train.Predict(ref, s)
+		want[i] = forwardRef(ref, s)
 	}
 
 	const workers = 8
@@ -157,7 +164,7 @@ func TestPredictHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantNorm := train.Predict(ref, s)
+	wantNorm := forwardRef(ref, s)
 	wantParams := cosmo.DefaultPriors().Denormalize(wantNorm)
 	for i := 0; i < 3; i++ {
 		if math.Abs(float64(got.Normalized[i]-wantNorm[i])) > 1e-6 {
@@ -297,7 +304,7 @@ func TestHotSwap(t *testing.T) {
 	defer reg.Close()
 
 	s := testSamples(1, 31)[0]
-	wantA, wantB := train.Predict(refA, s), train.Predict(refB, s)
+	wantA, wantB := forwardRef(refA, s), forwardRef(refB, s)
 	if wantA == wantB {
 		t.Fatal("test checkpoints should differ")
 	}
@@ -359,9 +366,9 @@ func TestRunBatchRecoversPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Model.Predict validates lengths, so inject a malformed request
-	// directly into the dispatch path: the predictor's Wrap panics.
+	// directly into the dispatch path: runBatch's Wrap panics.
 	r := &request{
-		voxels: []float32{1, 2, 3}, channels: 1, dim: testDim,
+		voxels:   []float32{1, 2, 3},
 		enqueued: time.Now(), done: make(chan result, 1),
 	}
 	m.runBatch([]*request{r})

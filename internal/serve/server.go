@@ -330,7 +330,7 @@ func (s *Server) getModel(w http.ResponseWriter, rid, name string) {
 }
 
 // loadModel answers PUT /v1/models/{name}: build the requested topology,
-// load the checkpoint, warm the replicas, and atomically install the new
+// load the checkpoint, build the replicas, and atomically install the new
 // instance — the existing instance (if any) keeps serving until the swap
 // and then drains in the background, so in-flight requests are never cut.
 // The call is synchronous: a 200 means the model is ready.
@@ -399,7 +399,7 @@ func (s *Server) unloadModel(w http.ResponseWriter, rid, name string) {
 }
 
 // handleHealthz is the readiness probe: 200 only when every configured
-// model is ready (checkpoint loaded, replicas warmed), 503 otherwise —
+// model is ready (checkpoint loaded, replicas built), 503 otherwise —
 // including an empty registry, so a daemon that loads asynchronously
 // reports unready from its very first poll.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

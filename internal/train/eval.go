@@ -9,116 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Predict runs the network on one sample and returns the normalized
-// three-parameter prediction. It delegates to a one-shot Predictor so both
-// APIs run the identical inference-only forward pass; for repeated calls
-// on a hot path, hold a Predictor, which reuses its buffers across calls.
-func Predict(net *nn.Network, s *cosmo.Sample) [3]float32 {
-	p := Predictor{net: net}
-	return p.Predict(s)
-}
-
-// Predictor runs repeated single-sample inference on one network, reusing
-// its input tensor across calls so the serving hot path neither copies the
-// voxel volume nor allocates a fresh tensor header per sample. It uses the
-// network's inference-only forward, which leaves no activation caches
-// behind. A Predictor owns its network's in-flight state and therefore
-// serves one goroutine; concurrent serving pairs one Predictor with each
-// nn replica.
-type Predictor struct {
-	net *nn.Network
-	x   tensor.Tensor
-}
-
-// NewPredictor builds a reusable predictor around net.
-func NewPredictor(net *nn.Network) *Predictor { return &Predictor{net: net} }
-
-// Predict returns the normalized three-parameter prediction for s.
-func (p *Predictor) Predict(s *cosmo.Sample) [3]float32 {
-	return p.PredictVoxels(s.Voxels, s.NumChannels(), s.Dim)
-}
-
-// PredictVoxels predicts directly from a raw voxel buffer of the given
-// channel count and edge length, the form serving requests arrive in. The
-// buffer is wrapped, not copied (no layer mutates its input), and must
-// hold exactly channels·dim³ values — a mismatch panics, as with
-// tensor.FromData.
-func (p *Predictor) PredictVoxels(voxels []float32, channels, dim int) [3]float32 {
-	p.x.Wrap(voxels, channels, dim, dim, dim)
-	y := p.net.Infer(&p.x)
-	// Drop the wrapped reference so an idle predictor (e.g. a quiet
-	// serving replica) does not pin the request's voxel buffer.
-	p.x.Release()
-	var out [3]float32
-	copy(out[:], y.Data())
-	return out
-}
-
-// BatchPredictor runs repeated micro-batch inference on one network through
-// nn.InferBatch, reusing its input tensor wrappers across calls so the
-// serving hot path neither copies voxel volumes nor allocates per-batch
-// tensor headers; the network's own buffer pool recycles the intermediate
-// activations. Outputs are bit-identical to per-sample Predictor calls.
-// Like Predictor, a BatchPredictor owns its network's in-flight state and
-// serves one goroutine; concurrent serving pairs one with each nn replica.
-type BatchPredictor struct {
-	net    *nn.Network
-	xs     []tensor.Tensor
-	ptrs   []*tensor.Tensor
-	outs   [][3]float32
-	voxels [][]float32 // PredictSamples' reusable batch-assembly buffer
-}
-
-// NewBatchPredictor builds a reusable batch predictor around net.
-func NewBatchPredictor(net *nn.Network) *BatchPredictor { return &BatchPredictor{net: net} }
-
-// PredictVoxels predicts a micro-batch of raw voxel buffers, each holding
-// exactly channels·dim³ values in [C D H W] order (a mismatch panics, as
-// with tensor.FromData). The buffers are wrapped, not copied. The returned
-// slice is reused by the next call.
-func (p *BatchPredictor) PredictVoxels(batch [][]float32, channels, dim int) [][3]float32 {
-	n := len(batch)
-	if cap(p.xs) < n {
-		p.xs = make([]tensor.Tensor, n)
-		p.ptrs = make([]*tensor.Tensor, n)
-		p.outs = make([][3]float32, n)
-	}
-	p.xs, p.ptrs, p.outs = p.xs[:n], p.ptrs[:n], p.outs[:n]
-	for i, v := range batch {
-		p.xs[i].Wrap(v, channels, dim, dim, dim)
-		p.ptrs[i] = &p.xs[i]
-	}
-	// Drop the wrapped references on every exit path — even a panicking
-	// forward must not leave an idle predictor pinning the batch's voxel
-	// buffers.
-	defer func() {
-		for i := range p.xs {
-			p.xs[i].Release()
-		}
-	}()
-	ys := p.net.InferBatch(p.ptrs)
-	for i, y := range ys {
-		copy(p.outs[i][:], y.Data())
-	}
-	return p.outs
-}
-
-// PredictSamples predicts a micro-batch of samples (all sharing one shape),
-// the Evaluate fast path. The returned slice is reused by the next call.
-func (p *BatchPredictor) PredictSamples(batch []*cosmo.Sample) [][3]float32 {
-	if len(batch) == 0 {
-		return nil
-	}
-	if cap(p.voxels) < len(batch) {
-		p.voxels = make([][]float32, len(batch))
-	}
-	p.voxels = p.voxels[:len(batch)]
-	for i, s := range batch {
-		p.voxels[i] = s.Voxels
-	}
-	return p.PredictVoxels(p.voxels, batch[0].NumChannels(), batch[0].Dim)
-}
-
 // Estimate holds one test sample's true and predicted physical parameters.
 type Estimate struct {
 	True, Pred cosmo.Params
@@ -129,26 +19,31 @@ type Estimate struct {
 // activation working set of scaled-down runs stays cache-resident.
 const evalBatch = 8
 
-// Evaluate predicts every test sample through the batched inference path
-// and denormalizes through the priors, producing the scatter data behind
-// Figure 6. Results are bit-identical to per-sample Predict.
+// Evaluate predicts every test sample through nn.InferBatch in chunks of
+// evalBatch and denormalizes through the priors, producing the scatter
+// data behind Figure 6. Results are bit-identical to per-sample inference.
 func Evaluate(net *nn.Network, testSet []*cosmo.Sample, priors cosmo.Priors) []Estimate {
 	out := make([]Estimate, 0, len(testSet))
-	p := NewBatchPredictor(net)
+	xs := make([]*tensor.Tensor, 0, evalBatch)
 	for lo := 0; lo < len(testSet); lo += evalBatch {
-		hi := lo + evalBatch
-		if hi > len(testSet) {
-			hi = len(testSet)
+		chunk := testSet[lo:min(lo+evalBatch, len(testSet))]
+		xs = xs[:0]
+		for _, s := range chunk {
+			xs = append(xs, sampleTensor(s))
 		}
-		preds := p.PredictSamples(testSet[lo:hi])
-		for i, s := range testSet[lo:hi] {
+		for i, y := range net.InferBatch(xs) {
 			out = append(out, Estimate{
-				True: priors.Denormalize(s.Target),
-				Pred: priors.Denormalize(preds[i]),
+				True: priors.Denormalize(chunk[i].Target),
+				Pred: priors.Denormalize([3]float32(y.Data())),
 			})
 		}
 	}
 	return out
+}
+
+// sampleTensor wraps s's voxels, uncopied, as a [C D D D] network input.
+func sampleTensor(s *cosmo.Sample) *tensor.Tensor {
+	return tensor.FromData(s.Voxels, s.NumChannels(), s.Dim, s.Dim, s.Dim)
 }
 
 // RelativeErrors computes the paper's per-parameter average relative error

@@ -332,7 +332,7 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 			if err != nil {
 				return fmt.Errorf("train: rank %d epoch %d step %d: %w", rank, epoch, step, err)
 			}
-			x := tensor.FromData(sample.Voxels, sample.NumChannels(), sample.Dim, sample.Dim, sample.Dim)
+			x := sampleTensor(sample)
 			tl.Record(obsv.PhaseDataWait, t0)
 
 			t0 = tl.Start()
@@ -441,16 +441,15 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 }
 
 // validate computes the globally averaged validation loss: each rank scores
-// its strided shard one sample at a time through the inference path, which
-// leaves the activation caches alone and, unlike the batched path, keeps no
-// buffer pool on the training replica; the collectives average globally.
+// its strided shard one sample at a time through nn.InferBatch on a
+// throwaway clone, which leaves the training network's activation caches
+// alone and keeps no buffer pool on it; the collectives average globally.
 func validate(c *comm.Comm, net *nn.Network, valSet []*cosmo.Sample, rank, ranks int) float64 {
-	p := NewPredictor(net)
+	inf := net.Clone(nil)
 	var sum, count float64
 	for i := rank; i < len(valSet); i += ranks {
 		s := valSet[i]
-		pred := p.Predict(s)
-		loss, _ := nn.MSELoss(tensor.FromData(pred[:], len(pred)), s.Target[:])
+		loss, _ := nn.MSELoss(inf.InferBatch([]*tensor.Tensor{sampleTensor(s)})[0], s.Target[:])
 		sum += loss
 		count++
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obsv"
 	"repro/internal/optim"
+	"repro/internal/tensor"
 )
 
 // syntheticSet builds a learnable dataset of n samples with targets drawn
@@ -134,7 +135,7 @@ func TestReplicasStayBitwiseSynchronized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Predict(res.Net, trainSet[0])
+		return [3]float32(res.Net.Forward(sampleTensor(trainSet[0])).Data())
 	}
 	a, b := runOnce(), runOnce()
 	if a != b {
@@ -253,7 +254,10 @@ func TestCentralAlgorithmAlsoTrains(t *testing.T) {
 func TestPredictShape(t *testing.T) {
 	net, _ := nn.BuildCosmoFlow(nn.TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 1})
 	s := cosmo.SyntheticSample(8, [3]float32{0.5, 0.5, 0.5}, 1)
-	p := Predict(net, s)
+	p := net.InferBatch([]*tensor.Tensor{sampleTensor(s)})[0].Data()
+	if len(p) != 3 {
+		t.Fatalf("prediction has %d outputs, want 3", len(p))
+	}
 	for i, v := range p {
 		if math.IsNaN(float64(v)) {
 			t.Errorf("prediction[%d] is NaN", i)
@@ -328,7 +332,7 @@ func TestOverlapCommMatchesBlockingResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Predict(res.Net, trainSet[0])
+		return [3]float32(res.Net.Forward(sampleTensor(trainSet[0])).Data())
 	}
 	a := run(false)
 	b := run(true)
