@@ -10,12 +10,12 @@ import (
 )
 
 // TestConvForwardMatchesBruteForce is the forward kernel's differential
-// test. Every geometry runs at B {1,2,3,5,8} on the layer and on clones
-// with 1, 2 and 5 workers; every output must lie within 1e-4 of the
-// float64 loop nest and be bit-equal to the single-worker Forward of its
-// sample. The 45 geometries cover every OutC%4 tail, widths on both sides
-// of 28 (and 61), K {1,3,4} × stride {1,2} × pad {0,1,2}, the paper's
-// 16→32 and 32→16 channel steps, and 1³ volumes.
+// test. Every geometry runs at B {1,2,3,5} on the layer and on clones with
+// 1, 2 and 5 workers; every output must lie within 1e-4 of the float64
+// loop nest and be bit-equal to the single-worker Forward of its sample.
+// The 45 geometries cover every OutC%4 tail, widths on both sides of 28
+// (and 61), K {1,3,4} × stride {1,2} × pad {0,1,2}, the paper's 16→32 and
+// 32→16 channel steps, and 1³ volumes.
 func TestConvForwardMatchesBruteForce(t *testing.T) {
 	type geom struct{ inC, outC, d, h, w, k, stride, pad int }
 	var cases []geom
@@ -23,7 +23,7 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 		cases = append(cases, geom{3, oc, 3, 4, 7, 3, 1, 1})
 	}
 	for _, w := range []int{1, 7, 27, 28, 29, 30, 61} {
-		cases = append(cases, geom{16, 16, 2, 3, w, 3, 1, 1}, geom{2, 5, 2, 3, w, 3, 2, 1})
+		cases = append(cases, geom{16, 16, 2, 2, w, 3, 1, 1}, geom{2, 5, 2, 3, w, 3, 2, 1})
 	}
 	for _, k := range []int{1, 3, 4} {
 		for _, s := range []int{1, 2} {
@@ -56,7 +56,7 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(i)))
 		c := NewConv3D("c", g.inC, g.outC, g.k, g.stride, g.pad, pools[0], rng)
 		c.B.Value.RandNormal(rng, 0, 0.5)
-		xs := randBatch(tensor.Shape{g.inC, g.d, g.h, g.w}, 8, int64(i))
+		xs := randBatch(tensor.Shape{g.inC, g.d, g.h, g.w}, 5, int64(i))
 		want := make([][]float32, len(xs))
 		for j, x := range xs {
 			want[j] = append([]float32(nil), c.Forward(x).Data()...)
@@ -70,7 +70,7 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 		}
 		for li, l := range layers {
 			ctx := &batchCtx{pool: l.pool, buf: tensor.NewBufPool()}
-			for _, B := range []int{1, 2, 3, 5, 8} {
+			for _, B := range []int{1, 2, 3, 5} {
 				for j, y := range l.inferBatch(xs[:B], ctx) {
 					requireBits(t, fmt.Sprintf("%s layer %d (workers=%d) B=%d sample %d", name, li, l.pool.Workers(), B, j), y.Data(), want[j])
 				}

@@ -194,6 +194,37 @@ func TestInferBatchBufferReuse(t *testing.T) {
 	requireBits(t, "B=1 after larger batches", net.InferBatch(a[:1])[0].Data(), wantA[0])
 }
 
+// TestInferBatchBlockedEdgeShapes sweeps a 16→16 Conv3D, the paper's
+// channel-blocked layer shape, over output widths 1, 7 and 27–30: each
+// sample must lie within 1e-4 of the float64 reference and be
+// bit-identical across batch sizes, worker counts and Clone.
+func TestInferBatchBlockedEdgeShapes(t *testing.T) {
+	pool3 := parallel.NewPool(3)
+	defer pool3.Close()
+	rng := rand.New(rand.NewSource(9))
+	for _, w := range []int{1, 7, 27, 28, 29, 30} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			conv := NewConv3D("c", 16, 16, 3, 1, 1, parallel.NewPool(1), rng)
+			xs := randBatch(tensor.Shape{16, 2, 3, w}, 8, int64(w))
+			want := make([][]float32, len(xs))
+			for i, x := range xs {
+				want[i] = append([]float32(nil), conv.Forward(x).Data()...)
+				if e := maxRelErr(want[i], refConvForward(conv, x)); e > 1e-4 {
+					t.Fatalf("sample %d: relative error %g against the float64 reference", i, e)
+				}
+			}
+			for _, c := range []*Conv3D{conv, conv.cloneFor(pool3).(*Conv3D)} {
+				ctx := &batchCtx{pool: c.pool, buf: tensor.NewBufPool()}
+				for _, B := range []int{1, 2, 3, 5, 8} {
+					for i, y := range c.inferBatch(xs[:B], ctx) {
+						requireBits(t, fmt.Sprintf("workers=%d B=%d sample %d", c.pool.Workers(), B, i), y.Data(), want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestInferBatchEdgeCases covers the degenerate batch sizes and the input
 // shape guard: a batch mixing shapes, and a well-formed batch of the wrong
 // size, which the CosmoFlow topology's stride-2 convolutions would
