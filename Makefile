@@ -59,11 +59,12 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# One-pass serving, batched-inference and per-layer conv-forward
-# benchmarks: a smoke signal that the hot path still runs, cheap enough
-# for every CI run.
+# One-pass serving, batched-inference, per-layer conv-forward and
+# optimizer-step benchmarks: a smoke signal that the hot paths still run,
+# cheap enough for every CI run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Serving|InferBatch|Conv3DForward' -benchtime 1x .
+	$(GO) test -run xxx -bench AdamLARCStep -benchtime 1x ./internal/optim
 
 # End-to-end serving smoke: daemon + >=64-request concurrent load, then a
 # graceful SIGTERM drain (the ISSUE acceptance run).

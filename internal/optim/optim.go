@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // PolySchedule is the paper's polynomial (power = 1, i.e. linear) decay from
@@ -122,12 +121,37 @@ func (o *AdamLARC) StateBuffers() [][]float32 {
 }
 
 // Step applies one update using each parameter's accumulated gradient.
+//
+// The element loop is written for the float divider's throughput, not its
+// latency. Go's amd64 backend zeroes a destination register only before
+// integer→float conversions; CVTSD2SS, CVTSS2SD and SQRTSD write the low
+// lane and keep the rest, so each also waits on whatever last wrote its
+// destination. Two such false dependencies chain an element to the one
+// before it:
+//   - float32(scale), converted per element, lands in the register the
+//     previous element's final CVTSD2SS wrote. It is hoisted, with 1−β1,
+//     1−β2 and ε.
+//   - In a one-element loop the register allocator may give SQRTSD the
+//     register the previous element's CVTSD2SS wrote (SQRTSD X6, X11 in
+//     one hoisted build). Every element then waits about 40 cycles for the
+//     sqrt → add → div → convert chain before it.
+//
+// So the loop updates four elements per iteration, each lane with its own
+// temporaries and written out lane by lane, and a scalar tail takes the
+// rest. Grouping the lanes' statements by operation instead let SQRTSD
+// merge into another lane's CVTSD2SS and cost 7–18 %; read the loop's
+// objdump and BenchmarkAdamLARCStep before changing its shape. Each
+// element keeps the scalar form's operations in its order, so the bits
+// equal it (TestStepMatchesScalarReference).
 func (o *AdamLARC) Step() {
 	eta := o.cfg.Schedule.LR(o.step)
 	o.step++
 	t := float64(o.step)
 	b1c := 1 - math.Pow(o.cfg.Beta1, t)
 	b2c := 1 - math.Pow(o.cfg.Beta2, t)
+	eps := o.cfg.Eps
+	b1, b2 := float32(o.cfg.Beta1), float32(o.cfg.Beta2)
+	c1, c2 := 1-b1, 1-b2
 
 	for i, p := range o.params {
 		g := p.Grad.Data()
@@ -136,8 +160,7 @@ func (o *AdamLARC) Step() {
 		// LARC local rate and clip (§III-B).
 		scale := 1.0
 		if !o.cfg.DisableLARC {
-			vNorm := tensor.Norm2(v)
-			gNorm := tensor.Norm2(g)
+			vNorm, gNorm := norms(v, g)
 			var local float64
 			if vNorm != 0 && gNorm != 0 {
 				local = o.cfg.TrustCoef * vNorm / gNorm
@@ -146,18 +169,56 @@ func (o *AdamLARC) Step() {
 			}
 			scale = math.Min(local, 1)
 		}
+		s := float32(scale)
 
 		m, sv := o.m[i], o.v[i]
-		b1, b2 := float32(o.cfg.Beta1), float32(o.cfg.Beta2)
-		for j := range g {
-			gs := float32(scale) * g[j]
-			m[j] = b1*m[j] + (1-b1)*gs
-			sv[j] = b2*sv[j] + (1-b2)*gs*gs
+		n := len(g)
+		v, m, sv = v[:n], m[:n], sv[:n] // g's bounds check then covers m, sv and v
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			gs0 := s * g[j]
+			m0 := b1*m[j] + c1*gs0
+			v0 := b2*sv[j] + c2*gs0*gs0
+			m[j], sv[j] = m0, v0
+			v[j] -= float32(eta * (float64(m0) / b1c) / (math.Sqrt(float64(v0)/b2c) + eps))
+			gs1 := s * g[j+1]
+			m1 := b1*m[j+1] + c1*gs1
+			v1 := b2*sv[j+1] + c2*gs1*gs1
+			m[j+1], sv[j+1] = m1, v1
+			v[j+1] -= float32(eta * (float64(m1) / b1c) / (math.Sqrt(float64(v1)/b2c) + eps))
+			gs2 := s * g[j+2]
+			m2 := b1*m[j+2] + c1*gs2
+			v2 := b2*sv[j+2] + c2*gs2*gs2
+			m[j+2], sv[j+2] = m2, v2
+			v[j+2] -= float32(eta * (float64(m2) / b1c) / (math.Sqrt(float64(v2)/b2c) + eps))
+			gs3 := s * g[j+3]
+			m3 := b1*m[j+3] + c1*gs3
+			v3 := b2*sv[j+3] + c2*gs3*gs3
+			m[j+3], sv[j+3] = m3, v3
+			v[j+3] -= float32(eta * (float64(m3) / b1c) / (math.Sqrt(float64(v3)/b2c) + eps))
+		}
+		for ; j < n; j++ {
+			gs := s * g[j]
+			m[j] = b1*m[j] + c1*gs
+			sv[j] = b2*sv[j] + c2*gs*gs
 			mHat := float64(m[j]) / b1c
 			vHat := float64(sv[j]) / b2c
-			v[j] -= float32(eta * mHat / (math.Sqrt(vHat) + o.cfg.Eps))
+			v[j] -= float32(eta * mHat / (math.Sqrt(vHat) + eps))
 		}
 	}
+}
+
+// norms returns ‖v‖₂ and ‖g‖₂ from one pass over both, each summed in
+// float64 in element order, so each equals tensor.Norm2's bits.
+func norms(v, g []float32) (vNorm, gNorm float64) {
+	g = g[:len(v)]
+	var sv, sg float64
+	for j, x := range v {
+		y := g[j]
+		sv += float64(x) * float64(x)
+		sg += float64(y) * float64(y)
+	}
+	return math.Sqrt(sv), math.Sqrt(sg)
 }
 
 // String describes the optimizer configuration.
