@@ -9,9 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// refStep is Step written one element per iteration, with both LARC norms
-// taken by tensor.Norm2: the scalar form Step's four-wide loop must
-// reproduce bit for bit.
+// refStep is Step written one element per iteration, converting
+// float32(scale) and forming 1−β1 and 1−β2 on every element: the scalar
+// form Step's four-wide loop must reproduce bit for bit.
 func refStep(o *AdamLARC) {
 	eta := o.cfg.Schedule.LR(o.step)
 	o.step++
