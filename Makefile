@@ -43,8 +43,9 @@ race:
 # checks, truncated frames, dims/dtype abuse), the training-timeline
 # gather payload (bad magic/version, unknown phases, event counts the
 # payload cannot hold), the data manifest (fields the loader relies on,
-# lossless re-encoding) and the TFRecord sample payload (dim bound,
-# voxel count, canonical encoding) — and of the conv kernels' geometry (forward,
+# lossless re-encoding), the TFRecord sample payload (dim bound,
+# voxel count, canonical encoding) and the dist transport's frames (1-d
+# float32 bodies only, exact lengths, canonical re-encoding) — and of the conv kernels' geometry (forward,
 # batched inference and backward against float64 loop nests over random
 # shapes, strides and padding). Seconds, not minutes — the corpus seeds
 # cover the known-nasty shapes and CI just shakes for regressions.
@@ -54,17 +55,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzConvGeometry -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/data
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSample -fuzztime 10s ./internal/tfrecord
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/dist
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# One-pass serving, batched-inference, per-layer conv-forward and
-# optimizer-step benchmarks: a smoke signal that the hot paths still run,
-# cheap enough for every CI run.
+# One-pass serving, batched-inference, per-layer conv-forward,
+# optimizer-step and TCP-allreduce benchmarks: a smoke signal that the hot
+# paths still run, cheap enough for every CI run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'Serving|InferBatch|Conv3DForward' -benchtime 1x .
 	$(GO) test -run xxx -bench AdamLARCStep -benchtime 1x ./internal/optim
+	$(GO) test -run xxx -bench AllReduceTCP -benchtime 1x ./internal/dist
 
 # End-to-end serving smoke: daemon + >=64-request concurrent load, then a
 # graceful SIGTERM drain (the ISSUE acceptance run).

@@ -262,6 +262,7 @@ func (c *Comm) Broadcast(buf []float32, root int) {
 			src := (vr - offset + root) % n
 			got := c.recv(src, bcastTag)
 			copy(buf, got)
+			c.tr.Release(got)
 			received = true
 		}
 	}
@@ -403,6 +404,7 @@ func (c *Comm) allReduceRing(buf []float32, tag int, op reduceOp) {
 		rlo, rhi := seg(r - s - 1)
 		got := c.recv(prev, tag)
 		combine(op, got, buf[rlo:rhi])
+		c.tr.Release(got)
 	}
 	// Allgather: circulate the completed segments.
 	for s := 0; s < n-1; s++ {
@@ -411,6 +413,7 @@ func (c *Comm) allReduceRing(buf []float32, tag int, op reduceOp) {
 		rlo, rhi := seg(r - s)
 		got := c.recv(prev, tag)
 		copy(buf[rlo:rhi], got)
+		c.tr.Release(got)
 	}
 }
 
@@ -426,6 +429,7 @@ func (c *Comm) allReduceRecursiveDoubling(buf []float32, tag int, op reduceOp) {
 		c.send(partner, tag, buf)
 		got := c.recv(partner, tag)
 		combine(op, got, buf)
+		c.tr.Release(got)
 	}
 }
 
@@ -438,6 +442,7 @@ func (c *Comm) allReduceCentral(buf []float32, tag int, op reduceOp) {
 		for src := 1; src < n; src++ {
 			got := c.recv(src, tag)
 			combine(op, got, buf)
+			c.tr.Release(got)
 		}
 		for dst := 1; dst < n; dst++ {
 			c.send(dst, tag, buf)
@@ -446,6 +451,7 @@ func (c *Comm) allReduceCentral(buf []float32, tag int, op reduceOp) {
 		c.send(0, tag, buf)
 		got := c.recv(0, tag)
 		copy(buf, got)
+		c.tr.Release(got)
 	}
 }
 
@@ -490,6 +496,7 @@ func (c *Comm) ReduceScatterSum(buf []float32) (lo, hi int) {
 		rlo, rhi := seg(r - s - 1)
 		got := c.recv(prev, 0)
 		tensor.Axpy(1, got, buf[rlo:rhi])
+		c.tr.Release(got)
 	}
 	return seg(r + 1)
 }
@@ -517,6 +524,7 @@ func (c *Comm) AllGather(local, out []float32) {
 		dst := ((r-s-1)%n + n) % n
 		got := c.recv(prev, 0)
 		copy(out[dst*len(local):(dst+1)*len(local)], got)
+		c.tr.Release(got)
 	}
 }
 
@@ -526,7 +534,9 @@ func (c *Comm) AllGather(local, out []float32) {
 // end-of-run timeline gather, where each rank recorded a different number
 // of events. It runs on a reserved tag so it never interleaves with
 // helper traffic, and the payload rides the same bit-exact float32 framing
-// as every other collective.
+// as every other collective. The returned blocks are the received buffers
+// themselves, never released to the transport, so they stay valid across
+// later collectives.
 func (c *Comm) Gather(local []float32, root int) [][]float32 {
 	n := c.world.n
 	if root < 0 || root >= n {

@@ -10,7 +10,11 @@ import "fmt"
 // Ownership contract: Send only reads buf during the call (implementations
 // copy or serialize before returning), and the slice Recv returns is owned
 // by the caller. Both block — Send until the message is accepted for
-// delivery, Recv until a message arrives or the transport fails.
+// delivery, Recv until a message arrives or the transport fails. A caller
+// done with a received slice may hand it back with Release, once, and must
+// not touch it afterwards: the transport may fill it with a later message.
+// A slice never released stays the caller's (Gather returns its received
+// slices to its caller, so it releases none).
 type Transport interface {
 	// Send delivers buf to rank dst on the given tag stream (0 ≤ tag <
 	// MaxTags). Messages between one (src, dst, tag) triple arrive in
@@ -19,6 +23,9 @@ type Transport interface {
 	// Recv blocks for the next message from rank src on the given tag
 	// stream.
 	Recv(src, tag int) ([]float32, error)
+	// Release returns a slice Recv delivered, for the transport to reuse
+	// as a later receive buffer. It may keep or drop it.
+	Release(buf []float32)
 	// Close releases transport resources. Collectives must be quiescent:
 	// the caller is responsible for a final Barrier (or equivalent)
 	// before tearing the world down.
@@ -79,5 +86,8 @@ func (t *chanTransport) Send(dst, tag int, buf []float32) error {
 func (t *chanTransport) Recv(src, tag int) ([]float32, error) {
 	return <-t.links[src][t.rank][tag], nil
 }
+
+// Release is a no-op: Send already allocates each message's copy.
+func (t *chanTransport) Release([]float32) {}
 
 func (t *chanTransport) Close() error { return nil }

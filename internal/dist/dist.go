@@ -1,6 +1,7 @@
 // Package dist runs the comm collectives between real OS processes: a TCP
 // point-to-point transport (length-prefixed frames carrying CFT1-encoded
-// buffers, the serving API's tensor codec) plus a rank-0 rendezvous that
+// buffers, the serving API's tensor codec, written and read as the
+// buffers' own bytes on little-endian hosts) plus a rank-0 rendezvous that
 // assigns ranks and distributes the peer address map. It is the
 // cross-process counterpart of the Cray PE ML Plugin's communication layer
 // (§III-D): the collectives themselves — ring, recursive doubling, central
@@ -20,6 +21,8 @@
 package dist
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -111,6 +114,9 @@ type World struct {
 func Join(cfg Config) (*World, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
+	}
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return nil, errors.New("dist: frames carry float32 memory as little-endian bytes; this host is big-endian")
 	}
 	// The data-plane listener binds first so the rendezvous can advertise
 	// its concrete port.

@@ -16,7 +16,7 @@ import (
 // every rank runs in its own goroutine with its own Join, rendezvous, and
 // socket mesh, exactly as separate processes would. The returned slice is
 // indexed by rank.
-func newLocalWorld(t *testing.T, n int, opts Config) []*World {
+func newLocalWorld(t testing.TB, n int, opts Config) []*World {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -63,7 +63,7 @@ func newLocalWorld(t *testing.T, n int, opts Config) []*World {
 	return worlds
 }
 
-func closeAll(t *testing.T, worlds []*World) {
+func closeAll(t testing.TB, worlds []*World) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for _, w := range worlds {
@@ -102,7 +102,7 @@ func runRanks(worlds []*World, fn func(w *World)) []error {
 	return errs
 }
 
-func noErrors(t *testing.T, errs []error) {
+func noErrors(t testing.TB, errs []error) {
 	t.Helper()
 	for r, err := range errs {
 		if err != nil {

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/serve/wire"
@@ -30,6 +32,12 @@ import (
 // format. A zero-length collective message (the barrier token) is a data
 // frame with an empty body, since CFT1 cannot express zero elements.
 // Heartbeat and goodbye frames carry no body.
+//
+// CFT1's payload is little-endian float32, which is a float32 slice's own
+// memory on a little-endian host. So writeFrame sends the buffer's bytes
+// as they are and readFrame reads the payload straight into a float32
+// buffer: no per-element conversion, no staging copy. Join refuses a
+// big-endian host rather than keep a second, converting codec.
 const (
 	frameData      byte = 1
 	frameHeartbeat byte = 2
@@ -40,6 +48,20 @@ const (
 // buffer (the paper's full model is ~28 MB) while rejecting corrupt
 // length prefixes before they turn into huge allocations.
 const maxFrameBytes = 1 << 30
+
+// cftHeader1D is the length of a 1-d CFT1 header: magic, version, dtype,
+// ndims, one dim.
+const cftHeader1D = 12
+
+// ioChunk sizes each connection's bufio buffers and the largest single
+// socket write, so every 64 KB of progress refreshes the peer deadline.
+const ioChunk = 64 << 10
+
+// keepPerPeer bounds the released receive buffers a transport keeps for
+// reuse, keepPerPeer·(size−1) in all. Two per peer cover the ring: while
+// a rank combines one received segment, its reader may already be filling
+// the next.
+const keepPerPeer = 2
 
 // meshHello is the one-line JSON handshake a dialing rank sends on a fresh
 // data-plane connection so the acceptor knows which peer it is.
@@ -86,10 +108,21 @@ type deadlineWriter struct {
 }
 
 func (d *deadlineWriter) Write(p []byte) (int, error) {
-	if d.timeout > 0 {
-		d.conn.SetWriteDeadline(time.Now().Add(d.timeout))
+	if d.timeout <= 0 {
+		return d.conn.Write(p)
 	}
-	return d.conn.Write(p)
+	// A gradient payload bypasses the bufio.Writer in one large Write;
+	// chunk it so the deadline still bounds silence, not frame size.
+	n := 0
+	for n < len(p) {
+		d.conn.SetWriteDeadline(time.Now().Add(d.timeout))
+		m, err := d.conn.Write(p[n:min(n+ioChunk, len(p))])
+		n += m
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // transport is the cross-process comm.Transport: a full TCP mesh with one
@@ -102,6 +135,7 @@ type transport struct {
 	timeout    time.Duration // silence after which a peer is declared dead
 	peers      []*peer       // by rank; nil at self
 	inbox      [][]chan []float32
+	free       recycler      // released receive buffers, refilled by readLoop
 	failed     chan struct{} // closed on first peer failure
 	failOnce   sync.Once
 	failErr    error // written once before failed closes
@@ -124,6 +158,7 @@ func connect(cfg Config, rank int, peerAddrs []string, ln net.Listener) (*transp
 		inbox:  make([][]chan []float32, size),
 		failed: make(chan struct{}),
 		stop:   make(chan struct{}),
+		free:   recycler{max: keepPerPeer * (size - 1)},
 	}
 	for s := 0; s < size; s++ {
 		if s == rank {
@@ -232,8 +267,8 @@ func newPeer(rank int, conn net.Conn) *peer {
 		conn: conn,
 		dr:   dr,
 		dw:   dw,
-		br:   bufio.NewReaderSize(dr, 64<<10),
-		bw:   bufio.NewWriterSize(dw, 64<<10),
+		br:   bufio.NewReaderSize(dr, ioChunk),
+		bw:   bufio.NewWriterSize(dw, ioChunk),
 		left: make(chan struct{}),
 	}
 }
@@ -349,6 +384,10 @@ func (t *transport) Recv(src, tag int) ([]float32, error) {
 	}
 }
 
+// Release implements comm.Transport: buf becomes a receive buffer for a
+// later frame of exactly its length.
+func (t *transport) Release(buf []float32) { t.free.put(buf) }
+
 // Close implements comm.Transport: announce a clean goodbye to every peer,
 // then tear the mesh down. Callers must have quiesced the collectives (the
 // training loop ends on a barrier).
@@ -403,7 +442,7 @@ func (t *transport) fail(err error) {
 func (t *transport) readLoop(p *peer) {
 	defer t.wg.Done()
 	for {
-		kind, tag, buf, err := readFrame(p.br)
+		kind, tag, buf, err := readFrame(p.br, &t.free)
 		if err != nil {
 			if t.closing.Load() {
 				return
@@ -471,36 +510,84 @@ func (t *transport) heartbeatLoop(p *peer) {
 	}
 }
 
+// recycler keeps the most recently released receive buffers, at most max
+// of them, dropping the oldest beyond that (tensor.BufPool would keep
+// every buffer it is given). A buffer is reused only for a frame of
+// exactly its length, so a stale length ages out instead of pinning its
+// slot. The zero recycler keeps nothing.
+type recycler struct {
+	mu   sync.Mutex
+	max  int
+	free [][]float32 // oldest first
+}
+
+// get returns a buffer of length n with unspecified contents.
+func (r *recycler) get(n int) []float32 {
+	r.mu.Lock()
+	for i, b := range r.free {
+		if len(b) == n {
+			r.free = slices.Delete(r.free, i, i+1)
+			r.mu.Unlock()
+			return b
+		}
+	}
+	r.mu.Unlock()
+	return make([]float32, n) // outside the lock: a miss may zero megabytes
+}
+
+func (r *recycler) put(b []float32) {
+	if len(b) == 0 || r.max == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.free) == r.max {
+		r.free = slices.Delete(r.free, 0, 1)
+	}
+	r.free = append(r.free, b)
+}
+
+// float32Bytes views buf's memory as bytes. On a little-endian host (Join
+// refuses any other) they are exactly buf's CFT1 payload.
+func float32Bytes(buf []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf))), 4*len(buf))
+}
+
 // writeFrame emits one frame. A nil/empty buf writes an empty body (the
-// barrier token for data frames; always for control frames).
+// barrier token for data frames; always for control frames). A data body
+// is the CFT1 header followed by buf's own bytes.
 func writeFrame(w io.Writer, kind, tag byte, buf []float32) error {
+	var hdrBuf [6 + cftHeader1D]byte
+	hdr := hdrBuf[:6]
 	body := 0
-	var tens *wire.Tensor
 	if len(buf) > 0 {
+		body = cftHeader1D + 4*len(buf)
+		if body > maxFrameBytes-2 {
+			return fmt.Errorf("dist: %d-element message exceeds the %d-byte frame limit", len(buf), maxFrameBytes)
+		}
 		var err error
-		tens, err = wire.FromFloat32([]int{len(buf)}, buf)
-		if err != nil {
+		if hdr, err = wire.EncodeHeader(hdr, wire.Float32, []int{len(buf)}); err != nil {
 			return err
 		}
-		body = tens.EncodedSize()
 	}
-	var hdr [6]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(2+body))
 	hdr[4] = kind
 	hdr[5] = tag
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	if tens != nil {
-		if _, err := tens.WriteTo(w); err != nil {
+	if len(buf) > 0 {
+		if _, err := w.Write(float32Bytes(buf)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readFrame decodes one frame, delegating data bodies to the CFT1 codec.
-func readFrame(br *bufio.Reader) (kind, tag byte, buf []float32, err error) {
+// readFrame decodes one frame. A body must be a CFT1 tensor of 1-d float32
+// whose header accounts for every body byte; its payload is read straight
+// into a buffer from free.
+func readFrame(br *bufio.Reader, free *recycler) (kind, tag byte, buf []float32, err error) {
 	var hdr [6]byte
 	if _, err = io.ReadFull(br, hdr[:]); err != nil {
 		return
@@ -511,22 +598,38 @@ func readFrame(br *bufio.Reader) (kind, tag byte, buf []float32, err error) {
 		return
 	}
 	kind, tag = hdr[4], hdr[5]
-	body := int64(n) - 2
+	body := int(n) - 2
 	if body == 0 {
 		if kind == frameData {
 			buf = []float32{}
 		}
 		return
 	}
-	tens, terr := wire.ReadTensor(io.LimitReader(br, body), body)
-	if terr != nil {
-		err = fmt.Errorf("dist: decoding frame body: %w", terr)
+	// Peek covers the longest CFT1 header, or the whole body if shorter,
+	// so a 2-d header is rejected as 2-d and a short one as truncated.
+	head, perr := br.Peek(min(body, 8+4*wire.MaxDims))
+	if perr != nil {
+		err = fmt.Errorf("dist: reading frame body: %w", perr)
 		return
 	}
-	if tens.DType != wire.Float32 || len(tens.Dims) != 1 {
-		err = fmt.Errorf("dist: frame body is %v/%dd, want 1-d float32", tens.DType, len(tens.Dims))
+	dtype, dims, off, herr := wire.PeekHeader(head)
+	if herr != nil {
+		err = fmt.Errorf("dist: decoding frame body: %w", herr)
 		return
 	}
-	buf = tens.F32
+	if dtype != wire.Float32 || len(dims) != 1 {
+		err = fmt.Errorf("dist: frame body is %v/%dd, want 1-d float32", dtype, len(dims))
+		return
+	}
+	if want := int64(off) + 4*int64(dims[0]); want != int64(body) {
+		err = fmt.Errorf("dist: frame body is %d bytes, its CFT1 header says %d", body, want)
+		return
+	}
+	br.Discard(off) // cannot fail: Peek buffered these bytes
+	buf = free.get(dims[0])
+	if _, err = io.ReadFull(br, float32Bytes(buf)); err != nil {
+		err = fmt.Errorf("dist: reading frame payload: %w", err)
+		buf = nil
+	}
 	return
 }

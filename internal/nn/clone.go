@@ -22,6 +22,7 @@ func (n *Network) Clone(pool *parallel.Pool) *Network {
 		Layers:        make([]Layer, len(n.Layers)),
 		InputDim:      n.InputDim,
 		InputChannels: n.InputChannels,
+		grads:         n.grads,
 		// Replicas share the original's forward trace (span updates are
 		// atomic), so one snapshot aggregates the whole replica pool.
 		trace: n.trace,

@@ -33,13 +33,18 @@ type Conv3D struct {
 // rng; biases start at zero. pool supplies intra-node threading (the
 // OpenMP analogue); nil uses parallel.Default.
 func NewConv3D(name string, inC, outC, k, stride, pad int, pool *parallel.Pool, rng *rand.Rand) *Conv3D {
+	return newConv3D(newParam, name, inC, outC, k, stride, pad, pool, rng)
+}
+
+// newConv3D is NewConv3D with the parameter allocator as an argument.
+func newConv3D(param func(string, ...int) *Param, name string, inC, outC, k, stride, pad int, pool *parallel.Pool, rng *rand.Rand) *Conv3D {
 	if pool == nil {
 		pool = parallel.Default
 	}
 	c := &Conv3D{
 		InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad,
-		W:    newParam(name+".W", outC, inC, k, k, k),
-		B:    newParam(name+".B", outC),
+		W:    param(name+".W", outC, inC, k, k, k),
+		B:    param(name+".B", outC),
 		pool: pool,
 	}
 	heInit(c.W.Value, inC*k*k*k, rng)

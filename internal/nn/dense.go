@@ -55,13 +55,18 @@ type Dense struct {
 
 // NewDense builds a fully-connected layer with He-initialized weights.
 func NewDense(name string, in, out int, pool *parallel.Pool, rng *rand.Rand) *Dense {
+	return newDense(newParam, name, in, out, pool, rng)
+}
+
+// newDense is NewDense with the parameter allocator as an argument.
+func newDense(param func(string, ...int) *Param, name string, in, out int, pool *parallel.Pool, rng *rand.Rand) *Dense {
 	if pool == nil {
 		pool = parallel.Default
 	}
 	d := &Dense{
 		In: in, Out: out,
-		W:    newParam(name+".W", out, in),
-		B:    newParam(name+".B", out),
+		W:    param(name+".W", out, in),
+		B:    param(name+".B", out),
 		pool: pool,
 	}
 	heInit(d.W.Value, in, rng)

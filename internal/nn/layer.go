@@ -71,6 +71,13 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
 
+// newParamUnbackedGrad allocates a named parameter whose Grad has no
+// storage yet: BuildCosmoFlow backs every gradient with a span of one
+// flat buffer afterwards (bindGrads), so none is allocated twice.
+func newParamUnbackedGrad(name string, shape ...int) *Param {
+	return &Param{Name: name, Value: tensor.New(shape...), Grad: new(tensor.Tensor)}
+}
+
 // heInit fills w with He-normal initialization (std = sqrt(2/fanIn)), the
 // standard choice for ReLU-family activations.
 func heInit(w *tensor.Tensor, fanIn int, rng *rand.Rand) {

@@ -14,6 +14,11 @@ type Network struct {
 	InputDim      int // spatial edge length of the expected [C D D D] input
 	InputChannels int // input channel count; 0 means 1
 
+	// grads is the flat gradient buffer every Param.Grad views, in
+	// Params() order (see Grads). BuildCosmoFlow builds it; a network
+	// assembled by hand has none.
+	grads []float32
+
 	// batchBuf recycles batched-inference activations across layers and
 	// calls (lazily built by InferBatch). Like the layers' activation
 	// caches it is single-owner state: one network runs one inference at a
@@ -128,6 +133,26 @@ func (n *Network) ZeroGrads() {
 
 // GradSize returns the flattened gradient length (== ParamCount).
 func (n *Network) GradSize() int { return n.ParamCount() }
+
+// Grads returns the flat gradient buffer: every Param.Grad is a view into
+// it, in Params() order, so the buffer is what FlattenGrads would produce
+// and a write to it is a write to the gradients. The gradient allreduce
+// runs on it in place (Algorithm 2, step mc.gradients). It is nil for a
+// network not built by BuildCosmoFlow.
+func (n *Network) Grads() []float32 { return n.grads }
+
+// bindGrads backs every Param.Grad, in Params() order, with its span of
+// one new, zeroed flat buffer.
+func (n *Network) bindGrads() {
+	flat := make([]float32, n.GradSize())
+	off := 0
+	for _, p := range n.Params() {
+		g := flat[off : off+p.NumElements()]
+		p.Grad.Wrap(g, p.Value.Shape()...)
+		off += len(g)
+	}
+	n.grads = flat
+}
 
 // FlattenGrads copies all parameter gradients into dst in layer order; dst
 // must have length GradSize. This is the buffer handed to the gradient

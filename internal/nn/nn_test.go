@@ -301,6 +301,70 @@ func TestNetworkGradFlattenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGradsAliasParams: the flat buffer Grads returns is the gradients
+// themselves, in FlattenGrads order — Backward accumulates into it, a
+// write to it shows in Param.Grad, and Clone and ZeroGrads keep it so.
+func TestGradsAliasParams(t *testing.T) {
+	net, err := BuildCosmoFlow(TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(net.InputShape()...)
+	x.RandNormal(rand.New(rand.NewSource(8)), 0, 1)
+	_, g := MSELoss(net.Forward(x), []float32{0.1, 0.2, 0.3})
+	net.Backward(g)
+
+	grads := net.Grads()
+	want := make([]float32, net.GradSize())
+	net.FlattenGrads(want)
+	if len(grads) != len(want) {
+		t.Fatalf("Grads has %d elements, GradSize %d", len(grads), len(want))
+	}
+	nonzero := 0
+	for i := range want {
+		if math.Float32bits(grads[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("Grads()[%d] = %v, FlattenGrads %v", i, grads[i], want[i])
+		}
+		if want[i] != 0 {
+			nonzero++
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("Backward left every gradient zero; the test checks nothing")
+	}
+
+	// checkAliased writes a distinct value at the start and end of each
+	// parameter's span of buf and reads it back through Param.Grad.
+	checkAliased := func(stage string, buf []float32, ps []*Param) {
+		t.Helper()
+		off := 0
+		for i, p := range ps {
+			n := p.NumElements()
+			buf[off], buf[off+n-1] = float32(i)+0.25, float32(i)+0.75
+			d := p.Grad.Data()
+			if d[0] != float32(i)+0.25 || d[n-1] != float32(i)+0.75 {
+				t.Fatalf("%s: write to the flat buffer at %s not visible in its Grad", stage, p.Name)
+			}
+			off += n
+		}
+	}
+	checkAliased("after Backward", grads, net.Params())
+
+	rep := net.Clone(nil)
+	if rg := rep.Grads(); len(rg) != len(grads) || &rg[0] != &grads[0] {
+		t.Fatal("Clone does not share the flat gradient buffer")
+	}
+	checkAliased("clone", rep.Grads(), rep.Params())
+
+	net.ZeroGrads()
+	for i, v := range grads {
+		if v != 0 {
+			t.Fatalf("ZeroGrads left Grads()[%d] = %v", i, v)
+		}
+	}
+	checkAliased("after ZeroGrads", net.Grads(), net.Params())
+}
+
 func TestNetworkParamBroadcastRoundTrip(t *testing.T) {
 	a, _ := BuildCosmoFlow(TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 5})
 	b, _ := BuildCosmoFlow(TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 999})

@@ -55,7 +55,8 @@ func (c TopologyConfig) Validate() error {
 // and three fully-connected layers ending in the three predicted
 // cosmological parameters. Every convolution and FC layer is followed by a
 // leaky ReLU, matching the paper; batch-norm is absent, as the paper removed
-// it for scaling efficiency.
+// it for scaling efficiency. The parameter gradients are views into one
+// flat buffer (Grads), so the gradient allreduce needs no copy.
 func BuildCosmoFlow(cfg TopologyConfig) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -94,7 +95,7 @@ func BuildCosmoFlow(cfg TopologyConfig) (*Network, error) {
 	}
 	shape := net.InputShape()
 	for _, s := range specs {
-		conv := NewConv3D(s.name, s.in, s.out, 3, s.stride, 1, pool, rng)
+		conv := newConv3D(newParamUnbackedGrad, s.name, s.in, s.out, 3, s.stride, 1, pool, rng)
 		add(conv)
 		shape = conv.OutputShape(shape)
 		add(NewLeakyReLU(s.name+".act", alpha))
@@ -114,15 +115,16 @@ func BuildCosmoFlow(cfg TopologyConfig) (*Network, error) {
 
 	// FC sizes scale with the base so the paper's b=16 gives 256 and 128.
 	fc1, fc2 := 16*b, 8*b
-	d1 := NewDense("fc1", flat, fc1, pool, rng)
+	d1 := newDense(newParamUnbackedGrad, "fc1", flat, fc1, pool, rng)
 	add(d1)
 	add(NewLeakyReLU("fc1.act", alpha))
-	d2 := NewDense("fc2", fc1, fc2, pool, rng)
+	d2 := newDense(newParamUnbackedGrad, "fc2", fc1, fc2, pool, rng)
 	add(d2)
 	add(NewLeakyReLU("fc2.act", alpha))
-	d3 := NewDense("fc3", fc2, 3, pool, rng)
+	d3 := newDense(newParamUnbackedGrad, "fc3", fc2, 3, pool, rng)
 	add(d3)
 	add(NewLeakyReLU("fc3.act", alpha))
+	net.bindGrads()
 	return net, nil
 }
 

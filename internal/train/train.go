@@ -302,8 +302,6 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 		startEpoch = int(ctl[0])
 	}
 
-	gradBuf := make([]float32, net.GradSize())
-
 	// One stream per epoch; the deferred Close covers an epoch abandoned by
 	// an error or a transport panic, so no prefetch goroutine outlives it.
 	var stream data.SampleStream
@@ -386,9 +384,7 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 				t0 = tl.Start()
 				net.Backward(grad)
 				tl.Record(obsv.PhaseBackward, t0)
-				net.FlattenGrads(gradBuf)
-				c.AllReduceMean(gradBuf)
-				net.UnflattenGrads(gradBuf)
+				c.AllReduceMean(net.Grads())
 			}
 
 			t0 = tl.Start()
