@@ -30,14 +30,15 @@ test:
 # recycled buffers), the communication layer (helper-team collectives,
 # TCP reader/heartbeat goroutines), the trainer (its overlap-comm
 # goroutine and step loop share a timeline's ring and span atomics), the
-# worker pool, the streaming data loader (shard producer and decode
-# goroutines), the typed serving client (pooled transport), the
+# optimizer (its Step runs on the rank's worker pool), the worker pool,
+# the streaming data loader (shard producer and decode goroutines), the
+# typed serving client (pooled transport), the
 # observability package itself, the tensor buffer pool (shared by the
 # loader's decode workers and InferBatch), the wire codec, and the
 # benchmark driver (every workload's ranks, load generators and serving
 # stack in one process).
 race:
-	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire ./benchmark
+	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/optim ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire ./benchmark
 
 # Short fuzz of the byte decoders — the wire codec (header-bounded size
 # checks, truncated frames, dims/dtype abuse), the training-timeline
@@ -62,10 +63,10 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # One-pass serving, batched-inference, per-layer conv-forward,
-# optimizer-step and TCP-allreduce benchmarks: a smoke signal that the hot
-# paths still run, cheap enough for every CI run.
+# training-step, optimizer-step and TCP-allreduce benchmarks: a smoke
+# signal that the hot paths still run, cheap enough for every CI run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Serving|InferBatch|Conv3DForward' -benchtime 1x .
+	$(GO) test -run xxx -bench 'Serving|InferBatch|Conv3DForward|TrainStep' -benchtime 1x .
 	$(GO) test -run xxx -bench AdamLARCStep -benchtime 1x ./internal/optim
 	$(GO) test -run xxx -bench AllReduceTCP -benchtime 1x ./internal/dist
 

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,18 +115,21 @@ func BenchmarkFig2_TopologyFLOPs(b *testing.B) {
 	b.ReportMetric(float64(fwd+bwd)/1e9, "Gflop/sample")
 }
 
-// BenchmarkFig3_TimeBreakdown runs traced training steps and reports rank
-// 0's share of recorded time per step phase, from its timeline's phase
-// spans — the Figure-3 stages as the trainer's one clock sees them. The
-// paper's conv vs non-conv split is per layer, so it lives in benchmark/'s
-// traced nn.conv_fwd_ms and nn.conv_bwd_ms rows.
+// BenchmarkFig3_TimeBreakdown runs traced training and reports rank 0's
+// share of recorded time per step phase, from its timeline's events — the
+// Figure-3 stages as the trainer's one clock sees them. Each run is three
+// 16-step epochs, and the shares count the last two only, so the first
+// epoch's cold caches and first-touch allocations stay out. The paper's
+// conv vs non-conv split is per layer, so it lives in benchmark/'s traced
+// nn.conv_fwd_ms and nn.conv_bwd_ms rows.
 func BenchmarkFig3_TimeBreakdown(b *testing.B) {
-	samples := benchSamples(16, 16, 31)
-	var stats []obsv.SpanStat
+	const epochs, perEpoch = 3, 16
+	samples := benchSamples(perEpoch, 16, 31)
+	var byPhase [obsv.NumPhases]int64
 	for i := 0; i < b.N; i++ {
 		tl := obsv.NewTimeline(0, 0)
 		_, err := train.Run(train.Config{
-			Ranks: 1, Epochs: 1,
+			Ranks: 1, Epochs: epochs,
 			Topology: nn.TopologyConfig{InputDim: 16, BaseChannels: 4, Seed: 1},
 			Optim:    optim.Config{},
 			Timeline: tl,
@@ -134,24 +138,67 @@ func BenchmarkFig3_TimeBreakdown(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stats = tl.Phases().Snapshot()
-	}
-	var total float64
-	for _, st := range stats {
-		total += st.TotalMs
-	}
-	labels := map[string]string{
-		"forward":   "%forward",
-		"backward":  "%backward",
-		"allreduce": "%comms",
-		"optimizer": "%optim",
-		"data_wait": "%io",
-	}
-	for _, st := range stats {
-		if label, ok := labels[st.Name]; ok {
-			b.ReportMetric(100*st.TotalMs/total, label)
+		for _, ev := range tl.Snapshot().Events {
+			if ev.Step >= perEpoch {
+				byPhase[ev.Phase] += ev.DurNs
+			}
 		}
 	}
+	var total int64
+	for _, ns := range byPhase {
+		total += ns
+	}
+	labels := map[obsv.Phase]string{
+		obsv.PhaseForward:   "%forward",
+		obsv.PhaseBackward:  "%backward",
+		obsv.PhaseAllReduce: "%comms",
+		obsv.PhaseOptimizer: "%optim",
+		obsv.PhaseDataWait:  "%io",
+	}
+	for p, label := range labels {
+		b.ReportMetric(100*float64(byPhase[p])/float64(total), label)
+	}
+}
+
+// BenchmarkTrainStep times train.1rank's step (dim 32, base 8, one rank)
+// at 1 and 2 workers per rank in interleaved slices. A slice runs
+// train.Run once per worker count, alternating which goes first, over two
+// samples for two epochs, and times the second epoch's steps, so build and
+// first-touch costs stay out. It reports the median step of each side and
+// the median over slices of the 1-worker step over the 2-worker step: the
+// step's scaling from a second worker, robust to a slice that another
+// process slowed.
+func BenchmarkTrainStep(b *testing.B) {
+	const steps = 2
+	samples := benchSamples(steps, 32, 101)
+	var ms [3][]float64 // by worker count
+	var ratios []float64
+	for i := 0; i < b.N; i++ {
+		order := []int{1, 2}
+		if i%2 == 1 {
+			order = []int{2, 1}
+		}
+		for _, workers := range order {
+			res, err := train.Run(train.Config{
+				Ranks: 1, Epochs: 2, WorkersPerRank: workers,
+				Topology: nn.TopologyConfig{InputDim: 32, BaseChannels: 8, Seed: 1},
+				Seed:     5,
+			}, samples, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ms[workers] = append(ms[workers], res.Epochs[1].Duration.Seconds()*1e3/steps)
+		}
+		ratios = append(ratios, ms[1][i]/ms[2][i])
+	}
+	median := func(xs []float64) float64 {
+		xs = append([]float64(nil), xs...)
+		sort.Float64s(xs)
+		return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+	}
+	b.ReportMetric(median(ms[1]), "ms/step-1w")
+	b.ReportMetric(median(ms[2]), "ms/step-2w")
+	b.ReportMetric(median(ratios), "speedup-2v1")
 }
 
 // BenchmarkFig4_ScalingCori regenerates the Cori curves of Figure 4 from

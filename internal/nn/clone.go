@@ -53,10 +53,16 @@ func (d *Dense) cloneFor(pool *parallel.Pool) Layer {
 
 func (f *Flatten) cloneFor(*parallel.Pool) Layer { return &Flatten{name: f.name} }
 
-func (p *AvgPool3D) cloneFor(*parallel.Pool) Layer {
-	return &AvgPool3D{K: p.K, Stride: p.Stride, name: p.name}
+func (p *AvgPool3D) cloneFor(pool *parallel.Pool) Layer {
+	if pool == nil {
+		pool = p.pool
+	}
+	return &AvgPool3D{K: p.K, Stride: p.Stride, name: p.name, pool: pool}
 }
 
-func (l *LeakyReLU) cloneFor(*parallel.Pool) Layer {
-	return &LeakyReLU{Alpha: l.Alpha, name: l.name}
+func (l *LeakyReLU) cloneFor(pool *parallel.Pool) Layer {
+	if pool == nil {
+		pool = l.pool
+	}
+	return &LeakyReLU{Alpha: l.Alpha, name: l.name, pool: pool}
 }

@@ -75,7 +75,7 @@ func FuzzConvGeometry(f *testing.F) {
 		}
 
 		const tol = 1e-4
-		ys := c.inferBatch(xs, &batchCtx{pool: pool, buf: tensor.NewBufPool()})
+		ys := c.inferBatch(xs, &batchCtx{buf: tensor.NewBufPool()})
 		var y *tensor.Tensor
 		for i := len(xs) - 1; i >= 0; i-- { // xs[0] last: Backward reads its cached input
 			y = c.Forward(xs[i])

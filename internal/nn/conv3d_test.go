@@ -69,7 +69,7 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 			layers = append(layers, c.cloneFor(p).(*Conv3D))
 		}
 		for li, l := range layers {
-			ctx := &batchCtx{pool: l.pool, buf: tensor.NewBufPool()}
+			ctx := &batchCtx{buf: tensor.NewBufPool()}
 			for _, B := range []int{1, 2, 3, 5} {
 				for j, y := range l.inferBatch(xs[:B], ctx) {
 					requireBits(t, fmt.Sprintf("%s layer %d (workers=%d) B=%d sample %d", name, li, l.pool.Workers(), B, j), y.Data(), want[j])

@@ -107,7 +107,7 @@ func TestDenseFLOPsHandComputed(t *testing.T) {
 
 func TestAvgPoolNonUnitStrideAndKernel(t *testing.T) {
 	// k=3, stride=1: overlapping windows.
-	p := NewAvgPool3D("p", 3, 1)
+	p := NewAvgPool3D("p", 3, 1, nil)
 	x := tensor.New(1, 3, 3, 3)
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
@@ -123,7 +123,7 @@ func TestAvgPoolNonUnitStrideAndKernel(t *testing.T) {
 }
 
 func TestAvgPoolRejectsTooSmallInput(t *testing.T) {
-	p := NewAvgPool3D("p", 2, 2)
+	p := NewAvgPool3D("p", 2, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("empty pooling output did not panic")
@@ -133,7 +133,7 @@ func TestAvgPoolRejectsTooSmallInput(t *testing.T) {
 }
 
 func TestLeakyReLUShapePreserved(t *testing.T) {
-	l := NewLeakyReLU("a", 0.2)
+	l := NewLeakyReLU("a", 0.2, nil)
 	x := tensor.New(3, 2, 2, 2)
 	y := l.Forward(x)
 	if !y.Shape().Equal(x.Shape()) {

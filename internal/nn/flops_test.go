@@ -80,7 +80,7 @@ func TestAvgPool3DFwdFLOPsBruteForce(t *testing.T) {
 		{2, 2, 2, 4, 4, 4},
 		{3, 1, 1, 3, 4, 5},
 	} {
-		p := NewAvgPool3D("p", c.k, c.stride)
+		p := NewAvgPool3D("p", c.k, c.stride, nil)
 		in := tensor.Shape{c.ch, c.d, c.h, c.w}
 		od := (c.d-c.k)/c.stride + 1
 		oh := (c.h-c.k)/c.stride + 1
@@ -111,7 +111,7 @@ func TestElementwiseFwdFLOPs(t *testing.T) {
 	for i := int64(0); i < elems; i++ {
 		brute++ // one compare-select
 	}
-	if got := NewLeakyReLU("a", 0.3).FwdFLOPs(in); got != brute {
+	if got := NewLeakyReLU("a", 0.3, nil).FwdFLOPs(in); got != brute {
 		t.Errorf("LeakyReLU FwdFLOPs = %d, brute force = %d", got, brute)
 	}
 

@@ -145,7 +145,7 @@ func TestDenseGradients(t *testing.T) {
 
 func TestAvgPoolGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	p := NewAvgPool3D("p", 2, 2)
+	p := NewAvgPool3D("p", 2, 2, nil)
 	x := tensor.New(2, 4, 4, 4)
 	x.RandNormal(rng, 0, 1)
 	outShape := p.OutputShape(x.Shape())
@@ -163,7 +163,7 @@ func TestAvgPoolGradients(t *testing.T) {
 
 func TestLeakyReLUGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	l := NewLeakyReLU("a", 0.1)
+	l := NewLeakyReLU("a", 0.1, nil)
 	x := tensor.New(64)
 	x.RandNormal(rng, 0, 1)
 	// Keep values away from the kink where central differences are invalid.

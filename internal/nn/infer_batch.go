@@ -11,20 +11,19 @@ import (
 // One forward implementation per layer: inferBatch runs a batch of
 // same-shaped samples as one (sample × task) index space over the layer's
 // per-sample task function — convGroup (four output channels at one
-// depth), poolChannel, applyRange, applyInto — scheduled through
-// internal/parallel. Each task owns a disjoint output range and every
-// output element's accumulation order is fixed by the geometry alone, so
-// sample i's output is bit-identical at every batch size and worker count.
+// depth), poolChannel, applyRange, applyInto — scheduled on the layer's own
+// worker pool. Each task owns a disjoint output range and every output
+// element's accumulation order is fixed by the geometry alone, so sample
+// i's output is bit-identical at every batch size and worker count.
 // Layer.Forward is inferBatch at B=1 plus the caching Backward needs, and
 // Network.InferBatch drives the layer loop.
 
-// batchCtx carries the shared state of one forward pass: the worker pool
-// poolless layers schedule their tasks on, and the buffer pool activations
-// and the convolutions' width-padded input copies recycle through. A nil
-// buf (Layer.Forward) allocates every buffer fresh and retains none.
+// batchCtx carries the shared state of one forward pass: the buffer pool
+// activations and the convolutions' width-padded input copies recycle
+// through. A nil buf (Layer.Forward) allocates every buffer fresh and
+// retains none.
 type batchCtx struct {
-	pool *parallel.Pool
-	buf  *tensor.BufPool
+	buf *tensor.BufPool
 }
 
 // alloc returns a tensor over a recycled, UNINITIALIZED buffer. Every
@@ -34,14 +33,24 @@ func (ctx *batchCtx) alloc(shape ...int) *tensor.Tensor {
 	return tensor.FromData(ctx.buf.Get(tensor.Shape(shape).NumElements()), shape...)
 }
 
-// serial runs the tasks of layers without a worker pool of their own on
-// the calling goroutine when they are driven by Layer.Forward.
-var serial = parallel.NewPool(1)
-
 // forwardOne is the kernel behind Layer.Forward: l's batch forward at B=1
 // over freshly allocated buffers.
 func forwardOne(l Layer, x *tensor.Tensor) *tensor.Tensor {
-	return l.inferBatch([]*tensor.Tensor{x}, &batchCtx{pool: serial})[0]
+	return l.inferBatch([]*tensor.Tensor{x}, &batchCtx{})[0]
+}
+
+// forRanges runs fn(b, lo, hi) over a batch of B samples of n elements
+// each, as B·n elements in contiguous chunks of at least grain: each
+// chunk is cut at sample boundaries into ranges [lo, hi) of sample b.
+func forRanges(pool *parallel.Pool, B, n, grain int, fn func(b, lo, hi int)) {
+	pool.For(B*n, grain, func(lo, hi int) {
+		for lo < hi {
+			b := lo / n
+			end := min(hi-b*n, n)
+			fn(b, lo-b*n, end)
+			lo = b*n + end
+		}
+	})
 }
 
 // InferBatch is the network's one inference entry point. It runs a
@@ -76,7 +85,7 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	if n.batchBuf == nil {
 		n.batchBuf = tensor.NewBufPool()
 	}
-	ctx := &batchCtx{pool: n.inferPool(), buf: n.batchBuf}
+	ctx := &batchCtx{buf: n.batchBuf}
 
 	// cur flows through the layers; owned tracks whether its buffers came
 	// from the recycler (caller inputs never do) and may return to it once
@@ -113,15 +122,20 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	return cur
 }
 
-// inferPool returns the worker pool inference schedules poolless layers
-// on: the first compute layer's pool, so the whole forward shares one
-// intra-node thread set, or parallel.Default for networks without one.
-func (n *Network) inferPool() *parallel.Pool {
+// Pool returns the worker pool the network's layers run on: the first
+// layer's that has one (BuildCosmoFlow gives every layer the same), or
+// parallel.Default for a network with none. The trainer runs the optimizer
+// on it too.
+func (n *Network) Pool() *parallel.Pool {
 	for _, l := range n.Layers {
 		switch v := l.(type) {
 		case *Conv3D:
 			return v.pool
 		case *Dense:
+			return v.pool
+		case *LeakyReLU:
+			return v.pool
+		case *AvgPool3D:
 			return v.pool
 		}
 	}
@@ -177,23 +191,22 @@ func (p *AvgPool3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Ten
 		ys[i] = ctx.alloc(out...)
 	}
 	ch := in[0]
-	ctx.pool.ForEach(len(xs)*ch, 1, func(task int) {
+	p.pool.ForEach(len(xs)*ch, 1, func(task int) {
 		b, c := task/ch, task%ch
 		p.poolChannel(xs[b].Data(), ys[b].Data(), in, out, c)
 	})
 	return ys
 }
 
-// inferBatch implements Layer, decomposed over samples (the
-// element-wise stages are bandwidth-bound; one sample per task keeps them
-// cache-local).
+// inferBatch implements Layer, split by contiguous element ranges across
+// the batch's samples.
 func (l *LeakyReLU) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor {
 	ys := make([]*tensor.Tensor, len(xs))
 	for i := range ys {
 		ys[i] = ctx.alloc(xs[i].Shape()...)
 	}
-	ctx.pool.ForEach(len(xs), 1, func(b int) {
-		l.applyInto(xs[b].Data(), ys[b].Data())
+	forRanges(l.pool, len(xs), xs[0].NumElements(), elemGrain, func(b, lo, hi int) {
+		l.applyInto(xs[b].Data()[lo:hi], ys[b].Data()[lo:hi])
 	})
 	return ys
 }
@@ -209,17 +222,8 @@ func (d *Dense) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor 
 		}
 		ys[i] = ctx.alloc(d.Out)
 	}
-	d.pool.For(len(xs)*d.Out, 16, func(lo, hi int) {
-		for lo < hi {
-			b := lo / d.Out
-			o0 := lo % d.Out
-			o1 := d.Out
-			if rem := hi - b*d.Out; rem < o1 {
-				o1 = rem
-			}
-			d.applyRange(xs[b].Data(), ys[b].Data(), o0, o1)
-			lo = b*d.Out + o1
-		}
+	forRanges(d.pool, len(xs), d.Out, 16, func(b, lo, hi int) {
+		d.applyRange(xs[b].Data(), ys[b].Data(), lo, hi)
 	})
 	return ys
 }

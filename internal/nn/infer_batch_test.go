@@ -21,12 +21,12 @@ func allLayerNet(t testing.TB, pool *parallel.Pool, seed int64) *Network {
 	net := &Network{InputDim: 12, InputChannels: 1}
 	add := func(l Layer) { net.Layers = append(net.Layers, l) }
 	add(NewConv3D("c1", 1, 16, 3, 2, 1, pool, rng)) // stride 2: fwdRowTaps
-	add(NewLeakyReLU("c1.act", 0))
+	add(NewLeakyReLU("c1.act", 0, pool))
 	add(NewConv3D("c2", 16, 16, 3, 1, 1, pool, rng)) // k=3, stride 1: fwdRowK3
-	add(NewAvgPool3D("p1", 2, 2))
+	add(NewAvgPool3D("p1", 2, 2, pool))
 	add(NewFlatten("flat"))
 	add(NewDense("fc1", 16*3*3*3, 8, pool, rng))
-	add(NewLeakyReLU("fc1.act", 0))
+	add(NewLeakyReLU("fc1.act", 0, pool))
 	add(NewDense("fc2", 8, 3, pool, rng))
 	return net
 }
@@ -119,7 +119,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, net := range nets {
-		workers := net.inferPool().Workers()
+		workers := net.Pool().Workers()
 		for _, B := range []int{1, 2, 3, 5, 8} {
 			ys := net.InferBatch(xs[:B])
 			if len(ys) != B {
@@ -214,7 +214,7 @@ func TestInferBatchBlockedEdgeShapes(t *testing.T) {
 				}
 			}
 			for _, c := range []*Conv3D{conv, conv.cloneFor(pool3).(*Conv3D)} {
-				ctx := &batchCtx{pool: c.pool, buf: tensor.NewBufPool()}
+				ctx := &batchCtx{buf: tensor.NewBufPool()}
 				for _, B := range []int{1, 2, 3, 5, 8} {
 					for i, y := range c.inferBatch(xs[:B], ctx) {
 						requireBits(t, fmt.Sprintf("workers=%d B=%d sample %d", c.pool.Workers(), B, i), y.Data(), want[i])

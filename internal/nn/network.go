@@ -124,8 +124,13 @@ func (n *Network) ParamCount() int {
 // paper, §V-A).
 func (n *Network) ParamBytes() int { return 4 * n.ParamCount() }
 
-// ZeroGrads clears all accumulated gradients.
+// ZeroGrads clears all accumulated gradients: the flat buffer in one pass
+// when the network has one, else parameter by parameter.
 func (n *Network) ZeroGrads() {
+	if n.grads != nil {
+		clear(n.grads)
+		return
+	}
 	for _, p := range n.Params() {
 		p.Grad.Zero()
 	}

@@ -122,7 +122,7 @@ func TestBackwardWithHookMatchesLayerChain(t *testing.T) {
 }
 
 func TestAvgPoolKnownValue(t *testing.T) {
-	p := NewAvgPool3D("p", 2, 2)
+	p := NewAvgPool3D("p", 2, 2, nil)
 	x := tensor.New(1, 2, 2, 2)
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
@@ -137,7 +137,7 @@ func TestAvgPoolKnownValue(t *testing.T) {
 }
 
 func TestAvgPoolBackwardConservesGradient(t *testing.T) {
-	p := NewAvgPool3D("p", 2, 2)
+	p := NewAvgPool3D("p", 2, 2, nil)
 	x := tensor.New(1, 4, 4, 4)
 	p.Forward(x)
 	dy := tensor.New(1, 2, 2, 2)
@@ -161,7 +161,7 @@ func TestDenseKnownValue(t *testing.T) {
 }
 
 func TestLeakyReLUValues(t *testing.T) {
-	l := NewLeakyReLU("a", 0.1)
+	l := NewLeakyReLU("a", 0.1, nil)
 	y := l.Forward(tensor.FromData([]float32{-2, 0, 3}, 3))
 	want := []float32{-0.2, 0, 3}
 	for i := range want {
@@ -169,7 +169,7 @@ func TestLeakyReLUValues(t *testing.T) {
 			t.Errorf("y = %v, want %v", y.Data(), want)
 		}
 	}
-	if NewLeakyReLU("b", 0).Alpha != DefaultLeakyAlpha {
+	if NewLeakyReLU("b", 0, nil).Alpha != DefaultLeakyAlpha {
 		t.Error("zero alpha should select default")
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -10,21 +11,27 @@ import (
 // topology with kernel = stride = 2 to halve each spatial dimension while
 // the following convolution doubles the channels (§III-A). As the paper
 // notes, pooling is a constant-weight special case of convolution and is
-// bandwidth-bound.
+// bandwidth-bound. Forward and backward split by (sample × channel) on the
+// layer's pool.
 type AvgPool3D struct {
 	K      int
 	Stride int
 	name   string
+	pool   *parallel.Pool
 
 	inShape tensor.Shape
 }
 
-// NewAvgPool3D builds an average-pooling layer.
-func NewAvgPool3D(name string, k, stride int) *AvgPool3D {
+// NewAvgPool3D builds an average-pooling layer. pool supplies intra-node
+// threading; nil uses parallel.Default.
+func NewAvgPool3D(name string, k, stride int, pool *parallel.Pool) *AvgPool3D {
 	if k < 1 || stride < 1 {
 		panic(fmt.Sprintf("nn: invalid pooling k=%d stride=%d", k, stride))
 	}
-	return &AvgPool3D{K: k, Stride: stride, name: name}
+	if pool == nil {
+		pool = parallel.Default
+	}
+	return &AvgPool3D{K: k, Stride: stride, name: name, pool: pool}
 }
 
 func (p *AvgPool3D) Name() string     { return p.name }
@@ -94,36 +101,43 @@ func (p *AvgPool3D) poolChannel(xd, yd []float32, in, out tensor.Shape, c int) {
 }
 
 // Backward implements Layer: the gradient of each output voxel is spread
-// uniformly over its window.
+// uniformly over its window, one channel per task.
 func (p *AvgPool3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if p.inShape == nil {
 		panic("nn: AvgPool3D.Backward called before Forward")
 	}
-	in := p.inShape
-	out := dy.Shape()
-	ch, id, ih, iw := in[0], in[1], in[2], in[3]
-	od, oh, ow := out[1], out[2], out[3]
+	in, out := p.inShape, dy.Shape()
 	dx := tensor.New(in...)
 	dxd, dyd := dx.Data(), dy.Data()
+	p.pool.ForEach(in[0], 1, func(c int) {
+		p.unpoolChannel(dyd, dxd, in, out, c)
+	})
+	return dx
+}
+
+// unpoolChannel spreads channel c of the output gradient dyd over its
+// windows in dxd, writing only that channel's part of dxd. Overlapping
+// windows (K > Stride) accumulate in one fixed order within the channel,
+// so results are bit-identical under any scheduling.
+func (p *AvgPool3D) unpoolChannel(dyd, dxd []float32, in, out tensor.Shape, c int) {
+	id, ih, iw := in[1], in[2], in[3]
+	od, oh, ow := out[1], out[2], out[3]
 	inv := 1 / float32(p.K*p.K*p.K)
-	for c := 0; c < ch; c++ {
-		for z := 0; z < od; z++ {
-			for yy := 0; yy < oh; yy++ {
-				for xx := 0; xx < ow; xx++ {
-					g := dyd[((c*od+z)*oh+yy)*ow+xx] * inv
-					for kd := 0; kd < p.K; kd++ {
-						zi := z*p.Stride + kd
-						for kh := 0; kh < p.K; kh++ {
-							yi := yy*p.Stride + kh
-							row := ((c*id+zi)*ih + yi) * iw
-							for kw := 0; kw < p.K; kw++ {
-								dxd[row+xx*p.Stride+kw] += g
-							}
+	for z := 0; z < od; z++ {
+		for yy := 0; yy < oh; yy++ {
+			for xx := 0; xx < ow; xx++ {
+				g := dyd[((c*od+z)*oh+yy)*ow+xx] * inv
+				for kd := 0; kd < p.K; kd++ {
+					zi := z*p.Stride + kd
+					for kh := 0; kh < p.K; kh++ {
+						yi := yy*p.Stride + kh
+						row := ((c*id+zi)*ih + yi) * iw
+						for kw := 0; kw < p.K; kw++ {
+							dxd[row+xx*p.Stride+kw] += g
 						}
 					}
 				}
 			}
 		}
 	}
-	return dx
 }

@@ -98,12 +98,12 @@ func BuildCosmoFlow(cfg TopologyConfig) (*Network, error) {
 		conv := newConv3D(newParamUnbackedGrad, s.name, s.in, s.out, 3, s.stride, 1, pool, rng)
 		add(conv)
 		shape = conv.OutputShape(shape)
-		add(NewLeakyReLU(s.name+".act", alpha))
+		add(NewLeakyReLU(s.name+".act", alpha, pool))
 		if s.poolNext {
 			// Guard for very small inputs where the volume has already
 			// collapsed to a single voxel.
 			if shape[1] >= 2 {
-				p := NewAvgPool3D(s.name+".pool", 2, 2)
+				p := NewAvgPool3D(s.name+".pool", 2, 2, pool)
 				add(p)
 				shape = p.OutputShape(shape)
 			}
@@ -117,13 +117,13 @@ func BuildCosmoFlow(cfg TopologyConfig) (*Network, error) {
 	fc1, fc2 := 16*b, 8*b
 	d1 := newDense(newParamUnbackedGrad, "fc1", flat, fc1, pool, rng)
 	add(d1)
-	add(NewLeakyReLU("fc1.act", alpha))
+	add(NewLeakyReLU("fc1.act", alpha, pool))
 	d2 := newDense(newParamUnbackedGrad, "fc2", fc1, fc2, pool, rng)
 	add(d2)
-	add(NewLeakyReLU("fc2.act", alpha))
+	add(NewLeakyReLU("fc2.act", alpha, pool))
 	d3 := newDense(newParamUnbackedGrad, "fc3", fc2, 3, pool, rng)
 	add(d3)
-	add(NewLeakyReLU("fc3.act", alpha))
+	add(NewLeakyReLU("fc3.act", alpha, pool))
 	net.bindGrads()
 	return net, nil
 }

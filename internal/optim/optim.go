@@ -18,8 +18,11 @@ package optim
 import (
 	"fmt"
 	"math"
+	"sort"
+	"sync/atomic"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -85,18 +88,61 @@ type AdamLARC struct {
 	params []*nn.Param
 	m, v   [][]float32 // first and second Adam moments per parameter
 	step   int
+
+	pool    *parallel.Pool
+	offs    []int        // parameter i holds global elements [offs[i], offs[i+1])
+	bySize  []int        // parameter indices, largest first
+	claimed atomic.Int64 // LARC tasks claimed so far in this Step
+	scales  []float32    // each parameter's LARC scale in this Step
+	k       stepConsts   // this Step's constants
+
+	// larcTasks and updateTasks are the method values Step hands
+	// Pool.For, bound once here so Step allocates nothing of its own.
+	larcTasks, updateTasks func(lo, hi int)
 }
 
-// New builds the optimizer for the given parameters.
+// stepConsts are the scalars one Step applies to every element.
+type stepConsts struct {
+	eta, b1c, b2c, eps float64
+	b1, b2, c1, c2     float32
+}
+
+// updateGrain is the fewest elements Step's update hands a worker, about
+// 0.1 ms of work.
+const updateGrain = 1 << 14
+
+// New builds the optimizer for the given parameters, with Step running on
+// the calling goroutine.
 func New(params []*nn.Param, cfg Config) *AdamLARC {
+	return NewOnPool(params, cfg, nil)
+}
+
+// NewOnPool builds the optimizer for the given parameters, with Step
+// running on pool — the network's (nn.Network.Pool), so a rank's whole
+// training step shares one set of workers. A nil pool runs Step on the
+// calling goroutine. The updated bits are the same at every worker count.
+func NewOnPool(params []*nn.Param, cfg Config, pool *parallel.Pool) *AdamLARC {
 	cfg.fillDefaults()
-	o := &AdamLARC{cfg: cfg, params: params}
+	if pool == nil {
+		pool = parallel.NewPool(1)
+	}
+	o := &AdamLARC{cfg: cfg, params: params, pool: pool}
 	o.m = make([][]float32, len(params))
 	o.v = make([][]float32, len(params))
+	o.offs = make([]int, len(params)+1)
+	o.bySize = make([]int, len(params))
+	o.scales = make([]float32, len(params))
 	for i, p := range params {
 		o.m[i] = make([]float32, p.NumElements())
 		o.v[i] = make([]float32, p.NumElements())
+		o.offs[i+1] = o.offs[i] + p.NumElements()
+		o.bySize[i] = i
+		o.scales[i] = 1 // DisableLARC's scale; Step overwrites it otherwise
 	}
+	sort.SliceStable(o.bySize, func(a, b int) bool {
+		return params[o.bySize[a]].NumElements() > params[o.bySize[b]].NumElements()
+	})
+	o.larcTasks, o.updateTasks = o.larcScales, o.updateRange
 	return o
 }
 
@@ -121,7 +167,78 @@ func (o *AdamLARC) StateBuffers() [][]float32 {
 	return out
 }
 
-// Step applies one update using each parameter's accumulated gradient.
+// Step applies one update using each parameter's accumulated gradient, in
+// two phases on the optimizer's pool. First the LARC scales, one parameter
+// per task (larcScales). Then the Adam update over all parameters as one
+// global element index, cut into contiguous chunks that may span
+// parameter boundaries (updateRange). Each task owns its outputs and each
+// element's update reads only that element and its parameter's scale, so
+// the bits equal the serial loop's at every worker count
+// (TestStepMatchesScalarReference).
+func (o *AdamLARC) Step() {
+	eta := o.cfg.Schedule.LR(o.step)
+	o.step++
+	t := float64(o.step)
+	b1, b2 := float32(o.cfg.Beta1), float32(o.cfg.Beta2)
+	o.k = stepConsts{
+		eta: eta,
+		b1c: 1 - math.Pow(o.cfg.Beta1, t),
+		b2c: 1 - math.Pow(o.cfg.Beta2, t),
+		eps: o.cfg.Eps,
+		b1:  b1, b2: b2,
+		c1: 1 - b1, c2: 1 - b2,
+	}
+	if !o.cfg.DisableLARC {
+		o.claimed.Store(0)
+		o.pool.For(len(o.params), 1, o.larcTasks)
+	}
+	o.pool.For(o.offs[len(o.params)], updateGrain, o.updateTasks)
+}
+
+// larcScales computes LARC's clipped local rate (§III-B) of one parameter
+// per task, claiming the largest parameter left until none is. The two
+// norms cost a serial float64 sum each, and the parameter sizes span five
+// decades, so largest-first claiming balances the workers where a static
+// split of the parameter list would not (a static split made a 2-worker
+// Step 10–15 % slower, EXPERIMENTS.md). The range arguments are unused:
+// For's chunk count sets how many callers claim at once.
+func (o *AdamLARC) larcScales(_, _ int) {
+	for {
+		k := int(o.claimed.Add(1)) - 1
+		if k >= len(o.bySize) {
+			return
+		}
+		i := o.bySize[k]
+		vNorm := tensor.Norm2(o.params[i].Value.Data())
+		gNorm := tensor.Norm2(o.params[i].Grad.Data())
+		var local float64
+		if vNorm != 0 && gNorm != 0 {
+			local = o.cfg.TrustCoef * vNorm / gNorm
+		} else {
+			local = o.cfg.FallbackLR
+		}
+		o.scales[i] = float32(math.Min(local, 1))
+	}
+}
+
+// updateRange runs the Adam update over global elements [lo, hi), one
+// adamRange call per parameter the range touches.
+func (o *AdamLARC) updateRange(lo, hi int) {
+	i := 0
+	for o.offs[i+1] <= lo {
+		i++
+	}
+	for ; lo < hi; i++ {
+		a, b := lo-o.offs[i], min(hi, o.offs[i+1])-o.offs[i]
+		p := o.params[i]
+		adamRange(p.Grad.Data()[a:b], p.Value.Data()[a:b], o.m[i][a:b], o.v[i][a:b], o.scales[i], &o.k)
+		lo = o.offs[i] + b
+	}
+}
+
+// adamRange applies Adam with the LARC-scaled gradient s·g to one
+// parameter's values v and moments m, sv over a sub-range (all four
+// slices the same length).
 //
 // The element loop is written for the float divider's throughput, not its
 // latency. CVTSD2SS and SQRTSD write only the low lane of their
@@ -146,69 +263,41 @@ func (o *AdamLARC) StateBuffers() [][]float32 {
 // objdump and BenchmarkAdamLARCStep before changing its shape. Each
 // element keeps the scalar form's operations in its order, so the bits
 // equal it (TestStepMatchesScalarReference).
-func (o *AdamLARC) Step() {
-	eta := o.cfg.Schedule.LR(o.step)
-	o.step++
-	t := float64(o.step)
-	b1c := 1 - math.Pow(o.cfg.Beta1, t)
-	b2c := 1 - math.Pow(o.cfg.Beta2, t)
-	eps := o.cfg.Eps
-	b1, b2 := float32(o.cfg.Beta1), float32(o.cfg.Beta2)
-	c1, c2 := 1-b1, 1-b2
-
-	for i, p := range o.params {
-		g := p.Grad.Data()
-		v := p.Value.Data()
-
-		// LARC local rate and clip (§III-B).
-		scale := 1.0
-		if !o.cfg.DisableLARC {
-			vNorm := tensor.Norm2(v)
-			gNorm := tensor.Norm2(g)
-			var local float64
-			if vNorm != 0 && gNorm != 0 {
-				local = o.cfg.TrustCoef * vNorm / gNorm
-			} else {
-				local = o.cfg.FallbackLR
-			}
-			scale = math.Min(local, 1)
-		}
-		s := float32(scale)
-
-		m, sv := o.m[i], o.v[i]
-		n := len(g)
-		v, m, sv = v[:n], m[:n], sv[:n] // g's bounds check then covers m, sv and v
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			gs0 := s * g[j]
-			m0 := b1*m[j] + c1*gs0
-			v0 := b2*sv[j] + c2*gs0*gs0
-			m[j], sv[j] = m0, v0
-			v[j] -= float32(eta * (float64(m0) / b1c) / (math.Sqrt(float64(v0)/b2c) + eps))
-			gs1 := s * g[j+1]
-			m1 := b1*m[j+1] + c1*gs1
-			v1 := b2*sv[j+1] + c2*gs1*gs1
-			m[j+1], sv[j+1] = m1, v1
-			v[j+1] -= float32(eta * (float64(m1) / b1c) / (math.Sqrt(float64(v1)/b2c) + eps))
-			gs2 := s * g[j+2]
-			m2 := b1*m[j+2] + c1*gs2
-			v2 := b2*sv[j+2] + c2*gs2*gs2
-			m[j+2], sv[j+2] = m2, v2
-			v[j+2] -= float32(eta * (float64(m2) / b1c) / (math.Sqrt(float64(v2)/b2c) + eps))
-			gs3 := s * g[j+3]
-			m3 := b1*m[j+3] + c1*gs3
-			v3 := b2*sv[j+3] + c2*gs3*gs3
-			m[j+3], sv[j+3] = m3, v3
-			v[j+3] -= float32(eta * (float64(m3) / b1c) / (math.Sqrt(float64(v3)/b2c) + eps))
-		}
-		for ; j < n; j++ {
-			gs := s * g[j]
-			m[j] = b1*m[j] + c1*gs
-			sv[j] = b2*sv[j] + c2*gs*gs
-			mHat := float64(m[j]) / b1c
-			vHat := float64(sv[j]) / b2c
-			v[j] -= float32(eta * mHat / (math.Sqrt(vHat) + eps))
-		}
+func adamRange(g, v, m, sv []float32, s float32, k *stepConsts) {
+	eta, b1c, b2c, eps := k.eta, k.b1c, k.b2c, k.eps
+	b1, b2, c1, c2 := k.b1, k.b2, k.c1, k.c2
+	n := len(g)
+	v, m, sv = v[:n], m[:n], sv[:n] // g's bounds check then covers m, sv and v
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		gs0 := s * g[j]
+		m0 := b1*m[j] + c1*gs0
+		v0 := b2*sv[j] + c2*gs0*gs0
+		m[j], sv[j] = m0, v0
+		v[j] -= float32(eta * (float64(m0) / b1c) / (math.Sqrt(float64(v0)/b2c) + eps))
+		gs1 := s * g[j+1]
+		m1 := b1*m[j+1] + c1*gs1
+		v1 := b2*sv[j+1] + c2*gs1*gs1
+		m[j+1], sv[j+1] = m1, v1
+		v[j+1] -= float32(eta * (float64(m1) / b1c) / (math.Sqrt(float64(v1)/b2c) + eps))
+		gs2 := s * g[j+2]
+		m2 := b1*m[j+2] + c1*gs2
+		v2 := b2*sv[j+2] + c2*gs2*gs2
+		m[j+2], sv[j+2] = m2, v2
+		v[j+2] -= float32(eta * (float64(m2) / b1c) / (math.Sqrt(float64(v2)/b2c) + eps))
+		gs3 := s * g[j+3]
+		m3 := b1*m[j+3] + c1*gs3
+		v3 := b2*sv[j+3] + c2*gs3*gs3
+		m[j+3], sv[j+3] = m3, v3
+		v[j+3] -= float32(eta * (float64(m3) / b1c) / (math.Sqrt(float64(v3)/b2c) + eps))
+	}
+	for ; j < n; j++ {
+		gs := s * g[j]
+		m[j] = b1*m[j] + c1*gs
+		sv[j] = b2*sv[j] + c2*gs*gs
+		mHat := float64(m[j]) / b1c
+		vHat := float64(sv[j]) / b2c
+		v[j] -= float32(eta * mHat / (math.Sqrt(vHat) + eps))
 	}
 }
 

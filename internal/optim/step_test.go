@@ -1,11 +1,13 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -134,8 +136,10 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 // five steps and requires bit-equal parameters and Adam moments after
 // each one: on both benchmark networks' parameter sets, on lengths that
 // exercise every size of the four-wide loop's tail, with LARC on and off,
-// and with one all-zero gradient on the third step. With LARC on, every
-// case must take each branch of LARC's rate at least once.
+// and with one all-zero gradient on the third step, each at 1, 2 and 5
+// workers (at 2 and 5 the networks' update chunks end inside parameters).
+// With LARC on, every case must take each branch of LARC's rate at least
+// once.
 func TestStepMatchesScalarReference(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -150,36 +154,42 @@ func TestStepMatchesScalarReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			ps := tc.params(rng)
-			ref := twin(ps)
-			cfg := Config{DisableLARC: tc.noLARC, Schedule: DefaultSchedule(4)}
-			o, r := New(ps, cfg), New(ref, cfg)
-			paths := map[string]int{}
-			for step := 0; step < 5; step++ {
-				zero := -1
-				if step == 2 {
-					zero = 1
-				}
-				fillGrads(rng, ps, zero)
-				for _, p := range ps {
-					paths[larcPath(o.cfg, p.Value.Data(), p.Grad.Data())]++
-				}
-				o.Step()
-				refStep(r)
-				for i := range ps {
-					requireSameBits(t, ps[i].Name+" value", ps[i].Value.Data(), ref[i].Value.Data())
-				}
-				got, want := o.StateBuffers(), r.StateBuffers()
-				for k := range got {
-					requireSameBits(t, ps[k/2].Name+[]string{" m", " v"}[k%2], got[k], want[k])
-				}
-			}
-			if o.StepCount() != r.StepCount() {
-				t.Errorf("step count %d, reference %d", o.StepCount(), r.StepCount())
-			}
-			if !tc.noLARC && len(paths) != 3 {
-				t.Errorf("LARC branches taken %v, want fallback, clipped and local", paths)
+			for _, workers := range []int{1, 2, 5} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					pool := parallel.NewPool(workers)
+					defer pool.Close()
+					rng := rand.New(rand.NewSource(7))
+					ps := tc.params(rng)
+					ref := twin(ps)
+					cfg := Config{DisableLARC: tc.noLARC, Schedule: DefaultSchedule(4)}
+					o, r := NewOnPool(ps, cfg, pool), New(ref, cfg)
+					paths := map[string]int{}
+					for step := 0; step < 5; step++ {
+						zero := -1
+						if step == 2 {
+							zero = 1
+						}
+						fillGrads(rng, ps, zero)
+						for _, p := range ps {
+							paths[larcPath(o.cfg, p.Value.Data(), p.Grad.Data())]++
+						}
+						o.Step()
+						refStep(r)
+						for i := range ps {
+							requireSameBits(t, ps[i].Name+" value", ps[i].Value.Data(), ref[i].Value.Data())
+						}
+						got, want := o.StateBuffers(), r.StateBuffers()
+						for k := range got {
+							requireSameBits(t, ps[k/2].Name+[]string{" m", " v"}[k%2], got[k], want[k])
+						}
+					}
+					if o.StepCount() != r.StepCount() {
+						t.Errorf("step count %d, reference %d", o.StepCount(), r.StepCount())
+					}
+					if !tc.noLARC && len(paths) != 3 {
+						t.Errorf("LARC branches taken %v, want fallback, clipped and local", paths)
+					}
+				})
 			}
 		})
 	}
@@ -195,23 +205,44 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPooledStepAllocatesOnlyForWaitGroups pins a 2-worker Step's
+// allocations at exactly 2: the LARC phase and the update each make one
+// Pool.For call that hands work to the other worker, and each such call
+// allocates its WaitGroup. Step itself allocates nothing.
+func TestPooledStepAllocatesOnlyForWaitGroups(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(3))
+	ps := lengthParams(rng, 7, 1000, 4*updateGrain)
+	fillGrads(rng, ps, -1)
+	o := NewOnPool(ps, Config{Schedule: DefaultSchedule(1000)}, pool)
+	if allocs := testing.AllocsPerRun(50, o.Step); allocs != 2 {
+		t.Errorf("2-worker Step allocates %v times per call, want 2 (one WaitGroup per Pool.For)", allocs)
+	}
+}
+
 // BenchmarkAdamLARCStep times one Step over the parameter set of each
 // benchmark training workload's network: train.1rank (dim 32, base 8,
-// 1.20 M parameters) and train.2rank-tcp (dim 16, base 16, 4.81 M).
+// 1.20 M parameters) and train.2rank-tcp (dim 16, base 16, 4.81 M), at 1
+// and 2 workers.
 func BenchmarkAdamLARCStep(b *testing.B) {
 	for _, nc := range []struct {
 		name      string
 		dim, base int
 	}{{"dim32-base8", 32, 8}, {"dim16-base16", 16, 16}} {
-		b.Run(nc.name, func(b *testing.B) {
-			ps := networkParams(b, nc.dim, nc.base)
-			fillGrads(rand.New(rand.NewSource(1)), ps, -1)
-			o := New(ps, Config{Schedule: DefaultSchedule(1000)})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o.Step()
-			}
-		})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", nc.name, workers), func(b *testing.B) {
+				pool := parallel.NewPool(workers)
+				defer pool.Close()
+				ps := networkParams(b, nc.dim, nc.base)
+				fillGrads(rand.New(rand.NewSource(1)), ps, -1)
+				o := NewOnPool(ps, Config{Schedule: DefaultSchedule(1000)}, pool)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					o.Step()
+				}
+			})
+		}
 	}
 }

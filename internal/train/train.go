@@ -276,7 +276,9 @@ func runRank(cfg Config, rank int, c *comm.Comm, net *nn.Network,
 	c.Broadcast(params, 0)
 	net.UnflattenParams(params)
 
-	opt := optim.New(net.Params(), cfg.Optim)
+	// The optimizer runs on the network's pool, so every stage of the
+	// step uses the rank's workers.
+	opt := optim.NewOnPool(net.Params(), cfg.Optim, net.Pool())
 
 	// Resume control: [epochs done, optimizer steps done, optimizer state
 	// present]. Broadcast as float32 — exact for counters below 2²⁴ —
