@@ -18,8 +18,6 @@ package optim
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/parallel"
@@ -89,12 +87,10 @@ type AdamLARC struct {
 	m, v   [][]float32 // first and second Adam moments per parameter
 	step   int
 
-	pool    *parallel.Pool
-	offs    []int        // parameter i holds global elements [offs[i], offs[i+1])
-	bySize  []int        // parameter indices, largest first
-	claimed atomic.Int64 // LARC tasks claimed so far in this Step
-	scales  []float32    // each parameter's LARC scale in this Step
-	k       stepConsts   // this Step's constants
+	pool   *parallel.Pool
+	offs   []int      // parameter i holds global elements [offs[i], offs[i+1])
+	scales []float32  // each parameter's LARC scale in this Step
+	k      stepConsts // this Step's constants
 
 	// larcTasks and updateTasks are the method values Step hands
 	// Pool.For, bound once here so Step allocates nothing of its own.
@@ -130,19 +126,14 @@ func NewOnPool(params []*nn.Param, cfg Config, pool *parallel.Pool) *AdamLARC {
 	o.m = make([][]float32, len(params))
 	o.v = make([][]float32, len(params))
 	o.offs = make([]int, len(params)+1)
-	o.bySize = make([]int, len(params))
 	o.scales = make([]float32, len(params))
 	for i, p := range params {
 		o.m[i] = make([]float32, p.NumElements())
 		o.v[i] = make([]float32, p.NumElements())
 		o.offs[i+1] = o.offs[i] + p.NumElements()
-		o.bySize[i] = i
 		o.scales[i] = 1 // DisableLARC's scale; Step overwrites it otherwise
 	}
-	sort.SliceStable(o.bySize, func(a, b int) bool {
-		return params[o.bySize[a]].NumElements() > params[o.bySize[b]].NumElements()
-	})
-	o.larcTasks, o.updateTasks = o.larcScales, o.updateRange
+	o.larcTasks, o.updateTasks = o.larcRange, o.updateRange
 	return o
 }
 
@@ -168,13 +159,13 @@ func (o *AdamLARC) StateBuffers() [][]float32 {
 }
 
 // Step applies one update using each parameter's accumulated gradient, in
-// two phases on the optimizer's pool. First the LARC scales, one parameter
-// per task (larcScales). Then the Adam update over all parameters as one
-// global element index, cut into contiguous chunks that may span
-// parameter boundaries (updateRange). Each task owns its outputs and each
-// element's update reads only that element and its parameter's scale, so
-// the bits equal the serial loop's at every worker count
-// (TestStepMatchesScalarReference).
+// two phases on the optimizer's pool. First the LARC scales, over the
+// parameter list in the pool's static chunks (larcRange). Then the Adam
+// update over all parameters as one global element index, cut into
+// contiguous chunks that may span parameter boundaries (updateRange). Each
+// task owns its outputs and each element's update reads only that element
+// and its parameter's scale, so the bits equal the serial loop's at every
+// worker count (TestStepMatchesScalarReference).
 func (o *AdamLARC) Step() {
 	eta := o.cfg.Schedule.LR(o.step)
 	o.step++
@@ -189,26 +180,15 @@ func (o *AdamLARC) Step() {
 		c1: 1 - b1, c2: 1 - b2,
 	}
 	if !o.cfg.DisableLARC {
-		o.claimed.Store(0)
 		o.pool.For(len(o.params), 1, o.larcTasks)
 	}
 	o.pool.For(o.offs[len(o.params)], updateGrain, o.updateTasks)
 }
 
-// larcScales computes LARC's clipped local rate (§III-B) of one parameter
-// per task, claiming the largest parameter left until none is. The two
-// norms cost a serial float64 sum each, and the parameter sizes span five
-// decades, so largest-first claiming balances the workers where a static
-// split of the parameter list would not (a static split made a 2-worker
-// Step 10–15 % slower, EXPERIMENTS.md). The range arguments are unused:
-// For's chunk count sets how many callers claim at once.
-func (o *AdamLARC) larcScales(_, _ int) {
-	for {
-		k := int(o.claimed.Add(1)) - 1
-		if k >= len(o.bySize) {
-			return
-		}
-		i := o.bySize[k]
+// larcRange computes LARC's clipped local rate (§III-B) of parameters
+// [lo, hi).
+func (o *AdamLARC) larcRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
 		vNorm := tensor.Norm2(o.params[i].Value.Data())
 		gNorm := tensor.Norm2(o.params[i].Grad.Data())
 		var local float64
