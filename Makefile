@@ -5,11 +5,11 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench bench-smoke serve-smoke api-smoke dist-smoke data-smoke fuzz-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
+.PHONY: check ci fmt vet build test purego race bench bench-smoke serve-smoke api-smoke dist-smoke data-smoke fuzz-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
 
 check: fmt vet build test
 
-ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke api-smoke dist-smoke data-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
+ci: fmt vet build test purego race fuzz-smoke bench-smoke serve-smoke api-smoke dist-smoke data-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -23,6 +23,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The pure-Go fallback file set: the kernels' packages tested without
+# their amd64 assembly (the purego tag), and the whole tree vetted for an
+# architecture that has none, so the fallback builds and passes.
+purego:
+	$(GO) test -tags purego ./internal/nn ./internal/train
+	GOARCH=arm64 $(GO) vet ./...
 
 # Race-detect the concurrency-bearing packages: the serving subsystem
 # (replica pools, micro-batcher), the gateway (probe loops, hedged

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/comm"
 	"repro/internal/cosmo"
@@ -191,14 +192,16 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 		ratios = append(ratios, ms[1][i]/ms[2][i])
 	}
-	median := func(xs []float64) float64 {
-		xs = append([]float64(nil), xs...)
-		sort.Float64s(xs)
-		return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
-	}
 	b.ReportMetric(median(ms[1]), "ms/step-1w")
 	b.ReportMetric(median(ms[2]), "ms/step-2w")
 	b.ReportMetric(median(ratios), "speedup-2v1")
+}
+
+// median returns the median of xs, leaving xs as it is.
+func median(xs []float64) float64 {
+	xs = append([]float64(nil), xs...)
+	sort.Float64s(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 }
 
 // BenchmarkFig4_ScalingCori regenerates the Cori curves of Figure 4 from
@@ -548,11 +551,28 @@ func BenchmarkBaseline_PowerSpectrumRegression(b *testing.B) {
 	b.ReportMetric(mse, "test-mse")
 }
 
+// The forward row kernel's switch and CPU report, internal/nn's
+// unexported vectorConv and cpuAVX2, bound by name so that
+// BenchmarkConv3DForward can time the pure-Go kernel beside the vector
+// one in the same process without the package exporting a knob.
+//
+//go:linkname nnVectorConv repro/internal/nn.vectorConv
+var nnVectorConv bool
+
+//go:linkname nnCPUAVX2 repro/internal/nn.cpuAVX2
+var nnCPUAVX2 bool
+
 // BenchmarkConv3DForward times the forward kernel of every convolution
 // layer of the two benchmark networks — predict.large's (dim 16, base 16)
-// and train.1rank's (dim 32, base 8) — at 1 and 2 workers, reporting
-// Gflop/s and allocations per forward (§III-C, Table I's forward column).
+// and train.1rank's (dim 32, base 8) — at 1 and 2 workers, on the AVX2
+// row kernel and on the pure-Go one (§III-C, Table I's forward column).
+// Each iteration is one slice: a Forward on each kernel, alternating which
+// goes first, so a stretch of host slowdown hits both sides. It reports
+// the median ms of each side, the median over slices of the Go time over
+// the vector time (1 on a CPU without AVX2, where both sides run Go), the
+// vector side's Gflop/s, and the allocations of a slice's two forwards.
 func BenchmarkConv3DForward(b *testing.B) {
+	defer func() { nnVectorConv = nnCPUAVX2 }()
 	for _, cfg := range []struct {
 		name      string
 		dim, base int
@@ -578,10 +598,22 @@ func BenchmarkConv3DForward(b *testing.B) {
 				x.RandNormal(rng, 0, 1)
 				b.Run(fmt.Sprintf("%s/%s/workers=%d", cfg.name, conv.Name(), workers), func(b *testing.B) {
 					b.ReportAllocs()
+					var ms [2][]float64 // by side: 0 pure Go, 1 vector
+					var ratios []float64
 					for i := 0; i < b.N; i++ {
-						conv.Forward(x)
+						for k := range 2 {
+							side := (i + k) % 2
+							nnVectorConv = side == 1 && nnCPUAVX2
+							start := time.Now()
+							conv.Forward(x)
+							ms[side] = append(ms[side], time.Since(start).Seconds()*1e3)
+						}
+						ratios = append(ratios, ms[0][i]/ms[1][i])
 					}
-					b.ReportMetric(float64(conv.FwdFLOPs(inShape))/1e9/b.Elapsed().Seconds()*float64(b.N), "Gflop/s")
+					b.ReportMetric(median(ms[0]), "ms-go")
+					b.ReportMetric(median(ms[1]), "ms-vector")
+					b.ReportMetric(median(ratios), "go/vector")
+					b.ReportMetric(float64(conv.FwdFLOPs(inShape))/1e6/median(ms[1]), "Gflop/s")
 				})
 			}
 			pool.Close()

@@ -13,9 +13,10 @@ import (
 // computes four output channels at a time along width-padded input rows,
 // reading W.Value directly, so a weight update is visible to the next
 // forward with no repacking. There is no 16-channel blocked layout: the
-// paper's Algorithm 1 blocks channels by 16 to fill AVX512 registers, but
-// without SIMD intrinsics the reuse that pays is one x load feeding four
-// output channels × three width taps held in registers.
+// paper's Algorithm 1 blocks channels by 16 to fill AVX512 registers; here
+// the reuse that pays is one x load feeding four output channels × three
+// width taps held in registers, eight or four widths at a time where the
+// CPU has AVX2 (fwdRowK3).
 type Conv3D struct {
 	InC, OutC int
 	K         int // cubic kernel extent
@@ -164,12 +165,14 @@ func (c *Conv3D) convGroup(xp, y []float32, in, out tensor.Shape, oc0, z int, ze
 	}
 }
 
-// fwdRowK3 is the k=3, stride-1 row update: rows are four output-channel
-// rows of one (z, y), x is input channel 0's padded row for tap (kd, kh)
-// with channel ic's row xChan further on, w[j] holds output channel j's
-// InC·27 weights and wr = (kd·3+kh)·3. One pass over the width loads each
-// x value once and feeds all twelve multiply-adds from registers.
-func fwdRowK3(rows *[4][]float32, x []float32, xChan int, w *[4][]float32, wr, inC int) {
+// fwdRowK3Go is the k=3, stride-1 row update in pure Go: rows are four
+// output-channel rows of one (z, y), x is input channel 0's padded row for
+// tap (kd, kh) with channel ic's row xChan further on, w[j] holds output
+// channel j's InC·27 weights and wr = (kd·3+kh)·3. One pass over the width
+// loads each x value once and feeds all twelve multiply-adds from
+// registers. It is fwdRowK3 wherever there is no vector body, that body's
+// tail and its differential reference.
+func fwdRowK3Go(rows *[4][]float32, x []float32, xChan int, w *[4][]float32, wr, inC int) {
 	y0 := rows[0]
 	n := len(y0)
 	y1, y2, y3 := rows[1][:n], rows[2][:n], rows[3][:n]

@@ -12,17 +12,18 @@ import (
 // TestConvForwardMatchesBruteForce is the forward kernel's differential
 // test. Every geometry runs at B {1,2,3,5} on the layer and on clones with
 // 1, 2 and 5 workers; every output must lie within 1e-4 of the float64
-// loop nest and be bit-equal to the single-worker Forward of its sample.
-// The 45 geometries cover every OutC%4 tail, widths on both sides of 28
-// (and 61), K {1,3,4} × stride {1,2} × pad {0,1,2}, the paper's 16→32 and
-// 32→16 channel steps, and 1³ volumes.
+// loop nest and be bit-equal to the single-worker Forward of its sample,
+// and to that Forward on the pure-Go row kernel. The 51 geometries cover
+// every OutC%4 tail, widths on both sides of 28 (and 61) and exact 4- and
+// 8-wide vector blocks, K {1,3,4} × stride {1,2} × pad {0,1,2}, the
+// paper's 16→32 and 32→16 channel steps, and 1³ volumes.
 func TestConvForwardMatchesBruteForce(t *testing.T) {
 	type geom struct{ inC, outC, d, h, w, k, stride, pad int }
 	var cases []geom
 	for _, oc := range []int{1, 2, 3, 4, 5, 16} {
 		cases = append(cases, geom{3, oc, 3, 4, 7, 3, 1, 1})
 	}
-	for _, w := range []int{1, 7, 27, 28, 29, 30, 61} {
+	for _, w := range []int{1, 4, 7, 8, 16, 27, 28, 29, 30, 61} {
 		cases = append(cases, geom{16, 16, 2, 2, w, 3, 1, 1}, geom{2, 5, 2, 3, w, 3, 2, 1})
 	}
 	for _, k := range []int{1, 3, 4} {
@@ -42,6 +43,7 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 		geom{1, 16, 1, 1, 1, 4, 2, 2},
 	)
 
+	setVectorConv(t, cpuAVX2) // restored however the test ends
 	var pools []*parallel.Pool
 	for _, w := range []int{1, 2, 5} {
 		pools = append(pools, parallel.NewPool(w))
@@ -63,6 +65,9 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 			if e := maxRelErr(want[j], refConvForward(c, x)); e > 1e-4 {
 				t.Fatalf("%s: sample %d relative error %g against the float64 reference", name, j, e)
 			}
+			vectorConv = false
+			requireBits(t, fmt.Sprintf("%s sample %d on the Go row kernel", name, j), c.Forward(x).Data(), want[j])
+			vectorConv = cpuAVX2
 		}
 		layers := []*Conv3D{c}
 		for _, p := range pools {
