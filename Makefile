@@ -32,8 +32,8 @@ purego:
 	GOARCH=arm64 $(GO) vet ./...
 
 # Race-detect the concurrency-bearing packages: the serving subsystem
-# (replica pools, micro-batcher), the gateway (probe loops, hedged
-# requests, scatter-gather), the batched kernels (shared worker pools,
+# (replica pools, micro-batcher), the gateway (probe loops, retries,
+# scatter-gather), the batched kernels (shared worker pools,
 # recycled buffers), the communication layer (helper-team collectives,
 # TCP reader/heartbeat goroutines), the trainer (its overlap-comm
 # goroutine and step loop share a timeline's ring and span atomics), the

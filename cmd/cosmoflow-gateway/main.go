@@ -1,8 +1,8 @@
 // Command cosmoflow-gateway is the cluster serving daemon: one
 // v1-compatible endpoint fronting N cosmoflow-serve backends with
-// health-driven routing, circuit-breaker failover, optional tail-latency
-// hedging, scatter-gather batch predicts, and model-lifecycle fan-out
-// (see internal/gateway).
+// health-driven routing, retry plus circuit-breaker failover,
+// scatter-gather batch predicts, and model-lifecycle fan-out (see
+// internal/gateway).
 //
 // Usage:
 //
@@ -71,8 +71,6 @@ func main() {
 	ejectAfter := flag.Int("eject-after", 3, "consecutive transport failures that eject a backend")
 	readmitAfter := flag.Duration("readmit-after", 2*time.Second, "cooldown before probing an ejected backend for re-admission")
 	retries := flag.Int("retries", 2, "additional backends a failed predict fails over to (negative disables failover)")
-	hedgePct := flag.Float64("hedge-pct", 0, "tail-latency hedge percentile (e.g. 95; 0 disables)")
-	hedgeMin := flag.Duration("hedge-min", 10*time.Millisecond, "hedge delay floor")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	trace := flag.Bool("trace", false, "record per-request phase attribution and per-backend upstream spans (GET /v1/trace)")
 	debugAddr := flag.String("debug-addr", "", "pprof + /metrics debug listen address, e.g. localhost:6061 (empty: disabled)")
@@ -100,19 +98,17 @@ func main() {
 		tenants = tl.Tenants
 	}
 	gw, err := gateway.New(gateway.Config{
-		Backends:        strings.Split(*backends, ","),
-		Policy:          *policy,
-		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
-		BackendTimeout:  *backendTimeout,
-		EjectAfter:      *ejectAfter,
-		ReadmitAfter:    *readmitAfter,
-		Retries:         *retries,
-		HedgePercentile: *hedgePct,
-		HedgeMin:        *hedgeMin,
-		Trace:           *trace,
-		Tenants:         tenants,
-		AdminKey:        *adminKey,
+		Backends:       strings.Split(*backends, ","),
+		Policy:         *policy,
+		ProbeInterval:  *probeInterval,
+		ProbeTimeout:   *probeTimeout,
+		BackendTimeout: *backendTimeout,
+		EjectAfter:     *ejectAfter,
+		ReadmitAfter:   *readmitAfter,
+		Retries:        *retries,
+		Trace:          *trace,
+		Tenants:        tenants,
+		AdminKey:       *adminKey,
 		Admission: gateway.AdmissionConfig{
 			Capacity:     *admCapacity,
 			QueueDepth:   *queueDepth,

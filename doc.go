@@ -40,8 +40,8 @@
 // sits the cluster serving tier (internal/gateway, cosmoflow-gateway):
 // one v1-compatible endpoint fronting N backends with health-probed pool
 // membership and circuit-breaker ejection, pluggable routing
-// (least-outstanding or consistent-hash-by-model), retry + tail-latency
-// hedging, scatter-gather batch predicts reassembled bit-identically in
+// (least-outstanding or consistent-hash-by-model), retry on a backend not
+// yet tried, scatter-gather batch predicts reassembled bit-identically in
 // order, and model-lifecycle fan-out with per-backend aggregation. The
 // whole stack is threaded with the opt-in observability substrate
 // (internal/obsv): lock-free timing spans giving per-layer forward
@@ -60,7 +60,7 @@
 //
 // See DESIGN.md for the system inventory, the "Serving API v1" contract
 // (routes, wire-format layout, versioning/deprecation policy), the
-// "Cluster serving" tier (pool states, routing policies, hedging rules,
+// "Cluster serving" tier (pool states, routing policies, retry rules,
 // the scatter-gather bit-identity argument), and the CI pipeline
 // (.github/workflows/ci.yml, mirrored by `make ci`: fmt, vet, build,
 // test, race on the concurrency-bearing packages, the wire-codec fuzz

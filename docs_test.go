@@ -35,6 +35,12 @@ var (
 	// "[/{name}]" tail falls away, and needs one character past the slash,
 	// so a method list such as "GET / PUT" is not read as the route "/".
 	routeToken = regexp.MustCompile(`\b(?:GET|POST|PUT|DELETE)[ \t]+(/[\w{}:./-]+)`)
+	// flagSpan matches a backticked span that opens with a command-line
+	// flag, -name, and captures the name.
+	flagSpan = regexp.MustCompile("^`-([a-zA-Z][\\w-]*)")
+	// goToolFlags are flags of the go tool itself, which docs may name in
+	// a `go test` invocation although no command here registers them.
+	goToolFlags = map[string]bool{"benchtime": true}
 )
 
 // TestDocsNameOnlyExistingCommands keeps the docs from pointing at commands,
@@ -45,8 +51,11 @@ var (
 // package under internal/ must be a declaration, method or field of that
 // package, and every METHOD /path must be a route the serve or gateway mux
 // registers and, below a subtree pattern, a handler resolves (see
-// routeRegistered). The two daemons' route comments and the api package's
-// route list are scanned with the docs.
+// routeRegistered), and every backticked span of a Markdown file that
+// opens with -name must name a flag some cmd/*/main.go registers (see
+// cmdFlags) or a go tool flag on the goToolFlags list. The two daemons'
+// route comments and the api package's route list are scanned with the
+// docs.
 // CHANGES.md and ROADMAP.md are history and are not scanned, nor
 // is benchmark/, whose files change only with the benchmark itself.
 func TestDocsNameOnlyExistingCommands(t *testing.T) {
@@ -78,6 +87,7 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 
 	routes := muxRoutes(t, "internal/serve/server.go", "internal/gateway/gateway.go")
 	literals := stringLiterals(t, "internal/serve", "internal/gateway")
+	flags := cmdFlags(t)
 	decls := map[string]map[string]map[string]bool{}
 	for _, path := range files {
 		text, err := os.ReadFile(path)
@@ -110,6 +120,10 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 				}
 			}
 			for _, span := range codeSpan.FindAllString(line, -1) {
+				if m := flagSpan.FindStringSubmatch(span); m != nil && strings.HasSuffix(path, ".md") &&
+					!flags[m[1]] && !goToolFlags[m[1]] {
+					t.Errorf("%s:%d: names flag -%s, which no cmd/*/main.go registers", path, i+1, m[1])
+				}
 				for _, m := range goRef.FindAllStringSubmatch(span, -1) {
 					pkg, scope, name, ref := m[1], "", m[2], m[1]+"."+m[2]
 					if m[3] != "" {
@@ -158,6 +172,56 @@ func muxRoutes(t *testing.T, files ...string) []string {
 		t.Fatal("found no registered routes")
 	}
 	return routes
+}
+
+// flagFuncs are the flag package's functions the commands register flags
+// through; each takes the flag's name as its first argument.
+var flagFuncs = map[string]bool{
+	"Bool": true, "Duration": true, "Float64": true, "Func": true,
+	"Int": true, "Int64": true, "String": true,
+}
+
+// cmdFlags parses every cmd/*/main.go and returns the names of the flags
+// registered through the flag package's functions, such as
+// flag.Int("retries", ...).
+func cmdFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok || pkg.Name != "flag" || !flagFuncs[sel.Sel.Name] || len(call.Args) == 0 {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(flags) == 0 {
+		t.Fatal("found no registered flags")
+	}
+	return flags
 }
 
 // routeRegistered reports whether a documented path is served by a

@@ -3,6 +3,8 @@ package gateway
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -244,9 +246,10 @@ func TestRateLimitBeforeQueue(t *testing.T) {
 }
 
 // TestStatsV1PayloadDecodes is the byte-compatibility regression: a
-// recorded v1 /stats payload (no schema field, no tenancy blocks) still
-// decodes into GatewayStatsResponse with every v1 field intact, and a
-// v1-shaped response marshals with no v2 keys leaking in.
+// recorded v1 /stats payload (no schema field, no tenancy blocks, and the
+// two gateway counters v2 dropped) still decodes into GatewayStatsResponse
+// with every kept v1 field intact, and a v1-shaped response marshals with
+// no v2 keys leaking in and exactly the four kept gateway counters.
 func TestStatsV1PayloadDecodes(t *testing.T) {
 	// Verbatim shape of a pre-v2 gateway's answer.
 	recorded := `{
@@ -268,7 +271,7 @@ func TestStatsV1PayloadDecodes(t *testing.T) {
 	if resp.UptimeS != 12.5 || resp.Policy != "least-outstanding" {
 		t.Fatalf("v1 scalar fields lost: %+v", resp)
 	}
-	if resp.Gateway.Requests != 100 || resp.Gateway.Scattered != 7 {
+	if resp.Gateway != (api.GatewayStats{Requests: 100, Errors: 2, Retries: 5, Scattered: 7}) {
 		t.Fatalf("v1 gateway counters lost: %+v", resp.Gateway)
 	}
 	if len(resp.Backends) != 1 || resp.Backends[0].Backend != "http://127.0.0.1:9001" {
@@ -298,5 +301,30 @@ func TestStatsV1PayloadDecodes(t *testing.T) {
 		default:
 			t.Fatalf("v1-shaped response marshaled unexpected key %q", k)
 		}
+	}
+
+	// Every GatewayStats field set (so omitempty hides none): the counters
+	// object carries exactly the kept keys, and nothing dropped can creep
+	// back onto the wire.
+	var full api.GatewayStats
+	fv := reflect.ValueOf(&full).Elem()
+	for i := 0; i < fv.NumField(); i++ {
+		fv.Field(i).SetInt(int64(i + 1))
+	}
+	out, err = json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctrs map[string]json.RawMessage
+	if err := json.Unmarshal(out, &ctrs); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range ctrs {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if want := []string{"errors", "requests", "retries", "scattered"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fully populated GatewayStats marshaled keys %v, want exactly %v", got, want)
 	}
 }

@@ -14,10 +14,9 @@
 //   - Router (router.go): pluggable policies — least-outstanding-requests
 //     (default) and consistent-hash-by-model — over the per-model
 //     placement discovered from each backend's GET /v1/models.
-//   - Retry + hedging: predict is idempotent, so connect/5xx failures
-//     retry on a different backend, and an optional tail-latency hedge
-//     launches a duplicate on a second backend once the first exceeds a
-//     configured percentile of observed latency; first answer wins.
+//   - Retry: predict is idempotent, so connect/5xx failures retry on a
+//     backend not yet tried; with the pool's circuit-breaker ejection it
+//     is the gateway's only failover mechanism.
 //   - Scatter-gather: a batch predict ([N C D H W] binary frame, or JSON
 //     {"batch": [...]}) splits across ready backends and reassembles in
 //     input order, bit-identical to sending each volume directly.
@@ -80,15 +79,6 @@ type Config struct {
 	// Retries is how many additional backends a failed predict tries
 	// (default 2; negative disables failover entirely).
 	Retries int
-	// HedgePercentile enables tail-latency hedging: once a predict has
-	// been in flight longer than this percentile of recently observed
-	// latencies, a duplicate launches on a second backend and the first
-	// answer wins. 0 (default) disables hedging; e.g. 95 hedges the
-	// slowest ~5%.
-	HedgePercentile float64
-	// HedgeMin floors the hedge delay so a cold latency window cannot
-	// hedge instantly (default 10ms).
-	HedgeMin time.Duration
 	// Trace opts the gateway into per-request phase attribution: each
 	// predict's queue wait / upstream / gather split is retained in a
 	// recent-request ring keyed by X-Request-Id, and per-backend upstream
@@ -128,9 +118,6 @@ func (cfg *Config) applyDefaults() {
 	} else if cfg.Retries == 0 {
 		cfg.Retries = 2
 	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 10 * time.Millisecond
-	}
 }
 
 // counters are the gateway's own routing metrics.
@@ -138,8 +125,6 @@ type counters struct {
 	requests  atomic.Int64
 	errors    atomic.Int64
 	retries   atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
 	scattered atomic.Int64
 }
 
@@ -154,7 +139,6 @@ type Gateway struct {
 	// defeat by mapping every sub-volume of one model to one member.
 	spread Policy
 	ctr    counters
-	lat    *latWindow
 	start  time.Time
 
 	// Multi-tenant front door: API-key table and bounded admission gate.
@@ -200,7 +184,6 @@ func New(cfg Config) (*Gateway, error) {
 		pool:    pool,
 		policy:  policy,
 		spread:  &leastOutstanding{},
-		lat:     newLatWindow(512),
 		start:   time.Now(),
 		tenants: newTenantTable(now),
 		adm:     newAdmission(cfg.Admission, now),
@@ -401,8 +384,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			Requests:  g.ctr.requests.Load(),
 			Errors:    g.ctr.errors.Load(),
 			Retries:   g.ctr.retries.Load(),
-			Hedges:    g.ctr.hedges.Load(),
-			HedgeWins: g.ctr.hedgeWins.Load(),
 			Scattered: g.ctr.scattered.Load(),
 		},
 		Tenants:   g.tenants.stats(),
@@ -433,7 +414,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// ---- predict: admission, proxy, retry, hedge, scatter ----
+// ---- predict: admission, proxy, retry, scatter ----
 
 // admit runs the multi-tenant front door for one data-plane request:
 // resolve the API key to a tenant, pay its rate limit, and acquire an
@@ -465,10 +446,10 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, rid string) (rel
 
 // predict classifies the request — single volume (proxied raw) versus
 // batch (scatter-gather) — and dispatches. The body is buffered either
-// way: retries and hedges must be able to resend it verbatim. Every
-// request pays the admission front door before any backend work, and
-// holds its slot until the response is written — the bound the admission
-// capacity actually enforces.
+// way: a retry must be able to resend it verbatim. Every request pays the
+// admission front door before any backend work, and holds its slot until
+// the response is written — the bound the admission capacity actually
+// enforces.
 func (g *Gateway) predict(w http.ResponseWriter, r *http.Request, rid, name string) {
 	g.ctr.requests.Add(1)
 	release, qwait, ok := g.admit(w, r, rid)
@@ -561,7 +542,7 @@ func (g *Gateway) proxyPredict(w http.ResponseWriter, r *http.Request, rid, name
 	if g.reqLog != nil {
 		t0 = time.Now()
 	}
-	resp, b, err := g.forwardWithRetry(r.Context(), g.policy, g.hedgeDelay(), rid, name, body, ct, accept)
+	resp, b, err := g.forwardWithRetry(r.Context(), g.policy, rid, name, body, ct, accept)
 	if err != nil {
 		g.ctr.errors.Add(1)
 		g.writeRouteError(w, rid, name, err)
@@ -616,33 +597,25 @@ func retryableStatus(code int) bool {
 }
 
 // forwardWithRetry sends body to one backend after another, each picked
-// by policy, until an acceptable answer arrives: the first attempt hedges
-// after delay (0 never hedges), each further attempt is a failover to a
-// backend not yet tried. A retryable response is passed through anyway
-// when it is the last word (no candidates or attempts left) so the client
-// sees the backend's own error, not a gateway-invented one.
-func (g *Gateway) forwardWithRetry(ctx context.Context, policy Policy, delay time.Duration, rid, name string, body []byte, ct, accept string) (*http.Response, *Backend, error) {
+// by policy, until an acceptable answer arrives: every attempt after the
+// first is a failover to a backend not yet tried. A retryable response is
+// passed through anyway when it is the last word (no candidates or
+// attempts left) so the client sees the backend's own error, not a
+// gateway-invented one.
+func (g *Gateway) forwardWithRetry(ctx context.Context, policy Policy, rid, name string, body []byte, ct, accept string) (*http.Response, *Backend, error) {
 	tried := map[*Backend]bool{}
 	var lastErr error
 	attempts := g.cfg.Retries + 1
 	for i := 0; i < attempts; i++ {
-		var resp *http.Response
-		var b *Backend
-		var err error
-		if i == 0 {
-			resp, b, err = g.sendHedged(ctx, policy, delay, rid, name, body, ct, accept, tried)
-		} else {
-			b = policy.Pick(name, g.pool.candidates(name, tried))
-			if b == nil {
-				break
-			}
-			tried[b] = true
-			g.ctr.retries.Add(1)
-			resp, err = g.send(ctx, b, rid, name, body, ct, accept)
-		}
+		b := policy.Pick(name, g.pool.candidates(name, tried))
 		if b == nil {
 			break
 		}
+		tried[b] = true
+		if i > 0 {
+			g.ctr.retries.Add(1)
+		}
+		resp, err := g.send(ctx, b, rid, name, body, ct, accept)
 		if err != nil {
 			lastErr = err
 			continue
@@ -661,10 +634,9 @@ func (g *Gateway) forwardWithRetry(ctx context.Context, policy Policy, delay tim
 }
 
 // send proxies one attempt to one backend, maintaining its outstanding
-// count (the least-outstanding signal), failure streak (the circuit
-// breaker input), and the gateway's latency window (the hedge delay
-// input). A transport error counts toward ejection; an HTTP error does
-// not — the backend is alive and its own /healthz governs its state.
+// count (the least-outstanding signal) and failure streak (the circuit
+// breaker input). A transport error counts toward ejection; an HTTP error
+// does not — the backend is alive and its own /healthz governs its state.
 func (g *Gateway) send(ctx context.Context, b *Backend, rid, name string, body []byte, ct, accept string) (*http.Response, error) {
 	b.requests.Add(1)
 	b.outstanding.Add(1)
@@ -687,95 +659,7 @@ func (g *Gateway) send(ctx context.Context, b *Backend, rid, name string, body [
 	if b.upSpan != nil {
 		b.upSpan.Observe(time.Since(t0))
 	}
-	if resp.StatusCode == http.StatusOK {
-		g.lat.observe(time.Since(t0))
-	}
 	return resp, nil
-}
-
-// sendHedged runs the first attempt with optional tail-latency hedging:
-// if the primary has not answered within delay, a duplicate goes to a
-// second backend (both picked by policy) and the first answer wins. The
-// loser is drained in the background so its connection returns to the
-// pool; the hedge (and only the hedge) is cancelled when it loses —
-// predict is idempotent, so duplicated execution is waste, not harm.
-func (g *Gateway) sendHedged(ctx context.Context, policy Policy, delay time.Duration, rid, name string, body []byte, ct, accept string, tried map[*Backend]bool) (*http.Response, *Backend, error) {
-	primary := policy.Pick(name, g.pool.candidates(name, tried))
-	if primary == nil {
-		return nil, nil, errNoBackend
-	}
-	tried[primary] = true
-	if delay <= 0 {
-		resp, err := g.send(ctx, primary, rid, name, body, ct, accept)
-		return resp, primary, err
-	}
-	type attempt struct {
-		resp *http.Response
-		b    *Backend
-		err  error
-	}
-	ch := make(chan attempt, 2)
-	go func() {
-		resp, err := g.send(ctx, primary, rid, name, body, ct, accept)
-		ch <- attempt{resp, primary, err}
-	}()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case a := <-ch:
-		return a.resp, a.b, a.err
-	case <-timer.C:
-	}
-	hedge := policy.Pick(name, g.pool.candidates(name, tried))
-	if hedge == nil {
-		a := <-ch
-		return a.resp, a.b, a.err
-	}
-	tried[hedge] = true
-	g.ctr.hedges.Add(1)
-	hctx, hcancel := context.WithCancel(ctx)
-	go func() {
-		resp, err := g.send(hctx, hedge, rid, name, body, ct, accept)
-		ch <- attempt{resp, hedge, err}
-	}()
-	a := <-ch
-	if a.err != nil {
-		// First answer is a transport failure; the other attempt is still
-		// in flight and may well succeed — failing fast here would cancel
-		// healthy work and burn both backends' tried slots for nothing.
-		a = <-ch
-		if a.err != nil {
-			hcancel()
-			return nil, a.b, a.err
-		}
-	} else {
-		// A loser is still in flight; drain it so its connection returns
-		// to the pool. The primary shares the request context and finishes
-		// on its own; a losing hedge is cancelled below.
-		go func() { l := <-ch; discard(l.resp) }()
-	}
-	if a.b == hedge {
-		g.ctr.hedgeWins.Add(1)
-		// The winner's body is still streaming on hctx, so it must not be
-		// cancelled here; release it when the request context ends.
-		context.AfterFunc(ctx, hcancel)
-	} else {
-		hcancel()
-	}
-	return a.resp, a.b, a.err
-}
-
-// hedgeDelay derives the current hedge trigger from the observed latency
-// window, floored by HedgeMin; 0 means hedging is off.
-func (g *Gateway) hedgeDelay() time.Duration {
-	if g.cfg.HedgePercentile <= 0 {
-		return 0
-	}
-	d := time.Duration(g.lat.quantile(g.cfg.HedgePercentile/100) * float64(time.Millisecond))
-	if d < g.cfg.HedgeMin {
-		d = g.cfg.HedgeMin
-	}
-	return d
 }
 
 // ---- scatter-gather ----
@@ -929,12 +813,12 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, rid, name stri
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// scatterOne routes one sub-volume with failover but no hedge, decoding
+// scatterOne routes one sub-volume with failover, decoding
 // the backend's answer through the typed client (the binary Accept path,
 // so params and normalized outputs arrive bit-exact however ct encoded
 // the request).
 func (g *Gateway) scatterOne(ctx context.Context, rid, name string, body []byte, ct string) (*api.PredictResponse, error) {
-	resp, b, err := g.forwardWithRetry(ctx, g.spread, 0, rid, name, body, ct, wire.ContentTypeTensor)
+	resp, b, err := g.forwardWithRetry(ctx, g.spread, rid, name, body, ct, wire.ContentTypeTensor)
 	if err != nil {
 		return nil, err
 	}
@@ -1113,50 +997,4 @@ func discard(resp *http.Response) {
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-}
-
-// latWindow is a fixed-size ring of recent request latencies (ms), the
-// sample the hedge percentile is computed over.
-type latWindow struct {
-	mu  sync.Mutex
-	buf []float64
-	idx int
-	n   int
-}
-
-func newLatWindow(size int) *latWindow {
-	return &latWindow{buf: make([]float64, size)}
-}
-
-func (lw *latWindow) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	lw.mu.Lock()
-	lw.buf[lw.idx] = ms
-	lw.idx = (lw.idx + 1) % len(lw.buf)
-	if lw.n < len(lw.buf) {
-		lw.n++
-	}
-	lw.mu.Unlock()
-}
-
-// quantile returns the p-quantile (0..1) of the window in ms, 0 when no
-// samples have been observed yet.
-func (lw *latWindow) quantile(p float64) float64 {
-	lw.mu.Lock()
-	if lw.n == 0 {
-		lw.mu.Unlock()
-		return 0
-	}
-	tmp := make([]float64, lw.n)
-	copy(tmp, lw.buf[:lw.n])
-	lw.mu.Unlock()
-	sort.Float64s(tmp)
-	i := int(p * float64(len(tmp)))
-	if i >= len(tmp) {
-		i = len(tmp) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return tmp[i]
 }

@@ -351,25 +351,20 @@ func TestScatterGatherBitIdentity(t *testing.T) {
 
 // TestScatterFailover: sub-volumes a backend refuses with 503 fail over to
 // the healthy member, so every batch still reassembles bit-identically to
-// direct calls; and a scatter never hedges, even with hedging configured
-// and a refusing member slow enough to trigger it.
+// direct calls.
 func TestScatterFailover(t *testing.T) {
 	ckpt := testCheckpoint(t)
 	good := startBackend(t, ckpt)
 	inner := startBackend(t, ckpt)
 	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
-			time.Sleep(50 * time.Millisecond)
 			api.WriteAPIError(w, "", http.StatusServiceUnavailable, api.CodeUnavailable, "refusing predicts")
 			return
 		}
 		proxyTo(w, r, inner.url)
 	}))
 	t.Cleanup(refusing.Close)
-	gw, gws := testGateway(t, Config{
-		HedgePercentile: 50,
-		HedgeMin:        5 * time.Millisecond,
-	}, good.url, refusing.URL)
+	gw, gws := testGateway(t, Config{}, good.url, refusing.URL)
 	waitAllReady(t, gw)
 
 	const n = 8
@@ -424,9 +419,6 @@ func TestScatterFailover(t *testing.T) {
 	}
 	if gw.ctr.retries.Load() == 0 {
 		t.Fatal("retries = 0; no sub-volume failed over from the refusing backend")
-	}
-	if h := gw.ctr.hedges.Load(); h != 0 {
-		t.Fatalf("hedges = %d; a scatter must never hedge", h)
 	}
 }
 
@@ -762,43 +754,68 @@ func TestAggregatedModelsAndStats(t *testing.T) {
 	}
 }
 
-// TestHedging: with hedging on and a backend that stalls, a duplicate
-// fires on the second member and answers fast; the hedge counters move.
-func TestHedging(t *testing.T) {
+// TestRetriesDisabledPassesThroughBackendError: with failover off
+// (Retries < 0) a backend's 503 is the last word, so its error envelope
+// reaches the client verbatim, tagged with the refusing member, and no
+// retry is counted; with the default config the same pool answers every
+// request from the healthy member.
+func TestRetriesDisabledPassesThroughBackendError(t *testing.T) {
 	ckpt := testCheckpoint(t)
-	fast := startBackend(t, ckpt)
-
-	// slow wraps a real backend with a predict-path stall.
+	good := startBackend(t, ckpt)
 	inner := startBackend(t, ckpt)
-	slowProxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
-			time.Sleep(500 * time.Millisecond)
+			api.WriteAPIError(w, "", http.StatusServiceUnavailable, api.CodeUnavailable, "refusing predicts")
+			return
 		}
 		proxyTo(w, r, inner.url)
 	}))
-	t.Cleanup(slowProxy.Close)
+	t.Cleanup(refusing.Close)
+	rec := httptest.NewRecorder()
+	api.WriteAPIError(rec, "", http.StatusServiceUnavailable, api.CodeUnavailable, "refusing predicts")
+	wantBody := rec.Body.Bytes()
 
-	gw, gws := testGateway(t, Config{
-		HedgePercentile: 50,
-		HedgeMin:        20 * time.Millisecond,
-		Retries:         -1, // isolate hedging from failover
-	}, fast.url, slowProxy.URL)
-	waitReady(t, gws.URL)
-
-	cl := client.New(gws.URL)
-	vox := testVoxels(t, 1, 23)[0]
-	for i := 0; i < 8; i++ {
-		start := time.Now()
-		if _, err := cl.Predict(context.Background(), "", []int{1, testDim, testDim, testDim}, vox); err != nil {
-			t.Fatalf("hedged predict %d: %v", i, err)
+	body := binBody(t, testVoxels(t, 1, 29)[0])
+	// Sequential requests on an idle pool alternate between the two
+	// members through leastOutstanding's round-robin tie-break.
+	const n = 6
+	gw, gws := testGateway(t, Config{Retries: -1}, good.url, refusing.URL)
+	waitAllReady(t, gw)
+	refused := 0
+	for i := 0; i < n; i++ {
+		resp := postPredict(t, gws.URL, body, wire.ContentTypeTensor, wire.ContentTypeTensor)
+		backend := resp.Header.Get(api.HeaderBackend)
+		if resp.StatusCode == http.StatusOK {
+			readAll(t, resp, http.StatusOK)
+			if backend != good.url {
+				t.Fatalf("request %d: 200 from %q, want the healthy %s", i, backend, good.url)
+			}
+			continue
 		}
-		if d := time.Since(start); d > 400*time.Millisecond {
-			t.Fatalf("hedged predict %d took %v; hedge did not rescue the stalled primary", i, d)
+		got := readAll(t, resp, http.StatusServiceUnavailable)
+		refused++
+		if backend != refusing.URL {
+			t.Fatalf("request %d: %s = %q, want the refusing %s", i, api.HeaderBackend, backend, refusing.URL)
+		}
+		if !bytes.Equal(got, wantBody) {
+			t.Fatalf("request %d: body %q, want the refuser's envelope %q verbatim", i, got, wantBody)
 		}
 	}
-	if gw.ctr.hedges.Load() == 0 || gw.ctr.hedgeWins.Load() == 0 {
-		t.Fatalf("hedges = %d, wins = %d; want both > 0",
-			gw.ctr.hedges.Load(), gw.ctr.hedgeWins.Load())
+	if refused == 0 || refused == n {
+		t.Fatalf("%d of %d requests refused; want the pool to alternate", refused, n)
+	}
+	if r := gw.ctr.retries.Load(); r != 0 {
+		t.Fatalf("retries = %d with failover disabled, want 0", r)
+	}
+
+	gw, gws = testGateway(t, Config{}, good.url, refusing.URL)
+	waitAllReady(t, gw)
+	for i := 0; i < n; i++ {
+		resp := postPredict(t, gws.URL, body, wire.ContentTypeTensor, wire.ContentTypeTensor)
+		readAll(t, resp, http.StatusOK)
+		if backend := resp.Header.Get(api.HeaderBackend); backend != good.url {
+			t.Fatalf("default config request %d served by %q, want the healthy %s", i, backend, good.url)
+		}
 	}
 }
 
@@ -822,69 +839,6 @@ func proxyTo(w http.ResponseWriter, r *http.Request, innerURL string) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-}
-
-// TestHedgeSurvivesAttemptFailure: when one of the two racing attempts
-// dies mid-flight (connection dropped without a response), the other —
-// already in flight and healthy — must win instead of being cancelled
-// along with the request. Failover is disabled so only the hedge pair
-// can save the request, whichever of the two the router tried first.
-func TestHedgeSurvivesAttemptFailure(t *testing.T) {
-	ckpt := testCheckpoint(t)
-	inner1 := startBackend(t, ckpt)
-	inner2 := startBackend(t, ckpt)
-
-	// dropper: predicts stall, then the connection is torn down with no
-	// response — a backend dying mid-request. The 300ms stall lands the
-	// failure between the hedge launch (~the observed ~200ms latency
-	// percentile) and the hedged attempt's own ~400ms completion, so the
-	// first answer sendHedged sees is the error while healthy work is
-	// still in flight.
-	dropper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			time.Sleep(300 * time.Millisecond)
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Error("response writer is not a hijacker")
-				return
-			}
-			conn, _, err := hj.Hijack()
-			if err == nil {
-				_ = conn.Close()
-			}
-			return
-		}
-		proxyTo(w, r, inner1.url)
-	}))
-	t.Cleanup(dropper.Close)
-
-	// slowOK: predicts succeed, slower than the dropper's failure.
-	slowOK := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			time.Sleep(200 * time.Millisecond)
-		}
-		proxyTo(w, r, inner2.url)
-	}))
-	t.Cleanup(slowOK.Close)
-
-	gw, gws := testGateway(t, Config{
-		HedgePercentile: 50,
-		HedgeMin:        20 * time.Millisecond,
-		Retries:         -1, // no failover: the hedge pair is all there is
-		EjectAfter:      1000,
-	}, dropper.URL, slowOK.URL)
-	waitReady(t, gws.URL)
-
-	cl := client.New(gws.URL)
-	vox := testVoxels(t, 1, 31)[0]
-	for i := 0; i < 6; i++ {
-		if _, err := cl.Predict(context.Background(), "", []int{1, testDim, testDim, testDim}, vox); err != nil {
-			t.Fatalf("predict %d failed despite a healthy hedged attempt: %v", i, err)
-		}
-	}
-	if gw.ctr.hedges.Load() == 0 {
-		t.Fatal("no hedges launched; the scenario never exercised the race")
-	}
 }
 
 // TestUnknownModelAndBadInput: gateway-level error mapping.

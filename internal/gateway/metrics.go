@@ -37,10 +37,6 @@ func (g *Gateway) newMetricsRegistry() *obsv.MetricsRegistry {
 		one(func() float64 { return float64(g.ctr.errors.Load()) }))
 	r.CounterFunc("cosmoflow_gateway_retries_total", "retry attempts",
 		one(func() float64 { return float64(g.ctr.retries.Load()) }))
-	r.CounterFunc("cosmoflow_gateway_hedges_total", "hedge requests launched",
-		one(func() float64 { return float64(g.ctr.hedges.Load()) }))
-	r.CounterFunc("cosmoflow_gateway_hedge_wins_total", "hedges that answered first",
-		one(func() float64 { return float64(g.ctr.hedgeWins.Load()) }))
 	r.CounterFunc("cosmoflow_gateway_scattered_total", "scatter-gather requests",
 		one(func() float64 { return float64(g.ctr.scattered.Load()) }))
 

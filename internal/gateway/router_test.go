@@ -3,7 +3,6 @@ package gateway
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func fakeBackends(n int) []*Backend {
@@ -103,25 +102,5 @@ func TestNewPolicyRejectsUnknown(t *testing.T) {
 	p, err := newPolicy("", nil)
 	if err != nil || p.Name() != PolicyLeastOutstanding {
 		t.Fatalf("default policy = %v, %v", p, err)
-	}
-}
-
-func TestLatWindowQuantile(t *testing.T) {
-	lw := newLatWindow(8)
-	if q := lw.quantile(0.95); q != 0 {
-		t.Fatalf("empty window quantile = %v, want 0", q)
-	}
-	for i := 1; i <= 8; i++ {
-		lw.observe(time.Duration(i) * time.Millisecond)
-	}
-	if q := lw.quantile(0.5); q < 4 || q > 6 {
-		t.Fatalf("median of 1..8ms = %v", q)
-	}
-	// Overwrite wraps: 8 more samples of 100ms dominate.
-	for i := 0; i < 8; i++ {
-		lw.observe(100 * time.Millisecond)
-	}
-	if q := lw.quantile(0.5); q != 100 {
-		t.Fatalf("median after wrap = %v, want 100", q)
 	}
 }

@@ -52,13 +52,6 @@ func (s *Span) Observe(d time.Duration) {
 	}
 }
 
-// Reset zeroes the counters (e.g. to discard warm-up observations).
-func (s *Span) Reset() {
-	s.count.Store(0)
-	s.total.Store(0)
-	s.max.Store(0)
-}
-
 // Stat snapshots the span's counters.
 func (s *Span) Stat() SpanStat {
 	st := SpanStat{
@@ -144,14 +137,6 @@ func NewForwardTrace(layerNames []string) *ForwardTrace {
 		t.Layers[i] = &Span{name: n}
 	}
 	return t
-}
-
-// Reset zeroes every span.
-func (t *ForwardTrace) Reset() {
-	t.Forward.Reset()
-	for _, s := range t.Layers {
-		s.Reset()
-	}
 }
 
 // Snapshot returns the whole-forward stat plus the per-layer stats in

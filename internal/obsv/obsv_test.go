@@ -28,12 +28,6 @@ func TestSpanObserveAndStat(t *testing.T) {
 	if st.AvgMs != 2 {
 		t.Errorf("AvgMs = %v, want 2", st.AvgMs)
 	}
-
-	s.Reset()
-	st = s.Stat()
-	if st.Count != 0 || st.TotalMs != 0 || st.MaxMs != 0 || st.AvgMs != 0 {
-		t.Errorf("after Reset: %+v, want zeroes", st)
-	}
 }
 
 // Replicas share their model's spans, so Observe must hold up under
@@ -96,14 +90,6 @@ func TestForwardTraceSnapshotAndReset(t *testing.T) {
 	}
 	if layers[0].TotalMs != 2 || layers[1].TotalMs != 1 {
 		t.Errorf("layer totals = %v,%v, want 2,1", layers[0].TotalMs, layers[1].TotalMs)
-	}
-
-	// The warm-up discard path: everything back to zero.
-	tr.Reset()
-	fwd, layers = tr.Snapshot()
-	if fwd.Count != 0 || layers[0].Count != 0 || layers[1].Count != 0 {
-		t.Errorf("after Reset: forward count %d, layer counts %d,%d; want zeroes",
-			fwd.Count, layers[0].Count, layers[1].Count)
 	}
 }
 

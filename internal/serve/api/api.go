@@ -365,25 +365,27 @@ type BackendStatus struct {
 // GatewayStats are the gateway's own routing counters.
 type GatewayStats struct {
 	Requests  int64 `json:"requests"`
-	Errors    int64 `json:"errors"`  // requests that exhausted retries
-	Retries   int64 `json:"retries"` // failover re-sends to another backend
-	Hedges    int64 `json:"hedges"`  // tail-latency hedges launched
-	HedgeWins int64 `json:"hedge_wins"`
+	Errors    int64 `json:"errors"`    // requests that exhausted retries
+	Retries   int64 `json:"retries"`   // failover re-sends to another backend
 	Scattered int64 `json:"scattered"` // batch requests split across the pool
 }
 
 // StatsSchemaV2 is the current GET /stats schema identifier on
-// cosmoflow-gateway. v1 payloads (PR 5) carried no schema field; every
-// v1 field keeps its name and shape in v2, so a v1 reader decodes a v2
-// payload unchanged — the schema field only lets readers detect the
-// per-tenant extension.
+// cosmoflow-gateway. v1 payloads carried no schema field. Every v1 field
+// but two keeps its name and shape in v2: the gateway object's two
+// duplicate-request counters (tail-latency requests launched and won)
+// are dropped with the feature that fed them, leaving requests, errors,
+// retries and scattered. A v1 reader decodes their absence as 0, which is
+// what it read under the default config, where that feature was off; so
+// a v1 reader still decodes a v2 payload unchanged. The schema field only
+// lets readers detect the per-tenant extension.
 const StatsSchemaV2 = "cosmoflow-stats/v2"
 
 // GatewayStatsResponse is GET /stats on cosmoflow-gateway: the routing
 // counters plus every backend's status — the aggregated stats DTO the
 // single-process StatsResponse cannot express. Schema, Tenants, and
-// Admission are the v2 extension; all v1 fields are byte-compatible
-// with PR 5 payloads.
+// Admission are the v2 extension; every other field keeps its v1 shape
+// (see StatsSchemaV2 for the two dropped counters).
 type GatewayStatsResponse struct {
 	Schema   string          `json:"schema,omitempty"` // StatsSchemaV2
 	UptimeS  float64         `json:"uptime_s"`
