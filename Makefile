@@ -1,22 +1,25 @@
-# Tier-1 verification plus formatting/vet gates. `make check` is the fast
+# Tier-1 verification plus formatting/vet gates, and `make e2e`, the one
+# end-to-end suite over the built commands. `make check` is the fast
 # everything-must-pass target for pre-commit hooks; `make ci` mirrors
 # .github/workflows/ci.yml exactly (every CI job runs one of these
 # targets), so local and CI runs cannot drift.
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test purego race bench bench-smoke serve-smoke api-smoke dist-smoke data-smoke fuzz-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
+.PHONY: check ci fmt vet build test purego race bench bench-smoke fuzz-smoke e2e
 
 check: fmt vet build test
 
-ci: fmt vet build test purego race fuzz-smoke bench-smoke serve-smoke api-smoke dist-smoke data-smoke gateway-smoke tenancy-smoke metrics-smoke timeline-smoke
+ci: fmt vet build test purego race fuzz-smoke bench-smoke e2e
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The e2e suite's files carry a build tag, so they are vetted with it too.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags e2e ./...
 
 build:
 	$(GO) build ./...
@@ -43,9 +46,10 @@ purego:
 # observability package itself, the tensor buffer pool (shared by the
 # loader's decode workers and InferBatch), the wire codec, and the
 # benchmark driver (every workload's ranks, load generators and serving
-# stack in one process).
+# stack in one process). -count=1 reruns every package, so a repeat run
+# on an unchanged tree can still catch a flake.
 race:
-	$(GO) test -race ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/optim ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire ./benchmark
+	$(GO) test -race -count=1 ./internal/serve ./internal/serve/client ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/train ./internal/optim ./internal/parallel ./internal/data ./internal/obsv ./internal/tensor ./internal/serve/wire ./benchmark
 
 # Short fuzz of the byte decoders — the wire codec (header-bounded size
 # checks, truncated frames, dims/dtype abuse), the training-timeline
@@ -77,84 +81,8 @@ bench-smoke:
 	$(GO) test -run xxx -bench AdamLARCStep -benchtime 1x ./internal/optim
 	$(GO) test -run xxx -bench AllReduceTCP -benchtime 1x ./internal/dist
 
-# End-to-end serving smoke: daemon + >=64-request concurrent load, then a
-# graceful SIGTERM drain (the ISSUE acceptance run).
-serve-smoke:
-	$(GO) build -o /tmp/cosmoflow-serve ./cmd/cosmoflow-serve
-	$(GO) build -o /tmp/cosmoflow-loadgen ./cmd/cosmoflow-loadgen
-	/tmp/cosmoflow-serve -addr 127.0.0.1:18080 -dim 16 -base 4 & \
-		pid=$$!; \
-		for i in $$(seq 1 50); do \
-			curl -sf http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; \
-			sleep 0.2; \
-		done; \
-		/tmp/cosmoflow-loadgen -addr http://127.0.0.1:18080 -n 128 -c 8 -dim 16; \
-		rc=$$?; kill -TERM $$pid; wait $$pid; exit $$rc
-
-# v1 API smoke: daemon + curl over both wire encodings, asserting status
-# codes on predict, model lifecycle (list/load/unload), and the error
-# surface (scripts/api_smoke.sh).
-api-smoke:
-	$(GO) build -o /tmp/cosmoflow-serve ./cmd/cosmoflow-serve
-	$(GO) build -o /tmp/cosmoflow-loadgen ./cmd/cosmoflow-loadgen
-	sh scripts/api_smoke.sh
-
-# Distributed training smoke: a 4-process TCP world must reproduce the
-# in-process run's losses bit-for-bit, and a mid-run world kill must
-# relaunch and resume from the checkpoint (scripts/dist_smoke.sh).
-dist-smoke:
-	$(GO) build -o /tmp/cosmoflow-train ./cmd/cosmoflow-train
-	sh scripts/dist_smoke.sh
-
-# Streaming-data smoke: datagen writes a sharded TFRecord dataset with a
-# manifest, then a 2-process world streams it — locally and over HTTP from
-# cosmoflow-shardd — bit-identical to the in-process streaming run, and a
-# killed world resumes from its checkpoint (scripts/data_smoke.sh).
-data-smoke:
-	$(GO) build -o /tmp/cosmoflow-train ./cmd/cosmoflow-train
-	$(GO) build -o /tmp/cosmoflow-datagen ./cmd/cosmoflow-datagen
-	$(GO) build -o /tmp/cosmoflow-shardd ./cmd/cosmoflow-shardd
-	sh scripts/data_smoke.sh
-
-# Fleet scrape-surface smoke: all three daemons up, every GET /metrics
-# parser-validated as Prometheus text exposition (cosmoflow-metrics wraps
-# obsv.ParseExposition), then traffic through each and known counters
-# asserted to have moved (scripts/metrics_smoke.sh).
-metrics-smoke:
-	$(GO) build -o /tmp/cosmoflow-serve ./cmd/cosmoflow-serve
-	$(GO) build -o /tmp/cosmoflow-gateway ./cmd/cosmoflow-gateway
-	$(GO) build -o /tmp/cosmoflow-shardd ./cmd/cosmoflow-shardd
-	$(GO) build -o /tmp/cosmoflow-datagen ./cmd/cosmoflow-datagen
-	$(GO) build -o /tmp/cosmoflow-loadgen ./cmd/cosmoflow-loadgen
-	$(GO) build -o /tmp/cosmoflow-metrics ./cmd/cosmoflow-metrics
-	sh scripts/metrics_smoke.sh
-
-# Training-timeline smoke: a traced 4-process world with an injected 10ms
-# straggler must train bit-identically to the untraced baseline, its trace
-# must validate as Chrome trace-event JSON, and the straggler report must
-# name the slowed rank (scripts/timeline_smoke.sh).
-timeline-smoke:
-	$(GO) build -o /tmp/cosmoflow-train ./cmd/cosmoflow-train
-	$(GO) build -o /tmp/cosmoflow-tracecat ./cmd/cosmoflow-tracecat
-	sh scripts/timeline_smoke.sh
-
-# Cluster serving smoke: 3 backends + gateway, predict over both
-# encodings (bit-identity against a direct backend), lifecycle fan-out,
-# then kill one backend under load and assert zero client-visible
-# failures after ejection (scripts/gateway_smoke.sh).
-gateway-smoke:
-	$(GO) build -o /tmp/cosmoflow-serve ./cmd/cosmoflow-serve
-	$(GO) build -o /tmp/cosmoflow-gateway ./cmd/cosmoflow-gateway
-	$(GO) build -o /tmp/cosmoflow-loadgen ./cmd/cosmoflow-loadgen
-	$(GO) build -o /tmp/cosmoflow-gwctl ./cmd/cosmoflow-gwctl
-	sh scripts/gateway_smoke.sh
-
-# Multi-tenant smoke: a 3-class overload must keep premium p99 flat
-# while best-effort sheds with 429s and nothing 5xxes, and the admin
-# plane answers only through cosmoflow-gwctl (scripts/tenancy_smoke.sh).
-tenancy-smoke:
-	$(GO) build -o /tmp/cosmoflow-serve ./cmd/cosmoflow-serve
-	$(GO) build -o /tmp/cosmoflow-gateway ./cmd/cosmoflow-gateway
-	$(GO) build -o /tmp/cosmoflow-loadgen ./cmd/cosmoflow-loadgen
-	$(GO) build -o /tmp/cosmoflow-gwctl ./cmd/cosmoflow-gwctl
-	sh scripts/tenancy_smoke.sh
+# The end-to-end suite (e2e/, behind the e2e build tag): every command
+# built once and run as a binary, daemons on free loopback ports, the
+# tests in parallel. DESIGN.md's CI section lists what each test asserts.
+e2e:
+	$(GO) test -tags e2e -count=1 -timeout 5m ./e2e

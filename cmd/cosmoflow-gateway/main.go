@@ -37,7 +37,9 @@
 //	GET    /metrics                   Prometheus text exposition of the same counters
 //
 // /healthz follows the same readiness contract as a single backend, so
-// orchestrators and smoke scripts reuse one poll for both tiers.
+// orchestrators and the e2e suite reuse one poll for both tiers. The
+// "listening on" log line names the bound address, so -addr 127.0.0.1:0
+// picks a free port.
 package main
 
 import (
@@ -45,6 +47,7 @@ import (
 	"encoding/json"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -119,16 +122,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := gateway.NewServer(gw, *addr)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := gateway.NewServer(gw, ln.Addr().String())
 	if *debugAddr != "" {
 		// The debug listener mounts the same scrape registry as the proxy
 		// mux's GET /metrics, plus net/http/pprof.
 		obsv.StartDebugListener(*debugAddr, gw.MetricsRegistry())
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 	log.Printf("listening on %s, fronting %d backends, policy %s (healthz turns 200 when every model has a ready backend)",
-		*addr, len(gw.Pool().Backends()), *policy)
+		ln.Addr(), len(gw.Pool().Backends()), *policy)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

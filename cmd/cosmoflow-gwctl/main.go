@@ -1,7 +1,7 @@
 // Command cosmoflow-gwctl is the operator CLI for cosmoflow-gateway's
 // admin plane (/v1/admin/*): tenant CRUD and the v2 stats snapshot.
 // Every call goes through the typed client (internal/serve/client) —
-// gwctl is how scripts and smoke tests reach the admin surface without
+// gwctl is how scripts and the e2e suite reach the admin surface without
 // hand-rolled curl against internal routes.
 //
 // Usage:

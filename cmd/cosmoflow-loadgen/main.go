@@ -20,7 +20,7 @@
 //	cosmoflow-loadgen -addr http://localhost:8090 -n 256 -sweep 1,2,4,8
 //
 // -dump-body writes one encoded request body to a file and exits, for
-// curl-based smoke tests of the raw HTTP surface (see `make api-smoke`).
+// raw-HTTP tests of the v1 surface (the e2e suite's TestAPI uses it).
 //
 // -tenants runs the multi-tenant overload scenario against a gateway:
 // each spec is label:apikey:workers:requests, all tenants drive the
@@ -28,7 +28,7 @@
 // machine-parseable result line per tenant reports qps/p50/p99 plus the
 // shed (429) and failure (5xx/transport) counts. A 429 is the admission
 // controller doing its job — it never fails the run; 5xx and transport
-// errors do (see `make tenancy-smoke`):
+// errors do (the e2e suite's TestTenancy runs it):
 //
 //	cosmoflow-loadgen -addr http://localhost:8090 \
 //	    -tenants "prem:PK:4:200,std:SK:16:400,be:BK:16:400"
@@ -108,12 +108,13 @@ func runLoad(cl *client.Client, model string, bodies []encodedBody, n, c int) ru
 		}()
 	}
 	wg.Wait()
+	return collect(time.Since(start), failures.Load(), latencies, backends)
+}
 
-	res := runResult{
-		elapsed:  time.Since(start),
-		failures: failures.Load(),
-		spread:   map[string]int64{},
-	}
+// collect assembles a run's result from each request's latency (-1 for a
+// request that did not succeed) and the backend that served it.
+func collect(elapsed time.Duration, failures int64, latencies []time.Duration, backends []string) runResult {
+	res := runResult{elapsed: elapsed, failures: failures, spread: map[string]int64{}}
 	for i, l := range latencies {
 		if l < 0 {
 			continue
@@ -248,22 +249,7 @@ func runTenant(cl *client.Client, model string, bodies []encodedBody, spec tenan
 		}()
 	}
 	wg.Wait()
-	res := tenantResult{runResult: runResult{
-		elapsed:  time.Since(start),
-		failures: failures.Load(),
-		spread:   map[string]int64{},
-	}, shed: shed.Load()}
-	for i, l := range latencies {
-		if l < 0 {
-			continue
-		}
-		res.ok = append(res.ok, l)
-		if backends[i] != "" {
-			res.spread[backends[i]]++
-		}
-	}
-	sort.Slice(res.ok, func(i, j int) bool { return res.ok[i] < res.ok[j] })
-	return res
+	return tenantResult{collect(time.Since(start), failures.Load(), latencies, backends), shed.Load()}
 }
 
 // runTenantScenario fans every tenant's closed loop out concurrently and
@@ -287,7 +273,7 @@ func runTenantScenario(addr, model string, bodies []encodedBody, specs []tenantS
 	exit := 0
 	for i, spec := range specs {
 		r := results[i]
-		// One line per tenant, key=value so shell smoke tests parse it.
+		// One line per tenant, key=value so scripts and tests parse it.
 		fmt.Printf("tenant %s ok=%d shed=%d fail=%d qps=%.1f p50_ms=%.2f p99_ms=%.2f\n",
 			spec.label, len(r.ok), r.shed, r.failures, r.qps(),
 			msOf(r.quantile(0.50)), msOf(r.quantile(0.99)))

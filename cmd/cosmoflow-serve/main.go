@@ -21,8 +21,9 @@
 //
 // The listener comes up immediately and the startup model loads
 // asynchronously, so /healthz genuinely reports readiness: orchestrators
-// (and `make serve-smoke`) poll it until the checkpoint is loaded and the
-// replicas are built.
+// (and the e2e suite) poll it until the checkpoint is loaded and the
+// replicas are built. The "listening on" log line names the bound
+// address, so -addr 127.0.0.1:0 picks a free port.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener closes,
 // admitted requests drain through their micro-batches, then the replicas
@@ -34,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,6 +69,10 @@ func main() {
 
 	if *ckpt == "" {
 		log.Print("warning: no -ckpt given; serving freshly initialized weights")
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
 	}
 	reg := serve.NewRegistry()
 	// Load asynchronously: the API (and its 503-until-ready /healthz) is
@@ -103,15 +109,15 @@ func main() {
 		}
 	}()
 
-	srv := serve.NewServer(reg, *addr)
+	srv := serve.NewServer(reg, ln.Addr().String())
 	if *debugAddr != "" {
 		// The debug listener mounts the same scrape registry as the serving
 		// mux's GET /metrics, plus net/http/pprof.
 		obsv.StartDebugListener(*debugAddr, srv.MetricsRegistry())
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("listening on %s (v1 API; /healthz turns 200 when the model is ready)", *addr)
+	go func() { errCh <- srv.Serve(ln) }()
+	log.Printf("listening on %s (v1 API; /healthz turns 200 when the model is ready)", ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

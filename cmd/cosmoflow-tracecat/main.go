@@ -3,7 +3,7 @@
 // -timeline-out, strictly validates it (any malformed or unknown event is
 // an error, not a skip), and prints the cross-rank straggler report —
 // per-phase per-rank timings, each rank's compute/comm/overlap split, and
-// the slowest-rank attribution the timeline smoke test greps for.
+// the slowest-rank attribution the e2e suite's TestTimeline checks.
 //
 // Usage:
 //

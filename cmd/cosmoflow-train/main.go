@@ -88,7 +88,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "pprof + /metrics debug listen address, e.g. localhost:6063 (empty: disabled; /metrics carries the local rank's step phases and progress, plus the streaming loader's stage spans)")
 	timelineOut := flag.String("timeline-out", "", "write the run's per-rank phase timeline as Chrome trace-event JSON to this file (rank 0 writes; view in Perfetto or with cosmoflow-tracecat)")
 	timelineCap := flag.Int("timeline-cap", obsv.DefaultTimelineCap, "per-rank timeline ring capacity in events; oldest events are overwritten beyond it")
-	slowRank := flag.Int("slow-rank", -1, "straggler injection: sleep -slow-ms inside this rank's forward phase (-1: off; for the timeline smoke test)")
+	slowRank := flag.Int("slow-rank", -1, "straggler injection: sleep -slow-ms inside this rank's forward phase (-1: off; for the e2e timeline test)")
 	slowMs := flag.Int("slow-ms", 0, "straggler injection: per-step forward delay in milliseconds on -slow-rank")
 	flag.Parse()
 

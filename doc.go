@@ -52,8 +52,8 @@
 // per-phase spans), and per-request phase attribution on the gateway
 // (queue wait vs upstream vs gather, keyed by X-Request-Id). Every
 // daemon exports the same counters as Prometheus text exposition on
-// GET /metrics (obsv.MetricsRegistry; validated by cosmoflow-metrics in
-// `make metrics-smoke`), per-layer GFLOP/s roofline attribution joins
+// GET /metrics (obsv.MetricsRegistry; parsed with obsv.ParseExposition
+// by the e2e suite), per-layer GFLOP/s roofline attribution joins
 // analytic FLOP counts with traced wall time (GET /v1/roofline on
 // cosmoflow-serve -trace), and net/http/pprof plus /metrics ride on a
 // separate -debug-addr listener on all four daemons.
@@ -63,8 +63,9 @@
 // "Cluster serving" tier (pool states, routing policies, retry rules,
 // the scatter-gather bit-identity argument), and the CI pipeline
 // (.github/workflows/ci.yml, mirrored by `make ci`: fmt, vet, build,
-// test, race on the concurrency-bearing packages, the wire-codec fuzz
-// smoke, and the serving/API/dist/data/gateway/metrics smokes),
+// test, race on the concurrency-bearing packages, the decoder and conv
+// fuzz smoke, the bench smoke, and `make e2e`, the end-to-end suite in
+// e2e/ that runs every command as a built binary),
 // EXPERIMENTS.md for the paper-versus-measured record of every table and
 // figure, bench_test.go for the per-operator `go test -bench` suite that
 // regenerates them, and benchmark/ for the end-to-end instrument that

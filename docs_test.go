@@ -23,9 +23,10 @@ var (
 	// verb in prose.
 	makeToken   = regexp.MustCompile("(?m)(?:^[ \\t]*|`|&&[ \\t]*)make ([a-z][a-z0-9-]*)")
 	makefileTgt = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):([^=]|$)`)
-	// pathToken matches a repo path under internal/ or examples/, bare or
-	// ./-prefixed, but not the tail of a longer path such as an import.
-	pathToken = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:internal|examples)(?:/[\w.-]+)+)`)
+	// pathToken matches a repo path under internal/, examples/, e2e/ or
+	// scripts/, bare or ./-prefixed, but not the tail of a longer path such
+	// as an import.
+	pathToken = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:internal|examples|e2e|scripts)(?:/[\w.-]+)+)`)
 	// codeSpan matches a backticked span; goRef a Go identifier inside one,
 	// written pkg.Name or pkg.Type.Member with exported names.
 	codeSpan = regexp.MustCompile("`[^`]+`")
@@ -46,7 +47,7 @@ var (
 // TestDocsNameOnlyExistingCommands keeps the docs from pointing at commands,
 // make targets, paths, Go identifiers or HTTP routes that no longer exist:
 // every cosmoflow-<name> must be a directory under cmd/, every
-// `make <target>` a Makefile target, every internal/<pkg> or examples/<dir>
+// `make <target>` a Makefile target, every internal/, examples/, e2e/ or scripts/
 // path must exist, every backticked pkg.Name or pkg.Type.Member naming a
 // package under internal/ must be a declaration, method or field of that
 // package, and every METHOD /path must be a route the serve or gateway mux
@@ -61,12 +62,7 @@ var (
 func TestDocsNameOnlyExistingCommands(t *testing.T) {
 	files := []string{"DESIGN.md", "EXPERIMENTS.md", "doc.go", "Makefile", ".claude/skills/verify/SKILL.md",
 		"cmd/cosmoflow-serve/main.go", "cmd/cosmoflow-gateway/main.go", "internal/serve/api/api.go"}
-	scripts, err := filepath.Glob("scripts/*.sh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	files = append(files, scripts...)
-	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && d.Name() == "README.md" {
 			files = append(files, path)
 		}

@@ -220,7 +220,8 @@ type Server struct {
 	http *http.Server
 }
 
-// NewServer wraps gw in an HTTP server bound to addr.
+// NewServer wraps gw in an HTTP server; addr only labels it, since Serve
+// takes its listener from the caller.
 func NewServer(gw *Gateway, addr string) *Server {
 	s := &Server{gw: gw}
 	s.http = &http.Server{
@@ -246,10 +247,8 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// ListenAndServe blocks serving requests.
-func (s *Server) ListenAndServe() error { return s.http.ListenAndServe() }
-
-// Serve blocks serving requests on an existing listener.
+// Serve blocks serving requests on an existing listener; it returns
+// http.ErrServerClosed after Shutdown.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
 // Shutdown gracefully stops the server, then the probe loops.

@@ -17,8 +17,8 @@ package obsv
 //     double instrumentation on hot paths, and label sets that are only
 //     known at runtime (per model, per tenant, per backend).
 //
-// ParseExposition is the matching validator: tests and the metrics-smoke
-// CI gate parse what the handlers emit instead of grepping for
+// ParseExposition is the matching validator: tests and the e2e suite
+// parse what the handlers emit instead of grepping for
 // substrings, so a malformed exposition fails loudly.
 
 import (
@@ -478,7 +478,7 @@ func RegisterRecorder(r *MetricsRegistry, base, help string, rec *Recorder) {
 	})
 }
 
-// ---- exposition parsing (tests and the metrics-smoke gate) ----
+// ---- exposition parsing (tests and the e2e suite's scrape checks) ----
 
 // ParsedSample is one sample line of an exposition: the full sample name
 // (including _bucket/_sum/_count suffixes for histograms), its label set,

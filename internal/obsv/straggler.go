@@ -265,7 +265,7 @@ func BuildStragglerReport(tls []RankTimeline) *StragglerReport {
 }
 
 // String renders the report as the fixed-width table cosmoflow-tracecat
-// prints (and scripts/timeline_smoke.sh greps).
+// prints (and the e2e suite's TestTimeline checks).
 func (r *StragglerReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "training timeline: %d ranks, %d steps, span %.1f ms, %.1f samples/s\n",

@@ -157,8 +157,8 @@ func (c *Client) BaseURL() string { return c.base }
 // EncodePredictRequest renders one predict body in the given encoding and
 // returns it with its Content-Type. dims is the volume shape ([C D H W]
 // or [D H W]); JSON ignores it beyond a length check. Exposed so load
-// generators can pre-encode bodies off their measured path and smoke
-// scripts can write curl-able request files.
+// generators can pre-encode bodies off their measured path and write
+// request files for raw-HTTP tests.
 func EncodePredictRequest(enc Encoding, dims []int, voxels []float32) ([]byte, string, error) {
 	switch enc {
 	case JSON:

@@ -19,7 +19,7 @@ type ModelConfig struct {
 	// config's Pool field is ignored: replicas get their own pools.
 	Topology nn.TopologyConfig
 	// CheckpointPath, when non-empty, is loaded via nn.LoadCheckpoint.
-	// Empty serves freshly initialized weights (benchmarks, smoke tests).
+	// Empty serves freshly initialized weights (benchmarks, end-to-end tests).
 	CheckpointPath string
 	// Priors denormalize network outputs into physical parameters; the
 	// zero value selects cosmo.DefaultPriors.

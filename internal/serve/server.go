@@ -53,7 +53,8 @@ type Server struct {
 	metrics *obsv.MetricsRegistry
 }
 
-// NewServer wraps reg in an HTTP server bound to addr.
+// NewServer wraps reg in an HTTP server; addr only labels it, since Serve
+// takes its listener from the caller.
 func NewServer(reg *Registry, addr string) *Server {
 	s := &Server{reg: reg, start: time.Now()}
 	s.metrics = newMetricsRegistry(reg, s.start)
@@ -81,11 +82,8 @@ func NewServer(reg *Registry, addr string) *Server {
 // Handler returns the route mux (for httptest and in-process use).
 func (s *Server) Handler() http.Handler { return s.http.Handler }
 
-// ListenAndServe blocks serving requests; it returns http.ErrServerClosed
-// after Shutdown.
-func (s *Server) ListenAndServe() error { return s.http.ListenAndServe() }
-
-// Serve blocks serving requests on an existing listener.
+// Serve blocks serving requests on an existing listener; it returns
+// http.ErrServerClosed after Shutdown.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
 // Shutdown gracefully stops the server: the listener closes, in-flight

@@ -100,8 +100,8 @@ func TestRunTimelineBitIdentical(t *testing.T) {
 }
 
 // The straggler report must attribute an injected forward-phase delay to
-// the injected rank, by name, in the greppable summary line the timeline
-// smoke test checks. Two ranks and a 50 ms delay keep the injected
+// the injected rank, by name, in the summary line the e2e suite's
+// TestTimeline checks. Two ranks and a 50 ms delay keep the injected
 // imbalance far above scheduler noise on a box with fewer cores than ranks.
 func TestStragglerReportNamesInjectedSlowRank(t *testing.T) {
 	trainSet := syntheticSet(8, 8, 3)

@@ -67,7 +67,7 @@ type Config struct {
 	ResumeFrom string
 	// AbortAfterEpoch, when positive, makes rank 0 fail deliberately after
 	// checkpointing that many epochs — fault injection for the distributed
-	// resume tests and dist-smoke. Only meaningful under RunDistributed,
+	// resume tests and the e2e suite. Only meaningful under RunDistributed,
 	// where surviving ranks detect the death and exit; an in-process world
 	// would deadlock, so Run rejects it.
 	AbortAfterEpoch int
@@ -91,8 +91,9 @@ type Config struct {
 	Timeline *obsv.Timeline
 	// InjectDelay, when positive, makes rank InjectDelayRank sleep that
 	// long inside every forward phase — straggler fault injection for the
-	// timeline smoke and the attribution tests. Sleeping never touches the
-	// math, so the trained bits stay identical to an undelayed run.
+	// e2e suite's TestTimeline and the attribution tests. Sleeping never
+	// touches the math, so the trained bits stay identical to an
+	// undelayed run.
 	InjectDelay     time.Duration
 	InjectDelayRank int
 }
