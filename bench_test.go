@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/cosmo"
+	"repro/internal/cpufeat"
 	"repro/internal/data"
 	"repro/internal/hpcsim"
 	"repro/internal/nn"
@@ -551,16 +552,13 @@ func BenchmarkBaseline_PowerSpectrumRegression(b *testing.B) {
 	b.ReportMetric(mse, "test-mse")
 }
 
-// The forward row kernel's switch and CPU report, internal/nn's
-// unexported vectorConv and cpuAVX2, bound by name so that
-// BenchmarkConv3DForward can time the pure-Go kernel beside the vector
-// one in the same process without the package exporting a knob.
+// The forward row kernel's switch, internal/nn's unexported vectorConv,
+// bound by name so that BenchmarkConv3DForward can time the pure-Go
+// kernel beside the vector one in the same process without the package
+// exporting a knob.
 //
 //go:linkname nnVectorConv repro/internal/nn.vectorConv
 var nnVectorConv bool
-
-//go:linkname nnCPUAVX2 repro/internal/nn.cpuAVX2
-var nnCPUAVX2 bool
 
 // BenchmarkConv3DForward times the forward kernel of every convolution
 // layer of the two benchmark networks — predict.large's (dim 16, base 16)
@@ -572,7 +570,7 @@ var nnCPUAVX2 bool
 // the vector time (1 on a CPU without AVX2, where both sides run Go), the
 // vector side's Gflop/s, and the allocations of a slice's two forwards.
 func BenchmarkConv3DForward(b *testing.B) {
-	defer func() { nnVectorConv = nnCPUAVX2 }()
+	defer func() { nnVectorConv = cpufeat.AVX2 }()
 	for _, cfg := range []struct {
 		name      string
 		dim, base int
@@ -603,7 +601,7 @@ func BenchmarkConv3DForward(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						for k := range 2 {
 							side := (i + k) % 2
-							nnVectorConv = side == 1 && nnCPUAVX2
+							nnVectorConv = side == 1 && cpufeat.AVX2
 							start := time.Now()
 							conv.Forward(x)
 							ms[side] = append(ms[side], time.Since(start).Seconds()*1e3)

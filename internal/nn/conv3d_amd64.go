@@ -2,37 +2,12 @@
 
 package nn
 
-// cpuAVX2 reports whether the CPU and the OS support AVX2: CPUID leaf 7's
-// AVX2 bit, plus leaf 1's AVX and OSXSAVE bits and XGETBV's XMM and YMM
-// state, the checks the Go runtime's internal/cpu makes.
-var cpuAVX2 = hasAVX2()
+import "repro/internal/cpufeat"
 
-// vectorConv selects fwdRowK3's vector body. It is cpuAVX2 at init; tests
-// and benchmarks clear it to run the pure-Go kernel on the same machine.
-var vectorConv = cpuAVX2
-
-func hasAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	const xmmYMMState = 1<<1 | 1<<2 // XCR0: the OS saves XMM and YMM registers
-	if xcr0, _ := xgetbv(); xcr0&xmmYMMState != xmmYMMState {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&avx2 != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+// vectorConv selects fwdRowK3's vector body. It is cpufeat.AVX2 at init;
+// tests and benchmarks clear it to run the pure-Go kernel on the same
+// machine.
+var vectorConv = cpufeat.AVX2
 
 // fwdRowK3AVX2 is fwdRowK3 over the first n elements of the four rows
 // (n a multiple of 4), in 8-wide blocks and at most one 4-wide block. Each

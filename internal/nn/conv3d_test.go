@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -43,7 +44,7 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 		geom{1, 16, 1, 1, 1, 4, 2, 2},
 	)
 
-	setVectorConv(t, cpuAVX2) // restored however the test ends
+	setVectorConv(t, cpufeat.AVX2) // restored however the test ends
 	var pools []*parallel.Pool
 	for _, w := range []int{1, 2, 5} {
 		pools = append(pools, parallel.NewPool(w))
@@ -67,7 +68,7 @@ func TestConvForwardMatchesBruteForce(t *testing.T) {
 			}
 			vectorConv = false
 			requireBits(t, fmt.Sprintf("%s sample %d on the Go row kernel", name, j), c.Forward(x).Data(), want[j])
-			vectorConv = cpuAVX2
+			vectorConv = cpufeat.AVX2
 		}
 		layers := []*Conv3D{c}
 		for _, p := range pools {

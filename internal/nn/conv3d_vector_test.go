@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -20,7 +21,7 @@ func setVectorConv(t testing.TB, on bool) {
 // requireAVX2 skips t on a CPU without AVX2, where there is no vector
 // body to compare.
 func requireAVX2(t testing.TB) {
-	if !cpuAVX2 {
+	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 vector body on this CPU or build")
 	}
 }
