@@ -31,7 +31,7 @@ test:
 # their amd64 assembly (the purego tag), and the whole tree vetted for an
 # architecture that has none, so the fallback builds and passes.
 purego:
-	$(GO) test -tags purego ./internal/nn ./internal/train
+	$(GO) test -tags purego ./internal/nn ./internal/optim ./internal/train
 	GOARCH=arm64 $(GO) vet ./...
 
 # Race-detect the concurrency-bearing packages: the serving subsystem

@@ -216,9 +216,9 @@ func (o *AdamLARC) updateRange(lo, hi int) {
 	}
 }
 
-// adamRange applies Adam with the LARC-scaled gradient s·g to one
-// parameter's values v and moments m, sv over a sub-range (all four
-// slices the same length).
+// adamRangeGo is adamRange's pure-Go body: the whole update under
+// !amd64 || purego, the tail the vector body leaves, and the reference
+// TestAdamVectorMatchesGo holds the vector body to.
 //
 // The element loop is written for the float divider's throughput, not its
 // latency. CVTSD2SS and SQRTSD write only the low lane of their
@@ -233,8 +233,8 @@ func (o *AdamLARC) updateRange(lo, hi int) {
 //     1.24) to SQRTSD X7, X12 after the previous element's
 //     CVTSD2SS X6, X12: every element waits for the sqrt → add → div →
 //     convert chain before it. That loop is 1.8× as fast as the unhoisted
-//     one; four lanes are 3.5× as fast (BenchmarkAdamLARCStep, both
-//     networks).
+//     one; four lanes are 3.5× as fast (BenchmarkAdamLARCStep's ms-go,
+//     both networks).
 //
 // So the loop updates four elements per iteration, each lane with its own
 // temporaries and written out lane by lane, and a scalar tail takes the
@@ -243,7 +243,7 @@ func (o *AdamLARC) updateRange(lo, hi int) {
 // objdump and BenchmarkAdamLARCStep before changing its shape. Each
 // element keeps the scalar form's operations in its order, so the bits
 // equal it (TestStepMatchesScalarReference).
-func adamRange(g, v, m, sv []float32, s float32, k *stepConsts) {
+func adamRangeGo(g, v, m, sv []float32, s float32, k *stepConsts) {
 	eta, b1c, b2c, eps := k.eta, k.b1c, k.b2c, k.eps
 	b1, b2, c1, c2 := k.b1, k.b2, k.c1, k.c2
 	n := len(g)

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/cpufeat"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -137,9 +140,9 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 // each one: on both benchmark networks' parameter sets, on lengths that
 // exercise every size of the four-wide loop's tail, with LARC on and off,
 // and with one all-zero gradient on the third step, each at 1, 2 and 5
-// workers (at 2 and 5 the networks' update chunks end inside parameters).
-// With LARC on, every case must take each branch of LARC's rate at least
-// once.
+// workers (at 2 and 5 the networks' update chunks end inside parameters),
+// on the pure-Go element loop and on the vector body. With LARC on, every
+// case must take each branch of LARC's rate at least once.
 func TestStepMatchesScalarReference(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -156,76 +159,92 @@ func TestStepMatchesScalarReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 5} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					pool := parallel.NewPool(workers)
-					defer pool.Close()
-					rng := rand.New(rand.NewSource(7))
-					ps := tc.params(rng)
-					ref := twin(ps)
-					cfg := Config{DisableLARC: tc.noLARC, Schedule: DefaultSchedule(4)}
-					o, r := NewOnPool(ps, cfg, pool), New(ref, cfg)
-					paths := map[string]int{}
-					for step := 0; step < 5; step++ {
-						zero := -1
-						if step == 2 {
-							zero = 1
+					forEachBody(t, func(t *testing.T) {
+						pool := parallel.NewPool(workers)
+						defer pool.Close()
+						rng := rand.New(rand.NewSource(7))
+						ps := tc.params(rng)
+						ref := twin(ps)
+						cfg := Config{DisableLARC: tc.noLARC, Schedule: DefaultSchedule(4)}
+						o, r := NewOnPool(ps, cfg, pool), New(ref, cfg)
+						paths := map[string]int{}
+						for step := 0; step < 5; step++ {
+							zero := -1
+							if step == 2 {
+								zero = 1
+							}
+							fillGrads(rng, ps, zero)
+							for _, p := range ps {
+								paths[larcPath(o.cfg, p.Value.Data(), p.Grad.Data())]++
+							}
+							o.Step()
+							refStep(r)
+							for i := range ps {
+								requireSameBits(t, ps[i].Name+" value", ps[i].Value.Data(), ref[i].Value.Data())
+							}
+							got, want := o.StateBuffers(), r.StateBuffers()
+							for k := range got {
+								requireSameBits(t, ps[k/2].Name+[]string{" m", " v"}[k%2], got[k], want[k])
+							}
 						}
-						fillGrads(rng, ps, zero)
-						for _, p := range ps {
-							paths[larcPath(o.cfg, p.Value.Data(), p.Grad.Data())]++
+						if o.StepCount() != r.StepCount() {
+							t.Errorf("step count %d, reference %d", o.StepCount(), r.StepCount())
 						}
-						o.Step()
-						refStep(r)
-						for i := range ps {
-							requireSameBits(t, ps[i].Name+" value", ps[i].Value.Data(), ref[i].Value.Data())
+						if !tc.noLARC && len(paths) != 3 {
+							t.Errorf("LARC branches taken %v, want fallback, clipped and local", paths)
 						}
-						got, want := o.StateBuffers(), r.StateBuffers()
-						for k := range got {
-							requireSameBits(t, ps[k/2].Name+[]string{" m", " v"}[k%2], got[k], want[k])
-						}
-					}
-					if o.StepCount() != r.StepCount() {
-						t.Errorf("step count %d, reference %d", o.StepCount(), r.StepCount())
-					}
-					if !tc.noLARC && len(paths) != 3 {
-						t.Errorf("LARC branches taken %v, want fallback, clipped and local", paths)
-					}
+					})
 				})
 			}
 		})
 	}
 }
 
+// TestStepDoesNotAllocate checks Step allocates nothing on either element
+// body. On the vector body the slices' pointers stay unescaped only
+// through adamAVX2's //go:noescape.
 func TestStepDoesNotAllocate(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ps := lengthParams(rng, 7, 1000, 4096)
-	fillGrads(rng, ps, -1)
-	o := New(ps, Config{Schedule: DefaultSchedule(1000)})
-	if allocs := testing.AllocsPerRun(50, o.Step); allocs != 0 {
-		t.Errorf("Step allocates %v times per call, want 0", allocs)
-	}
+	forEachBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		ps := lengthParams(rng, 7, 1000, 4096)
+		fillGrads(rng, ps, -1)
+		o := New(ps, Config{Schedule: DefaultSchedule(1000)})
+		if allocs := testing.AllocsPerRun(50, o.Step); allocs != 0 {
+			t.Errorf("Step allocates %v times per call, want 0", allocs)
+		}
+	})
 }
 
 // TestPooledStepAllocatesOnlyForWaitGroups pins a 2-worker Step's
 // allocations at exactly 2: the LARC phase and the update each make one
 // Pool.For call that hands work to the other worker, and each such call
-// allocates its WaitGroup. Step itself allocates nothing.
+// allocates its WaitGroup. Step itself allocates nothing, on either
+// element body.
 func TestPooledStepAllocatesOnlyForWaitGroups(t *testing.T) {
-	pool := parallel.NewPool(2)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(3))
-	ps := lengthParams(rng, 7, 1000, 4*updateGrain)
-	fillGrads(rng, ps, -1)
-	o := NewOnPool(ps, Config{Schedule: DefaultSchedule(1000)}, pool)
-	if allocs := testing.AllocsPerRun(50, o.Step); allocs != 2 {
-		t.Errorf("2-worker Step allocates %v times per call, want 2 (one WaitGroup per Pool.For)", allocs)
-	}
+	forEachBody(t, func(t *testing.T) {
+		pool := parallel.NewPool(2)
+		defer pool.Close()
+		rng := rand.New(rand.NewSource(3))
+		ps := lengthParams(rng, 7, 1000, 4*updateGrain)
+		fillGrads(rng, ps, -1)
+		o := NewOnPool(ps, Config{Schedule: DefaultSchedule(1000)}, pool)
+		if allocs := testing.AllocsPerRun(50, o.Step); allocs != 2 {
+			t.Errorf("2-worker Step allocates %v times per call, want 2 (one WaitGroup per Pool.For)", allocs)
+		}
+	})
 }
 
 // BenchmarkAdamLARCStep times one Step over the parameter set of each
 // benchmark training workload's network: train.1rank (dim 32, base 8,
 // 1.20 M parameters) and train.2rank-tcp (dim 16, base 16, 4.81 M), at 1
-// and 2 workers.
+// and 2 workers, on the pure-Go element loop and on the vector body. Each
+// iteration is one slice: a Step on each body, alternating which goes
+// first, so a stretch of host slowdown hits both sides. It reports the
+// median ms of each side, the median over slices of the Go time over the
+// vector time (1 on a CPU without AVX2, where both sides run Go), and the
+// allocations of a slice's two Steps.
 func BenchmarkAdamLARCStep(b *testing.B) {
+	setVectorAdam(b, vectorAdam) // restored however the benchmark ends
 	for _, nc := range []struct {
 		name      string
 		dim, base int
@@ -239,10 +258,28 @@ func BenchmarkAdamLARCStep(b *testing.B) {
 				o := NewOnPool(ps, Config{Schedule: DefaultSchedule(1000)}, pool)
 				b.ReportAllocs()
 				b.ResetTimer()
+				var ms [2][]float64 // by side: 0 pure Go, 1 vector
+				var ratios []float64
 				for i := 0; i < b.N; i++ {
-					o.Step()
+					for k := range 2 {
+						side := (i + k) % 2
+						vectorAdam = side == 1 && cpufeat.AVX2
+						start := time.Now()
+						o.Step()
+						ms[side] = append(ms[side], time.Since(start).Seconds()*1e3)
+					}
+					ratios = append(ratios, ms[0][i]/ms[1][i])
 				}
+				b.ReportMetric(median(ms[0]), "ms-go")
+				b.ReportMetric(median(ms[1]), "ms-vector")
+				b.ReportMetric(median(ratios), "go/vector")
 			})
 		}
 	}
+}
+
+// median returns the middle value of xs, sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 }
