@@ -256,10 +256,11 @@ func BenchmarkAdamLARCStep(b *testing.B) {
 				ps := networkParams(b, nc.dim, nc.base)
 				fillGrads(rand.New(rand.NewSource(1)), ps, -1)
 				o := NewOnPool(ps, Config{Schedule: DefaultSchedule(1000)}, pool)
+				// Sized up front, so the allocations reported are Step's.
+				ms := [2][]float64{make([]float64, 0, b.N), make([]float64, 0, b.N)} // by side: 0 pure Go, 1 vector
+				ratios := make([]float64, 0, b.N)
 				b.ReportAllocs()
 				b.ResetTimer()
-				var ms [2][]float64 // by side: 0 pure Go, 1 vector
-				var ratios []float64
 				for i := 0; i < b.N; i++ {
 					for k := range 2 {
 						side := (i + k) % 2
