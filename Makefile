@@ -73,11 +73,11 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# One-pass serving, batched-inference, per-layer conv-forward,
-# training-step, optimizer-step and TCP-allreduce benchmarks: a smoke
+# One-pass serving, batched-inference, per-layer conv-forward and
+# conv-backward, training-step, optimizer-step and TCP-allreduce benchmarks: a smoke
 # signal that the hot paths still run, cheap enough for every CI run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Serving|InferBatch|Conv3DForward|TrainStep' -benchtime 1x .
+	$(GO) test -run xxx -bench 'Serving|InferBatch|Conv3DForward|Conv3DBackward|TrainStep' -benchtime 1x .
 	$(GO) test -run xxx -bench AdamLARCStep -benchtime 1x ./internal/optim
 	$(GO) test -run xxx -bench AllReduceTCP -benchtime 1x ./internal/dist
 

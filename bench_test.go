@@ -552,29 +552,62 @@ func BenchmarkBaseline_PowerSpectrumRegression(b *testing.B) {
 	b.ReportMetric(mse, "test-mse")
 }
 
-// The forward row kernel's switch, internal/nn's unexported vectorConv,
-// bound by name so that BenchmarkConv3DForward can time the pure-Go
-// kernel beside the vector one in the same process without the package
-// exporting a knob.
+// The conv kernels' switch, internal/nn's unexported vectorConv, and the
+// two backward operators, bound by name so that the Conv3D benchmarks can
+// time the pure-Go kernels beside the vector ones, and backward-weights
+// apart from backward-data, without the package exporting a knob.
 //
 //go:linkname nnVectorConv repro/internal/nn.vectorConv
 var nnVectorConv bool
 
-// BenchmarkConv3DForward times the forward kernel of every convolution
-// layer of the two benchmark networks — predict.large's (dim 16, base 16)
-// and train.1rank's (dim 32, base 8) — at 1 and 2 workers, on the AVX2
-// row kernel and on the pure-Go one (§III-C, Table I's forward column).
-// Each iteration is one slice: a Forward on each kernel, alternating which
-// goes first, so a stretch of host slowdown hits both sides. It reports
-// the median ms of each side, the median over slices of the Go time over
-// the vector time (1 on a CPU without AVX2, where both sides run Go), the
-// vector side's Gflop/s, and the allocations of a slice's two forwards.
-func BenchmarkConv3DForward(b *testing.B) {
+//go:linkname nnConvBackwardWeights repro/internal/nn.(*Conv3D).backwardParams
+func nnConvBackwardWeights(c *nn.Conv3D, dy *tensor.Tensor)
+
+//go:linkname nnConvBackwardData repro/internal/nn.(*Conv3D).backwardInput
+func nnConvBackwardData(c *nn.Conv3D, dy *tensor.Tensor) *tensor.Tensor
+
+// goVersusVector runs b.N slices of op, each one call on the pure-Go
+// kernels and one on the vector kernels, alternating which goes first so
+// a stretch of host slowdown hits both sides. It reports the median ms of
+// each side, the median over slices of the Go time over the vector time
+// (1 on a CPU without AVX2, where both sides run Go) and the allocations
+// of a slice's two calls, and returns the vector side's median ms. The
+// per-slice records are sized before the timer starts, so allocs/op
+// counts op's allocations alone.
+func goVersusVector(b *testing.B, op func()) float64 {
 	defer func() { nnVectorConv = cpufeat.AVX2 }()
-	for _, cfg := range []struct {
-		name      string
-		dim, base int
-	}{{"predict.large", 16, 16}, {"train.1rank", 32, 8}} {
+	b.ReportAllocs()
+	ms := [2][]float64{make([]float64, b.N), make([]float64, b.N)} // by side: 0 pure Go, 1 vector
+	ratios := make([]float64, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range 2 {
+			side := (i + k) % 2
+			nnVectorConv = side == 1 && cpufeat.AVX2
+			start := time.Now()
+			op()
+			ms[side][i] = time.Since(start).Seconds() * 1e3
+		}
+		ratios[i] = ms[0][i] / ms[1][i]
+	}
+	b.StopTimer()
+	b.ReportMetric(median(ms[0]), "ms-go")
+	b.ReportMetric(median(ms[1]), "ms-vector")
+	b.ReportMetric(median(ratios), "go/vector")
+	return median(ms[1])
+}
+
+// convBenchNet is one network of the Conv3D benchmarks, named after the
+// benchmark workload that runs it.
+type convBenchNet struct {
+	name      string
+	dim, base int
+}
+
+// eachConvLayer builds every network of nets on a pool of 1 and of 2
+// workers and calls fn with each convolution layer and its input shape.
+func eachConvLayer(b *testing.B, nets []convBenchNet, fn func(cfg convBenchNet, workers int, conv *nn.Conv3D, in tensor.Shape)) {
+	for _, cfg := range nets {
 		for _, workers := range []int{1, 2} {
 			pool := parallel.NewPool(workers)
 			net, err := nn.BuildCosmoFlow(nn.TopologyConfig{
@@ -583,40 +616,66 @@ func BenchmarkConv3DForward(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(71))
 			shape := net.InputShape()
 			for _, layer := range net.Layers {
-				inShape := shape
+				in := shape
 				shape = layer.OutputShape(shape)
-				conv, ok := layer.(*nn.Conv3D)
-				if !ok {
-					continue
+				if conv, ok := layer.(*nn.Conv3D); ok {
+					fn(cfg, workers, conv, in)
 				}
-				x := tensor.New(inShape...)
-				x.RandNormal(rng, 0, 1)
-				b.Run(fmt.Sprintf("%s/%s/workers=%d", cfg.name, conv.Name(), workers), func(b *testing.B) {
-					b.ReportAllocs()
-					var ms [2][]float64 // by side: 0 pure Go, 1 vector
-					var ratios []float64
-					for i := 0; i < b.N; i++ {
-						for k := range 2 {
-							side := (i + k) % 2
-							nnVectorConv = side == 1 && cpufeat.AVX2
-							start := time.Now()
-							conv.Forward(x)
-							ms[side] = append(ms[side], time.Since(start).Seconds()*1e3)
-						}
-						ratios = append(ratios, ms[0][i]/ms[1][i])
-					}
-					b.ReportMetric(median(ms[0]), "ms-go")
-					b.ReportMetric(median(ms[1]), "ms-vector")
-					b.ReportMetric(median(ratios), "go/vector")
-					b.ReportMetric(float64(conv.FwdFLOPs(inShape))/1e6/median(ms[1]), "Gflop/s")
-				})
 			}
 			pool.Close()
 		}
 	}
+}
+
+// BenchmarkConv3DForward times the forward kernel of every convolution
+// layer of the two benchmark networks — predict.large's (dim 16, base 16)
+// and train.1rank's (dim 32, base 8) — at 1 and 2 workers, on the AVX2
+// row kernel and on the pure-Go one (§III-C, Table I's forward column),
+// in goVersusVector's interleaved slices. It also reports the vector
+// side's Gflop/s.
+func BenchmarkConv3DForward(b *testing.B) {
+	rng := rand.New(rand.NewSource(71))
+	nets := []convBenchNet{{"predict.large", 16, 16}, {"train.1rank", 32, 8}}
+	eachConvLayer(b, nets, func(cfg convBenchNet, workers int, conv *nn.Conv3D, in tensor.Shape) {
+		x := tensor.New(in...)
+		x.RandNormal(rng, 0, 1)
+		b.Run(fmt.Sprintf("%s/%s/workers=%d", cfg.name, conv.Name(), workers), func(b *testing.B) {
+			ms := goVersusVector(b, func() { conv.Forward(x) })
+			b.ReportMetric(float64(conv.FwdFLOPs(in))/1e6/ms, "Gflop/s")
+		})
+	})
+}
+
+// BenchmarkConv3DBackward times the backward-weights (dW) and
+// backward-data (dX) operators apart, for every convolution layer of the
+// two training networks — train.2rank-tcp's (dim 16, base 16) and
+// train.1rank's (dim 32, base 8) — at 1 and 2 workers, on the AVX2 bodies
+// and on the pure-Go ones (§III-C, Table I's backward column), in
+// goVersusVector's interleaved slices. dW accumulates into the layer's
+// gradient across calls, as micro-batches do. conv1's dX is timed too,
+// though training never asks for it.
+func BenchmarkConv3DBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(72))
+	nets := []convBenchNet{{"train.2rank-tcp", 16, 16}, {"train.1rank", 32, 8}}
+	eachConvLayer(b, nets, func(cfg convBenchNet, workers int, conv *nn.Conv3D, in tensor.Shape) {
+		x := tensor.New(in...)
+		x.RandNormal(rng, 0, 1)
+		dy := tensor.New(conv.Forward(x).Shape()...)
+		dy.RandNormal(rng, 0, 1)
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"dW", func() { nnConvBackwardWeights(conv, dy) }},
+			{"dX", func() { nnConvBackwardData(conv, dy) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/%s/workers=%d", cfg.name, conv.Name(), op.name, workers), func(b *testing.B) {
+				goVersusVector(b, op.run)
+			})
+		}
+	})
 }
 
 // BenchmarkAblation_AllreduceAlgorithms compares the scalable collectives

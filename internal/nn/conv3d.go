@@ -16,7 +16,9 @@ import (
 // paper's Algorithm 1 blocks channels by 16 to fill AVX512 registers; here
 // the reuse that pays is one x load feeding four output channels × three
 // width taps held in registers, eight or four widths at a time where the
-// CPU has AVX2 (fwdRowK3).
+// CPU has AVX2 (fwdRowK3). Backward (conv3d_backward.go) has a pure-Go
+// body for both operators and, where the CPU has AVX2, a vector body for
+// backward-data (dxRowK3, dxChan8) whose dx is bit-equal to the Go one's.
 type Conv3D struct {
 	InC, OutC int
 	K         int // cubic kernel extent
@@ -28,6 +30,8 @@ type Conv3D struct {
 
 	// cached between Forward and Backward
 	x *tensor.Tensor
+	// Backward's working copies
+	bwd bwdScratch
 }
 
 // NewConv3D builds a convolution layer. Weights use He initialization from

@@ -6,19 +6,52 @@ import (
 	"repro/internal/tensor"
 )
 
-// The backward-weights and backward-data operators of §III-C, as one pair
-// of row kernels for every layer geometry. A kernel tap (kd, kh) pairs each
-// output row (z, y) in a range with one input row; the ranges are computed
-// once per call, so padding costs no per-element branch and a 1³ volume
-// visits its one in-bounds tap instead of all 27. Within a row the work is
-// a dot product (weights) or an axpy (data) along the width, blocked over
-// output channels so one x or dx access feeds several multiply-adds. Every
-// dW, dB and dx element is accumulated by exactly one task in a fixed
-// order: results are bit-identical for any worker count.
+// The backward-weights and backward-data operators of §III-C. Both have a
+// pure-Go body, which runs every geometry, is the !amd64 || purego path
+// and is the vector body's differential reference; backward-data also has
+// an AVX2 body (conv3d_backward_amd64.go) that vectorConv selects for K = 3
+// and that moves no bit.
+//
+// Go bodies: a kernel tap (kd, kh) pairs each output row (z, y) in a range
+// with one input row; the ranges are computed once per call, so padding
+// costs no per-element branch and a 1³ volume visits its one in-bounds tap
+// instead of all 27. Within a row the work is a dot product (weights) or
+// an axpy (data) along the width, blocked over output channels so one x or
+// dx access feeds several multiply-adds.
+//
+// Every dW element is a float64 total, in (z, y) order, of float32 row
+// sums over the width started at +0; every dx element is a float32 sum,
+// started at +0, of one four-channel term ((w0·d0 + w1·d1) + w2·d2) +
+// w3·d3 per (output-channel block, kd, kh, kw) in that order, a channel
+// past OutC contributing a zero weight times channel OutC-1's dy. These
+// chains are independent across elements, so the vector body runs whole
+// dx chains in lanes (width or input channels) with separate multiplies
+// and adds, and every element is accumulated
+// by exactly one task: results are bit-identical for any worker count and
+// on either body.
 
 // dwICChunk is the number of input channels per backward-weights task; a
 // constant, so the task grid never depends on the worker count.
 const dwICChunk = 16
+
+// bwdScratch holds the backward kernels' per-call working copies, sized at
+// the first Backward and reused: each is rebuilt from this call's operands
+// before it is read, so nothing carries over between calls.
+type bwdScratch struct {
+	xp   []float32 // x, width-padded (dW)
+	dyP  []float32 // dy width-padded, channels padded to 4 (vector dx)
+	wT   []float32 // W′[tap][oc][ic] over the visited taps (vector dx)
+	mask []int32   // per width tap, the row positions it adds into (vector dx)
+}
+
+// grow returns s resliced to n elements, reallocated if its capacity is
+// short. The contents are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // convGeom is the per-call geometry shared by the two backward kernels.
 type convGeom struct {
@@ -45,18 +78,22 @@ func newTapRanges(k, s, p, extent, outExtent int) tapRanges {
 	return r
 }
 
-// Backward implements Layer, computing both the backward-data and
-// backward-weights operators (§III-C).
+// Backward implements Layer, computing both the backward-weights and the
+// backward-data operators (§III-C).
 func (c *Conv3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	g := c.backwardGeom(dy)
-	c.backwardWeights(g, dy.Data())
-	return c.backwardData(g, dy.Data())
+	c.backwardParams(dy)
+	return c.backwardInput(dy)
 }
 
 // backwardParams implements paramsOnlyBackward: the backward-weights
 // operator alone, for a first layer whose input gradient nobody reads.
 func (c *Conv3D) backwardParams(dy *tensor.Tensor) {
 	c.backwardWeights(c.backwardGeom(dy), dy.Data())
+}
+
+// backwardInput is the backward-data operator alone: it returns dx.
+func (c *Conv3D) backwardInput(dy *tensor.Tensor) *tensor.Tensor {
+	return c.backwardData(c.backwardGeom(dy), dy.Data())
 }
 
 // backwardGeom validates dy against the cached forward input and returns
@@ -90,22 +127,16 @@ func (c *Conv3D) backwardWeights(g convGeom, dyd []float32) {
 	k, s, p, k3 := c.K, c.Stride, c.Pad, c.K*c.K*c.K
 	pitch := g.iw + 2*p
 	xd := c.x.Data()
-	xp := padRows(make([]float32, len(xd)/g.iw*pitch), xd, g.iw, p)
-	dwd, dbd := c.W.Grad.Data(), c.B.Grad.Data()
+	c.bwd.xp = grow(c.bwd.xp, len(xd)/g.iw*pitch)
+	xp := padRows(c.bwd.xp, xd, g.iw, p)
+	dwd := c.W.Grad.Data()
 	icChunks := (c.InC + dwICChunk - 1) / dwICChunk
 	c.pool.ForEach((c.OutC+1)/2*icChunks, 1, func(task int) {
 		oc0 := task / icChunks * 2
 		oc1 := min(oc0+1, c.OutC-1) // an odd tail pairs the channel with itself
 		icLo := task % icChunks * dwICChunk
 		if icLo == 0 {
-			vol := g.od * g.oh * g.ow
-			for oc := oc0; oc <= oc1; oc++ {
-				var db float64
-				for _, v := range dyd[oc*vol:][:vol] {
-					db += float64(v)
-				}
-				dbd[oc] += float32(db)
-			}
+			c.biasGrad(dyd, g, oc0, oc1+1)
 		}
 		tot := make([]float64, 2*k)
 		for ic := icLo; ic < min(icLo+dwICChunk, c.InC); ic++ {
@@ -134,6 +165,20 @@ func (c *Conv3D) backwardWeights(g convGeom, dyd []float32) {
 			}
 		}
 	})
+}
+
+// biasGrad adds to dB[oc] for oc in [lo, hi) the float64 sum of channel
+// oc's dy.
+func (c *Conv3D) biasGrad(dyd []float32, g convGeom, lo, hi int) {
+	vol := g.od * g.oh * g.ow
+	dbd := c.B.Grad.Data()
+	for oc := lo; oc < hi; oc++ {
+		var db float64
+		for _, v := range dyd[oc*vol:][:vol] {
+			db += float64(v)
+		}
+		dbd[oc] += float32(db)
+	}
 }
 
 // dwRow adds to tot[kw] and tot[k+kw], k = len(tot)/2, the dot products of
@@ -175,39 +220,47 @@ func dwRow(tot []float64, d0, d1, xr []float32, s int) {
 // backwardData returns dx. A task owns one (input channel, depth) slab of
 // dx and accumulates into it from every output channel, four at a time.
 func (c *Conv3D) backwardData(g convGeom, dyd []float32) *tensor.Tensor {
-	k, s, p, k3 := c.K, c.Stride, c.Pad, c.K*c.K*c.K
-	wd := c.W.Value.Data()
 	dx := tensor.New(c.x.Shape()...)
 	dxd := dx.Data()
-	zeroW := make([]float32, k3) // weights of the channels an odd tail lacks
+	if vectorConv && c.backwardDataVector(g, dyd, dxd) {
+		return dx
+	}
+	zeroW := make([]float32, c.K*c.K*c.K) // weights of the channels an odd tail lacks
 	c.pool.ForEach(c.InC*g.id, 1, func(task int) {
-		ic, zi := task/g.id, task%g.id
-		var w, d [4][]float32
-		for oc0 := 0; oc0 < c.OutC; oc0 += len(w) {
-			for j := range w {
-				w[j] = zeroW
-				if oc0+j < c.OutC {
-					w[j] = wd[((oc0+j)*c.InC+ic)*k3:][:k3]
-				}
+		c.dxSlab(dxd, dyd, g, task/g.id, task%g.id, g.x, zeroW)
+	})
+	return dx
+}
+
+// dxSlab accumulates the dx slab of input channel ic at depth zi, over the
+// width positions the tap ranges xr admit (g.x for all of them).
+func (c *Conv3D) dxSlab(dxd, dyd []float32, g convGeom, ic, zi int, xr tapRanges, zeroW []float32) {
+	k, s, p, k3 := c.K, c.Stride, c.Pad, c.K*c.K*c.K
+	wd := c.W.Value.Data()
+	var w, d [4][]float32
+	for oc0 := 0; oc0 < c.OutC; oc0 += len(w) {
+		for j := range w {
+			w[j] = zeroW
+			if oc0+j < c.OutC {
+				w[j] = wd[((oc0+j)*c.InC+ic)*k3:][:k3]
 			}
-			for kd := 0; kd < k; kd++ {
-				n := zi + p - kd // z·s, if output depth z reads zi at tap kd
-				if n < 0 || n%s != 0 || n/s >= g.od {
-					continue
-				}
-				for kh := 0; kh < k; kh++ {
-					for y := g.y.lo[kh]; y < g.y.hi[kh]; y++ {
-						for j := range d {
-							d[j] = dyd[((min(oc0+j, c.OutC-1)*g.od+n/s)*g.oh+y)*g.ow:][:g.ow]
-						}
-						dxr := dxd[((ic*g.id+zi)*g.ih+y*s+kh-p)*g.iw:][:g.iw]
-						dxRow(dxr, s, p, g.x, &d, &w, (kd*k+kh)*k)
+		}
+		for kd := 0; kd < k; kd++ {
+			n := zi + p - kd // z·s, if output depth z reads zi at tap kd
+			if n < 0 || n%s != 0 || n/s >= g.od {
+				continue
+			}
+			for kh := 0; kh < k; kh++ {
+				for y := g.y.lo[kh]; y < g.y.hi[kh]; y++ {
+					for j := range d {
+						d[j] = dyd[((min(oc0+j, c.OutC-1)*g.od+n/s)*g.oh+y)*g.ow:][:g.ow]
 					}
+					dxr := dxd[((ic*g.id+zi)*g.ih+y*s+kh-p)*g.iw:][:g.iw]
+					dxRow(dxr, s, p, xr, &d, &w, (kd*k+kh)*k)
 				}
 			}
 		}
-	})
-	return dx
+	}
 }
 
 // dxRow adds to the dx row dst the contribution of the four dy rows d

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -132,15 +133,23 @@ func convBackwardCase(seed int64, inC, outC, d, h, w, k, stride, pad, workers in
 	return c, dx, dW, dB, dX
 }
 
+// TestConvBackwardMatchesBruteForce checks dW, dB and dx against the
+// float64 loop nest on the Go bodies and on the vector ones (where the CPU
+// has AVX2), and requires the two to be bit-equal.
 func TestConvBackwardMatchesBruteForce(t *testing.T) {
 	type geom struct{ inC, outC, d, h, w, k, stride, pad int }
 	// The shapes the topology produces, plus the corners the row kernels
 	// special-case: InC = 1, odd OutC (unpaired tail), widths below the
-	// kernel extent, 1³ volumes, and channel counts off the 16-multiple.
+	// kernel extent, the vector bodies' exact 4-, 8- and 16-wide rows, 1³
+	// volumes, and channel counts off the 16-multiple.
 	cases := []geom{
 		{1, 8, 6, 5, 9, 3, 1, 1},
 		{16, 32, 3, 4, 5, 3, 1, 1},
 		{16, 16, 1, 1, 1, 3, 1, 1},
+		{32, 16, 1, 1, 1, 3, 1, 1},
+		{16, 8, 3, 2, 4, 3, 1, 1},
+		{8, 16, 2, 3, 8, 3, 1, 1},
+		{4, 5, 2, 2, 16, 3, 1, 1},
 		{17, 3, 1, 1, 1, 3, 2, 1},
 		{4, 5, 2, 2, 2, 3, 2, 1},
 		{3, 2, 4, 3, 2, 3, 1, 1},
@@ -160,19 +169,35 @@ func TestConvBackwardMatchesBruteForce(t *testing.T) {
 		}
 		cases = append(cases, g)
 	}
+	bodies := []bool{false}
+	if cpufeat.AVX2 {
+		bodies = append(bodies, true)
+	}
 	const tol = 1e-4
 	for i, g := range cases {
 		workers := []int{1, 2, 5}[i%3]
-		name := fmt.Sprintf("%d->%d_%dx%dx%d_k%ds%dp%d_w%d", g.inC, g.outC, g.d, g.h, g.w, g.k, g.stride, g.pad, workers)
-		c, dx, dW, dB, dX := convBackwardCase(int64(i), g.inC, g.outC, g.d, g.h, g.w, g.k, g.stride, g.pad, workers)
-		if e := maxRelErr(c.W.Grad.Data(), dW); e > tol {
-			t.Errorf("%s: dW relative error %g", name, e)
-		}
-		if e := maxRelErr(c.B.Grad.Data(), dB); e > tol {
-			t.Errorf("%s: dB relative error %g", name, e)
-		}
-		if e := maxRelErr(dx.Data(), dX); e > tol {
-			t.Errorf("%s: dx relative error %g", name, e)
+		var first [3][]float32
+		for _, vector := range bodies {
+			setVectorConv(t, vector)
+			name := fmt.Sprintf("%d->%d_%dx%dx%d_k%ds%dp%d_w%d_vector=%t", g.inC, g.outC, g.d, g.h, g.w, g.k, g.stride, g.pad, workers, vector)
+			c, dx, dW, dB, dX := convBackwardCase(int64(i), g.inC, g.outC, g.d, g.h, g.w, g.k, g.stride, g.pad, workers)
+			if e := maxRelErr(c.W.Grad.Data(), dW); e > tol {
+				t.Errorf("%s: dW relative error %g", name, e)
+			}
+			if e := maxRelErr(c.B.Grad.Data(), dB); e > tol {
+				t.Errorf("%s: dB relative error %g", name, e)
+			}
+			if e := maxRelErr(dx.Data(), dX); e > tol {
+				t.Errorf("%s: dx relative error %g", name, e)
+			}
+			got := [3][]float32{c.W.Grad.Data(), c.B.Grad.Data(), dx.Data()}
+			if first[0] == nil {
+				first = got
+				continue
+			}
+			for j, what := range []string{"dW", "dB", "dx"} {
+				requireBits(t, name+" "+what+" against the Go bodies", got[j], first[j])
+			}
 		}
 	}
 }

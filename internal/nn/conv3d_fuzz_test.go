@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -16,8 +17,9 @@ import (
 // 1–3. A kernel wider than a padded extent must be refused with
 // convOutDim's named panic. Any other geometry must agree with the float64
 // loop nests — Forward to 1e-4 of refConvForward, and Backward to 1e-4 of
-// the magnitude of refConvBackward's summed terms — and every sample of a
-// batched forward must be bit-equal to Forward on that sample alone. The
+// the magnitude of refConvBackward's summed terms — every sample of a
+// batched forward must be bit-equal to Forward on that sample alone, and
+// on an AVX2 CPU the vector Backward must be bit-equal to the Go one. The
 // seeds are the stride-2 short input whose (−1)/2 extent once truncated to
 // 1, a width-1 volume, k=4 without padding, a 1³ volume, an odd OutC, three
 // random shapes, and 16→16 layers at widths 27 and 29.
@@ -117,6 +119,24 @@ func FuzzConvGeometry(f *testing.F) {
 			}
 			if e := worst / (scale + 1e-30); e > tol {
 				t.Fatalf("%v k%d s%d p%d: Backward %s relative error %g", shape, kk, s, p, r.name, e)
+			}
+		}
+
+		if !cpufeat.AVX2 {
+			return
+		}
+		// The Backward above ran on the vector bodies: the Go ones must give
+		// the same bits.
+		got := [][]float32{dx.Data(), append([]float32(nil), c.W.Grad.Data()...), append([]float32(nil), c.B.Grad.Data()...)}
+		setVectorConv(t, false)
+		c.W.Grad.Zero()
+		c.B.Grad.Zero()
+		want := [][]float32{c.Backward(dy).Data(), c.W.Grad.Data(), c.B.Grad.Data()}
+		for j, what := range []string{"dx", "dW", "dB"} {
+			for i := range want[j] {
+				if math.Float32bits(got[j][i]) != math.Float32bits(want[j][i]) {
+					t.Fatalf("%v k%d s%d p%d: vector Backward %s[%d] = %v, Go body %v", shape, kk, s, p, what, i, got[j][i], want[j][i])
+				}
 			}
 		}
 	})

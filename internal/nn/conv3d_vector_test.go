@@ -159,9 +159,9 @@ func TestFwdRowK3VectorDoesNotAllocate(t *testing.T) {
 
 // TestNetworkVectorConvMatchesGo builds the benchmark's three networks —
 // predict.large (dim 16, base 16), train.1rank (32/8) and predict.small
-// (8/4) — and requires Forward, InferBatch at B {1, 2, 3} and one
-// Backward's parameter gradients to be bit-equal with the vector kernel
-// and with the pure-Go one. A world whose ranks differ in AVX2 therefore
+// (8/4) — and requires Forward, InferBatch at B {1, 2, 3}, one
+// Backward's parameter gradients and every conv layer's own dx to be
+// bit-equal with the vector kernels and with the pure-Go ones. A world whose ranks differ in AVX2 therefore
 // trains on the same bits.
 func TestNetworkVectorConvMatchesGo(t *testing.T) {
 	requireAVX2(t)
@@ -188,6 +188,13 @@ func TestNetworkVectorConvMatchesGo(t *testing.T) {
 			net.Backward(dy)
 			for _, p := range net.Params() {
 				out = append(out, append([]float32(nil), p.Grad.Data()...))
+			}
+			// Network.Backward never computes conv1's dx, so each conv
+			// layer's own Backward gives its dx here.
+			for i, c := range net.ConvLayers() {
+				dyc := tensor.New(c.OutputShape(c.x.Shape())...)
+				dyc.RandNormal(rand.New(rand.NewSource(int64(10+i))), 0, 1)
+				out = append(out, append([]float32(nil), c.Backward(dyc).Data()...))
 			}
 			return out
 		}
