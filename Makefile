@@ -37,7 +37,7 @@ purego:
 # Race-detect the concurrency-bearing packages: the serving subsystem
 # (replica pools, micro-batcher), the gateway (probe loops, retries,
 # scatter-gather), the batched kernels (shared worker pools,
-# recycled buffers), the communication layer (helper-team collectives,
+# recycled buffers), the communication layer (channel-mesh collectives,
 # TCP reader/heartbeat goroutines), the trainer (its overlap-comm
 # goroutine and step loop share a timeline's ring and span atomics), the
 # optimizer (its Step runs on the rank's worker pool), the worker pool,

@@ -237,7 +237,7 @@ func BenchmarkFig4_ScalingPizDaint(b *testing.B) {
 func BenchmarkFig4_CommBandwidth(b *testing.B) {
 	const n = 4
 	const elems = 1 << 20 // 4 MB
-	w, err := comm.NewWorld(n, comm.WithHelpers(4))
+	w, err := comm.NewWorld(n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -300,7 +300,6 @@ func BenchmarkFig6_ParameterEstimation(b *testing.B) {
 		res, err := train.Run(train.Config{
 			Ranks: 2, Epochs: 4,
 			Topology: nn.TopologyConfig{InputDim: ds.Config.SubVolumeDim(), BaseChannels: 2, Seed: 8},
-			Helpers:  4,
 			Seed:     7,
 		}, ds.Train, ds.Val)
 		if err != nil {
@@ -1003,7 +1002,6 @@ func BenchmarkAblation_OverlapComm(b *testing.B) {
 					Ranks: 4, Epochs: 2,
 					Topology:    nn.TopologyConfig{InputDim: 16, BaseChannels: 4, Seed: 1},
 					Optim:       optim.Config{},
-					Helpers:     4,
 					OverlapComm: overlap,
 					Seed:        10,
 				}, samples, nil)

@@ -71,7 +71,6 @@ func main() {
 	epochs := flag.Int("epochs", 4, "training epochs")
 	base := flag.Int("base", 4, "base channel count (16 = paper scale)")
 	algo := flag.String("algo", "ring", "allreduce algorithm: ring, rd, central")
-	helpers := flag.Int("helpers", 4, "allreduce helper teams (§III-D)")
 	workers := flag.Int("workers", 1, "compute threads per rank")
 	profile := flag.Bool("profile", false, "print rank 0's per-phase share of step time from its timeline (the Figure-3 analogue)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -198,7 +197,6 @@ func main() {
 		},
 		Optim:           optim.Config{},
 		Algorithm:       algorithm,
-		Helpers:         *helpers,
 		WorkersPerRank:  *workers,
 		Seed:            *seed,
 		CheckpointPath:  *ckpt,
@@ -217,8 +215,8 @@ func main() {
 	}
 
 	if !*distMode {
-		fmt.Printf("CosmoFlow training: %d ranks × batch 1 (global batch %d), %s allreduce, %d helpers\n",
-			nRanks, nRanks, algorithm, *helpers)
+		fmt.Printf("CosmoFlow training: %d ranks × batch 1 (global batch %d), %s allreduce\n",
+			nRanks, nRanks, algorithm)
 		cfg.Timeline = localTimeline(0)
 		res, err := train.Run(cfg, trainSet, valSet)
 		if err != nil {
@@ -234,14 +232,13 @@ func main() {
 		Rank:       *rank,
 		Rendezvous: *rendezvous,
 		Algorithm:  algorithm,
-		Helpers:    *helpers,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if w.Rank() == 0 {
-		fmt.Printf("CosmoFlow training: %d processes × batch 1 (global batch %d), %s allreduce over TCP, %d helpers\n",
-			*world, *world, algorithm, *helpers)
+		fmt.Printf("CosmoFlow training: %d processes × batch 1 (global batch %d), %s allreduce over TCP\n",
+			*world, *world, algorithm)
 	}
 	cfg.Timeline = localTimeline(w.Rank())
 	res, err := train.RunDistributed(cfg, w.Comm(), trainSet, valSet)

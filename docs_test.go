@@ -42,6 +42,11 @@ var (
 	// goToolFlags are flags of the go tool itself, which docs may name in
 	// a `go test` invocation although no command here registers them.
 	goToolFlags = map[string]bool{"benchtime": true}
+	// argFlag matches a flag, -name or --name, that starts a word of a
+	// command's arguments, and captures the name; shellSep ends those
+	// arguments.
+	argFlag  = regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][\w-]*)`)
+	shellSep = regexp.MustCompile(`&&|\|\|?|;`)
 )
 
 // TestDocsNameOnlyExistingCommands keeps the docs from pointing at commands,
@@ -54,7 +59,9 @@ var (
 // registers and, below a subtree pattern, a handler resolves (see
 // routeRegistered), and every backticked span of a Markdown file that
 // opens with -name must name a flag some cmd/*/main.go registers (see
-// cmdFlags) or a go tool flag on the goToolFlags list. The two daemons'
+// cmdFlags) or a go tool flag on the goToolFlags list, and every -name
+// written after cosmoflow-<cmd> in a backticked span of a Markdown file
+// must be a flag that command registers (see commandSpanFlags). The two daemons'
 // route comments and the api package's route list are scanned with the
 // docs.
 // CHANGES.md and ROADMAP.md are history and are not scanned, nor
@@ -83,12 +90,26 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 
 	routes := muxRoutes(t, "internal/serve/server.go", "internal/gateway/gateway.go")
 	literals := stringLiterals(t, "internal/serve", "internal/gateway")
-	flags := cmdFlags(t)
+	cmds := cmdFlags(t)
+	flags := map[string]bool{}
+	for _, names := range cmds {
+		for name := range names {
+			flags[name] = true
+		}
+	}
 	decls := map[string]map[string]map[string]bool{}
 	for _, path := range files {
 		text, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasSuffix(path, ".md") {
+			for _, f := range commandSpanFlags(string(text)) {
+				if !cmds[f.cmd][f.flag] {
+					t.Errorf("%s:%d: names flag -%s of cosmoflow-%s, which that command does not register",
+						path, f.line, f.flag, f.cmd)
+				}
+			}
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, m := range commandToken.FindAllStringSubmatch(line, -1) {
@@ -170,40 +191,94 @@ func muxRoutes(t *testing.T, files ...string) []string {
 	return routes
 }
 
-// flagFuncs are the flag package's functions the commands register flags
-// through; each takes the flag's name as its first argument.
+// spanFlag is a flag a doc writes after a command name in a code span.
+type spanFlag struct {
+	line      int
+	cmd, flag string
+}
+
+// commandSpanFlags returns every -name that a backticked span of a
+// Markdown text writes after cosmoflow-<cmd>, up to the next command name
+// or shell separator, with the command and the flag's 1-based line. Spans
+// are found per paragraph, so one may run across a line break.
+func commandSpanFlags(text string) []spanFlag {
+	var out []spanFlag
+	off := 0
+	for _, para := range strings.SplitAfter(text, "\n\n") {
+		for _, span := range codeSpan.FindAllStringIndex(para, -1) {
+			s := para[span[0]:span[1]]
+			names := commandToken.FindAllStringSubmatchIndex(s, -1)
+			for i, m := range names {
+				if m[4] >= 0 {
+					continue // a schema ID such as cosmoflow-stats/v2
+				}
+				end := len(s)
+				if i+1 < len(names) {
+					end = names[i+1][0]
+				}
+				args := s[m[1]:end]
+				if sep := shellSep.FindStringIndex(args); sep != nil {
+					args = args[:sep[0]]
+				}
+				for _, f := range argFlag.FindAllStringSubmatchIndex(args, -1) {
+					pos := off + span[0] + m[1] + f[2]
+					out = append(out, spanFlag{
+						line: strings.Count(text[:pos], "\n") + 1,
+						cmd:  s[m[2]:m[3]],
+						flag: args[f[2]:f[3]],
+					})
+				}
+			}
+		}
+		off += len(para)
+	}
+	return out
+}
+
+// flagFuncs are the flag package's functions (and a FlagSet's methods)
+// the commands register flags through; each takes the flag's name as its
+// first argument.
 var flagFuncs = map[string]bool{
 	"Bool": true, "Duration": true, "Float64": true, "Func": true,
 	"Int": true, "Int64": true, "String": true,
 }
 
-// cmdFlags parses every cmd/*/main.go and returns the names of the flags
-// registered through the flag package's functions, such as
-// flag.Int("retries", ...).
-func cmdFlags(t *testing.T) map[string]bool {
+// cmdFlags parses every cmd/*/main.go and returns, keyed by command name
+// (train for cosmoflow-train), the names of the flags it registers through
+// the flag package's functions, such as flag.Int("retries", ...), or
+// through a FlagSet it makes with flag.NewFlagSet.
+func cmdFlags(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags := map[string]bool{}
+	cmds := map[string]map[string]bool{}
+	total := 0
 	fset := token.NewFileSet()
 	for _, path := range paths {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
+		flags := map[string]bool{}
+		sets := map[string]bool{"flag": true} // receivers that register flags
 		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+				if id, ok := as.Lhs[0].(*ast.Ident); ok && isFlagCall(as.Rhs[0], "NewFlagSet") {
+					sets[id.Name] = true
+				}
+			}
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || len(call.Args) == 0 {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok || pkg.Name != "flag" || !flagFuncs[sel.Sel.Name] || len(call.Args) == 0 {
+			recv, ok := sel.X.(*ast.Ident)
+			if !ok || !sets[recv.Name] || !flagFuncs[sel.Sel.Name] {
 				return true
 			}
 			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
@@ -213,11 +288,27 @@ func cmdFlags(t *testing.T) map[string]bool {
 			}
 			return true
 		})
+		cmds[strings.TrimPrefix(filepath.Base(filepath.Dir(path)), "cosmoflow-")] = flags
+		total += len(flags)
 	}
-	if len(flags) == 0 {
+	if total == 0 {
 		t.Fatal("found no registered flags")
 	}
-	return flags
+	return cmds
+}
+
+// isFlagCall reports whether e calls the flag package's function fn.
+func isFlagCall(e ast.Expr, fn string) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != fn {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "flag"
 }
 
 // routeRegistered reports whether a documented path is served by a

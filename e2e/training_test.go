@@ -36,7 +36,7 @@ func killAndResume(t *testing.T, ctx context.Context, want []string, abortAfter 
 func TestDist(t *testing.T) {
 	t.Parallel()
 	ctx := testContext(t)
-	args := []string{"-synthetic", "16", "-dim", "8", "-base", "2", "-epochs", "4", "-helpers", "2", "-seed", "7"}
+	args := []string{"-synthetic", "16", "-dim", "8", "-base", "2", "-epochs", "4", "-seed", "7"}
 	ref := losses(run(t, ctx, "cosmoflow-train", append([]string{"-ranks", "4"}, args...)...))
 	world := append([]string{"-launch", "4"}, args...)
 	sameRows(t, "4-process TCP world against the in-process run",
@@ -57,7 +57,7 @@ func TestData(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(data, "manifest.json")); err != nil {
 		t.Fatalf("datagen wrote no manifest: %v", err)
 	}
-	args := []string{"-epochs", "3", "-base", "2", "-helpers", "2", "-seed", "7"}
+	args := []string{"-epochs", "3", "-base", "2", "-seed", "7"}
 	ref := losses(run(t, ctx, "cosmoflow-train", append([]string{"-stream", "-data", data, "-ranks", "2"}, args...)...))
 	sameRows(t, "local-shard TCP world against the in-process run",
 		losses(run(t, ctx, "cosmoflow-train", append([]string{"-stream", "-data", data, "-launch", "2"}, args...)...)), ref)
@@ -77,7 +77,7 @@ func TestData(t *testing.T) {
 // forward.
 func TestTimeline(t *testing.T) {
 	ctx := testContext(t)
-	args := []string{"-launch", "4", "-synthetic", "16", "-dim", "8", "-base", "2", "-epochs", "2", "-helpers", "2", "-seed", "7"}
+	args := []string{"-launch", "4", "-synthetic", "16", "-dim", "8", "-base", "2", "-epochs", "2", "-seed", "7"}
 	ref := losses(run(t, ctx, "cosmoflow-train", args...))
 	trace := filepath.Join(t.TempDir(), "run.trace.json")
 	traced := append(args, "-timeline-out", trace, "-slow-rank", "2", "-slow-ms", "10")

@@ -54,7 +54,6 @@ func main() {
 		res, err := train.Run(train.Config{
 			Ranks: ranks, Epochs: 8,
 			Topology: nn.TopologyConfig{InputDim: ds.Config.SubVolumeDim(), BaseChannels: 2, Seed: 6},
-			Helpers:  4,
 			Seed:     5,
 		}, ds.Train, ds.Val)
 		if err != nil {

@@ -36,11 +36,10 @@ func main() {
 		time.Since(start).Seconds())
 
 	// 2. Fully synchronous data-parallel training: 2 ranks, batch 1 per
-	//    rank (global batch 2), ring allreduce with 2 helper teams.
+	//    rank (global batch 2), ring allreduce.
 	res, err := train.Run(train.Config{
 		Ranks: 2, Epochs: 6,
 		Topology: nn.TopologyConfig{InputDim: ds.Config.SubVolumeDim(), BaseChannels: 2, Seed: 8},
-		Helpers:  2,
 		Seed:     7,
 	}, ds.Train, ds.Val)
 	if err != nil {

@@ -91,9 +91,8 @@ func main() {
 			Topology: nn.TopologyConfig{
 				InputDim: 16, BaseChannels: 2, Seed: 1,
 			},
-			Optim:   optim.Config{},
-			Helpers: 2,
-			Seed:    4,
+			Optim: optim.Config{},
+			Seed:  4,
 		}, samples, nil)
 		if err != nil {
 			log.Fatal(err)

@@ -48,7 +48,6 @@ func main() {
 	res, err := train.Run(train.Config{
 		Ranks: 2, Epochs: 3,
 		Topology: nn.TopologyConfig{InputDim: dim, BaseChannels: 2, Seed: 8},
-		Helpers:  4,
 		Seed:     7,
 	}, ds.Train, ds.Val)
 	if err != nil {

@@ -8,16 +8,17 @@
 // It stands in for the Cray PE ML Plugin (§III-D): every rank is a worker
 // (no parameter servers in the default algorithms), collectives are
 // implemented with scalable algorithms (ring reduce-scatter/allgather and
-// recursive doubling), and large buffers can be split across a pool of
-// helper goroutines that each progress a chunk of the aggregation
-// independently — the plugin's helper-thread teams. A centralized
-// parameter-server algorithm is included as the gRPC-style baseline that
-// Mathuriya et al. (2017) showed does not scale.
+// recursive doubling). A centralized parameter-server algorithm is
+// included as the gRPC-style baseline that Mathuriya et al. (2017) showed
+// does not scale. The plugin's helper-thread teams, which split one
+// allreduce into chunks progressed concurrently, are not modelled: every
+// allreduce runs as one exchange on one stream. Chunked teams were
+// measured no faster over TCP and allocated more per call
+// (EXPERIMENTS.md, "Allreduce helper teams: measured flat, removed").
 package comm
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,19 +55,18 @@ func (a Algorithm) String() string {
 }
 
 // MaxTags is the number of independent in-order message streams per rank
-// pair: one per helper team plus reserved control tags.
-const MaxTags = 11
+// pair: dataTag plus one reserved tag per control collective.
+const MaxTags = 4
 
-// barrierTag, bcastTag, and gatherTag are reserved message streams for
-// control collectives so they never interleave with helper traffic.
+// dataTag carries the allreduce, reduce-scatter and allgather payloads;
+// barrierTag, bcastTag and gatherTag are reserved streams for the control
+// collectives so they never interleave with data traffic.
 const (
-	barrierTag = MaxTags - 1
-	bcastTag   = MaxTags - 2
-	gatherTag  = MaxTags - 3
+	dataTag    = 0
+	gatherTag  = 1
+	bcastTag   = 2
+	barrierTag = 3
 )
-
-// maxHelpers is the largest usable helper-team count (remaining tags).
-const maxHelpers = MaxTags - 3
 
 // World is a set of n ranks joined by a point-to-point Transport. An
 // in-process world (NewWorld) hosts every rank over a shared channel mesh;
@@ -75,7 +75,6 @@ const maxHelpers = MaxTags - 3
 type World struct {
 	n          int
 	algorithm  Algorithm
-	helpers    int
 	transports []Transport // per-rank; nil for ranks not local to this process
 	bytesSent  atomic.Int64
 	msgsSent   atomic.Int64
@@ -87,27 +86,12 @@ type Option func(*World)
 // WithAlgorithm selects the allreduce algorithm (default Ring).
 func WithAlgorithm(a Algorithm) Option { return func(w *World) { w.algorithm = a } }
 
-// WithHelpers sets the helper-team count used to chunk large allreduces
-// (default 1; the paper uses 4 helper threads on Cori and 2 on Piz Daint,
-// §III-D). Values are clamped to [1, maxHelpers].
-func WithHelpers(h int) Option {
-	return func(w *World) {
-		if h < 1 {
-			h = 1
-		}
-		if h > maxHelpers {
-			h = maxHelpers
-		}
-		w.helpers = h
-	}
-}
-
 // NewWorld builds an n-rank world. n must be at least 1.
 func NewWorld(n int, opts ...Option) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: world size %d must be positive", n)
 	}
-	w := &World{n: n, algorithm: Ring, helpers: 1}
+	w := &World{n: n, algorithm: Ring}
 	for _, o := range opts {
 		o(w)
 	}
@@ -133,7 +117,7 @@ func NewWorldWithTransport(n, rank int, tr Transport, opts ...Option) (*World, e
 	if tr == nil {
 		return nil, fmt.Errorf("comm: nil transport")
 	}
-	w := &World{n: n, algorithm: Ring, helpers: 1}
+	w := &World{n: n, algorithm: Ring}
 	for _, o := range opts {
 		o(w)
 	}
@@ -147,9 +131,6 @@ func (w *World) Size() int { return w.n }
 
 // Algorithm returns the configured allreduce algorithm.
 func (w *World) Algorithm() Algorithm { return w.algorithm }
-
-// Helpers returns the helper-team count.
-func (w *World) Helpers() int { return w.helpers }
 
 // BytesSent returns the cumulative payload bytes sent by all ranks, for the
 // §VI-B bandwidth accounting.
@@ -300,8 +281,7 @@ func combine(op reduceOp, got, dst []float32) {
 }
 
 // AllReduceSum sums buf element-wise across all ranks, leaving the result in
-// every rank's buf. The configured helper-team count splits the buffer into
-// independent chunks whose aggregations progress concurrently.
+// every rank's buf.
 func (c *Comm) AllReduceSum(buf []float32) { c.allReduce(buf, opSum) }
 
 // AllReduceMax leaves the element-wise maximum across all ranks in every
@@ -309,6 +289,8 @@ func (c *Comm) AllReduceSum(buf []float32) { c.allReduce(buf, opSum) }
 // max-style metric sync (e.g. slowest-rank step time).
 func (c *Comm) AllReduceMax(buf []float32) { c.allReduce(buf, opMax) }
 
+// allReduce runs the configured algorithm over the whole buffer on the
+// data stream.
 func (c *Comm) allReduce(buf []float32, op reduceOp) {
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseAllReduce, time.Now())
@@ -317,65 +299,13 @@ func (c *Comm) allReduce(buf []float32, op reduceOp) {
 	if n == 1 {
 		return
 	}
-	h := c.world.helpers
-	if h > len(buf) {
-		h = 1
-	}
-	if h == 1 {
-		c.allReduceChunk(buf, 0, op)
-		return
-	}
-	chunk := (len(buf) + h - 1) / h
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var helperPanic any
-	for i := 0; i < h; i++ {
-		lo := i * chunk
-		if lo >= len(buf) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(buf) {
-			hi = len(buf)
-		}
-		wg.Add(1)
-		go func(seg []float32, tag int) {
-			defer wg.Done()
-			// Forward a transport failure to the collective's caller
-			// instead of crashing the process from a helper goroutine.
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if helperPanic == nil {
-						helperPanic = r
-					}
-					mu.Unlock()
-				}
-			}()
-			c.allReduceChunk(seg, tag, op)
-		}(buf[lo:hi], i)
-	}
-	wg.Wait()
-	if helperPanic != nil {
-		panic(helperPanic)
-	}
-}
-
-// allReduceChunk dispatches one contiguous chunk to the configured
-// algorithm on the given tag stream.
-func (c *Comm) allReduceChunk(buf []float32, tag int, op reduceOp) {
-	switch c.world.algorithm {
-	case Central:
-		c.allReduceCentral(buf, tag, op)
-	case RecursiveDoubling:
-		n := c.world.n
-		if n&(n-1) == 0 {
-			c.allReduceRecursiveDoubling(buf, tag, op)
-			return
-		}
-		c.allReduceRing(buf, tag, op)
-	default:
-		c.allReduceRing(buf, tag, op)
+	switch algo := c.world.algorithm; {
+	case algo == Central:
+		c.allReduceCentral(buf, op)
+	case algo == RecursiveDoubling && n&(n-1) == 0:
+		c.allReduceRecursiveDoubling(buf, op)
+	default: // Ring, and RecursiveDoubling's non-power-of-two fallback
+		c.allReduceRing(buf, op)
 	}
 }
 
@@ -383,7 +313,7 @@ func (c *Comm) allReduceChunk(buf []float32, tag int, op reduceOp) {
 // steps followed by n−1 allgather steps, 2·(n−1)/n of the buffer crossing
 // each link — the "twice the message length" cost the paper uses in its
 // §VI-B bandwidth estimate.
-func (c *Comm) allReduceRing(buf []float32, tag int, op reduceOp) {
+func (c *Comm) allReduceRing(buf []float32, op reduceOp) {
 	n := c.world.n
 	r := c.rank
 	next := (r + 1) % n
@@ -400,18 +330,18 @@ func (c *Comm) allReduceRing(buf []float32, tag int, op reduceOp) {
 	// segment (rank−s−1).
 	for s := 0; s < n-1; s++ {
 		slo, shi := seg(r - s)
-		c.send(next, tag, buf[slo:shi])
+		c.send(next, dataTag, buf[slo:shi])
 		rlo, rhi := seg(r - s - 1)
-		got := c.recv(prev, tag)
+		got := c.recv(prev, dataTag)
 		combine(op, got, buf[rlo:rhi])
 		c.tr.Release(got)
 	}
 	// Allgather: circulate the completed segments.
 	for s := 0; s < n-1; s++ {
 		slo, shi := seg(r + 1 - s)
-		c.send(next, tag, buf[slo:shi])
+		c.send(next, dataTag, buf[slo:shi])
 		rlo, rhi := seg(r - s)
-		got := c.recv(prev, tag)
+		got := c.recv(prev, dataTag)
 		copy(buf[rlo:rhi], got)
 		c.tr.Release(got)
 	}
@@ -419,15 +349,15 @@ func (c *Comm) allReduceRing(buf []float32, tag int, op reduceOp) {
 
 // allReduceRecursiveDoubling exchanges the full buffer with partners at
 // doubling distances; requires a power-of-two world.
-func (c *Comm) allReduceRecursiveDoubling(buf []float32, tag int, op reduceOp) {
+func (c *Comm) allReduceRecursiveDoubling(buf []float32, op reduceOp) {
 	n := c.world.n
 	for d := 1; d < n; d <<= 1 {
 		partner := c.rank ^ d
 		// Both sides send then receive; transport buffering (channel cap
 		// ≥ 1 in-process, kernel socket buffers + a reader goroutine over
 		// TCP) prevents deadlock on the symmetric exchange.
-		c.send(partner, tag, buf)
-		got := c.recv(partner, tag)
+		c.send(partner, dataTag, buf)
+		got := c.recv(partner, dataTag)
 		combine(op, got, buf)
 		c.tr.Release(got)
 	}
@@ -436,20 +366,20 @@ func (c *Comm) allReduceRecursiveDoubling(buf []float32, tag int, op reduceOp) {
 // allReduceCentral gathers everything at rank 0, which sums and unicasts
 // the result back: the master-based pattern whose algorithmic and
 // socket-level inefficiencies motivated the ML Plugin (§II-C).
-func (c *Comm) allReduceCentral(buf []float32, tag int, op reduceOp) {
+func (c *Comm) allReduceCentral(buf []float32, op reduceOp) {
 	n := c.world.n
 	if c.rank == 0 {
 		for src := 1; src < n; src++ {
-			got := c.recv(src, tag)
+			got := c.recv(src, dataTag)
 			combine(op, got, buf)
 			c.tr.Release(got)
 		}
 		for dst := 1; dst < n; dst++ {
-			c.send(dst, tag, buf)
+			c.send(dst, dataTag, buf)
 		}
 	} else {
-		c.send(0, tag, buf)
-		got := c.recv(0, tag)
+		c.send(0, dataTag, buf)
+		got := c.recv(0, dataTag)
 		copy(buf, got)
 		c.tr.Release(got)
 	}
@@ -492,9 +422,9 @@ func (c *Comm) ReduceScatterSum(buf []float32) (lo, hi int) {
 	}
 	for s := 0; s < n-1; s++ {
 		slo, shi := seg(r - s)
-		c.send(next, 0, buf[slo:shi])
+		c.send(next, dataTag, buf[slo:shi])
 		rlo, rhi := seg(r - s - 1)
-		got := c.recv(prev, 0)
+		got := c.recv(prev, dataTag)
 		tensor.Axpy(1, got, buf[rlo:rhi])
 		c.tr.Release(got)
 	}
@@ -520,9 +450,9 @@ func (c *Comm) AllGather(local, out []float32) {
 	prev := (r - 1 + n) % n
 	for s := 0; s < n-1; s++ {
 		src := ((r-s)%n + n) % n
-		c.send(next, 0, out[src*len(local):(src+1)*len(local)])
+		c.send(next, dataTag, out[src*len(local):(src+1)*len(local)])
 		dst := ((r-s-1)%n + n) % n
-		got := c.recv(prev, 0)
+		got := c.recv(prev, dataTag)
 		copy(out[dst*len(local):(dst+1)*len(local)], got)
 		c.tr.Release(got)
 	}
@@ -533,7 +463,7 @@ func (c *Comm) AllGather(local, out []float32) {
 // blocks need not be equal length — this is the collective behind the
 // end-of-run timeline gather, where each rank recorded a different number
 // of events. It runs on a reserved tag so it never interleaves with
-// helper traffic, and the payload rides the same bit-exact float32 framing
+// data traffic, and the payload rides the same bit-exact float32 framing
 // as every other collective. The returned blocks are the received buffers
 // themselves, never released to the transport, so they stay valid across
 // later collectives.

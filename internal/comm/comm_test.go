@@ -33,9 +33,9 @@ func expectedSum(inputs [][]float32) []float64 {
 	return out
 }
 
-func testAllReduce(t *testing.T, algo Algorithm, n, helpers, size int) {
+func testAllReduce(t *testing.T, algo Algorithm, n, size int) {
 	t.Helper()
-	w, err := NewWorld(n, WithAlgorithm(algo), WithHelpers(helpers))
+	w, err := NewWorld(n, WithAlgorithm(algo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,8 @@ func testAllReduce(t *testing.T, algo Algorithm, n, helpers, size int) {
 	for r := 0; r < n; r++ {
 		for i := range want {
 			if math.Abs(float64(bufs[r][i])-want[i]) > 1e-4*(1+math.Abs(want[i])) {
-				t.Fatalf("algo=%v n=%d helpers=%d: rank %d elem %d = %v, want %v",
-					algo, n, helpers, r, i, bufs[r][i], want[i])
+				t.Fatalf("algo=%v n=%d size=%d: rank %d elem %d = %v, want %v",
+					algo, n, size, r, i, bufs[r][i], want[i])
 			}
 		}
 	}
@@ -64,8 +64,10 @@ func testAllReduce(t *testing.T, algo Algorithm, n, helpers, size int) {
 func TestAllReduceSumAllAlgorithms(t *testing.T) {
 	for _, algo := range []Algorithm{Ring, RecursiveDoubling, Central} {
 		for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
-			for _, helpers := range []int{1, 4} {
-				testAllReduce(t, algo, n, helpers, 37) // odd size exercises segment remainders
+			// 1 and n−1 elements leave ring segments of 0 and 1
+			// elements; an odd 37 exercises uneven segment remainders.
+			for _, size := range []int{1, n - 1, 37} {
+				testAllReduce(t, algo, n, size)
 			}
 		}
 	}
@@ -73,9 +75,9 @@ func TestAllReduceSumAllAlgorithms(t *testing.T) {
 
 // testAllReduceMax checks the element-wise max collective against a
 // sequential reduction; max is exact in float32, so comparison is strict.
-func testAllReduceMax(t *testing.T, algo Algorithm, n, helpers, size int) {
+func testAllReduceMax(t *testing.T, algo Algorithm, n, size int) {
 	t.Helper()
-	w, err := NewWorld(n, WithAlgorithm(algo), WithHelpers(helpers))
+	w, err := NewWorld(n, WithAlgorithm(algo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +101,8 @@ func testAllReduceMax(t *testing.T, algo Algorithm, n, helpers, size int) {
 		}
 		for r := 0; r < n; r++ {
 			if bufs[r][i] != want {
-				t.Fatalf("algo=%v n=%d helpers=%d: rank %d max[%d] = %v, want %v",
-					algo, n, helpers, r, i, bufs[r][i], want)
+				t.Fatalf("algo=%v n=%d size=%d: rank %d max[%d] = %v, want %v",
+					algo, n, size, r, i, bufs[r][i], want)
 			}
 		}
 	}
@@ -109,8 +111,8 @@ func testAllReduceMax(t *testing.T, algo Algorithm, n, helpers, size int) {
 func TestAllReduceMaxAllAlgorithms(t *testing.T) {
 	for _, algo := range []Algorithm{Ring, RecursiveDoubling, Central} {
 		for _, n := range []int{1, 2, 3, 4, 8} {
-			for _, helpers := range []int{1, 4} {
-				testAllReduceMax(t, algo, n, helpers, 37)
+			for _, size := range []int{1, n - 1, 37} {
+				testAllReduceMax(t, algo, n, size)
 			}
 		}
 	}
@@ -137,12 +139,11 @@ func TestAllReduceMaxGradClip(t *testing.T) {
 }
 
 func TestAllReduceLargeBuffer(t *testing.T) {
-	testAllReduce(t, Ring, 8, 4, 100_000)
+	testAllReduce(t, Ring, 8, 100_000)
 }
 
 func TestAllReduceTinyBufferFewerElementsThanRanks(t *testing.T) {
-	testAllReduce(t, Ring, 8, 1, 3)
-	testAllReduce(t, Ring, 8, 4, 3)
+	testAllReduce(t, Ring, 8, 3)
 }
 
 func TestAllReduceMean(t *testing.T) {
@@ -239,17 +240,6 @@ func TestWorldValidation(t *testing.T) {
 		}
 	}()
 	w.Comm(5)
-}
-
-func TestHelpersClamped(t *testing.T) {
-	w, _ := NewWorld(2, WithHelpers(1000))
-	if w.Helpers() > maxHelpers {
-		t.Errorf("helpers = %d not clamped", w.Helpers())
-	}
-	w2, _ := NewWorld(2, WithHelpers(-3))
-	if w2.Helpers() != 1 {
-		t.Errorf("negative helpers = %d, want 1", w2.Helpers())
-	}
 }
 
 func TestRingBandwidthFactor(t *testing.T) {

@@ -66,7 +66,7 @@ func TestGatherVariableLengths(t *testing.T) {
 // rank's attached timeline, tagged with the current step.
 func TestCollectivesRecordTimelineEvents(t *testing.T) {
 	const n = 4
-	w, err := NewWorld(n, WithHelpers(2))
+	w, err := NewWorld(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,11 +45,9 @@ type Config struct {
 	// "127.0.0.1:0"; use a routable host for multi-machine worlds). The
 	// chosen port is advertised through the rendezvous.
 	ListenAddr string
-	// Algorithm and Helpers configure the collectives exactly as for an
-	// in-process world; bit-identity across the two requires matching
-	// values.
+	// Algorithm configures the collectives exactly as for an in-process
+	// world; bit-identity across the two requires matching values.
 	Algorithm comm.Algorithm
-	Helpers   int
 	// HeartbeatEvery is the keepalive send interval (default 500ms).
 	HeartbeatEvery time.Duration
 	// PeerTimeout is how long a silent connection may stay silent before
@@ -79,10 +77,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
-	}
-	if c.Helpers < 1 {
-		c.Helpers = 1 // comm's own clamp; normalized here so the
-		// rendezvous config-agreement check treats 0 and 1 as equal
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 500 * time.Millisecond
@@ -143,8 +137,7 @@ func Join(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	cw, err := comm.NewWorldWithTransport(cfg.Size, rank, tr,
-		comm.WithAlgorithm(cfg.Algorithm), comm.WithHelpers(cfg.Helpers))
+	cw, err := comm.NewWorldWithTransport(cfg.Size, rank, tr, comm.WithAlgorithm(cfg.Algorithm))
 	if err != nil {
 		tr.abandon()
 		return nil, err

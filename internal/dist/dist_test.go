@@ -147,24 +147,24 @@ func TestJoinAssignsRanksAndRequests(t *testing.T) {
 
 // TestTCPCollectivesBitIdenticalToInProcess is the core tentpole
 // invariant: every collective over the TCP mesh produces bit-for-bit the
-// same buffers as the in-process channel world, for every algorithm and
-// with helper-team chunking.
+// same buffers as the in-process channel world, for every algorithm.
 func TestTCPCollectivesBitIdenticalToInProcess(t *testing.T) {
-	const n, size = 4, 1037 // odd length: uneven ring segments
+	const n = 4
 	for _, tc := range []struct {
-		name    string
-		algo    comm.Algorithm
-		helpers int
+		name string
+		algo comm.Algorithm
+		size int
 	}{
-		{"ring", comm.Ring, 1},
-		{"ring-helpers", comm.Ring, 3},
-		{"recursive-doubling", comm.RecursiveDoubling, 1},
-		{"central", comm.Central, 2},
+		{"ring", comm.Ring, 1037},    // odd length: uneven ring segments
+		{"ring-3elem", comm.Ring, 3}, // ring segments of 0 and 1 elements
+		{"recursive-doubling", comm.RecursiveDoubling, 1037},
+		{"central", comm.Central, 1037},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inputs := randomInputs(n, size, 42)
+			inputs := randomInputs(n, tc.size, 42)
+			block := min(8, tc.size)
 
-			inproc, err := comm.NewWorld(n, comm.WithAlgorithm(tc.algo), comm.WithHelpers(tc.helpers))
+			inproc, err := comm.NewWorld(n, comm.WithAlgorithm(tc.algo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,13 +178,13 @@ func TestTCPCollectivesBitIdenticalToInProcess(t *testing.T) {
 					defer wg.Done()
 					c.AllReduceSum(wantSum[c.Rank()])
 					c.AllReduceMax(wantMax[c.Rank()])
-					wantGather[c.Rank()] = make([]float32, n*8)
-					c.AllGather(inputs[c.Rank()][:8], wantGather[c.Rank()])
+					wantGather[c.Rank()] = make([]float32, n*block)
+					c.AllGather(inputs[c.Rank()][:block], wantGather[c.Rank()])
 				}(c)
 			}
 			wg.Wait()
 
-			worlds := newLocalWorld(t, n, Config{Algorithm: tc.algo, Helpers: tc.helpers})
+			worlds := newLocalWorld(t, n, Config{Algorithm: tc.algo})
 			defer closeAll(t, worlds)
 			gotSum := clone(inputs)
 			gotMax := clone(inputs)
@@ -195,8 +195,8 @@ func TestTCPCollectivesBitIdenticalToInProcess(t *testing.T) {
 				r := w.Rank()
 				c.AllReduceSum(gotSum[r])
 				c.AllReduceMax(gotMax[r])
-				gotGather[r] = make([]float32, n*8)
-				c.AllGather(inputs[r][:8], gotGather[r])
+				gotGather[r] = make([]float32, n*block)
+				c.AllGather(inputs[r][:block], gotGather[r])
 				bcast[r] = append([]float32(nil), inputs[r]...)
 				c.Broadcast(bcast[r], 2)
 				c.Barrier()
@@ -268,9 +268,9 @@ func TestExplicitRankRequestHonored(t *testing.T) {
 	closeAll(t, all)
 }
 
-// TestMismatchedCollectiveConfigRejectedAtJoin: a worker whose
-// algorithm/helpers disagree with rank 0's is rejected by the rendezvous
-// instead of corrupting collectives mid-epoch.
+// TestMismatchedCollectiveConfigRejectedAtJoin: a worker whose allreduce
+// algorithm disagrees with rank 0's is rejected by the rendezvous instead
+// of corrupting collectives mid-epoch.
 func TestMismatchedCollectiveConfigRejectedAtJoin(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -283,10 +283,10 @@ func TestMismatchedCollectiveConfigRejectedAtJoin(t *testing.T) {
 		if i == 0 {
 			cfg.Rank = 0
 			cfg.RendezvousListener = ln
-			cfg.Helpers = 2
+			cfg.Algorithm = comm.Ring
 		} else {
 			cfg.Rank = -1
-			cfg.Helpers = 4 // disagrees with rank 0
+			cfg.Algorithm = comm.Central // disagrees with rank 0
 		}
 		wg.Add(1)
 		go func(i int, cfg Config) {
@@ -301,9 +301,10 @@ func TestMismatchedCollectiveConfigRejectedAtJoin(t *testing.T) {
 	wg.Wait()
 	for i, err := range errs {
 		if err == nil {
-			t.Errorf("joiner %d: mismatched helpers accepted", i)
-		} else if !strings.Contains(err.Error(), "helpers") {
-			t.Errorf("joiner %d: error %v does not identify the config mismatch", i, err)
+			t.Errorf("joiner %d: mismatched algorithm accepted", i)
+		} else if msg := err.Error(); !strings.Contains(msg, "algorithm") ||
+			!strings.Contains(msg, "ring") || !strings.Contains(msg, "central") {
+			t.Errorf("joiner %d: error %v does not name both algorithms", i, err)
 		}
 	}
 }
@@ -340,6 +341,39 @@ func TestPeerDeathFailsCollectives(t *testing.T) {
 		t.Fatal("survivors hung past the peer timeout")
 	}
 	closeAll(t, worlds[:2])
+}
+
+// TestInvalidTagFailsCollectives: a data frame on a tag stream outside
+// [0, comm.MaxTags) is a protocol violation. The receiving rank's
+// transport must fail, so its collectives end in *comm.TransportError
+// instead of indexing past its inboxes.
+func TestInvalidTagFailsCollectives(t *testing.T) {
+	worlds := newLocalWorld(t, 2, Config{})
+	defer closeAll(t, worlds)
+	noErrors(t, runRanks(worlds, func(w *World) { w.Comm().Barrier() }))
+
+	p := worlds[1].tr.peers[0]
+	p.wmu.Lock()
+	err := writeFrame(p.bw, frameData, comm.MaxTags, []float32{1})
+	if err == nil {
+		err = p.bw.Flush()
+	}
+	p.wmu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errs := runRanks(worlds[:1], func(w *World) {
+		buf := make([]float32, 8)
+		w.Comm().AllReduceSum(buf)
+	})
+	var te *comm.TransportError
+	if !errors.As(errs[0], &te) {
+		t.Fatalf("rank 0: error %v, want *comm.TransportError", errs[0])
+	}
+	if !strings.Contains(te.Error(), "invalid tag") {
+		t.Errorf("error %v does not name the invalid tag", te)
+	}
 }
 
 // TestCleanDepartureIsDistinguishable: a peer that Closes announces a

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"repro/internal/comm"
 )
 
 // Rendezvous protocol: newline-delimited JSON over TCP, two message types.
@@ -25,13 +27,15 @@ type rdzvMsg struct {
 	Msg   string   `json:"msg,omitempty"`
 	// Collective configuration, carried in hello and world messages so a
 	// misconfigured member is rejected at join time: a world whose ranks
-	// disagree on the algorithm or helper-team chunking would exchange
-	// wrong-length segments mid-epoch instead.
-	Algo    int `json:"algo"`
-	Helpers int `json:"helpers"`
+	// disagree on the algorithm would exchange wrong-length segments
+	// mid-epoch instead.
+	Algo int `json:"algo"`
 }
 
-const rdzvVersion = 1
+// rdzvVersion names the wire layout. Version 2 is comm's four-stream tag
+// numbering (version 1 had eleven), so members built against different
+// numberings are refused at join rather than mid-collective.
+const rdzvVersion = 2
 
 func writeMsg(conn net.Conn, m rdzvMsg) error {
 	m.V = rdzvVersion
@@ -102,9 +106,9 @@ func hostRendezvous(cfg Config, selfDataAddr string) ([]string, error) {
 			conn.Close()
 			return nil, err
 		}
-		if m.Algo != int(cfg.Algorithm) || m.Helpers != cfg.Helpers {
-			err = fmt.Errorf("dist: worker collective config (algo %d, helpers %d) does not match rank 0's (algo %d, helpers %d)",
-				m.Algo, m.Helpers, int(cfg.Algorithm), cfg.Helpers)
+		if m.Algo != int(cfg.Algorithm) {
+			err = fmt.Errorf("dist: worker allreduce algorithm %v does not match rank 0's %v",
+				comm.Algorithm(m.Algo), cfg.Algorithm)
 			writeMsg(conn, rdzvMsg{Type: "error", Msg: err.Error()})
 			conn.Close()
 			return nil, err
@@ -144,7 +148,7 @@ func hostRendezvous(cfg Config, selfDataAddr string) ([]string, error) {
 	}
 	for i, j := range joiners {
 		reply := rdzvMsg{Type: "world", Rank: assigned[i], Size: cfg.Size, Peers: peers,
-			Algo: int(cfg.Algorithm), Helpers: cfg.Helpers}
+			Algo: int(cfg.Algorithm)}
 		if err := writeMsg(j.conn, reply); err != nil {
 			return nil, fmt.Errorf("dist: rendezvous replying to rank %d: %w", assigned[i], err)
 		}
@@ -171,8 +175,7 @@ func joinRendezvous(cfg Config, selfDataAddr string) (int, []string, error) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(deadline)
-	hello := rdzvMsg{Type: "hello", Addr: selfDataAddr, Rank: cfg.Rank,
-		Algo: int(cfg.Algorithm), Helpers: cfg.Helpers}
+	hello := rdzvMsg{Type: "hello", Addr: selfDataAddr, Rank: cfg.Rank, Algo: int(cfg.Algorithm)}
 	if err := writeMsg(conn, hello); err != nil {
 		return 0, nil, fmt.Errorf("dist: sending hello: %w", err)
 	}
@@ -189,9 +192,9 @@ func joinRendezvous(cfg Config, selfDataAddr string) (int, []string, error) {
 		return 0, nil, fmt.Errorf("dist: rendezvous world size %d, joined expecting %d", m.Size, cfg.Size)
 	case m.Rank < 1 || m.Rank >= m.Size || len(m.Peers) != m.Size:
 		return 0, nil, fmt.Errorf("dist: malformed world assignment (rank %d, %d peers)", m.Rank, len(m.Peers))
-	case m.Algo != int(cfg.Algorithm) || m.Helpers != cfg.Helpers:
-		return 0, nil, fmt.Errorf("dist: world collective config (algo %d, helpers %d) does not match this worker's (algo %d, helpers %d)",
-			m.Algo, m.Helpers, int(cfg.Algorithm), cfg.Helpers)
+	case m.Algo != int(cfg.Algorithm):
+		return 0, nil, fmt.Errorf("dist: world allreduce algorithm %v does not match this worker's %v",
+			comm.Algorithm(m.Algo), cfg.Algorithm)
 	}
 	return m.Rank, m.Peers, nil
 }

@@ -23,7 +23,7 @@ import (
 //	offset  size  field
 //	0       4     frame length (uint32 LE, counts kind+tag+body)
 //	4       1     kind (data, heartbeat, goodbye)
-//	5       1     tag  (comm stream id, 0..comm.MaxTags-1; 0 for control)
+//	5       1     tag  (comm stream id, 0..comm.MaxTags-1; 0 on heartbeat/goodbye)
 //	6       ...   body
 //
 // A data frame's body is a CFT1 tensor (internal/serve/wire) of dtype
@@ -326,8 +326,8 @@ func acceptPeer(conn net.Conn, self, size int, deadline time.Time) (*peer, error
 }
 
 // Send implements comm.Transport: one data frame to dst, serialized under
-// the peer's write lock so heartbeats and helper-team chunks interleave at
-// frame granularity.
+// the peer's write lock so heartbeats and data frames interleave at frame
+// granularity.
 func (t *transport) Send(dst, tag int, buf []float32) error {
 	select {
 	case <-t.failed:

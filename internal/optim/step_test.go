@@ -80,16 +80,6 @@ func lengthParams(rng *rand.Rand, lengths ...int) []*nn.Param {
 	return ps
 }
 
-// twin returns a copy of ps with its own values and the same gradient
-// tensors, so one gradient fill feeds both optimizers.
-func twin(ps []*nn.Param) []*nn.Param {
-	out := make([]*nn.Param, len(ps))
-	for i, p := range ps {
-		out[i] = &nn.Param{Name: p.Name, Value: p.Value.Clone(), Grad: p.Grad}
-	}
-	return out
-}
-
 // fillGrads writes a fresh gradient into every parameter. Each parameter
 // gets its own magnitude, spread over seven decades, so LARC's rate lands
 // both under and at its clip; zero, if in range, gets an all-zero gradient
@@ -120,6 +110,17 @@ func larcPath(cfg Config, v, g []float32) string {
 	return "local"
 }
 
+// bitsDigest returns a 64-bit FNV-1a hash over the bit patterns of x, so
+// a trajectory can be compared bit for bit without keeping a copy of it.
+func bitsDigest(x []float32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range x {
+		h ^= uint64(math.Float32bits(v))
+		h *= 1099511628211
+	}
+	return h
+}
+
 // requireSameBits fails t at the first element where got and want differ
 // in any bit.
 func requireSameBits(t *testing.T, what string, got, want []float32) {
@@ -135,15 +136,19 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// TestStepMatchesScalarReference runs Step and refStep side by side for
-// five steps and requires bit-equal parameters and Adam moments after
-// each one: on both benchmark networks' parameter sets, on lengths that
-// exercise every size of the four-wide loop's tail, with LARC on and off,
-// and with one all-zero gradient on the third step, each at 1, 2 and 5
-// workers (at 2 and 5 the networks' update chunks end inside parameters),
-// on the pure-Go element loop and on the vector body. With LARC on, every
-// case must take each branch of LARC's rate at least once.
+// TestStepMatchesScalarReference runs Step and refStep on the same
+// gradients for five steps and requires bit-equal parameters and Adam
+// moments after each one: on both benchmark networks' parameter sets, on
+// lengths that exercise every size of the four-wide loop's tail, with LARC
+// on and off, and with one all-zero gradient on the third step, each at 1,
+// 2 and 5 workers (at 2 and 5 the networks' update chunks end inside
+// parameters), on the pure-Go element loop and on the vector body. With
+// LARC on, every case must take each branch of LARC's rate at least once.
+// The reference trajectory runs once per case and is kept as bit digests
+// per buffer and step; every (workers, body) run redraws the same
+// gradients and compares its own digests against them.
 func TestStepMatchesScalarReference(t *testing.T) {
+	const steps = 5
 	cases := []struct {
 		name   string
 		params func(*rand.Rand) []*nn.Param
@@ -155,8 +160,41 @@ func TestStepMatchesScalarReference(t *testing.T) {
 		{name: "lengths", params: func(rng *rand.Rand) []*nn.Param { return lengthParams(rng, 1, 2, 3, 5, 7, 8, 9) }},
 		{name: "lengths/no-larc", params: func(rng *rand.Rand) []*nn.Param { return lengthParams(rng, 1, 2, 3, 5, 7, 8, 9) }, noLARC: true},
 	}
+	// zeroAt is the parameter whose gradient is all zero at step.
+	zeroAt := func(step int) int {
+		if step == 2 {
+			return 1
+		}
+		return -1
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{DisableLARC: tc.noLARC, Schedule: DefaultSchedule(4)}
+			// want[step] holds the bit digest of every parameter's values,
+			// then of its m and v buffers, after refStep's step+1-th call.
+			var want [steps][]uint64
+			rng := rand.New(rand.NewSource(7))
+			ref := tc.params(rng)
+			r := New(ref, cfg)
+			paths := map[string]int{}
+			for step := range steps {
+				fillGrads(rng, ref, zeroAt(step))
+				for _, p := range ref {
+					paths[larcPath(r.cfg, p.Value.Data(), p.Grad.Data())]++
+				}
+				refStep(r)
+				for _, p := range ref {
+					want[step] = append(want[step], bitsDigest(p.Value.Data()))
+				}
+				for _, b := range r.StateBuffers() {
+					want[step] = append(want[step], bitsDigest(b))
+				}
+			}
+			if !tc.noLARC && len(paths) != 3 {
+				t.Errorf("LARC branches taken %v, want fallback, clipped and local", paths)
+			}
+			wantSteps := r.StepCount()
+
 			for _, workers := range []int{1, 2, 5} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					forEachBody(t, func(t *testing.T) {
@@ -164,34 +202,24 @@ func TestStepMatchesScalarReference(t *testing.T) {
 						defer pool.Close()
 						rng := rand.New(rand.NewSource(7))
 						ps := tc.params(rng)
-						ref := twin(ps)
-						cfg := Config{DisableLARC: tc.noLARC, Schedule: DefaultSchedule(4)}
-						o, r := NewOnPool(ps, cfg, pool), New(ref, cfg)
-						paths := map[string]int{}
-						for step := 0; step < 5; step++ {
-							zero := -1
-							if step == 2 {
-								zero = 1
-							}
-							fillGrads(rng, ps, zero)
-							for _, p := range ps {
-								paths[larcPath(o.cfg, p.Value.Data(), p.Grad.Data())]++
-							}
+						o := NewOnPool(ps, cfg, pool)
+						for step := range steps {
+							fillGrads(rng, ps, zeroAt(step))
 							o.Step()
-							refStep(r)
-							for i := range ps {
-								requireSameBits(t, ps[i].Name+" value", ps[i].Value.Data(), ref[i].Value.Data())
+							for i, p := range ps {
+								if bitsDigest(p.Value.Data()) != want[step][i] {
+									t.Fatalf("%s value after step %d differs in its bits from the scalar reference", p.Name, step+1)
+								}
 							}
-							got, want := o.StateBuffers(), r.StateBuffers()
-							for k := range got {
-								requireSameBits(t, ps[k/2].Name+[]string{" m", " v"}[k%2], got[k], want[k])
+							for k, got := range o.StateBuffers() {
+								if bitsDigest(got) != want[step][len(ps)+k] {
+									t.Fatalf("%s %s after step %d differs in its bits from the scalar reference",
+										ps[k/2].Name, []string{"m", "v"}[k%2], step+1)
+								}
 							}
 						}
-						if o.StepCount() != r.StepCount() {
-							t.Errorf("step count %d, reference %d", o.StepCount(), r.StepCount())
-						}
-						if !tc.noLARC && len(paths) != 3 {
-							t.Errorf("LARC branches taken %v, want fallback, clipped and local", paths)
+						if o.StepCount() != wantSteps {
+							t.Errorf("step count %d, reference %d", o.StepCount(), wantSteps)
 						}
 					})
 				})

@@ -53,7 +53,6 @@ func runTCPRanks(t *testing.T, cfgs []Config, trainSet, valSet []*cosmo.Sample) 
 			Rank:        i, // explicit ranks, as the launcher assigns them
 			Rendezvous:  ln.Addr().String(),
 			Algorithm:   cfgs[i].Algorithm,
-			Helpers:     cfgs[i].Helpers,
 			JoinTimeout: 20 * time.Second,
 			PeerTimeout: 2 * time.Second,
 		}

@@ -36,10 +36,8 @@ type Config struct {
 	// Optim configures Adam+LARC; Schedule.DecaySteps of 0 is replaced by
 	// the total step count so the polynomial decay spans the whole run.
 	Optim optim.Config
-	// Algorithm selects the gradient allreduce; Helpers the helper-team
-	// count (§III-D).
+	// Algorithm selects the gradient allreduce (§III-D).
 	Algorithm comm.Algorithm
-	Helpers   int
 	// WorkersPerRank sizes each rank's intra-node compute pool.
 	WorkersPerRank int
 	// Seed controls data sharding order.
@@ -159,7 +157,7 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 			tls[r] = obsv.NewTimeline(r, tl.Cap())
 		}
 	}
-	world, err := comm.NewWorld(cfg.Ranks, comm.WithAlgorithm(cfg.Algorithm), comm.WithHelpers(cfg.Helpers))
+	world, err := comm.NewWorld(cfg.Ranks, comm.WithAlgorithm(cfg.Algorithm))
 	if err != nil {
 		return nil, err
 	}

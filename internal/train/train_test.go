@@ -43,7 +43,6 @@ func smallConfig(ranks, epochs int) Config {
 			Schedule: optim.PolySchedule{Eta0: 2e-3, EtaMin: 1e-4, DecaySteps: 0},
 		},
 		Algorithm:      comm.Ring,
-		Helpers:        2,
 		WorkersPerRank: 1,
 		Seed:           7,
 	}
