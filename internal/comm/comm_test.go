@@ -3,6 +3,7 @@ package comm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,6 +310,53 @@ func TestAllReduceDeterministicGivenAlgorithm(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("ring allreduce not deterministic")
 		}
+	}
+}
+
+// TestInProcessAllReduceReusesMessages runs a 2-rank in-process ring
+// AllReduceSum of 1 Mi floats repeatedly on the same inputs. Copying every
+// message afresh would allocate 8 MB per call; with released slices reused
+// for later sends, a call after warm-up must allocate under 1 MB, and every
+// call must give the bits of the first, whose messages were all new.
+func TestInProcessAllReduceReusesMessages(t *testing.T) {
+	const n, size, calls = 2, 1 << 20, 4
+	w, err := NewWorld(n, WithAlgorithm(Ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(67))
+	inputs, bufs := make([][]float32, n), make([][]float32, n)
+	for r := range inputs {
+		inputs[r] = make([]float32, size)
+		for i := range inputs[r] {
+			inputs[r][i] = float32(rng.NormFloat64())
+		}
+		bufs[r] = make([]float32, size)
+	}
+	call := func() {
+		for r := range bufs {
+			copy(bufs[r], inputs[r])
+		}
+		runWorld(t, w, func(c *Comm) { c.AllReduceSum(bufs[c.Rank()]) })
+	}
+	call()
+	want := append([]float32(nil), bufs[0]...)
+	call() // warm-up: the free lists fill
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+		for r := range bufs {
+			for j, v := range bufs[r] {
+				if math.Float32bits(v) != math.Float32bits(want[j]) {
+					t.Fatalf("call %d rank %d elem %d = %v, first call %v", i, r, j, v, want[j])
+				}
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1<<20 {
+		t.Errorf("AllReduceSum allocates %d B per call after warm-up, want < 1 MB", per)
 	}
 }
 

@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Transport is the point-to-point substrate a Comm runs its collectives
 // over: MaxTags independent in-order message streams to and from every
@@ -24,7 +28,7 @@ type Transport interface {
 	// stream.
 	Recv(src, tag int) ([]float32, error)
 	// Release returns a slice Recv delivered, for the transport to reuse
-	// as a later receive buffer. It may keep or drop it.
+	// for a later message. It may keep or drop it.
 	Release(buf []float32)
 	// Close releases transport resources. Collectives must be quiescent:
 	// the caller is responsible for a final Barrier (or equivalent)
@@ -51,11 +55,22 @@ func (e *TransportError) Error() string {
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // chanTransport is one rank's view of the in-process channel mesh: buffered
-// FIFO channels shared by every rank of the world. It never fails.
+// FIFO channels shared by every rank of the world. It never fails. Send
+// copies each message into a slice from the rank's free list, which
+// Release refills with the slices the rank received, so a collective in
+// steady state allocates no message.
 type chanTransport struct {
 	rank  int
 	links [][][]chan []float32 // [src][dst][tag], shared across ranks
+
+	mu   sync.Mutex
+	free [][]float32 // released slices, oldest first, at most maxFree
 }
+
+// maxFree bounds a rank's free list. A balanced collective gives a rank
+// back one slice per slice it sends, so a handful covers every algorithm;
+// beyond it the oldest slice is dropped for the garbage collector.
+const maxFree = 8
 
 // newChanMesh builds the all-to-all tagged channel mesh for n ranks.
 func newChanMesh(n int) [][][]chan []float32 {
@@ -77,7 +92,7 @@ func newChanMesh(n int) [][][]chan []float32 {
 }
 
 func (t *chanTransport) Send(dst, tag int, buf []float32) error {
-	cp := make([]float32, len(buf))
+	cp := t.take(len(buf))
 	copy(cp, buf)
 	t.links[t.rank][dst][tag] <- cp
 	return nil
@@ -87,7 +102,41 @@ func (t *chanTransport) Recv(src, tag int) ([]float32, error) {
 	return <-t.links[src][t.rank][tag], nil
 }
 
-// Release is a no-op: Send already allocates each message's copy.
-func (t *chanTransport) Release([]float32) {}
+// take returns a slice of length n: the smallest free slice with the
+// capacity, taken off the list, or a new one if none has it.
+func (t *chanTransport) take(n int) []float32 {
+	if n == 0 {
+		return []float32{} // the barrier token: no slice is worth spending on it
+	}
+	t.mu.Lock()
+	best := -1
+	for i, b := range t.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(t.free[best])) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		b := t.free[best]
+		t.free = slices.Delete(t.free, best, best+1)
+		t.mu.Unlock()
+		return b[:n]
+	}
+	t.mu.Unlock()
+	return make([]float32, n) // outside the lock: a miss may zero megabytes
+}
+
+// Release puts buf on the rank's free list for a later Send, dropping the
+// oldest slice if the list is full.
+func (t *chanTransport) Release(buf []float32) {
+	if cap(buf) == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.free) == maxFree {
+		t.free = slices.Delete(t.free, 0, 1)
+	}
+	t.free = append(t.free, buf)
+}
 
 func (t *chanTransport) Close() error { return nil }

@@ -18,7 +18,8 @@ import (
 // width taps held in registers, eight or four widths at a time where the
 // CPU has AVX2 (fwdRowK3). Backward (conv3d_backward.go) has a pure-Go
 // body for both operators and, where the CPU has AVX2, a vector body for
-// backward-data (dxRowK3, dxChan8) whose dx is bit-equal to the Go one's.
+// each (dwOct8; dxRowK3, dxChan8) whose gradients are bit-equal to the Go
+// one's.
 type Conv3D struct {
 	InC, OutC int
 	K         int // cubic kernel extent

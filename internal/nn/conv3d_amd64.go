@@ -4,9 +4,9 @@ package nn
 
 import "repro/internal/cpufeat"
 
-// vectorConv selects fwdRowK3's vector body. It is cpufeat.AVX2 at init;
-// tests and benchmarks clear it to run the pure-Go kernel on the same
-// machine.
+// vectorConv selects the conv kernels' vector bodies: fwdRowK3's and the
+// two backward operators'. It is cpufeat.AVX2 at init; tests and
+// benchmarks clear it to run the pure-Go kernels on the same machine.
 var vectorConv = cpufeat.AVX2
 
 // fwdRowK3AVX2 is fwdRowK3 over the first n elements of the four rows

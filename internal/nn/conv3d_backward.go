@@ -8,8 +8,8 @@ import (
 
 // The backward-weights and backward-data operators of §III-C. Both have a
 // pure-Go body, which runs every geometry, is the !amd64 || purego path
-// and is the vector body's differential reference; backward-data also has
-// an AVX2 body (conv3d_backward_amd64.go) that vectorConv selects for K = 3
+// and is the vector bodies' differential reference; both also have an
+// AVX2 body (conv3d_backward_amd64.go) that vectorConv selects for K = 3
 // and that moves no bit.
 //
 // Go bodies: a kernel tap (kd, kh) pairs each output row (z, y) in a range
@@ -19,19 +19,22 @@ import (
 // an axpy (data) along the width, blocked over output channels so one x or
 // dx access feeds several multiply-adds.
 //
-// Every dW element is a float64 total, in (z, y) order, of float32 row
-// sums over the width started at +0; every dx element is a float32 sum,
-// started at +0, of one four-channel term ((w0·d0 + w1·d1) + w2·d2) +
-// w3·d3 per (output-channel block, kd, kh, kw) in that order, a channel
-// past OutC contributing a zero weight times channel OutC-1's dy. These
-// chains are independent across elements, so the vector body runs whole
-// dx chains in lanes (width or input channels) with separate multiplies
-// and adds, and every element is accumulated
-// by exactly one task: results are bit-identical for any worker count and
-// on either body.
+// Every dW element is a float64 total, started at +0, in (z, y) order, of
+// float32 row sums over the width started at +0, added to dW as one
+// float32; every dB element is the float64 sum of its channel's dy in
+// storage order; every dx element is a float32 sum, started at +0, of one
+// four-channel term ((w0·d0 + w1·d1) + w2·d2) + w3·d3 per (output-channel
+// block, kd, kh, kw) in that order, a channel past OutC contributing a
+// zero weight times channel OutC-1's dy. These chains are independent
+// across elements, so the vector bodies run whole chains in lanes (output
+// channels for dW and dB, width or input channels for dx) with separate
+// multiplies and adds, and every element is accumulated by exactly one
+// task: results are bit-identical for any worker count and on either
+// body.
 
-// dwICChunk is the number of input channels per backward-weights task; a
-// constant, so the task grid never depends on the worker count.
+// dwICChunk is the number of input channels per backward-weights task, on
+// either body; a constant, so the task grid never depends on the worker
+// count.
 const dwICChunk = 16
 
 // bwdScratch holds the backward kernels' per-call working copies, sized at
@@ -39,6 +42,7 @@ const dwICChunk = 16
 // before it is read, so nothing carries over between calls.
 type bwdScratch struct {
 	xp   []float32 // x, width-padded (dW)
+	dyT  []float32 // dy channel-last, eight channels per octet (vector dW)
 	dyP  []float32 // dy width-padded, channels padded to 4 (vector dx)
 	wT   []float32 // W′[tap][oc][ic] over the visited taps (vector dx)
 	mask []int32   // per width tap, the row positions it adds into (vector dx)
@@ -117,18 +121,20 @@ func (c *Conv3D) backwardGeom(dy *tensor.Tensor) convGeom {
 	}
 }
 
-// backwardWeights accumulates dW and dB. A task owns the dW slice of one
+// backwardWeights accumulates dW and dB, on the vector body where
+// vectorConv selects one. On the Go body a task owns the dW slice of one
 // output-channel pair × input-channel chunk (and, for the first chunk, the
 // pair's bias entries), so no reduction across tasks is needed — the
 // paper's "sufficiently many channel blocks" strategy (§III-C). x is read
 // through a width-padded copy: every width tap of every output position is
 // in bounds, and one pass over a dy row yields all K of them.
 func (c *Conv3D) backwardWeights(g convGeom, dyd []float32) {
+	if vectorConv && c.backwardWeightsVector(g, dyd) {
+		return
+	}
 	k, s, p, k3 := c.K, c.Stride, c.Pad, c.K*c.K*c.K
 	pitch := g.iw + 2*p
-	xd := c.x.Data()
-	c.bwd.xp = grow(c.bwd.xp, len(xd)/g.iw*pitch)
-	xp := padRows(c.bwd.xp, xd, g.iw, p)
+	xp := c.padInput(g)
 	dwd := c.W.Grad.Data()
 	icChunks := (c.InC + dwICChunk - 1) / dwICChunk
 	c.pool.ForEach((c.OutC+1)/2*icChunks, 1, func(task int) {
@@ -138,7 +144,12 @@ func (c *Conv3D) backwardWeights(g convGeom, dyd []float32) {
 		if icLo == 0 {
 			c.biasGrad(dyd, g, oc0, oc1+1)
 		}
-		tot := make([]float64, 2*k)
+		var buf [6]float64 // K ≤ 3's totals stay on the stack
+		tot := buf[:]
+		if 2*k > len(buf) {
+			tot = make([]float64, 2*k)
+		}
+		tot = tot[:2*k]
 		for ic := icLo; ic < min(icLo+dwICChunk, c.InC); ic++ {
 			for kd := 0; kd < k; kd++ {
 				for kh := 0; kh < k; kh++ {
@@ -165,6 +176,19 @@ func (c *Conv3D) backwardWeights(g convGeom, dyd []float32) {
 			}
 		}
 	})
+}
+
+// padInput returns the cached input, width-padded into the layer's
+// scratch (padRows), its rows split across the pool.
+func (c *Conv3D) padInput(g convGeom) []float32 {
+	p, xd := c.Pad, c.x.Data()
+	pitch, rows := g.iw+2*p, len(xd)/g.iw
+	c.bwd.xp = grow(c.bwd.xp, rows*pitch)
+	xp := c.bwd.xp
+	c.pool.For(rows, 1+(1<<12)/pitch, func(lo, hi int) {
+		padRows(xp[lo*pitch:hi*pitch], xd[lo*g.iw:hi*g.iw], g.iw, p)
+	})
+	return xp
 }
 
 // biasGrad adds to dB[oc] for oc in [lo, hi) the float64 sum of channel

@@ -2,14 +2,164 @@
 
 package nn
 
-// Backward-data's AVX2 body, selected by vectorConv for K = 3 and Pad ≤ 2
-// (every layer of the CosmoFlow network). Each lane runs whole dx chains
-// in the Go body's order, with separate multiplies and adds (VMULPS,
-// VADDPS; never a fused multiply-add), so every dx is bit-equal to
-// conv3d_backward.go's. The operands are working copies in
-// the layer's bwdScratch, rebuilt on every call; each wrapper re-slices
-// them to the exact extent its assembly reads or writes, so a bad geometry
-// panics in Go.
+// Backward's AVX2 bodies, selected by vectorConv: backward-weights for
+// every K = 3 layer, backward-data for K = 3 and Pad ≤ 2 (every layer of
+// the CosmoFlow network). Each lane runs whole dW, dB or dx chains in the
+// Go body's order, with separate multiplies and adds (VMULPS, VADDPS,
+// VADDPD; never a fused multiply-add), so every gradient is bit-equal to
+// conv3d_backward.go's. The operands are working copies in the layer's
+// bwdScratch, rebuilt on every call; each wrapper re-slices them to the
+// exact extent its assembly reads or writes, so a bad geometry panics in
+// Go.
+
+// dwOctAVX2 is dwOct8's assembly: see dwOct8 for the operands.
+//
+//go:noescape
+func dwOctAVX2(dw *float32, dwOC, nl int, x *float32, xChan, xZ, xY int, dy *float32, dyZ, nic, nz, ny, ow, s int)
+
+// octTAVX2 is octT's assembly over nblk blocks of eight positions.
+//
+//go:noescape
+func octTAVX2(dst, src *float32, srcChan, nblk int)
+
+// dbOctAVX2 is dbOct8's assembly over n octets of dy.
+//
+//go:noescape
+func dbOctAVX2(db *[8]float64, dy *float32, n int)
+
+// backwardWeightsVector computes dW and dB on the AVX2 body, output
+// channels in lanes, and reports whether it did: for K = 3, any stride and
+// padding; other kernels stay on the Go body. dy is read from dyT, a
+// channel-last copy in octets of output channels (prepDW), x from the
+// width-padded copy the Go body reads. A task is one octet's dB, or one
+// (octet, visited (kd, kh) tap, input-channel chunk) of dW, whose dwOct8
+// call keeps the 24 totals of an input channel in registers across the
+// tap's whole (z, y) walk and then adds them to dW. The grid depends on
+// the geometry alone and each dW and dB element belongs to one task, so
+// the bits do not depend on the worker count. Lanes past OutC compute on
+// zeros and are discarded.
+func (c *Conv3D) backwardWeightsVector(g convGeom, dyd []float32) bool {
+	if c.K != 3 {
+		return false
+	}
+	s, p := c.Stride, c.Pad
+	pitch := g.iw + 2*p
+	xp := c.padInput(g)
+	dyT := c.prepDW(g, dyd)
+	var taps [9][2]int // the (kd, kh) taps that read an input row
+	nt := 0
+	for kd := 0; kd < 3; kd++ {
+		for kh := 0; kh < 3; kh++ {
+			if g.z.lo[kd] < g.z.hi[kd] && g.y.lo[kh] < g.y.hi[kh] {
+				taps[nt] = [2]int{kd, kh}
+				nt++
+			}
+		}
+	}
+	noct, chunks := (c.OutC+7)/8, (c.InC+dwICChunk-1)/dwICChunk
+	perOct := 1 + nt*chunks // dB, then the dW tasks
+	vol := g.od * g.oh * g.ow
+	dwd, dbd := c.W.Grad.Data(), c.B.Grad.Data()
+	c.pool.ForEach(noct*perOct, 1, func(task int) {
+		o, r := task/perOct, task%perOct
+		nl := min(8, c.OutC-8*o) // the octet's channels below OutC
+		if r == 0 {
+			var db [8]float64
+			dbOct8(&db, dyT[o*vol*8:][:vol*8])
+			for l := range nl {
+				dbd[8*o+l] += float32(db[l])
+			}
+			return
+		}
+		t, ic0 := taps[(r-1)/chunks], (r-1)%chunks*dwICChunk
+		kd, kh := t[0], t[1]
+		nic := min(dwICChunk, c.InC-ic0)
+		z0, y0 := g.z.lo[kd], g.y.lo[kh]
+		dwOct8(dwd[(8*o*c.InC+ic0)*27+(kd*3+kh)*3:], c.InC*27, nl,
+			xp[((ic0*g.id+z0*s+kd-p)*g.ih+y0*s+kh-p)*pitch:], g.id*g.ih*pitch, s*g.ih*pitch, s*pitch,
+			dyT[((o*g.od+z0)*g.oh+y0)*g.ow*8:], g.oh*g.ow*8, nic, g.z.hi[kd]-z0, g.y.hi[kh]-y0, g.ow, s)
+	})
+	return true
+}
+
+// prepDW rebuilds dyT from this call's dy: channel-last in octets of
+// output channels, dyT[(((o·od + z)·oh + y)·ow + x)·8 + l] = channel 8o +
+// l's dy at (z, y, x), zero for a channel at or past OutC. The rows (z, y)
+// are split across the pool.
+func (c *Conv3D) prepDW(g convGeom, dyd []float32) []float32 {
+	noct, vol := (c.OutC+7)/8, g.od*g.oh*g.ow
+	c.bwd.dyT = grow(c.bwd.dyT, noct*vol*8)
+	dyT := c.bwd.dyT
+	c.pool.For(g.od*g.oh, 1+(1<<12)/(noct*g.ow*8), func(lo, hi int) {
+		at, n := lo*g.ow, (hi-lo)*g.ow
+		for o := 0; o < noct; o++ {
+			dst := dyT[(o*vol+at)*8:][:n*8]
+			if nl := c.OutC - 8*o; nl >= 8 {
+				octT(dst, dyd[8*o*vol+at:], vol)
+			} else {
+				clear(dst)
+				for l := range nl {
+					for j, v := range dyd[(8*o+l)*vol+at:][:n] {
+						dst[j*8+l] = v
+					}
+				}
+			}
+		}
+	})
+	return dyT
+}
+
+// octT writes dst[8j + l] = src[l·srcChan + j] for the eight lanes l and
+// the len(dst)/8 positions j: eight channels of srcChan values each,
+// transposed to channel-last. Blocks of eight positions run on the vector
+// body, the rest in Go.
+func octT(dst, src []float32, srcChan int) {
+	if srcChan < 0 {
+		panic("nn: octT: negative stride")
+	}
+	n := len(dst) / 8
+	src = src[:7*srcChan+n] // channel 7's last value: a short src panics here
+	if m := n &^ 7; m > 0 {
+		octTAVX2(&dst[0], &src[0], srcChan, m/8)
+	}
+	for j := n &^ 7; j < n; j++ {
+		for l := range 8 {
+			dst[8*j+l] = src[l*srcChan+j]
+		}
+	}
+}
+
+// dbOct8 sets db[l], for the eight lanes l, to the float64 sum, started
+// at +0, of dy[8j + l] over j in order: biasGrad's chain for the eight
+// channels of a dyT octet.
+func dbOct8(db *[8]float64, dy []float32) {
+	*db = [8]float64{}
+	if n := len(dy) / 8; n > 0 {
+		dbOctAVX2(db, &dy[0], n)
+	}
+}
+
+// dwOct8 adds to dw[l·dwOC + i·27 + kw], for the nl lanes l ≤ 8 (output
+// channels), nic input channels i and width taps kw < 3, the float32 of a
+// float64 total, started at +0, of nz × ny float32 row sums in (z, y)
+// order. The row sum of (z, y) is Σ dy[r + 8j + l]·x[q + j·s + kw] over
+// j < ow in order, started at +0, where r = z·dyZ + y·8·ow and q = i·xChan
+// + z·xZ + y·xY: dwRow's chain, per output channel. Lanes from nl on are
+// computed and discarded.
+func dwOct8(dw []float32, dwOC, nl int, x []float32, xChan, xZ, xY int, dy []float32, dyZ, nic, nz, ny, ow, s int) {
+	if nl < 1 || nl > 8 || nic < 1 || nz < 1 || ny < 1 || ow < 1 || s < 1 {
+		panic("nn: dwOct8: no lane or an empty walk")
+	}
+	if dwOC < 0 || xChan < 0 || xZ < 0 || xY < 0 || dyZ < 0 {
+		panic("nn: dwOct8: negative stride")
+	}
+	// Re-slice every operand to the extent the vector body reads or writes,
+	// so a bad geometry panics here rather than in assembly.
+	dw = dw[:(nl-1)*dwOC+(nic-1)*27+3]
+	x = x[:(nic-1)*xChan+(nz-1)*xZ+(ny-1)*xY+(ow-1)*s+3]
+	dy = dy[:(nz-1)*dyZ+ny*ow*8]
+	dwOctAVX2(&dw[0], dwOC, nl, &x[0], xChan, xZ, xY, &dy[0], dyZ, nic, nz, ny, ow, s)
+}
 
 // dxRowAVX2 is dxRowK3's assembly: see dxRowK3 for the operands, with n
 // the vector extent (a multiple of 4).

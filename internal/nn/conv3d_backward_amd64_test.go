@@ -112,6 +112,101 @@ func TestDxChan8ChecksBounds(t *testing.T) {
 	}
 }
 
+// dwOct8Case is one dwOct8 call's operands at their exact extents: three
+// lanes, two input channels, a 2 × 2 walk of rows three wide, stride 2.
+type dwOct8Case struct {
+	dw, x, dy          []float32
+	dwOC, nl           int
+	xChan, xZ, xY, dyZ int
+	nic, nz, ny, ow, s int
+}
+
+func newDwOct8Case() *dwOct8Case {
+	c := &dwOct8Case{dwOC: 30, nl: 3, xChan: 40, xZ: 14, xY: 7, dyZ: 48, nic: 2, nz: 2, ny: 2, ow: 3, s: 2}
+	c.dw = make([]float32, (c.nl-1)*c.dwOC+(c.nic-1)*27+3)
+	c.x = make([]float32, (c.nic-1)*c.xChan+(c.nz-1)*c.xZ+(c.ny-1)*c.xY+(c.ow-1)*c.s+3)
+	c.dy = make([]float32, (c.nz-1)*c.dyZ+c.ny*c.ow*8)
+	return c
+}
+
+func (c *dwOct8Case) run() {
+	dwOct8(c.dw, c.dwOC, c.nl, c.x, c.xChan, c.xZ, c.xY, c.dy, c.dyZ, c.nic, c.nz, c.ny, c.ow, c.s)
+}
+
+// TestDwOctChecksBounds gives the backward-weights kernel an operand one
+// element short of what its lanes read or write, a lane count outside
+// 1–8, an empty walk or a negative stride: each call must panic in the Go
+// wrapper before the assembly writes anything to dW.
+func TestDwOctChecksBounds(t *testing.T) {
+	requireAVX2(t)
+	newDwOct8Case().run() // the exact extents are accepted
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *dwOct8Case)
+	}{
+		{"short dw", func(c *dwOct8Case) { c.dw = cut(c.dw) }},
+		{"short x", func(c *dwOct8Case) { c.x = cut(c.x) }},
+		{"short dy", func(c *dwOct8Case) { c.dy = cut(c.dy) }},
+		{"nine lanes", func(c *dwOct8Case) { c.nl = 9 }},
+		{"no lane", func(c *dwOct8Case) { c.nl = 0 }},
+		{"empty walk", func(c *dwOct8Case) { c.ny = 0 }},
+		{"negative xY", func(c *dwOct8Case) { c.xY = -c.xY }},
+		{"negative dyZ", func(c *dwOct8Case) { c.dyZ = -c.dyZ }},
+	} {
+		c := newDwOct8Case()
+		for i := range c.x {
+			c.x[i] = 1
+		}
+		for i := range c.dy {
+			c.dy[i] = 1
+		}
+		tc.mutate(c)
+		requirePanics(t, tc.name, c.run)
+		for i, v := range c.dw {
+			if v != 0 {
+				t.Fatalf("%s: dw[%d] = %v after the panic, want it unwritten", tc.name, i, v)
+			}
+		}
+	}
+}
+
+// TestPrepDWRepack checks prepDW's channel-last dy copy against an
+// explicit index table on an 11-channel layer: one full octet, which runs
+// on octT's 8×8 transposes and their Go tail (45 positions, 5 blocks and
+// 5 left over), and one of 3 channels, whose 5 padded lanes must be zero.
+// dy holds its own flat index + 1, so every dyT entry names its source.
+func TestPrepDWRepack(t *testing.T) {
+	requireAVX2(t)
+	for _, workers := range []int{1, 2} {
+		pool := parallel.NewPool(workers)
+		c := NewConv3D("c", 1, 11, 3, 1, 1, pool, rand.New(rand.NewSource(1)))
+		x := tensor.New(1, 3, 3, 5)
+		dy := tensor.New(c.Forward(x).Shape()...)
+		for i := range dy.Data() {
+			dy.Data()[i] = float32(i + 1)
+		}
+		dyT := c.prepDW(c.backwardGeom(dy), dy.Data())
+		const vol = 3 * 3 * 5
+		// dyT[(o·vol + r)·8 + l] is channel 8o + l's dy at flat position
+		// r, dy[(8o + l)·vol + r], or 0 for channels 11–15.
+		want := make([]float32, 2*vol*8)
+		for o := 0; o < 2; o++ {
+			for r := 0; r < vol; r++ {
+				for l := 0; l < 8; l++ {
+					if oc := 8*o + l; oc < 11 {
+						want[(o*vol+r)*8+l] = float32(oc*vol + r + 1)
+					}
+				}
+			}
+		}
+		if dyT[0] != 1 || dyT[1] != vol+1 || dyT[8] != 2 || dyT[vol*8+2] != 10*vol+1 || dyT[vol*8+3] != 0 {
+			t.Fatalf("workers %d: dyT starts %v, octet 1 %v", workers, dyT[:16], dyT[vol*8:][:8])
+		}
+		requireBits(t, fmt.Sprintf("workers %d dyT", workers), dyT, want)
+		pool.Close()
+	}
+}
+
 // TestBackwardKernelsDoNotAllocate checks a call of each backward vector
 // kernel allocates nothing. The operands are local arrays, which stay on
 // the stack only if the assembly's pointer arguments do not escape
@@ -136,6 +231,23 @@ func TestBackwardKernelsDoNotAllocate(t *testing.T) {
 		dxChan8(dst[:], 3, 1, dy[:], 2, w[:], 8, taps[:], 1)
 	}); a != 0 {
 		t.Errorf("dxChan8 allocates %v times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		var dw [7*30 + 27 + 3]float32
+		var x [40 + 14 + 7 + 4 + 3]float32
+		var dy [48 + 48]float32
+		dwOct8(dw[:], 30, 8, x[:], 40, 14, 7, dy[:], 48, 2, 2, 2, 3, 2)
+	}); a != 0 {
+		t.Errorf("dwOct8 allocates %v times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		var src [7*20 + 20]float32
+		var dst [20 * 8]float32
+		var db [8]float64
+		octT(dst[:], src[:], 20)
+		dbOct8(&db, dst[:])
+	}); a != 0 {
+		t.Errorf("octT and dbOct8 allocate %v times per call, want 0", a)
 	}
 }
 

@@ -2,6 +2,9 @@
 
 package nn
 
-// Without an AVX2 body backward-data is the pure-Go one.
+// Without an AVX2 body backward-weights and backward-data are the pure-Go
+// ones.
+
+func (c *Conv3D) backwardWeightsVector(convGeom, []float32) bool { return false }
 
 func (c *Conv3D) backwardDataVector(convGeom, []float32, []float32) bool { return false }

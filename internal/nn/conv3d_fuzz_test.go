@@ -12,7 +12,8 @@ import (
 )
 
 // FuzzConvGeometry drives Conv3D over random small geometries: InC 1–3 or
-// 16, OutC 1–5 or 16 (every OutC%4 tail, and the paper's 16→16), depth
+// 16, OutC 1–13 or 16 (every OutC%4 tail; below one octet of output
+// channels, one, one plus a tail of 1–5, and the paper's 16→16), depth
 // and height 1–9, width 1–30, kernel 1–4, stride 1–2, padding 0–2, batch
 // 1–3. A kernel wider than a padded extent must be refused with
 // convOutDim's named panic. Any other geometry must agree with the float64
@@ -22,7 +23,8 @@ import (
 // on an AVX2 CPU the vector Backward must be bit-equal to the Go one. The
 // seeds are the stride-2 short input whose (−1)/2 extent once truncated to
 // 1, a width-1 volume, k=4 without padding, a 1³ volume, an odd OutC, three
-// random shapes, and 16→16 layers at widths 27 and 29.
+// random shapes, 16→16 layers at widths 27 and 29, and a stride-2 layer
+// with OutC 12, an octet plus a tail.
 func FuzzConvGeometry(f *testing.F) {
 	pool := parallel.NewPool(2)
 	f.Cleanup(pool.Close)
@@ -38,6 +40,7 @@ func FuzzConvGeometry(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint8(8), uint8(5), uint8(3), uint8(3), uint8(2), uint8(1), uint8(3), int64(8))
 	f.Add(uint8(16), uint8(16), uint8(2), uint8(2), uint8(27), uint8(3), uint8(1), uint8(1), uint8(2), int64(9))
 	f.Add(uint8(16), uint8(16), uint8(1), uint8(2), uint8(29), uint8(3), uint8(1), uint8(1), uint8(3), int64(10))
+	f.Add(uint8(3), uint8(12), uint8(5), uint8(4), uint8(9), uint8(3), uint8(2), uint8(1), uint8(2), int64(11))
 
 	f.Fuzz(func(t *testing.T, inC, outC, d, h, w, k, stride, pad, batch uint8, seed int64) {
 		// Map each byte into [lo, hi], leaving in-range values (the seeds) as
@@ -57,7 +60,7 @@ func FuzzConvGeometry(f *testing.F) {
 			}
 			return 16
 		}
-		ic, oc := chans(inC, 3), chans(outC, 5)
+		ic, oc := chans(inC, 3), chans(outC, 13)
 		shape := tensor.Shape{ic, in(d, 1, 9), in(h, 1, 9), in(w, 1, 30)}
 		kk, s, p := in(k, 1, 4), in(stride, 1, 2), in(pad, 0, 2)
 
