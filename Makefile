@@ -56,8 +56,10 @@ race:
 # gather payload (bad magic/version, unknown phases, event counts the
 # payload cannot hold), the data manifest (fields the loader relies on,
 # lossless re-encoding), the TFRecord sample payload (dim bound,
-# voxel count, canonical encoding) and the dist transport's frames (1-d
-# float32 bodies only, exact lengths, canonical re-encoding) — and of the conv kernels' geometry (forward,
+# voxel count, canonical encoding), the dist transport's frames (1-d
+# float32 bodies only, exact lengths, canonical re-encoding) and the
+# rendezvous messages (the line bound, the version check, lossless
+# re-encoding) — and of the conv kernels' geometry (forward,
 # batched inference and backward against float64 loop nests over random
 # shapes, strides and padding). Seconds, not minutes — the corpus seeds
 # cover the known-nasty shapes and CI just shakes for regressions.
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/data
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSample -fuzztime 10s ./internal/tfrecord
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzReadRendezvousMsg -fuzztime 10s ./internal/dist
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:

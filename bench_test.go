@@ -677,38 +677,6 @@ func BenchmarkConv3DBackward(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_AllreduceAlgorithms compares the scalable collectives
-// against the centralized parameter-server baseline (§II-C).
-func BenchmarkAblation_AllreduceAlgorithms(b *testing.B) {
-	const ranks = 8
-	const elems = 1 << 18 // 1 MB
-	for _, algo := range []comm.Algorithm{comm.Ring, comm.RecursiveDoubling, comm.Central} {
-		b.Run(algo.String(), func(b *testing.B) {
-			w, err := comm.NewWorld(ranks, comm.WithAlgorithm(algo))
-			if err != nil {
-				b.Fatal(err)
-			}
-			bufs := make([][]float32, ranks)
-			for r := range bufs {
-				bufs[r] = make([]float32, elems)
-			}
-			b.SetBytes(4 * elems)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for _, c := range w.Comms() {
-					wg.Add(1)
-					go func(c *comm.Comm) {
-						defer wg.Done()
-						c.AllReduceSum(bufs[c.Rank()])
-					}(c)
-				}
-				wg.Wait()
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_LARC compares convergence with and without LARC at a
 // large-ish global batch — the stabilization the paper relies on (§III-B).
 func BenchmarkAblation_LARC(b *testing.B) {

@@ -47,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/cosmo"
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -70,7 +69,6 @@ func main() {
 	ranks := flag.Int("ranks", 4, "data-parallel workers (global batch size, §III-B)")
 	epochs := flag.Int("epochs", 4, "training epochs")
 	base := flag.Int("base", 4, "base channel count (16 = paper scale)")
-	algo := flag.String("algo", "ring", "allreduce algorithm: ring, rd, central")
 	workers := flag.Int("workers", 1, "compute threads per rank")
 	profile := flag.Bool("profile", false, "print rank 0's per-phase share of step time from its timeline (the Figure-3 analogue)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -145,17 +143,6 @@ func main() {
 		log.Fatal("provide -data DIR, -data-url URL, or -synthetic N")
 	}
 
-	algorithm := comm.Ring
-	switch *algo {
-	case "ring":
-	case "rd":
-		algorithm = comm.RecursiveDoubling
-	case "central":
-		algorithm = comm.Central
-	default:
-		log.Fatalf("unknown algorithm %q", *algo)
-	}
-
 	nRanks := *ranks
 	if *distMode {
 		if *world < 1 {
@@ -196,7 +183,6 @@ func main() {
 			Seed:         *seed + 1,
 		},
 		Optim:           optim.Config{},
-		Algorithm:       algorithm,
 		WorkersPerRank:  *workers,
 		Seed:            *seed,
 		CheckpointPath:  *ckpt,
@@ -215,8 +201,8 @@ func main() {
 	}
 
 	if !*distMode {
-		fmt.Printf("CosmoFlow training: %d ranks × batch 1 (global batch %d), %s allreduce\n",
-			nRanks, nRanks, algorithm)
+		fmt.Printf("CosmoFlow training: %d ranks × batch 1 (global batch %d), ring allreduce\n",
+			nRanks, nRanks)
 		cfg.Timeline = localTimeline(0)
 		res, err := train.Run(cfg, trainSet, valSet)
 		if err != nil {
@@ -231,14 +217,13 @@ func main() {
 		Size:       *world,
 		Rank:       *rank,
 		Rendezvous: *rendezvous,
-		Algorithm:  algorithm,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if w.Rank() == 0 {
-		fmt.Printf("CosmoFlow training: %d processes × batch 1 (global batch %d), %s allreduce over TCP\n",
-			*world, *world, algorithm)
+		fmt.Printf("CosmoFlow training: %d processes × batch 1 (global batch %d), ring allreduce over TCP\n",
+			*world, *world)
 	}
 	cfg.Timeline = localTimeline(w.Rank())
 	res, err := train.RunDistributed(cfg, w.Comm(), trainSet, valSet)

@@ -6,7 +6,7 @@
 // row kernel, four output channels per pass (internal/nn, internal/tensor),
 // the Adam+LARC optimizer with polynomial decay (internal/optim), fully
 // synchronous data-parallel training over an MPI-like world with
-// ring/recursive-doubling/parameter-server collectives (internal/comm,
+// ring allreduce and reduce-scatter collectives (internal/comm,
 // internal/train) whose point-to-point layer is a pluggable Transport —
 // in-process channel mesh or the multi-process TCP data plane of
 // internal/dist (rank-0 rendezvous, CFT1-framed collectives, heartbeat

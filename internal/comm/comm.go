@@ -5,16 +5,17 @@
 // tagged channels; internal/dist supplies a TCP transport so the same
 // collectives run unchanged between OS processes (NewWorldWithTransport).
 //
-// It stands in for the Cray PE ML Plugin (§III-D): every rank is a worker
-// (no parameter servers in the default algorithms), collectives are
-// implemented with scalable algorithms (ring reduce-scatter/allgather and
-// recursive doubling). A centralized parameter-server algorithm is
-// included as the gRPC-style baseline that Mathuriya et al. (2017) showed
-// does not scale. The plugin's helper-thread teams, which split one
-// allreduce into chunks progressed concurrently, are not modelled: every
-// allreduce runs as one exchange on one stream. Chunked teams were
-// measured no faster over TCP and allocated more per call
-// (EXPERIMENTS.md, "Allreduce helper teams: measured flat, removed").
+// It stands in for the Cray PE ML Plugin (§III-D): every rank is a worker,
+// with no parameter server, and the one allreduce is the bandwidth-optimal
+// ring, a reduce-scatter followed by an allgather. ReduceScatterSum is the
+// same reduce-scatter on its own. §II-C's centralized parameter-server
+// baseline is not modelled: training never selects it, and measured on
+// in-process ranks sharing one core it says nothing about scaling
+// (EXPERIMENTS.md, "Allreduce algorithms: one ring"). Nor are the plugin's
+// helper-thread teams, which split one allreduce into chunks progressed
+// concurrently: every allreduce runs as one exchange on one stream.
+// Chunked teams were measured no faster over TCP and allocated more per
+// call (EXPERIMENTS.md, "Allreduce helper teams: measured flat, removed").
 package comm
 
 import (
@@ -25,34 +26,6 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/tensor"
 )
-
-// Algorithm selects the allreduce implementation.
-type Algorithm int
-
-const (
-	// Ring is the bandwidth-optimal ring reduce-scatter + allgather.
-	Ring Algorithm = iota
-	// RecursiveDoubling is the latency-optimal log₂(n) exchange; it falls
-	// back to Ring for non-power-of-two worlds.
-	RecursiveDoubling
-	// Central is the master-based baseline: rank 0 sums and redistributes
-	// (the gRPC parameter-server pattern of §II-C).
-	Central
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Ring:
-		return "ring"
-	case RecursiveDoubling:
-		return "recursive-doubling"
-	case Central:
-		return "central"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
 
 // MaxTags is the number of independent in-order message streams per rank
 // pair: dataTag plus one reserved tag per control collective.
@@ -74,27 +47,17 @@ const (
 // whose transport reaches the others across process boundaries.
 type World struct {
 	n          int
-	algorithm  Algorithm
 	transports []Transport // per-rank; nil for ranks not local to this process
 	bytesSent  atomic.Int64
 	msgsSent   atomic.Int64
 }
 
-// Option configures a World.
-type Option func(*World)
-
-// WithAlgorithm selects the allreduce algorithm (default Ring).
-func WithAlgorithm(a Algorithm) Option { return func(w *World) { w.algorithm = a } }
-
 // NewWorld builds an n-rank world. n must be at least 1.
-func NewWorld(n int, opts ...Option) (*World, error) {
+func NewWorld(n int) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: world size %d must be positive", n)
 	}
-	w := &World{n: n, algorithm: Ring}
-	for _, o := range opts {
-		o(w)
-	}
+	w := &World{n: n}
 	links := newChanMesh(n)
 	w.transports = make([]Transport, n)
 	for r := 0; r < n; r++ {
@@ -107,7 +70,7 @@ func NewWorld(n int, opts ...Option) (*World, error) {
 // is local to this process, communicating through tr. Comm is valid for
 // that rank alone; the remaining ranks live in other processes holding
 // their own worlds over the same wire (see internal/dist).
-func NewWorldWithTransport(n, rank int, tr Transport, opts ...Option) (*World, error) {
+func NewWorldWithTransport(n, rank int, tr Transport) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: world size %d must be positive", n)
 	}
@@ -117,10 +80,7 @@ func NewWorldWithTransport(n, rank int, tr Transport, opts ...Option) (*World, e
 	if tr == nil {
 		return nil, fmt.Errorf("comm: nil transport")
 	}
-	w := &World{n: n, algorithm: Ring}
-	for _, o := range opts {
-		o(w)
-	}
+	w := &World{n: n}
 	w.transports = make([]Transport, n)
 	w.transports[rank] = tr
 	return w, nil
@@ -128,9 +88,6 @@ func NewWorldWithTransport(n, rank int, tr Transport, opts ...Option) (*World, e
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
-
-// Algorithm returns the configured allreduce algorithm.
-func (w *World) Algorithm() Algorithm { return w.algorithm }
 
 // BytesSent returns the cumulative payload bytes sent by all ranks, for the
 // §VI-B bandwidth accounting.
@@ -249,49 +206,12 @@ func (c *Comm) Broadcast(buf []float32, root int) {
 	}
 }
 
-// reduceOp is the element-wise combiner threaded through the allreduce
-// algorithms. All ops are associative and commutative, so every algorithm
-// computes the same reduction (sum is subject to float32 rounding order,
-// which each algorithm keeps deterministic for a fixed world size).
-type reduceOp int
-
-const (
-	opSum reduceOp = iota
-	opMax
-)
-
-// combine folds got into dst element-wise under op. A length mismatch is
-// a protocol violation and panics for every op (Axpy enforces it for sum;
-// max must be equally loud — a silently partial reduction would let ranks
-// disagree on the result).
-func combine(op reduceOp, got, dst []float32) {
-	switch op {
-	case opSum:
-		tensor.Axpy(1, got, dst)
-	case opMax:
-		if len(got) != len(dst) {
-			panic(fmt.Sprintf("comm: max-reduce received %d elements, want %d", len(got), len(dst)))
-		}
-		for i, v := range got {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	}
-}
-
 // AllReduceSum sums buf element-wise across all ranks, leaving the result in
-// every rank's buf.
-func (c *Comm) AllReduceSum(buf []float32) { c.allReduce(buf, opSum) }
-
-// AllReduceMax leaves the element-wise maximum across all ranks in every
-// rank's buf — the collective behind global gradient-norm clipping and
-// max-style metric sync (e.g. slowest-rank step time).
-func (c *Comm) AllReduceMax(buf []float32) { c.allReduce(buf, opMax) }
-
-// allReduce runs the configured algorithm over the whole buffer on the
-// data stream.
-func (c *Comm) allReduce(buf []float32, op reduceOp) {
+// every rank's buf. It is the bandwidth-optimal ring: the n−1 steps of
+// reduceScatter, then n−1 allgather steps, 2·(n−1)/n of the buffer crossing
+// each link — the "twice the message length" cost the paper uses in its
+// §VI-B bandwidth estimate.
+func (c *Comm) AllReduceSum(buf []float32) {
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseAllReduce, time.Now())
 	}
@@ -299,90 +219,46 @@ func (c *Comm) allReduce(buf []float32, op reduceOp) {
 	if n == 1 {
 		return
 	}
-	switch algo := c.world.algorithm; {
-	case algo == Central:
-		c.allReduceCentral(buf, op)
-	case algo == RecursiveDoubling && n&(n-1) == 0:
-		c.allReduceRecursiveDoubling(buf, op)
-	default: // Ring, and RecursiveDoubling's non-power-of-two fallback
-		c.allReduceRing(buf, op)
-	}
-}
-
-// allReduceRing is the bandwidth-optimal ring algorithm: n−1 reduce-scatter
-// steps followed by n−1 allgather steps, 2·(n−1)/n of the buffer crossing
-// each link — the "twice the message length" cost the paper uses in its
-// §VI-B bandwidth estimate.
-func (c *Comm) allReduceRing(buf []float32, op reduceOp) {
-	n := c.world.n
+	c.reduceScatter(buf)
+	// Allgather: circulate the completed segments.
 	r := c.rank
 	next := (r + 1) % n
 	prev := (r - 1 + n) % n
-
-	seg := func(i int) (int, int) {
-		i = ((i % n) + n) % n
-		lo := i * len(buf) / n
-		hi := (i + 1) * len(buf) / n
-		return lo, hi
-	}
-
-	// Reduce-scatter: after step s, each rank holds the partial sum of
-	// segment (rank−s−1).
 	for s := 0; s < n-1; s++ {
-		slo, shi := seg(r - s)
+		slo, shi := ringSeg(r+1-s, n, len(buf))
 		c.send(next, dataTag, buf[slo:shi])
-		rlo, rhi := seg(r - s - 1)
-		got := c.recv(prev, dataTag)
-		combine(op, got, buf[rlo:rhi])
-		c.tr.Release(got)
-	}
-	// Allgather: circulate the completed segments.
-	for s := 0; s < n-1; s++ {
-		slo, shi := seg(r + 1 - s)
-		c.send(next, dataTag, buf[slo:shi])
-		rlo, rhi := seg(r - s)
+		rlo, rhi := ringSeg(r-s, n, len(buf))
 		got := c.recv(prev, dataTag)
 		copy(buf[rlo:rhi], got)
 		c.tr.Release(got)
 	}
 }
 
-// allReduceRecursiveDoubling exchanges the full buffer with partners at
-// doubling distances; requires a power-of-two world.
-func (c *Comm) allReduceRecursiveDoubling(buf []float32, op reduceOp) {
-	n := c.world.n
-	for d := 1; d < n; d <<= 1 {
-		partner := c.rank ^ d
-		// Both sides send then receive; transport buffering (channel cap
-		// ≥ 1 in-process, kernel socket buffers + a reader goroutine over
-		// TCP) prevents deadlock on the symmetric exchange.
-		c.send(partner, dataTag, buf)
-		got := c.recv(partner, dataTag)
-		combine(op, got, buf)
-		c.tr.Release(got)
-	}
+// ringSeg returns the bounds of segment i, taken mod n, of a buffer of
+// length elements cut into n ring segments.
+func ringSeg(i, n, length int) (lo, hi int) {
+	i = ((i % n) + n) % n
+	return i * length / n, (i + 1) * length / n
 }
 
-// allReduceCentral gathers everything at rank 0, which sums and unicasts
-// the result back: the master-based pattern whose algorithmic and
-// socket-level inefficiencies motivated the ML Plugin (§II-C).
-func (c *Comm) allReduceCentral(buf []float32, op reduceOp) {
+// reduceScatter runs the ring's n−1 reduce-scatter steps over buf, n > 1:
+// after step s each rank holds the partial sum of segment (rank−s−1), so on
+// return segment rank+1, whose bounds it returns, holds the global sum.
+// Both AllReduceSum and ReduceScatterSum are this loop.
+func (c *Comm) reduceScatter(buf []float32) (lo, hi int) {
 	n := c.world.n
-	if c.rank == 0 {
-		for src := 1; src < n; src++ {
-			got := c.recv(src, dataTag)
-			combine(op, got, buf)
-			c.tr.Release(got)
-		}
-		for dst := 1; dst < n; dst++ {
-			c.send(dst, dataTag, buf)
-		}
-	} else {
-		c.send(0, dataTag, buf)
-		got := c.recv(0, dataTag)
-		copy(buf, got)
+	r := c.rank
+	next := (r + 1) % n
+	prev := (r - 1 + n) % n
+	for s := 0; s < n-1; s++ {
+		slo, shi := ringSeg(r-s, n, len(buf))
+		c.send(next, dataTag, buf[slo:shi])
+		rlo, rhi := ringSeg(r-s-1, n, len(buf))
+		got := c.recv(prev, dataTag)
+		tensor.Axpy(1, got, buf[rlo:rhi])
 		c.tr.Release(got)
 	}
+	return ringSeg(r+1, n, len(buf))
 }
 
 // AllReduceMean computes the element-wise mean across ranks: the gradient
@@ -403,32 +279,17 @@ func (c *Comm) AllReduceScalar(v float64) float64 {
 
 // ReduceScatterSum performs the reduce-scatter half of the ring allreduce:
 // buf is summed element-wise across ranks, and on return this rank's owned
-// segment (whose bounds are returned) holds its portion of the global sum.
-// The rest of buf holds partial sums and must be treated as scratch.
+// segment (whose bounds are returned) holds its portion of the global sum,
+// bit for bit the same segment AllReduceSum leaves. The rest of buf holds
+// partial sums and must be treated as scratch.
 func (c *Comm) ReduceScatterSum(buf []float32) (lo, hi int) {
 	if tl := c.tl; tl != nil {
 		defer tl.Record(obsv.PhaseReduceScatter, time.Now())
 	}
-	n := c.world.n
-	if n == 1 {
+	if c.world.n == 1 {
 		return 0, len(buf)
 	}
-	r := c.rank
-	next := (r + 1) % n
-	prev := (r - 1 + n) % n
-	seg := func(i int) (int, int) {
-		i = ((i % n) + n) % n
-		return i * len(buf) / n, (i + 1) * len(buf) / n
-	}
-	for s := 0; s < n-1; s++ {
-		slo, shi := seg(r - s)
-		c.send(next, dataTag, buf[slo:shi])
-		rlo, rhi := seg(r - s - 1)
-		got := c.recv(prev, dataTag)
-		tensor.Axpy(1, got, buf[rlo:rhi])
-		c.tr.Release(got)
-	}
-	return seg(r + 1)
+	return c.reduceScatter(buf)
 }
 
 // AllGather concatenates every rank's equal-length local block into out,

@@ -34,117 +34,67 @@ func expectedSum(inputs [][]float32) []float64 {
 	return out
 }
 
-func testAllReduce(t *testing.T, algo Algorithm, n, size int) {
-	t.Helper()
-	w, err := NewWorld(n, WithAlgorithm(algo))
-	if err != nil {
-		t.Fatal(err)
-	}
+// randomInputs draws n ranks' buffers of size normal floats, seeded by
+// (n, size).
+func randomInputs(n, size int) [][]float32 {
 	rng := rand.New(rand.NewSource(int64(n*1000 + size)))
 	inputs := make([][]float32, n)
-	bufs := make([][]float32, n)
 	for r := range inputs {
 		inputs[r] = make([]float32, size)
 		for i := range inputs[r] {
 			inputs[r][i] = float32(rng.NormFloat64())
 		}
-		bufs[r] = append([]float32(nil), inputs[r]...)
 	}
+	return inputs
+}
+
+// clones copies every rank's buffer.
+func clones(inputs [][]float32) [][]float32 {
+	out := make([][]float32, len(inputs))
+	for r, in := range inputs {
+		out[r] = append([]float32(nil), in...)
+	}
+	return out
+}
+
+func testAllReduce(t *testing.T, n, size int) {
+	t.Helper()
+	w, err := NewWorld(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := randomInputs(n, size)
+	bufs := clones(inputs)
 	runWorld(t, w, func(c *Comm) { c.AllReduceSum(bufs[c.Rank()]) })
 	want := expectedSum(inputs)
 	for r := 0; r < n; r++ {
 		for i := range want {
 			if math.Abs(float64(bufs[r][i])-want[i]) > 1e-4*(1+math.Abs(want[i])) {
-				t.Fatalf("algo=%v n=%d size=%d: rank %d elem %d = %v, want %v",
-					algo, n, size, r, i, bufs[r][i], want[i])
+				t.Fatalf("n=%d size=%d: rank %d elem %d = %v, want %v",
+					n, size, r, i, bufs[r][i], want[i])
 			}
 		}
 	}
 }
 
+// TestAllReduceSumAllAlgorithms checks the ring, the one allreduce, against
+// a float64 sum over world sizes with uneven and empty segments.
 func TestAllReduceSumAllAlgorithms(t *testing.T) {
-	for _, algo := range []Algorithm{Ring, RecursiveDoubling, Central} {
-		for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
-			// 1 and n−1 elements leave ring segments of 0 and 1
-			// elements; an odd 37 exercises uneven segment remainders.
-			for _, size := range []int{1, n - 1, 37} {
-				testAllReduce(t, algo, n, size)
-			}
-		}
-	}
-}
-
-// testAllReduceMax checks the element-wise max collective against a
-// sequential reduction; max is exact in float32, so comparison is strict.
-func testAllReduceMax(t *testing.T, algo Algorithm, n, size int) {
-	t.Helper()
-	w, err := NewWorld(n, WithAlgorithm(algo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(int64(n*7919 + size)))
-	inputs := make([][]float32, n)
-	bufs := make([][]float32, n)
-	for r := range inputs {
-		inputs[r] = make([]float32, size)
-		for i := range inputs[r] {
-			inputs[r][i] = float32(rng.NormFloat64())
-		}
-		bufs[r] = append([]float32(nil), inputs[r]...)
-	}
-	runWorld(t, w, func(c *Comm) { c.AllReduceMax(bufs[c.Rank()]) })
-	for i := 0; i < size; i++ {
-		want := inputs[0][i]
-		for r := 1; r < n; r++ {
-			if inputs[r][i] > want {
-				want = inputs[r][i]
-			}
-		}
-		for r := 0; r < n; r++ {
-			if bufs[r][i] != want {
-				t.Fatalf("algo=%v n=%d size=%d: rank %d max[%d] = %v, want %v",
-					algo, n, size, r, i, bufs[r][i], want)
-			}
-		}
-	}
-}
-
-func TestAllReduceMaxAllAlgorithms(t *testing.T) {
-	for _, algo := range []Algorithm{Ring, RecursiveDoubling, Central} {
-		for _, n := range []int{1, 2, 3, 4, 8} {
-			for _, size := range []int{1, n - 1, 37} {
-				testAllReduceMax(t, algo, n, size)
-			}
-		}
-	}
-}
-
-// TestAllReduceMaxGradClip is the intended use: every rank computes its
-// local gradient-norm proxy, the collective finds the global max, and all
-// ranks agree on the same clip decision.
-func TestAllReduceMaxGradClip(t *testing.T) {
-	n := 4
-	w, _ := NewWorld(n)
-	norms := []float32{0.5, 3.25, 1.0, 2.0}
-	got := make([]float32, n)
-	runWorld(t, w, func(c *Comm) {
-		buf := []float32{norms[c.Rank()]}
-		c.AllReduceMax(buf)
-		got[c.Rank()] = buf[0]
-	})
-	for r := range got {
-		if got[r] != 3.25 {
-			t.Fatalf("rank %d global max norm = %v, want 3.25", r, got[r])
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
+		// 1 and n−1 elements leave ring segments of 0 and 1
+		// elements; an odd 37 exercises uneven segment remainders.
+		for _, size := range []int{1, n - 1, 37} {
+			testAllReduce(t, n, size)
 		}
 	}
 }
 
 func TestAllReduceLargeBuffer(t *testing.T) {
-	testAllReduce(t, Ring, 8, 100_000)
+	testAllReduce(t, 8, 100_000)
 }
 
 func TestAllReduceTinyBufferFewerElementsThanRanks(t *testing.T) {
-	testAllReduce(t, Ring, 8, 3)
+	testAllReduce(t, 8, 3)
 }
 
 func TestAllReduceMean(t *testing.T) {
@@ -248,7 +198,7 @@ func TestRingBandwidthFactor(t *testing.T) {
 	// factor the paper's §VI-B analysis ("twice the message length")
 	// relies on for large n.
 	n, size := 8, 8000
-	w, _ := NewWorld(n, WithAlgorithm(Ring))
+	w, _ := NewWorld(n)
 	bufs := make([][]float32, n)
 	for r := range bufs {
 		bufs[r] = make([]float32, size)
@@ -261,39 +211,12 @@ func TestRingBandwidthFactor(t *testing.T) {
 	}
 }
 
-func TestCentralConcentratesTrafficAtRoot(t *testing.T) {
-	// The parameter-server baseline moves 2·(n−1) full buffers through
-	// rank 0 — the non-scalable pattern of §II-C.
-	n, size := 8, 1000
-	w, _ := NewWorld(n, WithAlgorithm(Central))
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = make([]float32, size)
-	}
-	runWorld(t, w, func(c *Comm) { c.AllReduceSum(bufs[c.Rank()]) })
-	total := float64(w.BytesSent())
-	want := 2 * float64(n-1) * float64(4*size)
-	if math.Abs(total-want)/want > 0.01 {
-		t.Errorf("central total bytes = %v, want %v", total, want)
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if Ring.String() != "ring" || Central.String() != "central" ||
-		RecursiveDoubling.String() != "recursive-doubling" {
-		t.Error("algorithm names wrong")
-	}
-	if Algorithm(42).String() == "" {
-		t.Error("unknown algorithm should still render")
-	}
-}
-
 func TestAllReduceDeterministicGivenAlgorithm(t *testing.T) {
 	// The ring algorithm applies additions in a fixed order, so repeated
 	// runs give bit-identical results (important for reproducible SSGD).
 	run := func() []float32 {
 		n := 4
-		w, _ := NewWorld(n, WithAlgorithm(Ring))
+		w, _ := NewWorld(n)
 		rng := rand.New(rand.NewSource(5))
 		bufs := make([][]float32, n)
 		for r := range bufs {
@@ -320,7 +243,7 @@ func TestAllReduceDeterministicGivenAlgorithm(t *testing.T) {
 // call must give the bits of the first, whose messages were all new.
 func TestInProcessAllReduceReusesMessages(t *testing.T) {
 	const n, size, calls = 2, 1 << 20, 4
-	w, err := NewWorld(n, WithAlgorithm(Ring))
+	w, err := NewWorld(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +316,51 @@ func TestReduceScatterSum(t *testing.T) {
 	for i, c := range covered {
 		if !c {
 			t.Fatalf("element %d owned by no rank", i)
+		}
+	}
+}
+
+// TestReduceScatterSumMatchesAllReduceSum pins the one ring reduce-scatter
+// both collectives run: on the same inputs, the segment ReduceScatterSum
+// owns is bit-equal to the same segment of AllReduceSum's result, and the
+// owned segments cover the buffer once. Sizes 1 and n−1 give segments of 0
+// and 1 elements.
+func TestReduceScatterSumMatchesAllReduceSum(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 8} {
+		for _, size := range []int{1, n - 1, 37} {
+			inputs := randomInputs(n, size)
+			sums, scattered := clones(inputs), clones(inputs)
+			w, _ := NewWorld(n)
+			runWorld(t, w, func(c *Comm) { c.AllReduceSum(sums[c.Rank()]) })
+			los, his := make([]int, n), make([]int, n)
+			w, _ = NewWorld(n)
+			runWorld(t, w, func(c *Comm) {
+				los[c.Rank()], his[c.Rank()] = c.ReduceScatterSum(scattered[c.Rank()])
+			})
+			owner := make([]int, size)
+			for i := range owner {
+				owner[i] = -1
+			}
+			for r := 0; r < n; r++ {
+				if los[r] < 0 || los[r] > his[r] || his[r] > size {
+					t.Fatalf("n=%d size=%d: rank %d owns [%d, %d)", n, size, r, los[r], his[r])
+				}
+				for i := los[r]; i < his[r]; i++ {
+					if owner[i] >= 0 {
+						t.Fatalf("n=%d size=%d: element %d owned by ranks %d and %d", n, size, i, owner[i], r)
+					}
+					owner[i] = r
+					if got, want := scattered[r][i], sums[r][i]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("n=%d size=%d: rank %d ReduceScatterSum[%d] = %v, AllReduceSum %v",
+							n, size, r, i, got, want)
+					}
+				}
+			}
+			for i, r := range owner {
+				if r < 0 {
+					t.Fatalf("n=%d size=%d: element %d owned by no rank", n, size, i)
+				}
+			}
 		}
 	}
 }

@@ -68,7 +68,7 @@ type chanTransport struct {
 }
 
 // maxFree bounds a rank's free list. A balanced collective gives a rank
-// back one slice per slice it sends, so a handful covers every algorithm;
+// back one slice per slice it sends, so a handful covers every collective;
 // beyond it the oldest slice is dropped for the garbage collector.
 const maxFree = 8
 

@@ -4,10 +4,10 @@
 // buffers' own bytes on little-endian hosts) plus a rank-0 rendezvous that
 // assigns ranks and distributes the peer address map. It is the
 // cross-process counterpart of the Cray PE ML Plugin's communication layer
-// (§III-D): the collectives themselves — ring, recursive doubling, central
-// — are untouched in internal/comm and run identically over either
-// transport, so a TCP world is bit-identical to the in-process world at
-// the same seed.
+// (§III-D): the collectives themselves — the ring allreduce and
+// reduce-scatter, broadcast, barrier and the gathers — are untouched in
+// internal/comm and run identically over either transport, so a TCP world
+// is bit-identical to the in-process world at the same seed.
 //
 // Failure model: every connection carries heartbeats, and a reader that
 // sees neither data nor a heartbeat within the peer timeout (or that hits
@@ -45,9 +45,6 @@ type Config struct {
 	// "127.0.0.1:0"; use a routable host for multi-machine worlds). The
 	// chosen port is advertised through the rendezvous.
 	ListenAddr string
-	// Algorithm configures the collectives exactly as for an in-process
-	// world; bit-identity across the two requires matching values.
-	Algorithm comm.Algorithm
 	// HeartbeatEvery is the keepalive send interval (default 500ms).
 	HeartbeatEvery time.Duration
 	// PeerTimeout is how long a silent connection may stay silent before
@@ -137,7 +134,7 @@ func Join(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	cw, err := comm.NewWorldWithTransport(cfg.Size, rank, tr, comm.WithAlgorithm(cfg.Algorithm))
+	cw, err := comm.NewWorldWithTransport(cfg.Size, rank, tr)
 	if err != nil {
 		tr.abandon()
 		return nil, err

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -147,54 +149,54 @@ func TestJoinAssignsRanksAndRequests(t *testing.T) {
 
 // TestTCPCollectivesBitIdenticalToInProcess is the core tentpole
 // invariant: every collective over the TCP mesh produces bit-for-bit the
-// same buffers as the in-process channel world, for every algorithm.
+// same buffers as the in-process channel world.
 func TestTCPCollectivesBitIdenticalToInProcess(t *testing.T) {
 	const n = 4
 	for _, tc := range []struct {
 		name string
-		algo comm.Algorithm
 		size int
 	}{
-		{"ring", comm.Ring, 1037},    // odd length: uneven ring segments
-		{"ring-3elem", comm.Ring, 3}, // ring segments of 0 and 1 elements
-		{"recursive-doubling", comm.RecursiveDoubling, 1037},
-		{"central", comm.Central, 1037},
+		{"ring", 1037},    // odd length: uneven ring segments
+		{"ring-3elem", 3}, // ring segments of 0 and 1 elements
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inputs := randomInputs(n, tc.size, 42)
 			block := min(8, tc.size)
 
-			inproc, err := comm.NewWorld(n, comm.WithAlgorithm(tc.algo))
+			inproc, err := comm.NewWorld(n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantSum := clone(inputs)
-			wantMax := clone(inputs)
+			wantScatter := clone(inputs)
+			wantLo, wantHi := make([]int, n), make([]int, n)
 			wantGather := make([][]float32, n)
 			var wg sync.WaitGroup
 			for _, c := range inproc.Comms() {
 				wg.Add(1)
 				go func(c *comm.Comm) {
 					defer wg.Done()
-					c.AllReduceSum(wantSum[c.Rank()])
-					c.AllReduceMax(wantMax[c.Rank()])
-					wantGather[c.Rank()] = make([]float32, n*block)
-					c.AllGather(inputs[c.Rank()][:block], wantGather[c.Rank()])
+					r := c.Rank()
+					c.AllReduceSum(wantSum[r])
+					wantLo[r], wantHi[r] = c.ReduceScatterSum(wantScatter[r])
+					wantGather[r] = make([]float32, n*block)
+					c.AllGather(inputs[r][:block], wantGather[r])
 				}(c)
 			}
 			wg.Wait()
 
-			worlds := newLocalWorld(t, n, Config{Algorithm: tc.algo})
+			worlds := newLocalWorld(t, n, Config{})
 			defer closeAll(t, worlds)
 			gotSum := clone(inputs)
-			gotMax := clone(inputs)
+			gotScatter := clone(inputs)
+			gotLo, gotHi := make([]int, n), make([]int, n)
 			gotGather := make([][]float32, n)
 			bcast := make([][]float32, n)
 			noErrors(t, runRanks(worlds, func(w *World) {
 				c := w.Comm()
 				r := w.Rank()
 				c.AllReduceSum(gotSum[r])
-				c.AllReduceMax(gotMax[r])
+				gotLo[r], gotHi[r] = c.ReduceScatterSum(gotScatter[r])
 				gotGather[r] = make([]float32, n*block)
 				c.AllGather(inputs[r][:block], gotGather[r])
 				bcast[r] = append([]float32(nil), inputs[r]...)
@@ -207,12 +209,19 @@ func TestTCPCollectivesBitIdenticalToInProcess(t *testing.T) {
 						t.Fatalf("rank %d AllReduceSum[%d] = %v over TCP, %v in-process",
 							r, i, gotSum[r][i], wantSum[r][i])
 					}
-					if gotMax[r][i] != wantMax[r][i] {
-						t.Fatalf("rank %d AllReduceMax[%d] differs", r, i)
-					}
 					if bcast[r][i] != inputs[2][i] {
 						t.Fatalf("rank %d Broadcast[%d] = %v, want root's %v",
 							r, i, bcast[r][i], inputs[2][i])
+					}
+				}
+				if gotLo[r] != wantLo[r] || gotHi[r] != wantHi[r] {
+					t.Fatalf("rank %d ReduceScatterSum owns [%d, %d) over TCP, [%d, %d) in-process",
+						r, gotLo[r], gotHi[r], wantLo[r], wantHi[r])
+				}
+				for i := gotLo[r]; i < gotHi[r]; i++ {
+					if math.Float32bits(gotScatter[r][i]) != math.Float32bits(wantScatter[r][i]) {
+						t.Fatalf("rank %d ReduceScatterSum[%d] = %v over TCP, %v in-process",
+							r, i, gotScatter[r][i], wantScatter[r][i])
 					}
 				}
 				for i := range gotGather[r] {
@@ -268,44 +277,44 @@ func TestExplicitRankRequestHonored(t *testing.T) {
 	closeAll(t, all)
 }
 
-// TestMismatchedCollectiveConfigRejectedAtJoin: a worker whose allreduce
-// algorithm disagrees with rank 0's is rejected by the rendezvous instead
-// of corrupting collectives mid-epoch.
+// TestMismatchedCollectiveConfigRejectedAtJoin: a worker built at an older
+// rendezvous version, whose collectives may differ from this build's (a
+// version-2 member could run another allreduce algorithm), is refused by
+// rank 0 at join instead of corrupting collectives mid-epoch. The hello is
+// written over a raw connection, as such a worker would send it; rank 0
+// refuses it on the version before reading any other field.
 func TestMismatchedCollectiveConfigRejectedAtJoin(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		cfg := Config{Size: 2, Rendezvous: ln.Addr().String(), JoinTimeout: 10 * time.Second}
-		if i == 0 {
-			cfg.Rank = 0
-			cfg.RendezvousListener = ln
-			cfg.Algorithm = comm.Ring
-		} else {
-			cfg.Rank = -1
-			cfg.Algorithm = comm.Central // disagrees with rank 0
-		}
-		wg.Add(1)
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			w, err := Join(cfg)
-			if err == nil {
-				w.Close()
-			}
-			errs[i] = err
-		}(i, cfg)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	joined := make(chan error, 1)
+	go func() {
+		w, err := Join(Config{Size: 2, Rank: 0, RendezvousListener: ln, JoinTimeout: 5 * time.Second})
 		if err == nil {
-			t.Errorf("joiner %d: mismatched algorithm accepted", i)
-		} else if msg := err.Error(); !strings.Contains(msg, "algorithm") ||
-			!strings.Contains(msg, "ring") || !strings.Contains(msg, "central") {
-			t.Errorf("joiner %d: error %v does not name both algorithms", i, err)
+			w.Close()
 		}
+		joined <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte(`{"v":2,"type":"hello","addr":"127.0.0.1:1","rank":-1}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	err = <-joined
+	if err == nil {
+		t.Fatal("rank 0 accepted a version-2 hello")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 2") ||
+		!strings.Contains(msg, fmt.Sprintf("want %d", rdzvVersion)) {
+		t.Errorf("rank 0's error %q does not name both versions", msg)
+	}
+	if reply, err := readMsg(conn, maxHelloBytes); err != nil || reply.Type != "error" {
+		t.Errorf("refused worker got %+v, %v; want an error message", reply, err)
 	}
 }
 
@@ -408,7 +417,7 @@ func TestCleanDepartureIsDistinguishable(t *testing.T) {
 // receivable after it — departure drains, it does not discard.
 func TestMessagesSurviveDeparture(t *testing.T) {
 	worlds := newLocalWorld(t, 2, Config{})
-	// Rank 1: send one half of a recursive-doubling-style exchange, then
+	// Rank 1: send one half of a symmetric pairwise exchange, then
 	// leave. Rank 0 must still receive the payload.
 	payload := []float32{1, 2, 3}
 	if err := worlds[1].tr.Send(0, 0, payload); err != nil {

@@ -4,10 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"time"
-
-	"repro/internal/comm"
 )
 
 // Rendezvous protocol: newline-delimited JSON over TCP, two message types.
@@ -25,31 +24,43 @@ type rdzvMsg struct {
 	Size  int      `json:"size,omitempty"`
 	Peers []string `json:"peers,omitempty"`
 	Msg   string   `json:"msg,omitempty"`
-	// Collective configuration, carried in hello and world messages so a
-	// misconfigured member is rejected at join time: a world whose ranks
-	// disagree on the algorithm would exchange wrong-length segments
-	// mid-epoch instead.
-	Algo int `json:"algo"`
 }
 
-// rdzvVersion names the wire layout. Version 2 is comm's four-stream tag
-// numbering (version 1 had eleven), so members built against different
-// numberings are refused at join rather than mid-collective.
-const rdzvVersion = 2
+// rdzvVersion names the wire layout, so members built against different
+// layouts are refused at join rather than mid-collective. Version 2 was
+// comm's four-stream tag numbering (version 1 had eleven); version 3 drops
+// the allreduce algorithm from hello and world, since the ring is the only
+// allreduce. A version-2 member could have been set to another algorithm.
+const rdzvVersion = 3
 
-func writeMsg(conn net.Conn, m rdzvMsg) error {
+// maxHelloBytes bounds a hello line, newline included: it carries one
+// address and a rank.
+const maxHelloBytes = 4 << 10
+
+// maxWorldBytes bounds the world reply a worker of a size-rank world
+// accepts: one hello's worth for each peer address, every one of which
+// reached rank 0 in a hello, and one more for the rest of the message.
+func maxWorldBytes(size int) int { return (size + 1) * maxHelloBytes }
+
+func writeMsg(w io.Writer, m rdzvMsg) error {
 	m.V = rdzvVersion
 	line, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	_, err = conn.Write(append(line, '\n'))
+	_, err = w.Write(append(line, '\n'))
 	return err
 }
 
-func readMsg(br *bufio.Reader) (rdzvMsg, error) {
+// readMsg reads one message, a JSON line of at most limit bytes with its
+// newline, from r. It reads at most limit+1 bytes of r, so a peer that
+// never sends a newline cannot make it buffer more.
+func readMsg(r io.Reader, limit int) (rdzvMsg, error) {
 	var m rdzvMsg
-	line, err := br.ReadBytes('\n')
+	line, err := bufio.NewReader(io.LimitReader(r, int64(limit)+1)).ReadBytes('\n')
+	if len(line) > limit {
+		return m, fmt.Errorf("dist: rendezvous message longer than %d bytes", limit)
+	}
 	if err != nil {
 		return m, err
 	}
@@ -98,17 +109,11 @@ func hostRendezvous(cfg Config, selfDataAddr string) ([]string, error) {
 				cfg.Size-1-len(joiners), err)
 		}
 		conn.SetDeadline(deadline)
-		m, err := readMsg(bufio.NewReader(conn))
+		m, err := readMsg(conn, maxHelloBytes)
 		if err != nil || m.Type != "hello" || m.Addr == "" {
 			if err == nil {
 				err = fmt.Errorf("dist: rendezvous expected hello, got %q", m.Type)
 			}
-			conn.Close()
-			return nil, err
-		}
-		if m.Algo != int(cfg.Algorithm) {
-			err = fmt.Errorf("dist: worker allreduce algorithm %v does not match rank 0's %v",
-				comm.Algorithm(m.Algo), cfg.Algorithm)
 			writeMsg(conn, rdzvMsg{Type: "error", Msg: err.Error()})
 			conn.Close()
 			return nil, err
@@ -147,8 +152,7 @@ func hostRendezvous(cfg Config, selfDataAddr string) ([]string, error) {
 		peers[assigned[i]] = j.req.Addr
 	}
 	for i, j := range joiners {
-		reply := rdzvMsg{Type: "world", Rank: assigned[i], Size: cfg.Size, Peers: peers,
-			Algo: int(cfg.Algorithm)}
+		reply := rdzvMsg{Type: "world", Rank: assigned[i], Size: cfg.Size, Peers: peers}
 		if err := writeMsg(j.conn, reply); err != nil {
 			return nil, fmt.Errorf("dist: rendezvous replying to rank %d: %w", assigned[i], err)
 		}
@@ -175,11 +179,11 @@ func joinRendezvous(cfg Config, selfDataAddr string) (int, []string, error) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(deadline)
-	hello := rdzvMsg{Type: "hello", Addr: selfDataAddr, Rank: cfg.Rank, Algo: int(cfg.Algorithm)}
+	hello := rdzvMsg{Type: "hello", Addr: selfDataAddr, Rank: cfg.Rank}
 	if err := writeMsg(conn, hello); err != nil {
 		return 0, nil, fmt.Errorf("dist: sending hello: %w", err)
 	}
-	m, err := readMsg(bufio.NewReader(conn))
+	m, err := readMsg(conn, maxWorldBytes(cfg.Size))
 	if err != nil {
 		return 0, nil, fmt.Errorf("dist: waiting for world assignment: %w", err)
 	}
@@ -192,9 +196,6 @@ func joinRendezvous(cfg Config, selfDataAddr string) (int, []string, error) {
 		return 0, nil, fmt.Errorf("dist: rendezvous world size %d, joined expecting %d", m.Size, cfg.Size)
 	case m.Rank < 1 || m.Rank >= m.Size || len(m.Peers) != m.Size:
 		return 0, nil, fmt.Errorf("dist: malformed world assignment (rank %d, %d peers)", m.Rank, len(m.Peers))
-	case m.Algo != int(cfg.Algorithm):
-		return 0, nil, fmt.Errorf("dist: world allreduce algorithm %v does not match this worker's %v",
-			comm.Algorithm(m.Algo), cfg.Algorithm)
 	}
 	return m.Rank, m.Peers, nil
 }

@@ -52,7 +52,6 @@ func runTCPRanks(t *testing.T, cfgs []Config, trainSet, valSet []*cosmo.Sample) 
 			Size:        n,
 			Rank:        i, // explicit ranks, as the launcher assigns them
 			Rendezvous:  ln.Addr().String(),
-			Algorithm:   cfgs[i].Algorithm,
 			JoinTimeout: 20 * time.Second,
 			PeerTimeout: 2 * time.Second,
 		}

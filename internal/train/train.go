@@ -36,8 +36,6 @@ type Config struct {
 	// Optim configures Adam+LARC; Schedule.DecaySteps of 0 is replaced by
 	// the total step count so the polynomial decay spans the whole run.
 	Optim optim.Config
-	// Algorithm selects the gradient allreduce (§III-D).
-	Algorithm comm.Algorithm
 	// WorkersPerRank sizes each rank's intra-node compute pool.
 	WorkersPerRank int
 	// Seed controls data sharding order.
@@ -157,7 +155,7 @@ func Run(cfg Config, trainSet, valSet []*cosmo.Sample) (*Result, error) {
 			tls[r] = obsv.NewTimeline(r, tl.Cap())
 		}
 	}
-	world, err := comm.NewWorld(cfg.Ranks, comm.WithAlgorithm(cfg.Algorithm))
+	world, err := comm.NewWorld(cfg.Ranks)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/cosmo"
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -42,7 +41,6 @@ func smallConfig(ranks, epochs int) Config {
 		Optim: optim.Config{
 			Schedule: optim.PolySchedule{Eta0: 2e-3, EtaMin: 1e-4, DecaySteps: 0},
 		},
-		Algorithm:      comm.Ring,
 		WorkersPerRank: 1,
 		Seed:           7,
 	}
@@ -234,19 +232,6 @@ func TestShardIteratorCoversAllSamplesAcrossRanks(t *testing.T) {
 		if c != 1 {
 			t.Fatal("sample delivered more than once in an epoch")
 		}
-	}
-}
-
-func TestCentralAlgorithmAlsoTrains(t *testing.T) {
-	trainSet := syntheticSet(8, 8, 10)
-	cfg := smallConfig(2, 1)
-	cfg.Algorithm = comm.Central
-	res, err := Run(cfg, trainSet, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalTrainLoss() <= 0 {
-		t.Error("central-algorithm run produced no loss")
 	}
 }
 
